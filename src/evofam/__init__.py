@@ -38,6 +38,7 @@ from .evolution import (
     iterate_left,
     iterate_right,
     left_right_discrepancy,
+    loss_gain_model,
     partial_sum_states,
     series_sum,
     summed_family_values,
@@ -56,7 +57,6 @@ from .honesty import (
 )
 from .coefficients import (
     SeparableCoefficient,
-    TabulatedCoefficient,
     TimeProfile,
     time_profile_from_params,
 )

@@ -21,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import SeparableCoefficient, TabulatedCoefficient, TimeProfile
+from .coefficients import SeparableCoefficient, TimeProfile, sample_nonnegative
 from .errors import ModelContractError, PreconditionError, StructureError
-from .evolution import (
-    EvolutionFamily,
-    PerturbationFamily,
-    PerturbedModel,
-    TimeGrid,
-    prefix_weights,
-)
+from .evolution import PerturbedModel, TimeGrid, loss_gain_model, prefix_weights
 from .state_space import Grid, StateVector, weighted_norm_array
 
 # Largest relative subcriticality excess that strict construction repairs
@@ -70,7 +64,7 @@ class CollisionModel:
     """
 
     grid: Grid
-    frequency: SeparableCoefficient | TabulatedCoefficient
+    frequency: SeparableCoefficient
     kernel: CollisionKernel
     conservative: bool
     subcritical_excess: float
@@ -98,7 +92,7 @@ def frequency_matching_kernel(grid: Grid, kernel: CollisionKernel) -> SeparableC
                                 space=grid.weights @ kernel.matrix)
 
 
-def collision_model(grid: Grid, frequency, kernel: CollisionKernel, *,
+def collision_model(grid: Grid, frequency: SeparableCoefficient, kernel: CollisionKernel, *,
                     strict: bool = True, time_samples=None) -> CollisionModel:
     """Validate and assemble a collision model.
 
@@ -129,38 +123,20 @@ def collision_model(grid: Grid, frequency, kernel: CollisionKernel, *,
         i, j = np.argwhere(mat < 0.0)[0]
         raise ModelContractError(f"kernel matrix negative at (i, j) = ({i}, {j})")
 
-    for t in times:
-        k = kernel.profile.value(t)
-        if not np.isfinite(k):
-            raise ModelContractError(f"kernel time profile not finite at t = {t}")
-        if k < 0.0:
-            raise ModelContractError(f"kernel time profile negative at t = {t}")
-        freq = np.asarray(frequency.value(t), dtype=float)
-        if freq.shape != (grid.size,):
-            raise StructureError("frequency must return one value per grid node")
-        if not np.all(np.isfinite(freq)):
-            raise ModelContractError(f"collision frequency not finite at t = {t}")
-        if np.any(freq < 0.0):
-            v = int(np.argmin(freq))
+    q = np.array([kernel.profile.value(t) for t in times])
+    for bad, problem in ((~np.isfinite(q), "not finite"), (q < 0.0, "negative")):
+        if bad.any():
             raise ModelContractError(
-                f"collision frequency negative at t = {t}, node index {v}"
-            )
+                f"kernel time profile {problem} at t = {times[np.argmax(bad)]}")
+    freq = sample_nonnegative(frequency, times, grid.size, "collision frequency")
 
-    def worst_excess(matrix):
-        worst = -np.inf
-        scale = 1.0
-        where = (float(times[0]), 0)
-        for t in times:
-            gain = grid.weights @ (kernel.profile.value(t) * matrix)
-            freq = np.asarray(frequency.value(t), dtype=float)
-            v = int(np.argmax(gain - freq))
-            if gain[v] - freq[v] > worst:
-                worst = float(gain[v] - freq[v])
-                where = (float(t), v)
-            scale = max(scale, float(np.max(freq)))
-        return worst, scale, where
-
-    excess, scale, (t_worst, v_worst) = worst_excess(mat)
+    # gain_mass_rate at every (sample time, node): kernel and frequency are
+    # both separable, so the whole check is one (T, d) array
+    gain = q[:, None] * (grid.weights @ mat)
+    i, v_worst = np.unravel_index(np.argmax(gain - freq), gain.shape)
+    excess = float(gain[i, v_worst] - freq[i, v_worst])
+    t_worst = float(times[i])
+    scale = max(1.0, float(np.max(freq)))
     rel = excess / scale
     rescale = None
     if rel > CONSERVATIVE_TOL and strict:
@@ -172,25 +148,14 @@ def collision_model(grid: Grid, frequency, kernel: CollisionKernel, *,
                 f"{float(grid.nodes[v_worst])!r}); not a quadrature-level "
                 "violation, refusing to rescale"
             )
-        factors = np.ones(grid.size)
-        for t in times:
-            gain = grid.weights @ (kernel.profile.value(t) * mat)
-            freq = np.asarray(frequency.value(t), dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(gain > 0.0, freq / gain, 1.0)
-            factors = np.minimum(factors, np.minimum(1.0, ratio))
-        mat = mat * factors[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(gain > 0.0, freq / gain, 1.0)
+        rescale = np.minimum(1.0, ratio.min(axis=0))
+        mat = mat * rescale[None, :]
         kernel = CollisionKernel(profile=kernel.profile, matrix=mat)
-        rescale = factors
+        gain = q[:, None] * (grid.weights @ mat)
 
-    conservative = True
-    for t in times:
-        gain = grid.weights @ (kernel.profile.value(t) * mat)
-        freq = np.asarray(frequency.value(t), dtype=float)
-        if np.max(np.abs(gain - freq)) > CONSERVATIVE_TOL * scale:
-            conservative = False
-            break
-
+    conservative = bool(np.max(np.abs(gain - freq)) <= CONSERVATIVE_TOL * scale)
     return CollisionModel(grid=grid, frequency=frequency, kernel=kernel,
                           conservative=conservative,
                           subcritical_excess=excess,
@@ -315,38 +280,8 @@ def mass_balance_identity(model: CollisionModel, tg: TimeGrid, phi) -> MassBalan
 
 
 def collision_perturbed_model(model: CollisionModel, name: str = "collision") -> PerturbedModel:
-    """Adapt the collision model to the series engine."""
-    grid = model.grid
-    w = grid.weights
-    mat = model.kernel.matrix
-    profile = model.kernel.profile
-    frequency = model.frequency
-
-    def u_apply(t, s, coeffs):
-        return np.exp(-np.asarray(frequency.integral(s, t), dtype=float)) * coeffs
-
-    def u_block(t, s, rows):
-        return rows * np.exp(-np.asarray(frequency.integral(s, t), dtype=float))[None, :]
-
-    def u_matrix(t, s):
-        return np.diag(np.exp(-np.asarray(frequency.integral(s, t), dtype=float)))
-
-    def b_apply(t, coeffs):
-        return profile.value(t) * (mat @ (w * coeffs))
-
-    def b_block(t, rows):
-        return profile.value(t) * ((rows * w[None, :]) @ mat.T)
-
-    def b_matrix(t):
-        return profile.value(t) * (mat * w[None, :])
-
-    return PerturbedModel(
-        name=name,
-        grid=grid,
-        unperturbed=EvolutionFamily(grid=grid, apply=u_apply,
-                                    apply_block=u_block, matrix=u_matrix),
-        perturbation=PerturbationFamily(grid=grid, apply=b_apply,
-                                        apply_block=b_block, matrix=b_matrix),
-        loss_rate=lambda t: np.asarray(frequency.value(t), dtype=float),
-        conservative=model.conservative,
-    )
+    """Adapt the collision model to the series engine: loss at the collision
+    frequency, gain B(t) u = kernel.values(t) @ (w * u)."""
+    return loss_gain_model(name, model.grid, model.frequency, model.kernel.profile,
+                           model.kernel.matrix, model.grid.weights,
+                           conservative=model.conservative)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -36,6 +37,7 @@ from .boltzmann import (
     gaussian_kernel_matrix,
     outflow_kernel_matrix,
     uniform_kernel_matrix,
+    validation_times,
 )
 from .coefficients import SeparableCoefficient, time_profile_from_params
 from .config import (
@@ -156,7 +158,8 @@ def build_collision(cfg: ExperimentConfig, strict: bool | None):
 
     if strict is None:
         strict = get_bool(cfg.sections, "model", "strict_subcritical", True)
-    cmodel = collision_model(grid, frequency, kernel, strict=strict)
+    cmodel = collision_model(grid, frequency, kernel, strict=strict,
+                             time_samples=validation_times(_engine_grid(cfg)))
     return collision_perturbed_model(cmodel)
 
 
@@ -182,6 +185,7 @@ def build_fragmentation(cfg: ExperimentConfig, strict: bool | None):
     fmodel = fragmentation_model(
         grid, rate, daughter, strict=strict,
         force_normalize=get_bool(cfg.sections, "model", "force_normalize", False),
+        time_samples=validation_times(_engine_grid(cfg)),
     )
     return fragmentation_perturbed_model(fmodel)
 
@@ -334,7 +338,8 @@ def run_shattering(cfg: ExperimentConfig) -> RunArtifacts:
     sec = cfg.sections
     tg = _engine_grid(cfg)
     alpha = get_float(sec, "shattering", "alpha")
-    kwargs = dict(
+    report = shattering_experiment(
+        alpha, tg,
         x_max=get_float(sec, "shattering", "x_max", 1.0),
         x_min_start=get_float(sec, "shattering", "x_min_start", 1.0 / 16.0),
         n_grids=get_int(sec, "shattering", "n_grids", 4),
@@ -343,27 +348,13 @@ def run_shattering(cfg: ExperimentConfig) -> RunArtifacts:
         daughter_kind=get_str(sec, "daughter", "kind", "binary_uniform"),
         nu=get_float(sec, "daughter", "nu", 1.0),
         rel_threshold=get_float(sec, "shattering", "rel_threshold", 1e-8),
+        persistence=cfg.honesty.persistence,
     )
-    report = shattering_experiment(alpha, tg, **kwargs)
-
-    # ledger/defect tables come from the finest grid of the sweep
-    x_min_last = kwargs["x_min_start"] * 0.5 ** (kwargs["n_grids"] - 1)
-    grid = uniform_mass_grid(x_min_last, kwargs["x_max"], kwargs["nodes_per_grid"])
-    rate = fragmentation_rate(grid, "power", {"scale": 1.0, "exponent": -alpha})
-    fmodel = fragmentation_model(grid, rate,
-                                 daughter_matrix(grid, kwargs["daughter_kind"],
-                                                 nu=kwargs["nu"]))
-    model = fragmentation_perturbed_model(fmodel)
-    u0 = np.where(grid.nodes >= 0.5 * kwargs["x_max"], 1.0, 0.0)
-    table = iterate_right(model, tg, u0, kwargs["n_max"])
-    ledger = mass_ledger(table)
-    series = table_verdict(table, rel_threshold=kwargs["rel_threshold"],
-                           persistence=cfg.honesty.persistence)
 
     final = report.rows[-1]
     results = [
         ("experiment", cfg.kind),
-        ("model", model.name),
+        ("model", "fragmentation"),
         ("verdict", final.verdict),
         ("alpha", _fmt(alpha)),
         ("defect_persists", str(report.defect_persists)),
@@ -373,8 +364,8 @@ def run_shattering(cfg: ExperimentConfig) -> RunArtifacts:
         ("finest_leakage_last", _fmt(final.leakage_last)),
     ]
     return RunArtifacts(exit_code=_EXIT_BY_VERDICT[final.verdict],
-                        results=results, ledger=ledger, series=series,
-                        shattering_rows=report.rows)
+                        results=results, ledger=report.ledger,
+                        series=report.series, shattering_rows=report.rows)
 
 
 def run_sweep(cfg: ExperimentConfig, strict: bool | None) -> RunArtifacts:
@@ -393,22 +384,19 @@ def run_sweep(cfg: ExperimentConfig, strict: bool | None) -> RunArtifacts:
     rows = []
     last = None
     for value in values:
+        # each row builds (and validates) its model on its own lattice
         if kind == "dt":
             if value <= 0.0:
                 raise ConfigError("[sweep] dt values must be positive")
-            model = build_model(cfg, strict)
-            tg = TimeGrid(cfg.engine.s, cfg.engine.t_end, value, cfg.engine.rule)
+            sub = dataclasses.replace(cfg, engine=dataclasses.replace(cfg.engine, dt=value))
         else:
             if not 0.0 < value < get_float(cfg.sections, "grid", "xmax"):
                 raise ConfigError("[sweep] x_min values must lie inside the grid span")
             override = dict(cfg.sections)
             override["grid"] = dict(override["grid"], xmin=repr(value))
-            sub = ExperimentConfig(kind=cfg.kind, engine=cfg.engine,
-                                   honesty=cfg.honesty, initial=cfg.initial,
-                                   output=cfg.output, sections=override,
-                                   echo_rows=cfg.echo_rows)
-            model = build_model(sub, strict)
-            tg = _engine_grid(cfg)
+            sub = dataclasses.replace(cfg, sections=override)
+        model = build_model(sub, strict)
+        tg = _engine_grid(sub)
         u0 = initial_coefficients(cfg, model.grid)
         table, ledger, series = _table_diagnostics(cfg, model, tg, u0)
         duhamel = duhamel_residual(model, tg, u0, tol=cfg.engine.series_tol)

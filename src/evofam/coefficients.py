@@ -3,49 +3,15 @@
 Every built-in model factors its time dependence through one of these
 profiles, all of which carry a closed-form antiderivative so survival
 factors exp(-integral) are exact (no time-quadrature error, and the
-two-parameter evolution family composes exactly).  A Gauss-Legendre
-fallback handles user-supplied callables without an antiderivative.
+two-parameter evolution family composes exactly).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import ModelContractError, StructureError
-
-# 8-point Gauss-Legendre nodes/weights on [-1, 1]
-_GL8_X = np.array([
-    -0.9602898564975363, -0.7966664774136267, -0.5255324099163290,
-    -0.1834346424956498, 0.1834346424956498, 0.5255324099163290,
-    0.7966664774136267, 0.9602898564975363,
-])
-_GL8_W = np.array([
-    0.1012285362903763, 0.2223810344533745, 0.3137066458778873,
-    0.3626837833783620, 0.3626837833783620, 0.3137066458778873,
-    0.2223810344533745, 0.1012285362903763,
-])
-
-
-def gauss_legendre_integral(fn: Callable[[np.ndarray], np.ndarray], s: float, t: float,
-                            panel_width: float = 0.25) -> float:
-    """Composite 8-point Gauss-Legendre integral of ``fn`` over [s, t]."""
-    if t == s:
-        return 0.0
-    sign = 1.0
-    if t < s:
-        s, t = t, s
-        sign = -1.0
-    n_panels = max(1, int(math.ceil((t - s) / panel_width)))
-    edges = np.linspace(s, t, n_panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        total += half * float(np.dot(_GL8_W, fn(mid + half * _GL8_X)))
-    return sign * total
 
 
 @dataclass(frozen=True)
@@ -56,10 +22,10 @@ class TimeProfile:
     -----
     constant   k(t) = c0
     affine     k(t) = c0 + c1*t
-    power      k(t) = c0 * t**p          (p > -1, defined for t >= 0)
+    power      k(t) = c0 * t**p          (p > -1, defined for t >= 0;
+               p < 0 is singular at t = 0, where ``value`` raises)
     pwlinear   piecewise-linear interpolant of (times, values), clamped
                to the end values outside the table range
-    callable   arbitrary fn(t); antiderivative via composite Gauss-Legendre
     """
 
     kind: str = "constant"
@@ -68,11 +34,10 @@ class TimeProfile:
     p: float = 0.0
     times: np.ndarray | None = None
     values: np.ndarray | None = None
-    fn: Callable[[float], float] | None = None
     _cum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("constant", "affine", "power", "pwlinear", "callable"):
+        if self.kind not in ("constant", "affine", "power", "pwlinear"):
             raise StructureError(f"unknown time profile kind {self.kind!r}")
         if self.kind == "power" and self.p <= -1.0:
             raise StructureError("power profile needs exponent > -1 for integrability")
@@ -92,8 +57,6 @@ class TimeProfile:
             seg = 0.5 * (values[1:] + values[:-1]) * np.diff(times)
             cum = np.concatenate([[0.0], np.cumsum(seg)])
             object.__setattr__(self, "_cum", cum)
-        if self.kind == "callable" and self.fn is None:
-            raise StructureError("callable profile needs fn")
 
     def value(self, t: float) -> float:
         if self.kind == "constant":
@@ -103,10 +66,11 @@ class TimeProfile:
         if self.kind == "power":
             if t < 0.0:
                 raise ModelContractError("power profile evaluated at t < 0")
-            return self.c0 * float(t) ** self.p if t > 0.0 else (self.c0 if self.p == 0.0 else 0.0)
-        if self.kind == "pwlinear":
-            return float(np.interp(t, self.times, self.values))
-        return float(self.fn(t))
+            if t == 0.0 and self.p < 0.0:
+                raise ModelContractError(
+                    f"power profile with exponent {self.p!r} is singular at t = {t}")
+            return self.c0 * float(t) ** self.p
+        return float(np.interp(t, self.times, self.values))
 
     def antiderivative(self, t: float) -> float:
         """F(t) with F(0) = 0 (pwlinear: F(times[0]) = 0)."""
@@ -118,21 +82,17 @@ class TimeProfile:
             if t < 0.0:
                 raise ModelContractError("power profile integrated below t = 0")
             return self.c0 * float(t) ** (self.p + 1.0) / (self.p + 1.0)
-        if self.kind == "pwlinear":
-            times, values, cum = self.times, self.values, self._cum
-            if t <= times[0]:
-                return values[0] * (t - times[0])
-            if t >= times[-1]:
-                return float(cum[-1]) + values[-1] * (t - times[-1])
-            i = int(np.searchsorted(times, t, side="right") - 1)
-            vt = float(np.interp(t, times, values))
-            return float(cum[i]) + 0.5 * (values[i] + vt) * (t - times[i])
-        raise ModelContractError("callable profile has no closed antiderivative")
+        times, values, cum = self.times, self.values, self._cum
+        if t <= times[0]:
+            return values[0] * (t - times[0])
+        if t >= times[-1]:
+            return float(cum[-1]) + values[-1] * (t - times[-1])
+        i = int(np.searchsorted(times, t, side="right") - 1)
+        vt = float(np.interp(t, times, values))
+        return float(cum[i]) + 0.5 * (values[i] + vt) * (t - times[i])
 
     def integral(self, s: float, t: float) -> float:
-        """Integral of k over [s, t] (exact except for the callable kind)."""
-        if self.kind == "callable":
-            return gauss_legendre_integral(lambda x: np.asarray([self.fn(v) for v in np.atleast_1d(x)]), s, t)
+        """Exact integral of k over [s, t]."""
         return self.antiderivative(t) - self.antiderivative(s)
 
 
@@ -161,56 +121,21 @@ class SeparableCoefficient:
         return self.profile.integral(s, t) * self.space
 
 
-@dataclass(frozen=True)
-class TabulatedCoefficient:
-    """Per-node coefficient interpolated linearly in t from sampled rows.
+def sample_nonnegative(coef: SeparableCoefficient, times: np.ndarray, size: int,
+                       what: str) -> np.ndarray:
+    """``coef.value(t)`` at every sample time as one (T, size) array.
 
-    Constant extension outside the sampled window; the time integral is
-    the exact integral of the interpolant.
+    Raises naming the first sample time and node where ``what`` is not
+    finite or is negative.
     """
-
-    times: np.ndarray
-    values: np.ndarray
-    _cum: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise StructureError("tabulated coefficient needs >= 2 sample times")
-        if values.shape != (times.size,) and (values.ndim != 2 or values.shape[0] != times.size):
-            raise StructureError("coefficient table must have one row per sample time")
-        if np.any(np.diff(times) <= 0):
-            raise StructureError("coefficient sample times must be strictly increasing")
-        if values.ndim == 1:
-            values = values[:, None]
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        seg = 0.5 * (values[1:] + values[:-1]) * np.diff(times)[:, None]
-        cum = np.vstack([np.zeros((1, values.shape[1])), np.cumsum(seg, axis=0)])
-        object.__setattr__(self, "_cum", cum)
-
-    def value(self, t: float) -> np.ndarray:
-        times, values = self.times, self.values
-        if t <= times[0]:
-            return values[0].copy()
-        if t >= times[-1]:
-            return values[-1].copy()
-        i = int(np.searchsorted(times, t, side="right") - 1)
-        w = (t - times[i]) / (times[i + 1] - times[i])
-        return (1.0 - w) * values[i] + w * values[i + 1]
-
-    def _antiderivative(self, t: float) -> np.ndarray:
-        times, values = self.times, self.values
-        if t <= times[0]:
-            return values[0] * (t - times[0])
-        if t >= times[-1]:
-            return self._cum[-1] + values[-1] * (t - times[-1])
-        i = int(np.searchsorted(times, t, side="right") - 1)
-        return self._cum[i] + 0.5 * (values[i] + self.value(t)) * (t - times[i])
-
-    def integral(self, s: float, t: float) -> np.ndarray:
-        return self._antiderivative(t) - self._antiderivative(s)
+    if coef.space.shape != (size,):
+        raise StructureError(f"{what} must return one value per grid node")
+    values = np.array([coef.profile.value(t) for t in times])[:, None] * coef.space
+    for bad, problem in ((~np.isfinite(values), "not finite"), (values < 0.0, "negative")):
+        if bad.any():
+            i, v = np.argwhere(bad)[0]
+            raise ModelContractError(f"{what} {problem} at t = {times[i]}, node index {v}")
+    return values
 
 
 def time_profile_from_params(kind: str, params: dict) -> TimeProfile:

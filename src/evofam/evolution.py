@@ -12,7 +12,9 @@ partial sums whose limit is the perturbed evolution.  The module also
 provides the mirrored ("left") recursion as an operator-matrix table for
 cross-validation, series summation with a tail-norm stopping rule, and
 integral-identity residuals (variation-of-constants and two-interval
-composition) used as discretization-error probes.
+composition) used as discretization-error probes.  ``loss_gain_model``
+builds the one model form every built-in application takes: a node-wise
+exponential loss flow perturbed by a time-scaled gain matrix.
 
 Production evaluation uses a one-step propagation form of the prefix
 trapezoid quadrature, which is algebraically identical to direct prefix
@@ -30,6 +32,7 @@ import csv
 
 import numpy as np
 
+from .coefficients import SeparableCoefficient, TimeProfile
 from .errors import (
     EvaluationError,
     PreconditionError,
@@ -127,26 +130,15 @@ class EvolutionFamily:
 
     ``apply(t, s, u)`` returns U(t, s) u for s <= t.  Contract: positivity-
     preserving, substochastic on nonnegative states, U(s, s) = identity,
-    and exact two-interval composition up to rounding.  ``apply_block``
-    (optional) applies the same U(t, s) to the rows of a 2-d array;
-    ``matrix`` (optional) materializes U(t, s) as a dense matrix.
+    and exact two-interval composition up to rounding.
     """
 
     grid: Grid
     apply: Callable[[float, float, np.ndarray], np.ndarray]
-    apply_block: Callable[[float, float, np.ndarray], np.ndarray] | None = None
-    matrix: Callable[[float, float], np.ndarray] | None = None
-
-    def block(self, t: float, s: float, rows: np.ndarray) -> np.ndarray:
-        if self.apply_block is not None:
-            return self.apply_block(t, s, rows)
-        return np.stack([self.apply(t, s, row) for row in rows]) if rows.size else rows.copy()
 
     def as_matrix(self, t: float, s: float) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix(t, s)
-        d = self.grid.size
-        return self.block(t, s, np.eye(d)).T
+        """U(t, s) as a dense matrix: column j is U(t, s) applied to unit vector j."""
+        return np.column_stack([self.apply(t, s, e) for e in np.eye(self.grid.size)])
 
 
 @dataclass(frozen=True)
@@ -155,19 +147,10 @@ class PerturbationFamily:
 
     grid: Grid
     apply: Callable[[float, np.ndarray], np.ndarray]
-    apply_block: Callable[[float, np.ndarray], np.ndarray] | None = None
-    matrix: Callable[[float], np.ndarray] | None = None
-
-    def block(self, t: float, rows: np.ndarray) -> np.ndarray:
-        if self.apply_block is not None:
-            return self.apply_block(t, rows)
-        return np.stack([self.apply(t, row) for row in rows]) if rows.size else rows.copy()
 
     def as_matrix(self, t: float) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix(t)
-        d = self.grid.size
-        return self.block(t, np.eye(d)).T
+        """B(t) as a dense matrix: column j is B(t) applied to unit vector j."""
+        return np.column_stack([self.apply(t, e) for e in np.eye(self.grid.size)])
 
 
 @dataclass(frozen=True)
@@ -190,6 +173,46 @@ class PerturbedModel:
     def __post_init__(self):
         if self.unperturbed.grid != self.grid or self.perturbation.grid != self.grid:
             raise StructureError("model families must share the model grid")
+
+
+def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
+                    gain_profile: TimeProfile, gain, gain_weights, *,
+                    conservative: bool = False) -> PerturbedModel:
+    """The loss–gain model every built-in application reduces to.
+
+    With ``loss`` the separable rate F'(t) a (F the antiderivative of its
+    time profile, a its per-node factor), the unperturbed flow is the
+    node-wise survival factor
+
+        U(t, s) u = exp(-(F(t) - F(s)) a) * u,
+
+    exact in time so it composes to rounding, and the perturbation is the
+    time-scaled gain matrix
+
+        B(t) u = q(t) K (v * u),
+
+    with q = ``gain_profile``, K = ``gain`` (nonnegative, K[i, j] moving
+    mass from node j to node i) and v = ``gain_weights``.
+    """
+    d = grid.size
+    a = loss.space
+    mat = np.asarray(gain, dtype=float)
+    v = np.asarray(gain_weights, dtype=float)
+    if a.shape != (d,) or mat.shape != (d, d) or v.shape != (d,):
+        raise StructureError("loss rate, gain matrix and gain weights must match the grid")
+    antiderivative = loss.profile.antiderivative
+    q = gain_profile.value
+
+    def u_apply(t, s, u):
+        return np.exp(-((antiderivative(t) - antiderivative(s)) * a)) * u
+
+    def b_apply(t, u):
+        return q(t) * (mat @ (v * u))
+
+    return PerturbedModel(name=name, grid=grid,
+                          unperturbed=EvolutionFamily(grid, u_apply),
+                          perturbation=PerturbationFamily(grid, b_apply),
+                          loss_rate=loss.value, conservative=conservative)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +252,17 @@ def _as_coeffs(grid: Grid, u0) -> np.ndarray:
     return arr.copy()
 
 
+# Largest table either recursion may allocate.
+_TABLE_MEMORY_CAP_BYTES = 256 * 1024 * 1024
+
+
+def _check_table_bytes(what: str, bytes_needed: int) -> None:
+    if bytes_needed > _TABLE_MEMORY_CAP_BYTES:
+        raise SizeCapError(
+            f"{what} table would need {bytes_needed} bytes; cap is {_TABLE_MEMORY_CAP_BYTES}"
+        )
+
+
 def _check_row(grid: Grid, row: np.ndarray, n: int, scale: float) -> None:
     if not np.all(np.isfinite(row)):
         raise EvaluationError(f"iterate row {n} contains non-finite values", n=n)
@@ -239,16 +273,20 @@ def _check_row(grid: Grid, row: np.ndarray, n: int, scale: float) -> None:
         )
 
 
-def _b_row(model: PerturbedModel, n: int, tau: float, state: np.ndarray) -> np.ndarray:
-    try:
-        out = model.perturbation.apply(tau, state)
-    except Exception as exc:
-        raise EvaluationError(
-            f"perturbation evaluation failed at iterate {n}, tau = {tau!r}: {exc}",
-            n=n, tau=tau,
-        ) from exc
-    out = np.asarray(out, dtype=float)
-    if not np.all(np.isfinite(out)):
+def _b_rows(model: PerturbedModel, n: int, taus, states: np.ndarray) -> np.ndarray:
+    """B(tau_j) states[j] for every node j, checked finite once for all rows."""
+    apply = model.perturbation.apply
+    out = np.empty_like(states)
+    for j, tau in enumerate(taus):
+        try:
+            out[j] = apply(tau, states[j])
+        except Exception as exc:
+            raise EvaluationError(
+                f"perturbation evaluation failed at iterate {n}, tau = {tau!r}: {exc}",
+                n=n, tau=tau,
+            ) from exc
+    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+        tau = taus[int(np.argmin(np.isfinite(out).all(axis=1)))]
         raise EvaluationError(
             f"perturbation produced non-finite values at iterate {n}, tau = {tau!r}",
             n=n, tau=tau,
@@ -275,9 +313,7 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, u0: np.ndarray,
 
     n = 0
     while True:
-        b_row = np.empty_like(row)
-        for j in range(m + 1):
-            b_row[j] = _b_row(model, n, nodes[j], row[j])
+        b_row = _b_rows(model, n, nodes, row)
         yield row, b_row
 
         n += 1
@@ -340,6 +376,7 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     use_direct = _resolve_direct(tg, direct)
     m = tg.n_steps
     d = model.grid.size
+    _check_table_bytes("iterate", 2 * (n_max + 1) * (m + 1) * d * 8)
     iterates = np.empty((n_max + 1, m + 1, d))
     b_applied = np.empty_like(iterates)
     gen = _combined_rows(model, tg, coeffs, use_direct)
@@ -462,11 +499,10 @@ def duhamel_residual(model: PerturbedModel, tg: TimeGrid, u0, v_values=None, *,
         )
     u_end = model.unperturbed.apply(tg.t_end, tg.s, coeffs)
     w = prefix_weights(tg.rule, m, tg.dt)
+    used = np.flatnonzero(w)
+    kicks = _b_rows(model, 0, tg.nodes[used], v_values[used])
     integral = np.zeros(d)
-    for j in range(m + 1):
-        if w[j] == 0.0:
-            continue
-        kick = _b_row(model, 0, tg.nodes[j], v_values[j])
+    for j, kick in zip(used, kicks):
         integral += w[j] * model.unperturbed.apply(tg.t_end, tg.nodes[j], kick)
     return weighted_norm_array(model.grid, v_values[m] - u_end - integral)
 
@@ -508,9 +544,6 @@ def cocycle_residual(model: PerturbedModel, tg: TimeGrid, u0, r: float, *,
 # mirrored (left) recursion as operator matrices
 # ---------------------------------------------------------------------------
 
-_LEFT_MEMORY_CAP_BYTES = 256 * 1024 * 1024
-
-
 @dataclass
 class LeftIterates:
     """Left-recursion iterates as dense operator matrices.
@@ -545,11 +578,7 @@ def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     d = model.grid.size
     if m > m_cap:
         raise SizeCapError(f"left recursion lattice has {m} steps; cap is {m_cap}")
-    bytes_needed = (n_max + 1) * (m + 1) ** 2 * d * d * 8
-    if bytes_needed > _LEFT_MEMORY_CAP_BYTES:
-        raise SizeCapError(
-            f"left recursion table would need {bytes_needed} bytes; cap is {_LEFT_MEMORY_CAP_BYTES}"
-        )
+    _check_table_bytes("left recursion", (n_max + 1) * (m + 1) ** 2 * d * d * 8)
     nodes = tg.nodes
     u_fam, b_fam = model.unperturbed, model.perturbation
 

@@ -20,17 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import SeparableCoefficient, TabulatedCoefficient, TimeProfile
+from .coefficients import SeparableCoefficient, TimeProfile, sample_nonnegative
 from .errors import ModelContractError, PreconditionError, StructureError
 from .evolution import (
     DysonPhillipsTable,
-    EvolutionFamily,
-    PerturbationFamily,
     PerturbedModel,
     TimeGrid,
+    loss_gain_model,
     prefix_weights,
 )
-from .honesty import mass_ledger, table_verdict
+from .honesty import DefectSeries, MassLedger, mass_ledger, table_verdict
 from .state_space import Grid, StateVector, uniform_mass_grid, weighted_norm_array
 
 # Largest per-parent mass-constraint residual that strict construction
@@ -53,7 +52,7 @@ class FragmentationModel:
     """
 
     grid: Grid
-    rate: SeparableCoefficient | TabulatedCoefficient
+    rate: SeparableCoefficient
     daughter: np.ndarray
     dx: float
     normalization_residuals: np.ndarray
@@ -129,7 +128,7 @@ def _column_mass_residuals(grid: Grid, dx: float, daughter: np.ndarray) -> np.nd
     return np.abs(quad - grid.nodes) / grid.nodes
 
 
-def fragmentation_model(grid: Grid, rate, daughter: np.ndarray, *,
+def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter: np.ndarray, *,
                         strict: bool = False, force_normalize: bool = False,
                         kernel_tol: float = KERNEL_STRICT_LIMIT,
                         time_samples=None) -> FragmentationModel:
@@ -157,15 +156,8 @@ def fragmentation_model(grid: Grid, rate, daughter: np.ndarray, *,
 
     if time_samples is None:
         time_samples = np.linspace(0.0, 1.0, 9)
-    for t in np.asarray(time_samples, dtype=float):
-        vals = np.asarray(rate.value(t), dtype=float)
-        if vals.shape != (grid.size,):
-            raise StructureError("rate must return one value per grid node")
-        if not np.all(np.isfinite(vals)):
-            raise ModelContractError(f"breakup rate not finite at t = {t}")
-        if np.any(vals < 0.0):
-            i = int(np.argmin(vals))
-            raise ModelContractError(f"breakup rate negative at t = {t}, node index {i}")
+    sample_nonnegative(rate, np.asarray(time_samples, dtype=float), grid.size,
+                       "breakup rate")
 
     mat = np.asarray(daughter, dtype=float)
     if mat.shape != (grid.size, grid.size):
@@ -279,45 +271,16 @@ def apply_fragment_gain(model: FragmentationModel, t: float, u):
 
 def fragmentation_perturbed_model(model: FragmentationModel,
                                   name: str = "fragmentation") -> PerturbedModel:
-    """Adapt the fragmentation model to the series engine.
+    """Adapt the fragmentation model to the series engine: loss at the
+    breakup rate a = q(t) a(x), gain B(t) u = q(t) daughter @ (dx a(x) u).
 
     Never flagged conservative: even with normalized columns the smallest
     parent has no grid fragments, so some breakup mass always leaks below
     x_min.
     """
-    grid = model.grid
-    dx = model.dx
-    mat = model.daughter
     rate = model.rate
-
-    def u_apply(t, s, coeffs):
-        return np.exp(-np.asarray(rate.integral(s, t), dtype=float)) * coeffs
-
-    def u_block(t, s, rows):
-        return rows * np.exp(-np.asarray(rate.integral(s, t), dtype=float))[None, :]
-
-    def u_matrix(t, s):
-        return np.diag(np.exp(-np.asarray(rate.integral(s, t), dtype=float)))
-
-    def b_apply(t, coeffs):
-        return dx * (mat @ (np.asarray(rate.value(t), dtype=float) * coeffs))
-
-    def b_block(t, rows):
-        return dx * ((rows * np.asarray(rate.value(t), dtype=float)[None, :]) @ mat.T)
-
-    def b_matrix(t):
-        return dx * (mat * np.asarray(rate.value(t), dtype=float)[None, :])
-
-    return PerturbedModel(
-        name=name,
-        grid=grid,
-        unperturbed=EvolutionFamily(grid=grid, apply=u_apply,
-                                    apply_block=u_block, matrix=u_matrix),
-        perturbation=PerturbationFamily(grid=grid, apply=b_apply,
-                                        apply_block=b_block, matrix=b_matrix),
-        loss_rate=lambda t: np.asarray(rate.value(t), dtype=float),
-        conservative=False,
-    )
+    return loss_gain_model(name, model.grid, rate, rate.profile, model.daughter,
+                           model.dx * rate.space)
 
 
 # ---------------------------------------------------------------------------
@@ -417,31 +380,38 @@ class ShatteringReport:
 
     ``defect_persists`` is True when the finest grid's honesty limit stays
     above its threshold — the signature of mass escaping to zero size in
-    finite time.  Exploratory: thresholds control the verdict per grid,
-    but no pass/fail is implied by the trend itself.
+    finite time.  ``ledger`` and ``series`` are the finest grid's mass
+    ledger and defect verdict.  Exploratory: thresholds control the
+    verdict per grid, but no pass/fail is implied by the trend itself.
     """
 
     alpha: float
     rows: tuple[ShatteringRow, ...]
     defect_persists: bool
+    ledger: MassLedger
+    series: DefectSeries
 
 
 def shattering_experiment(alpha: float, tg: TimeGrid, *, x_max: float = 1.0,
                           x_min_start: float = 1.0 / 16.0, n_grids: int = 4,
                           nodes_per_grid: int = 64, n_max: int = 12,
                           daughter_kind: str = "binary_uniform", nu: float = 1.0,
-                          rel_threshold: float = 1e-8) -> ShatteringReport:
+                          rel_threshold: float = 1e-8,
+                          persistence: int = 3) -> ShatteringReport:
     """Run the series on grids with x_min halving under rate a(x) = x**(-alpha).
 
     Singular rates (alpha > 0) blow up toward zero size; the truncated
     grids probe whether the honesty limit estimate stays bounded away
     from zero as the truncation recedes.  alpha = 0 is the bounded
-    control and must come out honest on every grid.
+    control and must come out honest on every grid.  ``rel_threshold``
+    and ``persistence`` feed each grid's ``table_verdict``.
     """
     if alpha < 0.0:
         raise PreconditionError("alpha must be >= 0")
     if x_min_start <= 0.0 or x_min_start >= x_max:
         raise PreconditionError("need 0 < x_min_start < x_max")
+    if n_grids < 1:
+        raise PreconditionError("n_grids must be >= 1")
     from .evolution import iterate_right
 
     rows = []
@@ -455,7 +425,8 @@ def shattering_experiment(alpha: float, tg: TimeGrid, *, x_max: float = 1.0,
         series_model = fragmentation_perturbed_model(model)
         u0 = np.where(grid.nodes >= 0.5 * x_max, 1.0, 0.0)
         table = iterate_right(series_model, tg, u0, n_max)
-        verdict = table_verdict(table, rel_threshold=rel_threshold)
+        verdict = table_verdict(table, rel_threshold=rel_threshold,
+                                persistence=persistence)
         defects = verdict.values
         leakage = grid_leakage(table)
         rows.append(ShatteringRow(
@@ -469,4 +440,5 @@ def shattering_experiment(alpha: float, tg: TimeGrid, *, x_max: float = 1.0,
         x_min *= 0.5
 
     return ShatteringReport(alpha=alpha, rows=tuple(rows),
-                            defect_persists=rows[-1].verdict != "honest")
+                            defect_persists=rows[-1].verdict != "honest",
+                            ledger=mass_ledger(table), series=verdict)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .coefficients import SeparableCoefficient, TimeProfile
 from .errors import StructureError
-from .evolution import EvolutionFamily, PerturbationFamily, PerturbedModel
+from .evolution import PerturbedModel, loss_gain_model
 from .state_space import Grid, abstract_grid
 
 
@@ -34,30 +35,9 @@ def matrix_exchange_model(grid: Grid, loss_rates, exchange, name: str = "matrix-
     if np.any(gained > lost * (1.0 + 1e-12) + 1e-300):
         raise StructureError("exchange matrix exceeds the loss rates (not dissipative)")
     conservative = bool(np.all(np.abs(gained - lost) <= 1e-12 * np.maximum(lost, 1.0)))
-
-    def u_apply(t, s, u, _loss=loss):
-        return np.exp(-_loss * (t - s)) * u
-
-    def u_block(t, s, rows, _loss=loss):
-        return rows * np.exp(-_loss * (t - s))[None, :]
-
-    def u_matrix(t, s, _loss=loss):
-        return np.diag(np.exp(-_loss * (t - s)))
-
-    def b_apply(t, u, _mat=mat):
-        return _mat @ u
-
-    def b_block(t, rows, _mat=mat):
-        return rows @ _mat.T
-
-    return PerturbedModel(
-        name=name,
-        grid=grid,
-        unperturbed=EvolutionFamily(grid, u_apply, apply_block=u_block, matrix=u_matrix),
-        perturbation=PerturbationFamily(grid, b_apply, apply_block=b_block, matrix=lambda t, _mat=mat: _mat),
-        loss_rate=lambda t, _loss=loss: _loss,
-        conservative=conservative,
-    )
+    unit = TimeProfile(kind="constant", c0=1.0)
+    return loss_gain_model(name, grid, SeparableCoefficient(unit, loss), unit, mat,
+                           np.ones(d), conservative=conservative)
 
 
 def two_state_exchange(rate: float = 1.0) -> PerturbedModel:

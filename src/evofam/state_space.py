@@ -7,12 +7,11 @@ velocity cell width for kinetic densities, ``x*dx`` for mass-weighted
 fragment densities, or plain counting weights for abstract test systems.
 
 Norm and mass sums run in ascending node order so results are reproducible
-run to run; an optional compensated mode routes through ``math.fsum``.
+run to run.
 """
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,16 +23,10 @@ GRID_KINDS = ("velocity", "mass", "abstract")
 GRID_CSV_HEADER = ["node", "weight"]
 
 
-def _ascending_sum(values: np.ndarray, compensated: bool = False) -> float:
-    """Sum ``values`` in ascending index order.
-
-    ``compensated=True`` uses exact (fsum) accumulation; the default is a
-    plain sequential sum, which is what the rest of the package uses.
-    """
+def _ascending_sum(values: np.ndarray) -> float:
+    """Plain sequential sum of ``values`` in ascending index order."""
     if values.size == 0:
         return 0.0
-    if compensated:
-        return math.fsum(values.tolist())
     return float(np.cumsum(values)[-1])
 
 
@@ -188,14 +181,14 @@ class StateVector:
             raise StructureError("state vectors live on different grids")
 
 
-def l1_norm(u: StateVector, compensated: bool = False) -> float:
+def l1_norm(u: StateVector) -> float:
     """Weighted L1 norm, summed in ascending node order."""
-    return _ascending_sum(u.grid.weights * np.abs(u.coeffs), compensated)
+    return _ascending_sum(u.grid.weights * np.abs(u.coeffs))
 
 
-def mass(u: StateVector, compensated: bool = False) -> float:
+def mass(u: StateVector) -> float:
     """Signed weighted integral sum(w_i * u_i); equals the norm for u >= 0."""
-    return _ascending_sum(u.grid.weights * u.coeffs, compensated)
+    return _ascending_sum(u.grid.weights * u.coeffs)
 
 
 def decompose(u: StateVector) -> tuple[StateVector, StateVector]:
@@ -209,6 +202,6 @@ def decompose(u: StateVector) -> tuple[StateVector, StateVector]:
     return StateVector(u.grid, pos), StateVector(u.grid, neg)
 
 
-def weighted_norm_array(grid: Grid, coeffs: np.ndarray, compensated: bool = False) -> float:
+def weighted_norm_array(grid: Grid, coeffs: np.ndarray) -> float:
     """Norm of a raw coefficient array (engine-internal fast path)."""
-    return _ascending_sum(grid.weights * np.abs(coeffs), compensated)
+    return _ascending_sum(grid.weights * np.abs(coeffs))

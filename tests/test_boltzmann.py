@@ -86,6 +86,18 @@ def test_frequency_sign_error_names_time_and_node():
         collision_model(grid, frequency, kernel)
 
 
+def test_power_profile_with_negative_exponent_is_singular_at_zero():
+    profile = TimeProfile(kind="power", p=-0.5)
+    with pytest.raises(ModelContractError, match="singular at t = 0"):
+        profile.value(0.0)
+    assert profile.value(0.25) == 2.0
+    grid = uniform_velocity_grid(-1.0, 1.0, 4)
+    kernel = CollisionKernel(profile=CONSTANT_ONE,
+                             matrix=0.01 * uniform_kernel_matrix(grid))
+    with pytest.raises(ModelContractError, match="singular at t = 0"):
+        collision_model(grid, SeparableCoefficient(profile, np.ones(grid.size)), kernel)
+
+
 def test_strict_mode_rescales_quadrature_level_excess():
     grid = uniform_velocity_grid(-1.0, 1.0, 4)
     kernel = CollisionKernel(profile=CONSTANT_ONE, matrix=uniform_kernel_matrix(grid))
@@ -240,14 +252,7 @@ def test_perturbed_model_wires_both_parts(timedep_collision,
     np.testing.assert_allclose(model.perturbation.apply(0.7, phi),
                                apply_gain(timedep_collision, 0.7, phi),
                                rtol=1e-15)
-    # block/matrix variants agree with the plain apply
-    rows = rng.uniform(0.0, 1.0, (3, grid.size))
-    np.testing.assert_allclose(
-        model.unperturbed.block(0.7, 0.2, rows),
-        np.stack([model.unperturbed.apply(0.7, 0.2, r) for r in rows]))
-    np.testing.assert_allclose(
-        model.perturbation.block(0.7, rows),
-        np.stack([model.perturbation.apply(0.7, r) for r in rows]))
+    # matrix forms agree with the plain apply
     np.testing.assert_allclose(model.unperturbed.as_matrix(0.7, 0.2) @ phi,
                                model.unperturbed.apply(0.7, 0.2, phi), rtol=1e-14)
     np.testing.assert_allclose(model.perturbation.as_matrix(0.7) @ phi,

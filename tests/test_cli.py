@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import filecmp
+import os
 
 import numpy as np
 import pytest
@@ -110,6 +111,19 @@ n_grids = 2
 nodes_per_grid = 24
 n_max = 12
 """
+
+
+SCRIPTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def shipped_ini(name, *replacements):
+    """Text of a shipped config with (old, new) line replacements applied."""
+    with open(os.path.join(SCRIPTS_DIR, name)) as fh:
+        text = fh.read()
+    for old, new in replacements:
+        assert old in text, old
+        text = text.replace(old, new)
+    return text
 
 
 def write_ini(tmp_path, text, name="exp.ini"):
@@ -306,3 +320,29 @@ def test_outputs_are_byte_deterministic(tmp_path, capsys):
     capsys.readouterr()
     for name in ("report.csv", "ledger.csv", "defects.csv", "plots.svg"):
         assert filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False), name
+
+
+def test_collision_model_validated_over_the_run_span(tmp_path, capsys):
+    # frequency 1 - 0.4 t falls to 0.2 at t = 2 while the gain mass stays
+    # near 0.44: subcritical on [0, 1], supercritical on part of (1, 2]
+    text = shipped_ini("boltzmann_timedep.ini",
+                       ("c1 = 1.0", "c1 = -0.4"), ("t_end = 1.0", "t_end = 2.0"))
+    out_dir = tmp_path / "out"
+    code = main(["run", write_ini(tmp_path, text), "--output-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "refusing to rescale" in err
+    assert "(t, v) = (2.0," in err
+    assert not out_dir.exists()
+
+
+def test_shattering_verdict_uses_configured_persistence(tmp_path, capsys):
+    text = shipped_ini("shattering_sweep.ini", ("alpha = 1.0", "alpha = 0.0"))
+    text += "\n[honesty]\npersistence = 13\n"
+    out_dir = tmp_path / "out"
+    code = main(["run", write_ini(tmp_path, text), "--output-dir", str(out_dir)])
+    pairs = stdout_pairs(capsys)
+    footer = (out_dir / "ledger.csv").read_text().splitlines()[-1].split(",")
+    # 12 defect ratios cannot fill a 13-long tail: the verdict is open
+    assert pairs["verdict"] == footer[3] == "inconclusive"
+    assert code == 3

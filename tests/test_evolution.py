@@ -1,6 +1,7 @@
 """Iteration engine: lattices, closed-form agreement, identity residuals."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evofam import (
+    EvaluationError,
     EvolutionFamily,
     PerturbationFamily,
     PerturbedModel,
@@ -244,6 +246,67 @@ def test_cocycle_with_closed_form_apply(oracle_model):
     assert cocycle_residual(oracle_model, tg, u0, 0.5, v_apply=v_apply) < 1e-14
     with pytest.raises(PreconditionError):
         cocycle_residual(oracle_model, tg, u0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# engine error paths and guards
+# ---------------------------------------------------------------------------
+
+def with_perturbation(model, apply):
+    return dataclasses.replace(model, perturbation=PerturbationFamily(model.grid, apply))
+
+
+def test_perturbation_failure_names_iterate_and_time(oracle_model):
+    def failing(t, u):
+        raise RuntimeError("kernel table missing")
+
+    model = with_perturbation(oracle_model, failing)
+    with pytest.raises(EvaluationError, match="kernel table missing") as err:
+        iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
+    assert (err.value.n, err.value.tau) == (0, 0.0)
+
+
+def test_non_finite_perturbation_names_first_bad_node(oracle_model):
+    def nan_late(t, u):
+        out = oracle_model.perturbation.apply(t, u)
+        return out * np.nan if t > 0.3 else out
+
+    model = with_perturbation(oracle_model, nan_late)
+    with pytest.raises(EvaluationError, match="non-finite") as err:
+        iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
+    assert (err.value.n, err.value.tau) == (0, 0.5)
+
+
+def test_negative_flow_rejected_at_its_row(oracle_model):
+    flipping = EvolutionFamily(oracle_model.grid, lambda t, s, u: -u)
+    model = dataclasses.replace(oracle_model, unperturbed=flipping)
+    with pytest.raises(EvaluationError, match="lost positivity") as err:
+        iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
+    assert err.value.n == 0
+
+
+def test_right_recursion_memory_cap():
+    # 2 * 41 * 4097 * 512 * 8 bytes = 1.4 GB of table: refused before any
+    # allocation or operator call
+    grid = abstract_grid(np.ones(512))
+
+    def never(t, u):
+        raise AssertionError("B applied before the size check")
+
+    model = PerturbedModel(name="wide", grid=grid,
+                           unperturbed=EvolutionFamily(grid, lambda t, s, u: u),
+                           perturbation=PerturbationFamily(grid, never))
+    with pytest.raises(SizeCapError, match="bytes"):
+        iterate_right(model, TimeGrid(0.0, 1.0, 1.0 / 4096.0), np.ones(512), 40)
+
+
+def test_families_are_grid_and_apply(oracle_model):
+    for family in (EvolutionFamily, PerturbationFamily):
+        assert [f.name for f in dataclasses.fields(family)] == ["grid", "apply"]
+    np.testing.assert_array_equal(oracle_model.perturbation.as_matrix(0.3),
+                                  [[0.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_allclose(oracle_model.unperturbed.as_matrix(0.75, 0.25),
+                               math.exp(-0.5) * np.eye(2), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,9 @@ def test_shattering_bounded_control_is_honest():
     assert not report.defect_persists
     assert all(row.verdict == "honest" for row in report.rows)
     assert report.rows[1].x_min == pytest.approx(1.0 / 32.0)
+    # the finest grid's ledger and verdict travel with the report
+    assert report.series.verdict == report.rows[-1].verdict
+    assert report.ledger.n_max == 14
 
 
 def test_shattering_singular_rate_defect_persists():
@@ -280,6 +283,8 @@ def test_shattering_preconditions():
         shattering_experiment(-0.5, tg)
     with pytest.raises(PreconditionError):
         shattering_experiment(1.0, tg, x_min_start=2.0)
+    with pytest.raises(PreconditionError, match="n_grids"):
+        shattering_experiment(1.0, tg, n_grids=0)
 
 
 def test_binary_model_defaults(binary_frag):
