@@ -123,7 +123,7 @@ def collision_model(grid: Grid, frequency: SeparableCoefficient, kernel: Collisi
         i, j = np.argwhere(mat < 0.0)[0]
         raise ModelContractError(f"kernel matrix negative at (i, j) = ({i}, {j})")
 
-    q = np.array([kernel.profile.value(t) for t in times])
+    q = kernel.profile.value(times)
     for bad, problem in ((~np.isfinite(q), "not finite"), (q < 0.0, "negative")):
         if bad.any():
             raise ModelContractError(

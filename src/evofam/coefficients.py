@@ -58,41 +58,49 @@ class TimeProfile:
             cum = np.concatenate([[0.0], np.cumsum(seg)])
             object.__setattr__(self, "_cum", cum)
 
-    def value(self, t: float) -> float:
+    def value(self, t):
+        """k(t): a float for a scalar ``t``, an array of its shape for an array."""
+        arr = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            return self.c0
-        if self.kind == "affine":
-            return self.c0 + self.c1 * t
-        if self.kind == "power":
-            if t < 0.0:
-                raise ModelContractError("power profile evaluated at t < 0")
-            if t == 0.0 and self.p < 0.0:
+            out = np.full(arr.shape, self.c0)
+        elif self.kind == "affine":
+            out = self.c0 + self.c1 * arr
+        elif self.kind == "power":
+            self._check_power_domain(arr, "evaluated at t < 0")
+            if self.p < 0.0 and np.any(arr == 0.0):
                 raise ModelContractError(
-                    f"power profile with exponent {self.p!r} is singular at t = {t}")
-            return self.c0 * float(t) ** self.p
-        return float(np.interp(t, self.times, self.values))
+                    f"power profile with exponent {self.p!r} is singular at t = 0.0")
+            out = self.c0 * arr ** self.p
+        else:
+            out = np.interp(arr, self.times, self.values)
+        return float(out) if out.ndim == 0 else out
 
-    def antiderivative(self, t: float) -> float:
-        """F(t) with F(0) = 0 (pwlinear: F(times[0]) = 0)."""
+    def antiderivative(self, t):
+        """F(t) with F(0) = 0 (pwlinear: F(times[0]) = 0); array-valued like ``value``."""
+        arr = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            return self.c0 * t
-        if self.kind == "affine":
-            return self.c0 * t + 0.5 * self.c1 * t * t
-        if self.kind == "power":
-            if t < 0.0:
-                raise ModelContractError("power profile integrated below t = 0")
-            return self.c0 * float(t) ** (self.p + 1.0) / (self.p + 1.0)
-        times, values, cum = self.times, self.values, self._cum
-        if t <= times[0]:
-            return values[0] * (t - times[0])
-        if t >= times[-1]:
-            return float(cum[-1]) + values[-1] * (t - times[-1])
-        i = int(np.searchsorted(times, t, side="right") - 1)
-        vt = float(np.interp(t, times, values))
-        return float(cum[i]) + 0.5 * (values[i] + vt) * (t - times[i])
+            out = self.c0 * arr
+        elif self.kind == "affine":
+            out = self.c0 * arr + 0.5 * self.c1 * arr * arr
+        elif self.kind == "power":
+            self._check_power_domain(arr, "integrated below t = 0")
+            out = self.c0 * arr ** (self.p + 1.0) / (self.p + 1.0)
+        else:
+            times, values, cum = self.times, self.values, self._cum
+            i = np.clip(np.searchsorted(times, arr, side="right") - 1, 0, times.size - 2)
+            inside = cum[i] + 0.5 * (values[i] + np.interp(arr, times, values)) * (arr - times[i])
+            out = np.where(arr <= times[0], values[0] * (arr - times[0]),
+                           np.where(arr >= times[-1], cum[-1] + values[-1] * (arr - times[-1]),
+                                    inside))
+        return float(out) if out.ndim == 0 else out
 
-    def integral(self, s: float, t: float) -> float:
-        """Exact integral of k over [s, t]."""
+    @staticmethod
+    def _check_power_domain(arr: np.ndarray, what: str) -> None:
+        if np.any(arr < 0.0):
+            raise ModelContractError(f"power profile {what} (t = {float(arr[arr < 0.0].flat[0])!r})")
+
+    def integral(self, s, t):
+        """Exact integral of k over [s, t] (elementwise for arrays of times)."""
         return self.antiderivative(t) - self.antiderivative(s)
 
 
@@ -102,7 +110,8 @@ class SeparableCoefficient:
 
     ``value(t)`` returns the per-node coefficient array; ``integral(s, t)``
     the array of exact time integrals, so exponential flows built on it
-    compose to rounding.
+    compose to rounding.  Both take scalar times (shape (d,)) or arrays of
+    times (one row per time, shape times.shape + (d,)).
     """
 
     profile: TimeProfile
@@ -114,11 +123,11 @@ class SeparableCoefficient:
             raise StructureError("separable coefficient needs a 1-d space factor")
         object.__setattr__(self, "space", space)
 
-    def value(self, t: float) -> np.ndarray:
-        return self.profile.value(t) * self.space
+    def value(self, t) -> np.ndarray:
+        return np.multiply.outer(self.profile.value(t), self.space)
 
-    def integral(self, s: float, t: float) -> np.ndarray:
-        return self.profile.integral(s, t) * self.space
+    def integral(self, s, t) -> np.ndarray:
+        return np.multiply.outer(self.profile.integral(s, t), self.space)
 
 
 def sample_nonnegative(coef: SeparableCoefficient, times: np.ndarray, size: int,
@@ -130,7 +139,7 @@ def sample_nonnegative(coef: SeparableCoefficient, times: np.ndarray, size: int,
     """
     if coef.space.shape != (size,):
         raise StructureError(f"{what} must return one value per grid node")
-    values = np.array([coef.profile.value(t) for t in times])[:, None] * coef.space
+    values = coef.value(times)
     for bad, problem in ((~np.isfinite(values), "not finite"), (values < 0.0, "negative")):
         if bad.any():
             i, v = np.argwhere(bad)[0]

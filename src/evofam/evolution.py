@@ -22,6 +22,10 @@ evaluation whenever ``U`` composes exactly across intermediate times (all
 built-in families do, to rounding); the literal direct evaluation is kept
 behind ``direct=True`` for cross-checks and for the midpoint rule, whose
 prefix weights are not nested.
+
+Operators are applied in batches over a leading time axis: the one-step
+survival factors U(tau_j, tau_{j-1}) are computed once per lattice, and B
+acts on all M+1 nodes of a row in one call.
 """
 from __future__ import annotations
 
@@ -35,6 +39,7 @@ import numpy as np
 from .coefficients import SeparableCoefficient, TimeProfile
 from .errors import (
     EvaluationError,
+    ModelContractError,
     PreconditionError,
     SizeCapError,
     StructureError,
@@ -128,7 +133,11 @@ def prefix_weights(rule: str, j: int, dt: float) -> np.ndarray:
 class EvolutionFamily:
     """Unperturbed two-parameter evolution on a grid space.
 
-    ``apply(t, s, u)`` returns U(t, s) u for s <= t.  Contract: positivity-
+    ``apply(t, s, u)`` returns U(t, s) u for s <= t.  ``t`` and ``s`` are
+    scalars or arrays of times of shape ``u.shape[:-1]``, one state per
+    time pair.  Contract: U acts node-wise (U(t, s) u = f(t, s) * u for a
+    per-node factor f; every built-in model does, and the engine propagates
+    rows with the factors f it gets by applying U to ones), positivity-
     preserving, substochastic on nonnegative states, U(s, s) = identity,
     and exact two-interval composition up to rounding.
     """
@@ -143,7 +152,11 @@ class EvolutionFamily:
 
 @dataclass(frozen=True)
 class PerturbationFamily:
-    """Time-dependent positive bounded operator B(t) on the grid space."""
+    """Time-dependent positive bounded operator B(t) on the grid space.
+
+    ``apply(t, u)`` returns B(t) u; ``t`` is a scalar or an array of times
+    of shape ``u.shape[:-1]``, one state per time.
+    """
 
     grid: Grid
     apply: Callable[[float, np.ndarray], np.ndarray]
@@ -192,7 +205,8 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
         B(t) u = q(t) K (v * u),
 
     with q = ``gain_profile``, K = ``gain`` (nonnegative, K[i, j] moving
-    mass from node j to node i) and v = ``gain_weights``.
+    mass from node j to node i) and v = ``gain_weights``.  Both operators
+    batch over a leading time axis as the family contracts allow.
     """
     d = grid.size
     a = loss.space
@@ -200,14 +214,18 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
     v = np.asarray(gain_weights, dtype=float)
     if a.shape != (d,) or mat.shape != (d, d) or v.shape != (d,):
         raise StructureError("loss rate, gain matrix and gain weights must match the grid")
-    antiderivative = loss.profile.antiderivative
     q = gain_profile.value
 
     def u_apply(t, s, u):
-        return np.exp(-((antiderivative(t) - antiderivative(s)) * a)) * u
+        out = loss.integral(s, t)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        return np.multiply(out, u, out=out)
 
     def b_apply(t, u):
-        return q(t) * (mat @ (v * u))
+        out = (u * v) @ mat.T
+        out *= np.asarray(q(t))[..., None]
+        return out
 
     return PerturbedModel(name=name, grid=grid,
                           unperturbed=EvolutionFamily(grid, u_apply),
@@ -263,30 +281,60 @@ def _check_table_bytes(what: str, bytes_needed: int) -> None:
         )
 
 
-def _check_row(grid: Grid, row: np.ndarray, n: int, scale: float) -> None:
-    if not np.all(np.isfinite(row)):
-        raise EvaluationError(f"iterate row {n} contains non-finite values", n=n)
-    low = float(row.min(initial=0.0))
-    if low < -_POSITIVITY_SLACK * scale:
+def _check_row(row: np.ndarray, nodes: np.ndarray, n: int, scale: float) -> None:
+    """Raise at the first lattice node where row n is non-finite or negative."""
+    floor = -_POSITIVITY_SLACK * scale
+    low = row.min(initial=0.0)
+    if low >= floor and np.isfinite(row.max(initial=0.0)):
+        return
+    finite = np.isfinite(row).all(axis=1)
+    j = int(np.argmax(~finite | (row < floor).any(axis=1)))
+    tau = float(nodes[j])
+    if not finite[j]:
         raise EvaluationError(
-            f"iterate row {n} lost positivity (min coefficient {low!r})", n=n
-        )
+            f"iterate row {n} contains non-finite values at tau = {tau!r}", n=n, tau=tau)
+    raise EvaluationError(
+        f"iterate row {n} lost positivity at tau = {tau!r} "
+        f"(min coefficient {float(row[j].min())!r})", n=n, tau=tau)
 
 
-def _b_rows(model: PerturbedModel, n: int, taus, states: np.ndarray) -> np.ndarray:
-    """B(tau_j) states[j] for every node j, checked finite once for all rows."""
+def _step_factors(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
+    """One-step survival factors U(tau_j, tau_{j-1}) on ones, shape (M, d).
+
+    Raises if a factor exceeds 1 (the flow must be substochastic); the sign
+    is left to the row positivity check.
+    """
+    m, d = nodes.size - 1, model.grid.size
+    steps = model.unperturbed.apply(nodes[1:], nodes[:-1], np.broadcast_to(1.0, (m, d)))
+    if m and steps.max() > 1.0 + _POSITIVITY_SLACK:
+        j, i = np.unravel_index(np.argmax(steps > 1.0 + _POSITIVITY_SLACK), steps.shape)
+        raise ModelContractError(
+            f"unperturbed flow is not substochastic: step factor {float(steps[j, i])!r} "
+            f"> 1 on the step ending at tau = {float(nodes[j + 1])!r}, node index {i}")
+    return steps
+
+
+def _b_rows(model: PerturbedModel, n: int, taus: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """B(tau_j) states[j] for every node j in one call, checked finite once."""
     apply = model.perturbation.apply
-    out = np.empty_like(states)
-    for j, tau in enumerate(taus):
-        try:
-            out[j] = apply(tau, states[j])
-        except Exception as exc:
-            raise EvaluationError(
-                f"perturbation evaluation failed at iterate {n}, tau = {tau!r}: {exc}",
-                n=n, tau=tau,
-            ) from exc
-    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
-        tau = taus[int(np.argmin(np.isfinite(out).all(axis=1)))]
+    try:
+        out = apply(taus, states)
+    except Exception as exc:
+        # error path only: find the first node that fails on its own
+        for tau, state in zip(taus.tolist(), states):
+            try:
+                apply(tau, state)
+            except Exception as node_exc:
+                raise EvaluationError(
+                    f"perturbation evaluation failed at iterate {n}, tau = {tau!r}: {node_exc}",
+                    n=n, tau=tau,
+                ) from node_exc
+        raise EvaluationError(
+            f"perturbation evaluation failed at iterate {n} on a batch of "
+            f"{len(taus)} times, though every single time succeeds: {exc}", n=n,
+        ) from exc
+    if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
+        tau = float(taus[int(np.argmin(np.isfinite(out).all(axis=1)))])
         raise EvaluationError(
             f"perturbation produced non-finite values at iterate {n}, tau = {tau!r}",
             n=n, tau=tau,
@@ -296,20 +344,25 @@ def _b_rows(model: PerturbedModel, n: int, taus, states: np.ndarray) -> np.ndarr
 
 def _right_rows(model: PerturbedModel, tg: TimeGrid, u0: np.ndarray,
                 direct: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (row values, B-applied row) for n = 0, 1, ... on nonnegative u0."""
+    """Yield (row values, B-applied row) for n = 0, 1, ... on nonnegative u0.
+
+    A consumer that does not keep the B-applied row should take
+    ``next(gen)[0]``, so that row is freed before the next one is built.
+    """
     u_fam = model.unperturbed
     nodes = tg.nodes
     m = tg.n_steps
     dt = tg.dt
     d = model.grid.size
     scale = max(float(np.max(np.abs(u0))) if u0.size else 0.0, 1e-300)
+    steps = _step_factors(model, nodes)
 
     # row 0: the unperturbed evolution of u0
     row = np.empty((m + 1, d))
     row[0] = u0
     for j in range(1, m + 1):
-        row[j] = u_fam.apply(nodes[j], nodes[j - 1], row[j - 1])
-    _check_row(model.grid, row, 0, scale)
+        row[j] = steps[j - 1] * row[j - 1]
+    _check_row(row, nodes, 0, scale)
 
     n = 0
     while True:
@@ -328,13 +381,14 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, u0: np.ndarray,
                 nxt[j] = acc
         else:
             # one-step propagation of the prefix trapezoid sums
-            carry = np.zeros(d)
             half = 0.5 * dt
+            kick = half * b_row[0]
             for j in range(1, m + 1):
-                carry = u_fam.apply(nodes[j], nodes[j - 1], carry + half * b_row[j - 1])
-                carry = carry + half * b_row[j]
-                nxt[j] = carry
-        _check_row(model.grid, nxt, n, scale)
+                carry = steps[j - 1] * (nxt[j - 1] + kick)
+                kick = half * b_row[j]
+                nxt[j] = carry + kick
+        del b_row
+        _check_row(nxt, nodes, n, scale)
         row = nxt
 
 
@@ -432,7 +486,7 @@ def series_sum(model: PerturbedModel, tg: TimeGrid, u0, *, tol: float = 1e-10,
     total = np.zeros(model.grid.size)
     norms: list[float] = []
     for n in range(n_max + 1):
-        row, _ = next(gen)
+        row = next(gen)[0]
         total += row[m]
         rn = weighted_norm_array(model.grid, row[m])
         norms.append(rn)
@@ -453,14 +507,19 @@ def summed_family_values(model: PerturbedModel, tg: TimeGrid, u0, *,
     Same stopping rule as ``series_sum`` (tail norm measured at t_end).
     """
     coeffs = _as_coeffs(model.grid, u0)
-    use_direct = _resolve_direct(tg, direct)
+    return _summed_values(model, tg, coeffs, tol, n_max, _resolve_direct(tg, direct), 1)
+
+
+def _summed_values(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
+                   tol: float, n_max: int, direct: bool, stride: int) -> np.ndarray:
+    """Summed series at every ``stride``-th lattice node (t_end included)."""
     u0_norm = weighted_norm_array(model.grid, coeffs)
     m = tg.n_steps
-    gen = _combined_rows(model, tg, coeffs, use_direct)
-    total = np.zeros((m + 1, model.grid.size))
+    gen = _combined_rows(model, tg, coeffs, direct)
+    total = np.zeros((m // stride + 1, model.grid.size))
     for _ in range(n_max + 1):
-        row, _b = next(gen)
-        total += row
+        row = next(gen)[0]
+        total += row[::stride]
         if weighted_norm_array(model.grid, row[m]) <= tol * u0_norm:
             break
     return total
@@ -491,7 +550,8 @@ def duhamel_residual(model: PerturbedModel, tg: TimeGrid, u0, v_values=None, *,
         if refine < 2:
             raise PreconditionError("refine must be >= 2 to produce an independent reference")
         fine = TimeGrid(tg.s, tg.t_end, tg.dt / refine, tg.rule)
-        v_values = summed_family_values(model, fine, coeffs, tol=tol, n_max=n_max)[::refine]
+        v_values = _summed_values(model, fine, coeffs, tol, n_max,
+                                  _resolve_direct(fine, None), refine)
     v_values = np.asarray(v_values, dtype=float)
     if v_values.shape != (m + 1, d):
         raise PreconditionError(
@@ -501,9 +561,7 @@ def duhamel_residual(model: PerturbedModel, tg: TimeGrid, u0, v_values=None, *,
     w = prefix_weights(tg.rule, m, tg.dt)
     used = np.flatnonzero(w)
     kicks = _b_rows(model, 0, tg.nodes[used], v_values[used])
-    integral = np.zeros(d)
-    for j, kick in zip(used, kicks):
-        integral += w[j] * model.unperturbed.apply(tg.t_end, tg.nodes[j], kick)
+    integral = w[used] @ model.unperturbed.apply(tg.t_end, tg.nodes[used], kicks)
     return weighted_norm_array(model.grid, v_values[m] - u_end - integral)
 
 

@@ -28,7 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, StructureError
-from .evolution import PerturbedModel, TimeGrid, iterate_right, prefix_weights, series_sum
+from .evolution import (
+    PerturbedModel,
+    TimeGrid,
+    _step_factors,
+    iterate_right,
+    prefix_weights,
+    series_sum,
+)
 from .state_space import Grid, weighted_norm_array
 
 HORIZON_TAIL_LIMIT = 1e-10
@@ -107,8 +114,8 @@ def apply_lifted_free(model: PerturbedModel, t: float, f: LiftedVector) -> Lifte
     j = _shift_index(f.axis, t)
     nodes = f.axis.nodes
     out = np.zeros_like(f.values)
-    for k in range(j, len(nodes)):
-        out[k] = model.unperturbed.apply(nodes[k], nodes[k - j], f.values[k - j])
+    out[j:] = model.unperturbed.apply(nodes[j:], nodes[:nodes.size - j],
+                                      f.values[:nodes.size - j])
     return LiftedVector(grid=f.grid, axis=f.axis, values=out)
 
 
@@ -291,10 +298,8 @@ def resolvent_factorization_check(model: PerturbedModel, lam: float,
 
 
 def _kick_blockwise(model: PerturbedModel, f: LiftedVector) -> LiftedVector:
-    out = np.zeros_like(f.values)
-    for k, tau in enumerate(f.axis.nodes):
-        out[k] = model.perturbation.apply(tau, f.values[k])
-    return LiftedVector(grid=f.grid, axis=f.axis, values=out)
+    return LiftedVector(grid=f.grid, axis=f.axis,
+                        values=model.perturbation.apply(f.axis.nodes, f.values))
 
 
 def resolvent_series_check(model: PerturbedModel, lam: float, f: LiftedVector,
@@ -366,13 +371,15 @@ def laplace_transform_check(model: PerturbedModel, lam: float, n: int,
     # node; the shift-action value of the t = nodes[j] term at axis node
     # k is then runs[k - j][n, j], accumulated per start index below.
     lhs = np.zeros_like(f.values)
+    if n == 0:
+        steps = _step_factors(model, nodes)
     for i in range(len(nodes)):
         sub = TimeGrid(nodes[i], nodes[-1], axis.dt, axis.rule)
         if n == 0:
             row = np.empty((m - i + 1, f.grid.size))
             row[0] = f.values[i]
             for j in range(1, m - i + 1):
-                row[j] = model.unperturbed.apply(nodes[i + j], nodes[i + j - 1], row[j - 1])
+                row[j] = steps[i + j - 1] * row[j - 1]
         else:
             row = iterate_right(model, sub, f.values[i], n).iterates[n]
         lhs[i:] += discount[:m - i + 1, None] * row

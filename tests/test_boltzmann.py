@@ -98,6 +98,41 @@ def test_power_profile_with_negative_exponent_is_singular_at_zero():
         collision_model(grid, SeparableCoefficient(profile, np.ones(grid.size)), kernel)
 
 
+ARRAY_PROFILES = (
+    TimeProfile(kind="constant", c0=1.5),
+    TimeProfile(kind="affine", c0=1.0, c1=-0.75),
+    TimeProfile(kind="power", c0=2.0, p=0.5),
+    TimeProfile(kind="power", c0=1.0, p=-0.5),
+    TimeProfile(kind="pwlinear", times=np.array([0.25, 0.5, 1.5]),
+                values=np.array([1.0, 3.0, 0.5])),
+)
+
+
+@given(profile=st.sampled_from(ARRAY_PROFILES),
+       times=st.lists(st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 0.25, 0.5, 1.5])),
+                      min_size=1, max_size=12))
+def test_profile_arrays_match_scalar_evaluation(profile, times):
+    # pwlinear samples fall below, between and above its knots
+    arr = np.array(times).reshape(-1, 1)
+    np.testing.assert_array_equal(profile.antiderivative(arr)[:, 0],
+                                  [profile.antiderivative(t) for t in times])
+    if profile.kind == "power" and profile.p < 0.0 and 0.0 in times:
+        with pytest.raises(ModelContractError, match="singular at t = 0"):
+            profile.value(arr)
+        return
+    values = profile.value(arr)
+    assert values.shape == arr.shape
+    np.testing.assert_array_equal(values[:, 0], [profile.value(t) for t in times])
+
+
+def test_power_profile_arrays_raise_below_zero():
+    profile = TimeProfile(kind="power", p=0.5)
+    with pytest.raises(ModelContractError, match=r"t < 0 \(t = -0.25\)"):
+        profile.value(np.array([0.5, -0.25, 1.0]))
+    with pytest.raises(ModelContractError, match="below t = 0"):
+        profile.antiderivative(np.array([0.5, -0.25]))
+
+
 def test_strict_mode_rescales_quadrature_level_excess():
     grid = uniform_velocity_grid(-1.0, 1.0, 4)
     kernel = CollisionKernel(profile=CONSTANT_ONE, matrix=uniform_kernel_matrix(grid))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from evofam import (
     EvaluationError,
     EvolutionFamily,
+    ModelContractError,
     PerturbationFamily,
     PerturbedModel,
     PreconditionError,
@@ -150,6 +151,18 @@ def test_iterates_stay_nonnegative(u0):
     assert np.all(table.partial_norms <= u0_norm + slack)
 
 
+@pytest.mark.parametrize("fixture", ["oracle_model", "timedep_collision_perturbed",
+                                     "binary_frag_perturbed"])
+def test_direct_trapezoid_matches_one_step(fixture, request):
+    model = request.getfixturevalue(fixture)
+    tg = TimeGrid(0.0, 0.5, 1.0 / 16.0)
+    u0 = np.linspace(1.0, 2.0, model.grid.size)
+    one_step = iterate_right(model, tg, u0, 4)
+    direct = iterate_right(model, tg, u0, 4, direct=True)
+    np.testing.assert_allclose(direct.iterates, one_step.iterates, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(direct.b_applied, one_step.b_applied, rtol=1e-13, atol=0.0)
+
+
 def test_signed_data_resolved_linearly(oracle_model):
     tg = TimeGrid(0.0, 0.5, 0.125)
     u0 = np.array([1.0, -2.0])
@@ -269,7 +282,7 @@ def test_perturbation_failure_names_iterate_and_time(oracle_model):
 def test_non_finite_perturbation_names_first_bad_node(oracle_model):
     def nan_late(t, u):
         out = oracle_model.perturbation.apply(t, u)
-        return out * np.nan if t > 0.3 else out
+        return np.where(np.asarray(t)[..., None] > 0.3, np.nan, 1.0) * out
 
     model = with_perturbation(oracle_model, nan_late)
     with pytest.raises(EvaluationError, match="non-finite") as err:
@@ -283,6 +296,30 @@ def test_negative_flow_rejected_at_its_row(oracle_model):
     with pytest.raises(EvaluationError, match="lost positivity") as err:
         iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
     assert err.value.n == 0
+    assert err.value.tau == 0.25
+
+
+def test_perturbation_raising_late_names_first_raising_node(oracle_model):
+    def raises_late(t, u):
+        if np.any(np.asarray(t) >= 0.5):
+            raise RuntimeError("kernel undefined")
+        return oracle_model.perturbation.apply(t, u)
+
+    model = with_perturbation(oracle_model, raises_late)
+    with pytest.raises(EvaluationError, match="kernel undefined") as err:
+        iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
+    assert (err.value.n, err.value.tau) == (0, 0.5)
+
+
+def test_expanding_step_factor_rejected(oracle_model):
+    def expanding(t, s, u):
+        return np.exp(np.subtract(t, s))[..., None] * u
+
+    model = dataclasses.replace(oracle_model,
+                                unperturbed=EvolutionFamily(oracle_model.grid, expanding))
+    with pytest.raises(ModelContractError, match="not substochastic") as err:
+        iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
+    assert "tau = 0.25, node index 0" in str(err.value)
 
 
 def test_right_recursion_memory_cap():
@@ -298,6 +335,22 @@ def test_right_recursion_memory_cap():
                            perturbation=PerturbationFamily(grid, never))
     with pytest.raises(SizeCapError, match="bytes"):
         iterate_right(model, TimeGrid(0.0, 1.0, 1.0 / 4096.0), np.ones(512), 40)
+
+
+@pytest.mark.parametrize("fixture", ["oracle_model", "conservative_collision_perturbed",
+                                     "timedep_collision_perturbed", "binary_frag_perturbed"])
+def test_batched_apply_matches_per_node(fixture, request):
+    model = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(7)
+    t = np.sort(rng.uniform(0.0, 2.0, 9))
+    s = t * rng.uniform(0.0, 1.0, 9)
+    u = rng.uniform(0.0, 1.5, (9, model.grid.size))
+    u_batch = model.unperturbed.apply(t, s, u)
+    u_nodes = np.stack([model.unperturbed.apply(tj, sj, uj) for tj, sj, uj in zip(t, s, u)])
+    np.testing.assert_array_equal(u_batch, u_nodes)
+    b_batch = model.perturbation.apply(t, u)
+    b_nodes = np.stack([model.perturbation.apply(tj, uj) for tj, uj in zip(t, u)])
+    np.testing.assert_allclose(b_batch, b_nodes, rtol=1e-15, atol=0.0)
 
 
 def test_families_are_grid_and_apply(oracle_model):
