@@ -171,8 +171,8 @@ class PerturbedModel:
     """Bundle of an unperturbed family, its perturbation, and metadata.
 
     ``loss_rate(t)`` (optional) returns the per-node multiplicative decay
-    rates of the unperturbed family at time t; the lifted-space generator
-    needs it.  ``conservative`` marks models whose perturbation exactly
+    rates of the unperturbed family at time t, shape (d,), or at an array
+    of K times, shape (K, d); the lifted-space generator needs it.  ``conservative`` marks models whose perturbation exactly
     balances the unperturbed loss on nonnegative states.
     """
 
@@ -342,9 +342,16 @@ def _b_rows(model: PerturbedModel, n: int, taus: np.ndarray, states: np.ndarray)
     return out
 
 
-def _right_rows(model: PerturbedModel, tg: TimeGrid, u0: np.ndarray,
-                direct: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (row values, B-applied row) for n = 0, 1, ... on nonnegative u0.
+def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
+                direct: bool, lam: float = 0.0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (row values, B-applied row) for n = 0, 1, ... on nonnegative data.
+
+    ``source`` is either the start state u0 (shape (d,)), or one state per
+    lattice node (shape (M+1, d), one-step trapezoid recursion only).  A
+    per-node source starts one run at every node: row n at tau_k is then
+    the sum over i <= k of (row n started at tau_i on source[i]) at tau_k,
+    all in one pass.  ``lam`` discounts every step by exp(-lam dt), so each
+    run is weighted by exp(-lam (tau_k - tau_i)).
 
     A consumer that does not keep the B-applied row should take
     ``next(gen)[0]``, so that row is freed before the next one is built.
@@ -354,14 +361,24 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, u0: np.ndarray,
     m = tg.n_steps
     dt = tg.dt
     d = model.grid.size
-    scale = max(float(np.max(np.abs(u0))) if u0.size else 0.0, 1e-300)
+    per_node = source.ndim == 2
+    if per_node and (direct or tg.rule != "trapezoid"):
+        raise PreconditionError("a per-node source needs the one-step trapezoid recursion")
+    scale = max(float(np.max(np.abs(source))) if source.size else 0.0, 1e-300)
     steps = _step_factors(model, nodes)
+    if lam:
+        steps = steps * np.exp(-lam * dt)
 
-    # row 0: the unperturbed evolution of u0
+    # row 0: the unperturbed evolution of the source
     row = np.empty((m + 1, d))
-    row[0] = u0
-    for j in range(1, m + 1):
-        row[j] = steps[j - 1] * row[j - 1]
+    if per_node:
+        row[0] = source[0]
+        for j in range(1, m + 1):
+            row[j] = steps[j - 1] * row[j - 1] + source[j]
+    else:
+        row[0] = source
+        for j in range(1, m + 1):
+            row[j] = steps[j - 1] * row[j - 1]
     _check_row(row, nodes, 0, scale)
 
     n = 0
@@ -379,6 +396,16 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, u0: np.ndarray,
                     if w[k] != 0.0:
                         acc += w[k] * u_fam.apply(nodes[j], nodes[k], b_row[k])
                 nxt[j] = acc
+        elif per_node and n == 1:
+            # Row 1's end-point kick at tau_j acts on what row 0 carries into
+            # tau_j, without node j's own source: the run started at tau_j
+            # has no row-1 integral there yet.  Rows n >= 2 need no such
+            # split, since every row n >= 1 is zero at its start node.
+            half = 0.5 * dt
+            ends = half * _b_rows(model, 0, nodes[1:], steps * row[:-1])
+            for j in range(1, m + 1):
+                nxt[j] = steps[j - 1] * (nxt[j - 1] + half * b_row[j - 1]) + ends[j - 1]
+            del ends
         else:
             # one-step propagation of the prefix trapezoid sums
             half = 0.5 * dt
@@ -392,16 +419,16 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, u0: np.ndarray,
         row = nxt
 
 
-def _combined_rows(model: PerturbedModel, tg: TimeGrid, u0: np.ndarray,
-                   direct: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Row generator with signed initial data routed through decompose."""
-    if np.all(u0 >= 0.0):
-        yield from _right_rows(model, tg, u0, direct)
+def _combined_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
+                   direct: bool, lam: float = 0.0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row generator with signed data routed through decompose."""
+    if np.all(source >= 0.0):
+        yield from _right_rows(model, tg, source, direct, lam)
         return
-    pos = np.maximum(u0, 0.0)
-    neg = np.maximum(-u0, 0.0)
-    gen_p = _right_rows(model, tg, pos, direct)
-    gen_n = _right_rows(model, tg, neg, direct)
+    pos = np.maximum(source, 0.0)
+    neg = np.maximum(-source, 0.0)
+    gen_p = _right_rows(model, tg, pos, direct, lam)
+    gen_n = _right_rows(model, tg, neg, direct, lam)
     for (row_p, b_p), (row_n, b_n) in zip(gen_p, gen_n):
         yield row_p - row_n, b_p - b_n
 

@@ -31,6 +31,8 @@ from .errors import PreconditionError, StructureError
 from .evolution import (
     PerturbedModel,
     TimeGrid,
+    _check_table_bytes,
+    _combined_rows,
     _step_factors,
     iterate_right,
     prefix_weights,
@@ -90,15 +92,28 @@ def _shift_index(axis: TimeGrid, t: float) -> int:
     return axis.node_index(axis.s + t)
 
 
-def _loss_rates(model: PerturbedModel, t: float) -> np.ndarray:
+def _loss_rates(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
+    """Per-node loss rates at every axis node, shape (K, d), in one call."""
     if model.loss_rate is None:
         raise PreconditionError(
             "model must provide loss_rate for the lifted generator"
         )
-    rates = np.asarray(model.loss_rate(t), dtype=float)
-    if rates.shape != (model.grid.size,):
+    rates = np.asarray(model.loss_rate(nodes), dtype=float)
+    if rates.shape != (nodes.size, model.grid.size):
         raise PreconditionError("loss_rate must return one value per grid node")
     return rates
+
+
+def _gain_blocks(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
+    """B(tau_k) as dense matrices for every axis node, shape (K, d, d).
+
+    One batched apply on unit vectors: column j of block k is B(tau_k) e_j.
+    """
+    k, d = nodes.size, model.grid.size
+    _check_table_bytes("kick block", k * d * d * 8)
+    cols = model.perturbation.apply(np.broadcast_to(nodes[:, None], (k, d)),
+                                    np.broadcast_to(np.eye(d), (k, d, d)))
+    return np.swapaxes(cols, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +192,12 @@ def laplace_kick(model: PerturbedModel, lam: float, f: LiftedVector) -> LiftedVe
     nodes = f.axis.nodes
     h = f.axis.dt
     half = 0.5 * h
-    decay = math.exp(-lam * h)
+    steps = _step_factors(model, nodes) * math.exp(-lam * h)
+    acc = np.zeros_like(f.values)
+    for k in range(1, nodes.size):
+        acc[k] = steps[k - 1] * (acc[k - 1] + half * f.values[k - 1]) + half * f.values[k]
     out = np.zeros_like(f.values)
-    acc = np.zeros(f.grid.size)
-    for k, tau in enumerate(nodes):
-        if k > 0:
-            acc = decay * model.unperturbed.apply(tau, nodes[k - 1],
-                                                  acc + half * f.values[k - 1])
-            acc = acc + half * f.values[k]
-            out[k] = model.perturbation.apply(tau, acc)
+    out[1:] = model.perturbation.apply(nodes[1:], acc[1:])
     return LiftedVector(grid=f.grid, axis=f.axis, values=out)
 
 
@@ -204,20 +216,18 @@ def lifted_resolvent(model: PerturbedModel, lam: float, f: LiftedVector, *,
         raise PreconditionError("lam must be positive")
     nodes = f.axis.nodes
     h = f.axis.dt
-    d = f.grid.size
+    diag = lam + 1.0 / h + _loss_rates(model, nodes)
+    if np.any(diag <= 0.0):
+        raise PreconditionError("generator diagonal must be positive for lam > 0")
+    blocks = _gain_blocks(model, nodes) if perturbed else None
     out = np.zeros_like(f.values)
-    prev = np.zeros(d)
-    for k, tau in enumerate(nodes):
-        rates = _loss_rates(model, tau)
-        diag = lam + 1.0 / h + rates
-        if np.any(diag <= 0.0):
-            raise PreconditionError("generator diagonal must be positive for lam > 0")
+    prev = np.zeros(f.grid.size)
+    for k in range(nodes.size):
         rhs = f.values[k] + prev / h
         if perturbed:
-            block = np.diag(diag) - model.perturbation.as_matrix(tau)
-            out[k] = np.linalg.solve(block, rhs)
+            out[k] = np.linalg.solve(np.diag(diag[k]) - blocks[k], rhs)
         else:
-            out[k] = rhs / diag
+            out[k] = rhs / diag[k]
         prev = out[k]
     return LiftedVector(grid=f.grid, axis=f.axis, values=out)
 
@@ -236,11 +246,12 @@ def lifted_generator_matrix(model: PerturbedModel, axis: TimeGrid, *,
     size = len(nodes) * d
     mat = np.zeros((size, size))
     eye = np.eye(d)
-    for k, tau in enumerate(nodes):
-        rates = _loss_rates(model, tau)
-        block = -np.diag(1.0 / h + rates)
+    rates = _loss_rates(model, nodes)
+    blocks = _gain_blocks(model, nodes) if perturbed else None
+    for k in range(nodes.size):
+        block = -np.diag(1.0 / h + rates[k])
         if perturbed:
-            block = block + model.perturbation.as_matrix(tau)
+            block = block + blocks[k]
         mat[k * d:(k + 1) * d, k * d:(k + 1) * d] = block
         if k > 0:
             mat[k * d:(k + 1) * d, (k - 1) * d:k * d] = eye / h
@@ -254,11 +265,7 @@ def kick_block_norm(model: PerturbedModel, axis: TimeGrid) -> float:
     max_j sum_i w_i |B_ij| / w_j.
     """
     w = model.grid.weights
-    worst = 0.0
-    for tau in axis.nodes:
-        mat = np.abs(model.perturbation.as_matrix(tau))
-        worst = max(worst, float(np.max((w @ mat) / w)))
-    return worst
+    return float(np.max((w @ np.abs(_gain_blocks(model, axis.nodes))) / w))
 
 
 # ---------------------------------------------------------------------------
@@ -347,42 +354,45 @@ def laplace_transform_check(model: PerturbedModel, lam: float, n: int,
     exp(-lam t) (n-th lifted iterate at t) f.  Right side: free resolvent
     applied after n rounds of (kick, free resolvent).  Equal in the
     continuum; O(h) on the axis, plus the reported horizon-truncation
-    bound exp(-lam T_max)/lam * norm(f).  The axis must satisfy
-    exp(-lam T_max) < 1e-10 (raises with the required horizon).
+    bound exp(-lam T_max)/lam * norm(f).  The axis must use the trapezoid
+    rule and satisfy exp(-lam T_max) < 1e-10 (raises with the required
+    horizon).  Cost: one engine pass of n + 1 rows over the axis, plus one
+    more when f(0) != 0.
     """
     _check_lifted(model, f)
     if lam <= 0.0:
         raise PreconditionError("lam must be positive")
     if n < 0:
         raise PreconditionError("iterate index must be >= 0")
-    t_max = f.axis.t_end
+    axis = f.axis
+    if axis.rule != "trapezoid":
+        raise PreconditionError(
+            f"laplace_transform_check needs a trapezoid axis, got rule {axis.rule!r}")
+    t_max = axis.t_end
     if math.exp(-lam * t_max) >= HORIZON_TAIL_LIMIT:
         raise PreconditionError(
             f"time horizon {t_max} too short for lam = {lam}; "
             f"need T_max >= {required_horizon(lam):.3f}"
         )
-    axis = f.axis
-    nodes = axis.nodes
+    h = axis.dt
     m = axis.n_steps
-    weights = prefix_weights("trapezoid", m, axis.dt)
-    discount = weights * np.exp(-lam * (nodes - axis.s))
 
-    # One engine run per start node i gives iterate rows at every later
-    # node; the shift-action value of the t = nodes[j] term at axis node
-    # k is then runs[k - j][n, j], accumulated per start index below.
-    lhs = np.zeros_like(f.values)
+    # The left side at axis node k sums, over start nodes i <= k,
+    # w_{k-i} exp(-lam (tau_k - tau_i)) (row n from tau_i to tau_k) f(tau_i)
+    # with the trapezoid weights w of [0, T_max].  One engine pass with
+    # source h f at every node and steps discounted by exp(-lam h) gives
+    # that sum with every weight h; the pairs whose weight is h/2 are
+    # corrected below: i = k (only row 0 is nonzero there) and
+    # (k, i) = (M, 0).
+    rows = _combined_rows(model, axis, h * f.values, False, lam)
+    for _ in range(n):
+        next(rows)
+    lhs = next(rows)[0]
     if n == 0:
-        steps = _step_factors(model, nodes)
-    for i in range(len(nodes)):
-        sub = TimeGrid(nodes[i], nodes[-1], axis.dt, axis.rule)
-        if n == 0:
-            row = np.empty((m - i + 1, f.grid.size))
-            row[0] = f.values[i]
-            for j in range(1, m - i + 1):
-                row[j] = steps[i + j - 1] * row[j - 1]
-        else:
-            row = iterate_right(model, sub, f.values[i], n).iterates[n]
-        lhs[i:] += discount[:m - i + 1, None] * row
+        lhs = lhs - 0.5 * h * f.values
+    if np.any(f.values[0]):
+        corner = iterate_right(model, axis, f.values[0], n).iterates[n, m]
+        lhs[m] -= 0.5 * h * math.exp(-lam * axis.nodes[m]) * corner
 
     rhs = lifted_resolvent(model, lam, f, perturbed=False)
     for _ in range(n):

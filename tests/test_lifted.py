@@ -8,17 +8,22 @@ import pytest
 
 from evofam import (
     CheckRow,
+    CollisionKernel,
     EvolutionFamily,
     LiftedVector,
     PerturbationFamily,
     PerturbedModel,
     PreconditionError,
+    SizeCapError,
     StructureError,
     TimeGrid,
     abstract_grid,
     apply_lifted_free,
     apply_lifted_iterate,
     apply_lifted_series,
+    collision_model,
+    collision_perturbed_model,
+    gaussian_kernel_matrix,
     iterate_right,
     kick_block_norm,
     laplace_kick,
@@ -31,8 +36,11 @@ from evofam import (
     required_horizon,
     resolvent_factorization_check,
     resolvent_series_check,
+    uniform_velocity_grid,
     write_check_suite_csv,
 )
+from evofam import evolution
+from evofam.coefficients import SeparableCoefficient, TimeProfile
 from evofam.evolution import prefix_weights
 from evofam.lifted import HORIZON_TAIL_LIMIT
 
@@ -211,6 +219,18 @@ def test_resolvent_needs_loss_rates():
     f = lifted_zero(grid, axis)
     with pytest.raises(PreconditionError, match="loss_rate"):
         lifted_resolvent(bare, 1.0, f)
+    # rates are read for all axis nodes in one call: one row per node
+    one_time = PerturbedModel(name="one-time", grid=grid, unperturbed=bare.unperturbed,
+                              perturbation=bare.perturbation,
+                              loss_rate=lambda t: np.ones(2))
+    with pytest.raises(PreconditionError, match="one value per grid node"):
+        lifted_resolvent(one_time, 1.0, f)
+    gaining = PerturbedModel(name="gaining", grid=grid, unperturbed=bare.unperturbed,
+                             perturbation=bare.perturbation,
+                             loss_rate=lambda t: np.multiply.outer(np.asarray(t) - 9.0,
+                                                                   np.ones(2)))
+    with pytest.raises(PreconditionError, match="diagonal must be positive"):
+        lifted_resolvent(gaining, 1.0, f)
 
 
 def test_generator_is_m_matrix(oracle_model):
@@ -227,6 +247,16 @@ def test_generator_is_m_matrix(oracle_model):
 def test_kick_block_norm_on_exchange(oracle_model):
     axis = TimeGrid(0.0, 1.0, 0.5)
     assert kick_block_norm(oracle_model, axis) == 1.0
+
+
+def test_kick_blocks_memory_cap(oracle_model, monkeypatch):
+    # 9 axis nodes of 2 x 2 blocks need 288 bytes
+    monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", 287)
+    axis = TimeGrid(0.0, 1.0, 0.125)
+    with pytest.raises(SizeCapError, match="kick block"):
+        kick_block_norm(oracle_model, axis)
+    with pytest.raises(SizeCapError, match="kick block"):
+        lifted_resolvent(oracle_model, 1.0, make_history(axis), perturbed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +306,92 @@ def test_laplace_transform_check_levels(oracle_model):
         assert row.truncation_bound == pytest.approx(
             math.exp(-lam * 3.0) / lam * scale)
         assert row.truncation_bound < 1e-10 * scale
+
+
+def _laplace_residual_per_start(model, lam, n, f):
+    """Reference Laplace residual: one iterate_right run per start node.
+
+    Axis node k collects w_{k-i} exp(-lam (tau_k - tau_i)) (row n from
+    tau_i to tau_k) f(tau_i) over start nodes i <= k, with the trapezoid
+    weights w of the whole axis.
+    """
+    axis = f.axis
+    nodes = axis.nodes
+    m = axis.n_steps
+    discount = prefix_weights("trapezoid", m, axis.dt) * np.exp(-lam * nodes)
+    lhs = np.zeros_like(f.values)
+    for i in range(m + 1):
+        sub = TimeGrid(nodes[i], nodes[-1], axis.dt)
+        row = iterate_right(model, sub, f.values[i], n).iterates[n]
+        lhs[i:] += discount[:m - i + 1, None] * row
+    rhs = lifted_resolvent(model, lam, f)
+    for _ in range(n):
+        kicked = LiftedVector(grid=f.grid, axis=axis,
+                              values=model.perturbation.apply(nodes, rhs.values))
+        rhs = lifted_resolvent(model, lam, kicked)
+    return LiftedVector(grid=f.grid, axis=axis, values=lhs - rhs.values).norm()
+
+
+def _time_scaled_collision():
+    """Loss 1 + t and gain profile 1 + t/2 on 6 velocity nodes."""
+    grid = uniform_velocity_grid(-1.0, 1.0, 6)
+    kernel = CollisionKernel(profile=TimeProfile(kind="affine", c0=1.0, c1=0.5),
+                             matrix=gaussian_kernel_matrix(grid, amplitude=0.5, width=0.5))
+    frequency = SeparableCoefficient(profile=TimeProfile(kind="affine", c0=1.0, c1=1.0),
+                                     space=np.ones(grid.size))
+    return collision_perturbed_model(collision_model(grid, frequency, kernel))
+
+
+def _histories(grid, axis):
+    """Lifted histories: zero at t = 0, nonzero there, and signed."""
+    d = grid.size
+    shape = 0.5 + np.arange(d) / d
+    t = axis.nodes[:, None]
+    return {
+        "zero_start": t * np.exp(-t) * shape,
+        "nonzero_start": np.exp(-t) * shape[::-1],
+        "signed": np.cos(3.0 * t + np.arange(d)) * shape,
+    }
+
+
+@pytest.mark.parametrize("which", ["oracle", "time_scaled_collision"])
+def test_laplace_check_matches_per_start_runs(which, oracle_model):
+    model = oracle_model if which == "oracle" else _time_scaled_collision()
+    lam = 32.0
+    axis = TimeGrid(0.0, 0.75, 1.0 / 32.0)
+    for name, values in _histories(model.grid, axis).items():
+        f = LiftedVector(grid=model.grid, axis=axis, values=values)
+        for n in range(4):
+            expected = _laplace_residual_per_start(model, lam, n, f)
+            got = laplace_transform_check(model, lam, n, f).residual
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0), (name, n)
+
+
+def test_laplace_check_engine_runs_do_not_grow_with_axis(oracle_model, monkeypatch):
+    runs = []
+    right_rows = evolution._right_rows
+
+    def counted(*args, **kwargs):
+        runs.append(args[1].n_steps)
+        return right_rows(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_right_rows", counted)
+    for t_max in (3.0, 6.0):
+        axis = TimeGrid(0.0, t_max, 1.0 / 32.0)
+        zero_start = LiftedVector(grid=oracle_model.grid, axis=axis,
+                                  values=np.outer(axis.nodes * np.exp(-axis.nodes), U0))
+        for f, expected in ((zero_start, 1), (make_history(axis), 2)):
+            for n in (0, 3):
+                runs.clear()
+                laplace_transform_check(oracle_model, 8.0, n, f)
+                # every run spans the whole axis: one O(n M) pass each
+                assert runs == [axis.n_steps] * expected
+
+
+def test_laplace_check_needs_trapezoid_axis(oracle_model):
+    f = make_history(TimeGrid(0.0, 4.0, 0.25, rule="midpoint"))
+    with pytest.raises(PreconditionError, match="trapezoid.*'midpoint'"):
+        laplace_transform_check(oracle_model, 8.0, 1, f)
 
 
 def test_laplace_transform_check_horizon_gate(oracle_model):
