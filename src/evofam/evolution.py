@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import csv
+import functools
 
 import numpy as np
 
@@ -342,9 +343,13 @@ def _b_rows(model: PerturbedModel, n: int, taus: np.ndarray, states: np.ndarray)
     return out
 
 
+# each row of a pass with its lazily applied B row
+_Rows = Iterator[tuple[np.ndarray, Callable[[], np.ndarray]]]
+
+
 def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
-                direct: bool, lam: float = 0.0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (row values, B-applied row) for n = 0, 1, ... on nonnegative data.
+                direct: bool, lam: float = 0.0) -> _Rows:
+    """Yield (row values, B of the row) for n = 0, 1, ... on nonnegative data.
 
     ``source`` is either the start state u0 (shape (d,)), or one state per
     lattice node (shape (M+1, d), one-step trapezoid recursion only).  A
@@ -353,8 +358,10 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     all in one pass.  ``lam`` discounts every step by exp(-lam dt), so each
     run is weighted by exp(-lam (tau_k - tau_i)).
 
-    A consumer that does not keep the B-applied row should take
-    ``next(gen)[0]``, so that row is freed before the next one is built.
+    B is applied lazily: the second item is a zero-argument callable that
+    returns B(tau_j) row[j] at every node, computed once, on the first call
+    or when row n+1 is requested.  A consumer that stops after row n and
+    never calls it pays no B application on that row.
     """
     u_fam = model.unperturbed
     nodes = tg.nodes
@@ -383,8 +390,10 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
 
     n = 0
     while True:
-        b_row = _b_rows(model, n, nodes, row)
-        yield row, b_row
+        lazy_b = functools.cache(functools.partial(_b_rows, model, n, nodes, row))
+        yield row, lazy_b
+        b_row = lazy_b()
+        del lazy_b
 
         n += 1
         nxt = np.zeros_like(row)
@@ -420,7 +429,7 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
 
 
 def _combined_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
-                   direct: bool, lam: float = 0.0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                   direct: bool, lam: float = 0.0) -> _Rows:
     """Row generator with signed data routed through decompose."""
     if np.all(source >= 0.0):
         yield from _right_rows(model, tg, source, direct, lam)
@@ -430,7 +439,7 @@ def _combined_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     gen_p = _right_rows(model, tg, pos, direct, lam)
     gen_n = _right_rows(model, tg, neg, direct, lam)
     for (row_p, b_p), (row_n, b_n) in zip(gen_p, gen_n):
-        yield row_p - row_n, b_p - b_n
+        yield row_p - row_n, functools.cache(lambda b_p=b_p, b_n=b_n: b_p() - b_n())
 
 
 def _resolve_direct(tg: TimeGrid, direct: bool | None) -> bool:
@@ -464,7 +473,7 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     for n in range(n_max + 1):
         row, b_row = next(gen)
         iterates[n] = row
-        b_applied[n] = b_row
+        b_applied[n] = b_row()
     norms = np.array([weighted_norm_array(model.grid, iterates[n, m]) for n in range(n_max + 1)])
     return DysonPhillipsTable(
         grid=model.grid, time_grid=tg, u0=coeffs,
@@ -534,22 +543,102 @@ def summed_family_values(model: PerturbedModel, tg: TimeGrid, u0, *,
     Same stopping rule as ``series_sum`` (tail norm measured at t_end).
     """
     coeffs = _as_coeffs(model.grid, u0)
-    return _summed_values(model, tg, coeffs, tol, n_max, _resolve_direct(tg, direct), 1)
+    return _summed_values(model, tg, coeffs, tol, n_max, _resolve_direct(tg, direct), 1)[0]
 
 
 def _summed_values(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
-                   tol: float, n_max: int, direct: bool, stride: int) -> np.ndarray:
-    """Summed series at every ``stride``-th lattice node (t_end included)."""
-    u0_norm = weighted_norm_array(model.grid, coeffs)
+                   tol: float, n_max: int, direct: bool, stride: int,
+                   split: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Summed series at every ``stride``-th lattice node (t_end included),
+    and at node ``split`` alone.
+
+    The strided sums stop on the tail at t_end; the sum at ``split`` stops,
+    as ``series_sum`` on the lattice cut at that node would, on the tail
+    there.  The pass draws rows until both have stopped (at most n_max + 1).
+    The recursion is causal, so the sum at ``split`` is bitwise the one
+    ``series_sum`` gives on the sub-lattice ending at that node.
+    """
+    grid = model.grid
+    bound = tol * weighted_norm_array(grid, coeffs)
     m = tg.n_steps
     gen = _combined_rows(model, tg, coeffs, direct)
-    total = np.zeros((m // stride + 1, model.grid.size))
+    total = np.zeros((m // stride + 1, grid.size))
+    at_split = np.zeros(grid.size)
+    open_all, open_split = True, split is not None
     for _ in range(n_max + 1):
         row = next(gen)[0]
-        total += row[::stride]
-        if weighted_norm_array(model.grid, row[m]) <= tol * u0_norm:
+        if open_all:
+            total += row[::stride]
+            open_all = weighted_norm_array(grid, row[m]) > bound
+        if open_split:
+            at_split += row[split]
+            open_split = weighted_norm_array(grid, row[split]) > bound
+        if not (open_all or open_split):
             break
-    return total
+    return total, at_split
+
+
+def _table_series(table: DysonPhillipsTable, coeffs: np.ndarray, tol: float,
+                  n_max: int) -> np.ndarray | None:
+    """``series_sum``'s value read off a table's t_end rows, or None when the
+    table stops before the series does."""
+    bound = tol * weighted_norm_array(table.grid, coeffs)
+    m = table.time_grid.n_steps
+    total = np.zeros(table.grid.size)
+    for n in range(min(n_max, table.n_max) + 1):
+        total += table.iterates[n, m]
+        if table.iterate_norms[n] <= bound:
+            return total
+    return total if table.n_max >= n_max else None
+
+
+def _duhamel_gap(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
+                 v_values) -> float:
+    """How far family values at the lattice nodes miss the
+    variation-of-constants identity at t_end, under the lattice rule."""
+    m = tg.n_steps
+    v_values = np.asarray(v_values, dtype=float)
+    if v_values.shape != (m + 1, model.grid.size):
+        raise PreconditionError(
+            f"family values must have shape {(m + 1, model.grid.size)}, got {v_values.shape}"
+        )
+    u_end = model.unperturbed.apply(tg.t_end, tg.s, coeffs)
+    w = prefix_weights(tg.rule, m, tg.dt)
+    used = np.flatnonzero(w)
+    kicks = _b_rows(model, 0, tg.nodes[used], v_values[used])
+    integral = w[used] @ model.unperturbed.apply(tg.t_end, tg.nodes[used], kicks)
+    return weighted_norm_array(model.grid, v_values[m] - u_end - integral)
+
+
+def _flat_residuals(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
+                    r: float | None = None, table: DysonPhillipsTable | None = None, *,
+                    refine: int = 8, tol: float = 1e-12,
+                    n_max: int = 40) -> tuple[float, float | None]:
+    """Duhamel residual and, for a split time ``r``, cocycle residual.
+
+    One run on the ``refine``-times finer lattice over [s, t_end] gives the
+    Duhamel reference values and the cocycle's first leg V(r, s) u0; the
+    second leg runs from r on its own fine lattice.  The full-interval
+    value is read off ``table`` (the ``iterate_right`` table of the same
+    model, lattice and u0) when it holds enough rows, else summed afresh.
+    Engine runs: one without ``r``, two with it (three if the table is
+    short or absent).
+    """
+    if refine < 2:
+        raise PreconditionError("refine must be >= 2 to produce an independent reference")
+    fine = TimeGrid(tg.s, tg.t_end, tg.dt / refine, tg.rule)
+    split = None if r is None else tg.node_index(r) * refine
+    v_values, first = _summed_values(model, fine, coeffs, tol, n_max,
+                                     _resolve_direct(fine, None), refine, split)
+    duhamel = _duhamel_gap(model, tg, coeffs, v_values)
+    if r is None:
+        return duhamel, None
+    full = None if table is None else _table_series(table, coeffs, tol, n_max)
+    if full is None:
+        full = series_sum(model, tg, coeffs, tol=tol, n_max=n_max).value
+    second = series_sum(model, TimeGrid(r, tg.t_end, fine.dt, tg.rule), first,
+                        tol=tol, n_max=n_max).value
+    return duhamel, weighted_norm_array(model.grid, full - second)
 
 
 def duhamel_residual(model: PerturbedModel, tg: TimeGrid, u0, v_values=None, *,
@@ -571,25 +660,9 @@ def duhamel_residual(model: PerturbedModel, tg: TimeGrid, u0, v_values=None, *,
     finer lattice or a closed form.)
     """
     coeffs = _as_coeffs(model.grid, u0)
-    m = tg.n_steps
-    d = model.grid.size
     if v_values is None:
-        if refine < 2:
-            raise PreconditionError("refine must be >= 2 to produce an independent reference")
-        fine = TimeGrid(tg.s, tg.t_end, tg.dt / refine, tg.rule)
-        v_values = _summed_values(model, fine, coeffs, tol, n_max,
-                                  _resolve_direct(fine, None), refine)
-    v_values = np.asarray(v_values, dtype=float)
-    if v_values.shape != (m + 1, d):
-        raise PreconditionError(
-            f"family values must have shape {(m + 1, d)}, got {v_values.shape}"
-        )
-    u_end = model.unperturbed.apply(tg.t_end, tg.s, coeffs)
-    w = prefix_weights(tg.rule, m, tg.dt)
-    used = np.flatnonzero(w)
-    kicks = _b_rows(model, 0, tg.nodes[used], v_values[used])
-    integral = w[used] @ model.unperturbed.apply(tg.t_end, tg.nodes[used], kicks)
-    return weighted_norm_array(model.grid, v_values[m] - u_end - integral)
+        return _flat_residuals(model, tg, coeffs, refine=refine, tol=tol, n_max=n_max)[0]
+    return _duhamel_gap(model, tg, coeffs, v_values)
 
 
 def cocycle_residual(model: PerturbedModel, tg: TimeGrid, u0, r: float, *,
@@ -599,13 +672,15 @@ def cocycle_residual(model: PerturbedModel, tg: TimeGrid, u0, r: float, *,
 
     ``r`` must lie on the lattice (raises otherwise).  By default the
     full-interval value is summed at the lattice resolution while the
-    composed side runs on ``refine``-times finer sub-lattices: summing at
-    one shared resolution composes exactly up to series truncation (the
-    prefix weights factor across interior nodes), which would leave the
-    residual blind to the quadrature error this check exists to expose.
-    Against the sharper composed reference the residual tracks the
-    lattice's own O(dt^2) error.  Supplying ``v_apply(t, s, u)`` replaces
-    the engine for all three evaluations (e.g. closed forms).
+    composed side runs on ``refine``-times finer lattices (``refine`` >= 2):
+    summing at one shared resolution composes exactly up to series
+    truncation (the prefix weights factor across interior nodes), which
+    would leave the residual blind to the quadrature error this check
+    exists to expose.  Against the sharper composed reference the residual
+    tracks the lattice's own O(dt^2) error.  The first leg comes from the
+    fine run over [s, t_end] that ``duhamel_residual`` makes, so calling
+    both repeats that run.  Supplying ``v_apply(t, s, u)`` replaces the
+    engine for all three evaluations (e.g. closed forms).
     """
     coeffs = _as_coeffs(model.grid, u0)
     tg.node_index(r)
@@ -613,16 +688,7 @@ def cocycle_residual(model: PerturbedModel, tg: TimeGrid, u0, r: float, *,
         full = v_apply(tg.t_end, tg.s, coeffs)
         second = v_apply(tg.t_end, r, v_apply(r, tg.s, coeffs))
         return weighted_norm_array(model.grid, full - second)
-    if refine < 1:
-        raise PreconditionError("refine must be >= 1")
-    full = series_sum(model, tg, coeffs, tol=tol, n_max=n_max).value
-
-    def fine(t2, s2, u2):
-        return series_sum(model, TimeGrid(s2, t2, tg.dt / refine, tg.rule), u2,
-                          tol=tol, n_max=n_max).value
-
-    second = fine(tg.t_end, r, fine(r, tg.s, coeffs))
-    return weighted_norm_array(model.grid, full - second)
+    return _flat_residuals(model, tg, coeffs, r, refine=refine, tol=tol, n_max=n_max)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .evolution import (
     prefix_weights,
     series_sum,
 )
-from .state_space import Grid, weighted_norm_array
+from .state_space import Grid
 
 HORIZON_TAIL_LIMIT = 1e-10
 
@@ -68,8 +68,9 @@ class LiftedVector:
         return self.axis.dt
 
     def norm(self) -> float:
-        return float(self.h * sum(weighted_norm_array(self.grid, row)
-                                  for row in self.values))
+        # each row's sequential weighted sum, as weighted_norm_array takes it
+        rows = np.cumsum(self.grid.weights * np.abs(self.values), axis=1)[:, -1]
+        return float(self.h * sum(rows.tolist()))
 
 
 def lifted_norm(f: LiftedVector) -> float:

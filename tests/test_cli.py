@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from evofam import TimeGrid, defect_sequence, iterate_right, two_state_exchange
+from evofam import TimeGrid, defect_sequence, evolution, iterate_right, two_state_exchange
 from evofam.cli import main
 
 ORACLE_INI = """\
@@ -346,3 +346,45 @@ def test_shattering_verdict_uses_configured_persistence(tmp_path, capsys):
     # 12 defect ratios cannot fill a 13-long tail: the verdict is open
     assert pairs["verdict"] == footer[3] == "inconclusive"
     assert code == 3
+
+
+def count_engine_runs(monkeypatch):
+    """Record the lattice step count of every engine pass (row generator)."""
+    runs = []
+    right_rows = evolution._right_rows
+
+    def counted(*args, **kwargs):
+        runs.append(args[1].n_steps)
+        return right_rows(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_right_rows", counted)
+    return runs
+
+
+@pytest.mark.parametrize("text, m", [
+    (ORACLE_INI.replace("n_max = 12", "n_max = 20"), 32),
+    (shipped_ini("boltzmann_timedep.ini", ("dt = 0.03125", "dt = 0.0625")), 16),
+    (FRAG_INI.replace("n_max = 14", "n_max = 20"), 16),
+], ids=["oracle", "collision", "fragmentation"])
+def test_run_makes_three_engine_passes(text, m, tmp_path, capsys, monkeypatch):
+    runs = count_engine_runs(monkeypatch)
+    cfg = write_ini(tmp_path, text)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    # main table, the fine pass behind both residuals, the second cocycle leg
+    assert runs == [m, 8 * m, 8 * m // 2]
+
+
+def test_short_table_adds_one_pass_for_the_full_value(tmp_path, capsys, monkeypatch):
+    runs = count_engine_runs(monkeypatch)
+    # 13 rows cannot reach the series tolerance at t_end = 1
+    cfg = write_ini(tmp_path, ORACLE_INI)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    assert runs == [32, 8 * 32, 32, 8 * 16]
+
+
+def test_sweep_row_makes_two_engine_passes(tmp_path, capsys, monkeypatch):
+    runs = count_engine_runs(monkeypatch)
+    cfg = write_ini(tmp_path, ORACLE_INI + "\n[sweep]\nkind = dt\nvalues = 0.0625, 0.03125\n")
+    assert main(["sweep", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    # per row: main table and the Duhamel fine pass
+    assert runs == [16, 8 * 16, 32, 8 * 32]

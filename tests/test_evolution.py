@@ -32,7 +32,14 @@ from evofam import (
     two_state_exchange,
     validate_family,
 )
-from evofam.evolution import prefix_weights, write_norm_summary_csv, write_table_csv
+from evofam import evolution
+from evofam.coefficients import SeparableCoefficient, TimeProfile
+from evofam.evolution import (
+    loss_gain_model,
+    prefix_weights,
+    write_norm_summary_csv,
+    write_table_csv,
+)
 from evofam.state_space import weighted_norm_array
 
 
@@ -259,6 +266,94 @@ def test_cocycle_with_closed_form_apply(oracle_model):
     assert cocycle_residual(oracle_model, tg, u0, 0.5, v_apply=v_apply) < 1e-14
     with pytest.raises(PreconditionError):
         cocycle_residual(oracle_model, tg, u0, 0.1)
+
+
+def test_cocycle_needs_a_finer_reference(oracle_model):
+    # at one shared resolution the legs compose exactly: the check is blind
+    tg = TimeGrid(0.0, 1.0, 0.25)
+    with pytest.raises(PreconditionError, match="refine must be >= 2"):
+        cocycle_residual(oracle_model, tg, np.array([1.0, 0.0]), 0.5, refine=1)
+
+
+def jump_after_split_model():
+    """Weak loss up to t = 0.5, then a loss 200 times stronger: the series
+    tail at t_end dies out rows before the tail at 0.5 does."""
+    grid = abstract_grid(np.ones(3))
+    loss = SeparableCoefficient(
+        profile=TimeProfile(kind="pwlinear", times=np.array([0.0, 0.5, 0.5625, 1.0]),
+                            values=np.array([1.0, 1.0, 200.0, 200.0])),
+        space=np.ones(3))
+    gain = np.array([[0.0, 0.6, 0.2], [0.5, 0.0, 0.4], [0.3, 0.2, 0.0]])
+    return loss_gain_model("jump", grid, loss, TimeProfile(kind="constant", c0=1.0),
+                           gain, np.ones(3))
+
+
+def reference_residuals(model, tg, u0, r, tol, refine=8):
+    """The two residuals from separate runs: the full value and each
+    composed leg summed by series_sum on its own lattice, the Duhamel values
+    summed at every fine node and restricted back."""
+    fine_dt = tg.dt / refine
+    fine = TimeGrid(tg.s, tg.t_end, fine_dt)
+    values = summed_family_values(model, fine, u0, tol=tol)[::refine]
+    duhamel = duhamel_residual(model, tg, u0, v_values=values)
+    full = series_sum(model, tg, u0, tol=tol).value
+    first = series_sum(model, TimeGrid(tg.s, r, fine_dt), u0, tol=tol).value
+    second = series_sum(model, TimeGrid(r, tg.t_end, fine_dt), first, tol=tol).value
+    return duhamel, weighted_norm_array(model.grid, full - second)
+
+
+@pytest.mark.parametrize("case", [
+    ("oracle_model", None, "mid", 20),
+    ("timedep_collision_perturbed", None, "mid", 20),
+    ("binary_frag_perturbed", None, "mid", 20),
+    ("oracle_model", "signed", "mid", 20),
+    ("oracle_model", None, "first", 20),
+    ("timedep_collision_perturbed", None, "last", 20),
+    ("timedep_collision_perturbed", None, "mid", 3),
+    ("jump", None, "mid", 20),
+], ids=["oracle", "collision", "fragmentation", "signed", "split_first", "split_last",
+        "short_table", "tail_outlasts_at_split"])
+def test_shared_pass_residuals_match_separate_runs(case, request):
+    fixture, data, where, table_rows = case
+    model = jump_after_split_model() if fixture == "jump" else request.getfixturevalue(fixture)
+    d = model.grid.size
+    tg = TimeGrid(0.0, 1.0, 1.0 / 16.0)
+    u0 = np.linspace(1.0, 0.5, d)
+    if data == "signed":
+        u0 = np.array([1.0, -0.5])
+    r = {"first": 0.0, "mid": 0.5, "last": 1.0}[where]
+    tol = 1e-12
+    table = iterate_right(model, tg, u0, table_rows)
+    # the short table cannot give the full value; every other case reads it
+    assert (evolution._table_series(table, u0, tol, 40) is None) == (table_rows == 3)
+    if fixture == "jump":
+        first = series_sum(model, TimeGrid(0.0, r, tg.dt / 8), u0, tol=tol)
+        whole = series_sum(model, TimeGrid(0.0, 1.0, tg.dt / 8), u0, tol=tol)
+        assert first.n_used > whole.n_used
+
+    duhamel, cocycle = reference_residuals(model, tg, u0, r, tol)
+    assert evolution._flat_residuals(model, tg, u0, r, table, tol=tol) == (duhamel, cocycle)
+    assert duhamel_residual(model, tg, u0, tol=tol) == duhamel
+    assert cocycle_residual(model, tg, u0, r, tol=tol) == cocycle
+
+
+def counting_b(model):
+    calls = []
+
+    def apply(t, u):
+        calls.append(np.shape(t))
+        return model.perturbation.apply(t, u)
+
+    return with_perturbation(model, apply), calls
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-6, 1e-12])
+def test_series_sum_applies_b_only_to_rows_it_builds_on(oracle_model, tol):
+    model, calls = counting_b(oracle_model)
+    result = series_sum(model, TimeGrid(0.0, 1.0, 0.125), np.array([1.0, 0.0]), tol=tol)
+    # rows 0..n_used - 1 feed the next row; B of row n_used is never read
+    assert result.converged and result.n_used >= 2
+    assert len(calls) == result.n_used
 
 
 # ---------------------------------------------------------------------------
