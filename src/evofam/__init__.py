@@ -64,8 +64,6 @@ from .boltzmann import (
     CollisionKernel,
     CollisionModel,
     MassBalanceResult,
-    apply_gain,
-    apply_loss_flow,
     collision_model,
     collision_perturbed_model,
     frequency_matching_kernel,
@@ -80,8 +78,6 @@ from .fragmentation import (
     FragmentationModel,
     ShatteringReport,
     ShatteringRow,
-    apply_breakup_decay,
-    apply_fragment_gain,
     binary_fragmentation_model,
     daughter_matrix,
     fragmentation_model,
@@ -98,12 +94,9 @@ from .lifted import (
     CheckRow,
     LiftedVector,
     apply_lifted_free,
-    apply_lifted_iterate,
-    apply_lifted_series,
     kick_block_norm,
     laplace_kick,
     laplace_transform_check,
-    lifted_duhamel_residual,
     lifted_generator_matrix,
     lifted_norm,
     lifted_resolvent,

@@ -4,8 +4,8 @@ The continuous dynamics split into a loss part, multiplication by
 exp(-integral of the collision frequency), and a bounded gain part driven
 by a nonnegative transfer kernel.  The loss flow is evaluated with exact
 time antiderivatives, so it composes to rounding; the gain is a weighted
-matrix product.  ``collision_perturbed_model`` adapts both parts to the
-series engine.
+matrix product.  ``collision_perturbed_model`` states both parts, once,
+as the engine's loss–gain families.
 
 Conventions: ``frequency.value(t)[i]`` is the total collision rate at
 node i, ``kernel.values(t)[i, j]`` the transfer density from node j into
@@ -23,8 +23,15 @@ import numpy as np
 
 from .coefficients import SeparableCoefficient, TimeProfile, sample_nonnegative
 from .errors import ModelContractError, PreconditionError, StructureError
-from .evolution import PerturbedModel, TimeGrid, loss_gain_model, prefix_weights
-from .state_space import Grid, StateVector, weighted_norm_array
+from .evolution import (
+    PerturbedModel,
+    TimeGrid,
+    _as_coeffs,
+    _b_rows,
+    loss_gain_model,
+    prefix_weights,
+)
+from .state_space import Grid, weighted_norm_array
 
 # Largest relative subcriticality excess that strict construction repairs
 # by rescaling kernel columns; anything larger is a modelling error.
@@ -197,41 +204,6 @@ def outflow_kernel_matrix(grid: Grid, target_density) -> np.ndarray:
 # operations
 # ---------------------------------------------------------------------------
 
-def _phi_coeffs(grid: Grid, phi) -> tuple[np.ndarray, bool]:
-    if isinstance(phi, StateVector):
-        if phi.grid != grid:
-            raise StructureError("state grid does not match model grid")
-        return phi.coeffs, True
-    coeffs = np.asarray(phi, dtype=float)
-    if coeffs.shape != (grid.size,):
-        raise StructureError(f"state must have shape ({grid.size},)")
-    return coeffs, False
-
-
-def _wrap(grid: Grid, coeffs: np.ndarray, as_state: bool):
-    return StateVector(grid=grid, coeffs=coeffs) if as_state else coeffs
-
-
-def apply_loss_flow(model: CollisionModel, t: float, s: float, phi):
-    """Loss semigroup: node-wise factor exp(-integral of the frequency).
-
-    Exactly positivity-preserving and substochastic (factors in (0, 1]),
-    and composes across intervals to rounding.
-    """
-    if not 0.0 <= s <= t:
-        raise PreconditionError(f"need 0 <= s <= t, got s = {s}, t = {t}")
-    coeffs, as_state = _phi_coeffs(model.grid, phi)
-    factor = np.exp(-np.asarray(model.frequency.integral(s, t), dtype=float))
-    return _wrap(model.grid, factor * coeffs, as_state)
-
-
-def apply_gain(model: CollisionModel, t: float, phi):
-    """Gain operator: (out)_i = sum_j w_j kernel(t, v_i, v_j) phi_j."""
-    coeffs, as_state = _phi_coeffs(model.grid, phi)
-    kern = model.kernel.values(t)
-    return _wrap(model.grid, kern @ (model.grid.weights * coeffs), as_state)
-
-
 def gain_mass_rate(model: CollisionModel, t: float, v_index: int | None = None):
     """Column mass sum_i w_i kernel(t, v_i, v_j): gain produced per unit at j.
 
@@ -257,25 +229,25 @@ def mass_balance_identity(model: CollisionModel, tg: TimeGrid, phi) -> MassBalan
 
     For nonnegative phi the gain mass never exceeds the lost mass up to
     quadrature error, with equality (to quadrature) in the conservative
-    case.  Returns (gain_mass, lost_mass, gain_mass - lost_mass).
+    case.  Returns (gain_mass, lost_mass, gain_mass - lost_mass).  The loss
+    flow and gain are the engine's own families: one batched U call from s
+    to every node, one batched B call, which raises naming the first time
+    where the gain is not finite.
     """
-    coeffs, _ = _phi_coeffs(model.grid, phi)
+    coeffs = _as_coeffs(model.grid, phi)
     if np.any(coeffs < 0.0):
         raise PreconditionError("mass balance identity needs a nonnegative state")
     m = tg.n_steps
-    phi_mass = float(model.grid.weights @ coeffs)
     if m == 0:
         return MassBalanceResult(0.0, 0.0, 0.0)
+    families = collision_perturbed_model(model)
     w = prefix_weights(tg.rule, m, tg.dt)
-    gain_mass = 0.0
-    for j, tau in enumerate(tg.nodes):
-        if w[j] == 0.0:
-            continue
-        flowed = np.exp(-np.asarray(model.frequency.integral(tg.s, tau), dtype=float)) * coeffs
-        gain_mass += w[j] * weighted_norm_array(model.grid, model.kernel.values(tau)
-                                                @ (model.grid.weights * flowed))
-    end = np.exp(-np.asarray(model.frequency.integral(tg.s, tg.t_end), dtype=float)) * coeffs
-    lost = phi_mass - float(model.grid.weights @ end)
+    used = np.flatnonzero(w)
+    flowed = families.unperturbed.apply(tg.nodes, tg.s,
+                                        np.broadcast_to(coeffs, (m + 1, coeffs.size)))
+    gains = _b_rows(families, 0, tg.nodes[used], flowed[used])
+    gain_mass = sum(w[j] * weighted_norm_array(model.grid, g) for j, g in zip(used, gains))
+    lost = float(model.grid.weights @ coeffs) - float(model.grid.weights @ flowed[m])
     return MassBalanceResult(gain_mass, lost, gain_mass - lost)
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-import csv
 import functools
 
 import numpy as np
@@ -146,9 +145,10 @@ class EvolutionFamily:
     grid: Grid
     apply: Callable[[float, float, np.ndarray], np.ndarray]
 
-    def as_matrix(self, t: float, s: float) -> np.ndarray:
-        """U(t, s) as a dense matrix: column j is U(t, s) applied to unit vector j."""
-        return np.column_stack([self.apply(t, s, e) for e in np.eye(self.grid.size)])
+    def as_matrix(self, t, s) -> np.ndarray:
+        """U(t, s) as a dense matrix, column j being U(t, s) e_j; for arrays
+        of K times, shape (K, d, d) from one batched apply."""
+        return _dense(self.apply, self.grid.size, t, s)
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,18 @@ class PerturbationFamily:
     grid: Grid
     apply: Callable[[float, np.ndarray], np.ndarray]
 
-    def as_matrix(self, t: float) -> np.ndarray:
-        """B(t) as a dense matrix: column j is B(t) applied to unit vector j."""
-        return np.column_stack([self.apply(t, e) for e in np.eye(self.grid.size)])
+    def as_matrix(self, t) -> np.ndarray:
+        """B(t) as a dense matrix, column j being B(t) e_j; for an array of K
+        times, shape (K, d, d) from one batched apply."""
+        return _dense(self.apply, self.grid.size, t)
+
+
+def _dense(apply, d: int, *times) -> np.ndarray:
+    """Apply to every unit vector at once: each time is broadcast over the d
+    unit vectors, and rows are turned into columns."""
+    shape = np.shape(times[0]) + (d,)
+    times = [np.broadcast_to(np.asarray(t, dtype=float)[..., None], shape) for t in times]
+    return np.swapaxes(apply(*times, np.broadcast_to(np.eye(d), shape + (d,))), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -207,7 +216,9 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
 
     with q = ``gain_profile``, K = ``gain`` (nonnegative, K[i, j] moving
     mass from node j to node i) and v = ``gain_weights``.  Both operators
-    batch over a leading time axis as the family contracts allow.
+    batch over a leading time axis as the family contracts allow.  U
+    raises ``PreconditionError`` naming the first pair with s > t, where
+    its factor would exceed 1.
     """
     d = grid.size
     a = loss.space
@@ -218,6 +229,11 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
     q = gain_profile.value
 
     def u_apply(t, s, u):
+        if np.any(np.less(t, s)):
+            t, s = np.broadcast_arrays(t, s)
+            k = np.argmax(t < s)
+            raise PreconditionError(
+                f"U(t, s) needs s <= t, got s = {float(s.flat[k])!r}, t = {float(t.flat[k])!r}")
         out = loss.integral(s, t)
         np.negative(out, out=out)
         np.exp(out, out=out)
@@ -363,7 +379,6 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     or when row n+1 is requested.  A consumer that stops after row n and
     never calls it pays no B application on that row.
     """
-    u_fam = model.unperturbed
     nodes = tg.nodes
     m = tg.n_steps
     dt = tg.dt
@@ -400,11 +415,8 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
         if direct or tg.rule != "trapezoid":
             for j in range(1, m + 1):
                 w = prefix_weights(tg.rule, j, dt)
-                acc = np.zeros(d)
-                for k in range(j + 1):
-                    if w[k] != 0.0:
-                        acc += w[k] * u_fam.apply(nodes[j], nodes[k], b_row[k])
-                nxt[j] = acc
+                used = np.flatnonzero(w)
+                nxt[j] = w[used] @ model.unperturbed.apply(nodes[j], nodes[used], b_row[used])
         elif per_node and n == 1:
             # Row 1's end-point kick at tau_j acts on what row 0 carries into
             # tau_j, without node j's own source: the run started at tau_j
@@ -720,9 +732,10 @@ def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     """Cross-validation recursion; mirrored integrand, full operator table.
 
     Iterate n+1 from tau_k to tau_j integrates (iterate n)(tau_j, r) B(r)
-    U(r, tau_k) over r.  Cost O(n_max * M^3) small matrix products and
-    O(M^2) family-matrix evaluations, so the lattice is capped (default
-    64 steps) and a memory guard refuses oversized tables.
+    U(r, tau_k) over r.  Cost O(n_max * M^3 * d^3) flops in one matrix
+    product per (n, j), after one batched family-matrix build each for U
+    and B; the lattice is capped (default 64 steps) and a memory guard
+    refuses oversized tables.
     """
     coeffs = _as_coeffs(model.grid, u0)
     m = tg.n_steps
@@ -731,26 +744,28 @@ def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
         raise SizeCapError(f"left recursion lattice has {m} steps; cap is {m_cap}")
     _check_table_bytes("left recursion", (n_max + 1) * (m + 1) ** 2 * d * d * 8)
     nodes = tg.nodes
-    u_fam, b_fam = model.unperturbed, model.perturbation
 
     u_mat = np.zeros((m + 1, m + 1, d, d))
-    for j in range(m + 1):
-        for k in range(j + 1):
-            u_mat[j, k] = u_fam.as_matrix(nodes[j], nodes[k])
-    b_mat = np.stack([b_fam.as_matrix(nodes[r]) for r in range(m + 1)])
+    jj, kk = np.tril_indices(m + 1)
+    u_mat[jj, kk] = model.unperturbed.as_matrix(nodes[jj], nodes[kk])
+    b_mat = model.perturbation.as_matrix(nodes)
     # kick[r, k] = B(tau_r) U(tau_r, tau_k): the shared right factor
     kick = np.einsum("rab,rkbc->rkac", b_mat, u_mat)
+    offsets = [prefix_weights(tg.rule, o, tg.dt) for o in range(m + 1)]
 
     mats = np.zeros((n_max + 1, m + 1, m + 1, d, d))
     mats[0] = u_mat
-    for n in range(n_max):
-        for j in range(m + 1):
-            for k in range(j + 1):
-                w = prefix_weights(tg.rule, j - k, tg.dt)
-                if j == k:
-                    continue
-                prod = mats[n, j, k:j + 1] @ kick[k:j + 1, k]
-                mats[n + 1, j, k] = np.tensordot(w, prod, axes=(0, 0))
+    # row j of every iterate depends only on row j of the one before
+    for j in range(1, m + 1):
+        # block (r, k) of weighted: kick[r, k] times node r's weight on
+        # [tau_k, tau_j], so that one matrix product sums over r for all k
+        weighted = np.zeros((j + 1, d, j, d))
+        for k in range(j):
+            weighted[k:, :, k] = offsets[j - k][:, None, None] * kick[k:j + 1, k]
+        weighted = weighted.reshape((j + 1) * d, j * d)
+        for n in range(n_max):
+            row = mats[n, j, :j + 1].transpose(1, 0, 2).reshape(d, (j + 1) * d)
+            mats[n + 1, j, :j] = (row @ weighted).reshape(d, j, d).transpose(1, 0, 2)
     iterates = np.einsum("njab,b->nja", mats[:, :, 0], coeffs)
     return LeftIterates(grid=model.grid, time_grid=tg, u0=coeffs,
                         matrices=mats, iterates=iterates)
@@ -839,30 +854,3 @@ def validate_family(model: PerturbedModel, times, trial_states) -> FamilyDiagnos
         cocycle_residual=coc,
         perturbation_positivity_defect=b_pos,
     )
-
-
-# ---------------------------------------------------------------------------
-# CSV interfaces
-# ---------------------------------------------------------------------------
-
-def write_table_csv(table: DysonPhillipsTable, path) -> None:
-    """Dump iterate coefficients: columns n, tau, coeff_index, value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "tau", "coeff_index", "value"])
-        for n in range(table.n_max + 1):
-            for j, tau in enumerate(table.time_grid.nodes):
-                for i in range(table.grid.size):
-                    writer.writerow([n, repr(float(tau)), i, repr(float(table.iterates[n, j, i]))])
-
-
-def write_norm_summary_csv(table: DysonPhillipsTable, path) -> None:
-    """Dump per-node norms: columns n, tau, iterate_norm, partial_sum."""
-    norms = np.abs(table.iterates) @ table.grid.weights  # (N+1, M+1)
-    partial = np.cumsum(norms, axis=0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "tau", "iterate_norm", "partial_sum"])
-        for n in range(table.n_max + 1):
-            for j, tau in enumerate(table.time_grid.nodes):
-                writer.writerow([n, repr(float(tau)), repr(float(norms[n, j])), repr(float(partial[n, j]))])

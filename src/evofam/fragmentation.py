@@ -26,11 +26,12 @@ from .evolution import (
     DysonPhillipsTable,
     PerturbedModel,
     TimeGrid,
+    _as_coeffs,
     loss_gain_model,
     prefix_weights,
 )
 from .honesty import DefectSeries, MassLedger, mass_ledger, table_verdict
-from .state_space import Grid, StateVector, uniform_mass_grid, weighted_norm_array
+from .state_space import Grid, uniform_mass_grid
 
 # Largest per-parent mass-constraint residual that strict construction
 # repairs by exact column normalization; anything larger is considered a
@@ -216,21 +217,6 @@ def binary_fragmentation_model(x_min: float = 1.0 / 64.0, x_max: float = 1.0,
 # operations
 # ---------------------------------------------------------------------------
 
-def _u_coeffs(grid: Grid, u) -> tuple[np.ndarray, bool]:
-    if isinstance(u, StateVector):
-        if u.grid != grid:
-            raise StructureError("state grid does not match model grid")
-        return u.coeffs, True
-    coeffs = np.asarray(u, dtype=float)
-    if coeffs.shape != (grid.size,):
-        raise StructureError(f"state must have shape ({grid.size},)")
-    return coeffs, False
-
-
-def _wrap(grid: Grid, coeffs: np.ndarray, as_state: bool):
-    return StateVector(grid=grid, coeffs=coeffs) if as_state else coeffs
-
-
 def kernel_mass_check(model: FragmentationModel, t: float,
                       y_index: int | None = None):
     """Mass-constraint residual |quad(x b(x, y)) - y| / y of the active kernel.
@@ -247,26 +233,6 @@ def kernel_mass_check(model: FragmentationModel, t: float,
     if y_index is None:
         return residuals
     return float(residuals[y_index])
-
-
-def apply_breakup_decay(model: FragmentationModel, t: float, s: float, u):
-    """Survival flow: node-wise factor exp(-integral of the breakup rate)."""
-    if t < s:
-        raise PreconditionError(f"need s <= t, got s = {s}, t = {t}")
-    coeffs, as_state = _u_coeffs(model.grid, u)
-    factor = np.exp(-np.asarray(model.rate.integral(s, t), dtype=float))
-    return _wrap(model.grid, factor * coeffs, as_state)
-
-
-def apply_fragment_gain(model: FragmentationModel, t: float, u):
-    """Fragment production: (out)_i = sum_{x_j > x_i} dx a(t, x_j) b(x_i, x_j) u_j.
-
-    Strictly upper triangular, so output at a node never depends on mass
-    at or below it; a state supported on the smallest node maps to zero.
-    """
-    coeffs, as_state = _u_coeffs(model.grid, u)
-    out = model.dx * (model.daughter @ (model.rate_values(t) * coeffs))
-    return _wrap(model.grid, out, as_state)
 
 
 def fragmentation_perturbed_model(model: FragmentationModel,
@@ -331,7 +297,7 @@ def mol_reference(model: FragmentationModel, tg: TimeGrid, u0, *,
     """
     if substeps < 1:
         raise PreconditionError("substeps must be >= 1")
-    coeffs, _ = _u_coeffs(model.grid, u0)
+    coeffs = _as_coeffs(model.grid, u0)
     mat = model.daughter
     dx = model.dx
 
@@ -340,7 +306,7 @@ def mol_reference(model: FragmentationModel, tg: TimeGrid, u0, *,
         return -a * y + dx * (mat @ (a * y))
 
     h = tg.dt / substeps
-    y = coeffs.astype(float).copy()
+    y = coeffs
     t = tg.s
     for _ in range(tg.n_steps * substeps):
         k1 = rhs(t, y)

@@ -35,8 +35,6 @@ from .evolution import (
     _combined_rows,
     _step_factors,
     iterate_right,
-    prefix_weights,
-    series_sum,
 )
 from .state_space import Grid
 
@@ -106,15 +104,9 @@ def _loss_rates(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
 
 
 def _gain_blocks(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
-    """B(tau_k) as dense matrices for every axis node, shape (K, d, d).
-
-    One batched apply on unit vectors: column j of block k is B(tau_k) e_j.
-    """
-    k, d = nodes.size, model.grid.size
-    _check_table_bytes("kick block", k * d * d * 8)
-    cols = model.perturbation.apply(np.broadcast_to(nodes[:, None], (k, d)),
-                                    np.broadcast_to(np.eye(d), (k, d, d)))
-    return np.swapaxes(cols, 1, 2)
+    """B(tau_k) as dense matrices for every axis node, shape (K, d, d)."""
+    _check_table_bytes("kick block", nodes.size * model.grid.size ** 2 * 8)
+    return model.perturbation.as_matrix(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -132,45 +124,6 @@ def apply_lifted_free(model: PerturbedModel, t: float, f: LiftedVector) -> Lifte
     out = np.zeros_like(f.values)
     out[j:] = model.unperturbed.apply(nodes[j:], nodes[:nodes.size - j],
                                       f.values[:nodes.size - j])
-    return LiftedVector(grid=f.grid, axis=f.axis, values=out)
-
-
-def apply_lifted_iterate(model: PerturbedModel, n: int, t: float,
-                         f: LiftedVector) -> LiftedVector:
-    """n-th lifted iterate: node r receives (iterate row n)(r, r-t) f(r-t).
-
-    n = 0 reduces to the free action; every n >= 1 vanishes at t = 0.
-    """
-    _check_lifted(model, f)
-    if n < 0:
-        raise PreconditionError("iterate index must be >= 0")
-    if n == 0:
-        return apply_lifted_free(model, t, f)
-    j = _shift_index(f.axis, t)
-    nodes = f.axis.nodes
-    out = np.zeros_like(f.values)
-    if j == 0:
-        return LiftedVector(grid=f.grid, axis=f.axis, values=out)
-    for k in range(j, len(nodes)):
-        sub = TimeGrid(nodes[k - j], nodes[k], f.axis.dt, f.axis.rule)
-        table = iterate_right(model, sub, f.values[k - j], n)
-        out[k] = table.iterates[n, j]
-    return LiftedVector(grid=f.grid, axis=f.axis, values=out)
-
-
-def apply_lifted_series(model: PerturbedModel, t: float, f: LiftedVector, *,
-                        tol: float = 1e-12, n_max: int = 40) -> LiftedVector:
-    """Summed lifted action: node r receives (summed family)(r, r-t) f(r-t)."""
-    _check_lifted(model, f)
-    j = _shift_index(f.axis, t)
-    nodes = f.axis.nodes
-    out = np.zeros_like(f.values)
-    for k in range(j, len(nodes)):
-        if j == 0:
-            out[k] = f.values[k]
-            continue
-        sub = TimeGrid(nodes[k - j], nodes[k], f.axis.dt, f.axis.rule)
-        out[k] = series_sum(model, sub, f.values[k - j], tol=tol, n_max=n_max).value
     return LiftedVector(grid=f.grid, axis=f.axis, values=out)
 
 
@@ -404,35 +357,6 @@ def laplace_transform_check(model: PerturbedModel, lam: float, n: int,
     bound = math.exp(-lam * t_max) / lam * f.norm()
     return CheckRow(check_name="laplace_transform", h=axis.dt, lam=lam, n=n,
                     residual=residual, truncation_bound=bound)
-
-
-def lifted_duhamel_residual(model: PerturbedModel, t: float, f: LiftedVector, *,
-                            tol: float = 1e-12, n_max: int = 40) -> float:
-    """Variation-of-constants residual of the summed lifted action.
-
-    Lifted norm of (summed action at t) f - (free action at t) f -
-    prefix quadrature over s of (summed action at t-s)(blockwise kick)
-    (free action at s) f.  Bounded by the lattice quadrature error; on
-    the trapezoid rule the quadrature telescopes against the series
-    construction, so the residual lands at rounding level (truncation
-    tolerance aside), mirroring the flat-space identity checks.
-    """
-    _check_lifted(model, f)
-    axis = f.axis
-    j = _shift_index(axis, t)
-    full = apply_lifted_series(model, t, f, tol=tol, n_max=n_max)
-    free = apply_lifted_free(model, t, f)
-    integral = np.zeros_like(f.values)
-    if j > 0:
-        w = prefix_weights(axis.rule, j, axis.dt)
-        for i in range(j + 1):
-            inner = apply_lifted_free(model, axis.nodes[i], f)
-            kicked = _kick_blockwise(model, inner)
-            outer = apply_lifted_series(model, t - axis.nodes[i], kicked,
-                                        tol=tol, n_max=n_max)
-            integral += w[i] * outer.values
-    return LiftedVector(grid=f.grid, axis=axis,
-                        values=full.values - free.values - integral).norm()
 
 
 def write_check_suite_csv(path, rows) -> None:

@@ -10,12 +10,9 @@ from evofam import (
     CollisionKernel,
     ModelContractError,
     PreconditionError,
-    StateVector,
     StructureError,
     TimeGrid,
     TimeProfile,
-    apply_gain,
-    apply_loss_flow,
     collision_model,
     collision_perturbed_model,
     frequency_matching_kernel,
@@ -183,49 +180,35 @@ def test_validation_times_interleaves_midpoints():
 # loss flow and gain operator
 # ---------------------------------------------------------------------------
 
-def test_loss_flow_composes_exactly(timedep_collision):
+def test_loss_flow_composes_exactly(timedep_collision_perturbed):
+    flow = timedep_collision_perturbed.unperturbed
     rng = np.random.default_rng(7)
-    phi = rng.uniform(0.1, 1.0, timedep_collision.grid.size)
-    one_hop = apply_loss_flow(timedep_collision, 0.9, 0.0, phi)
-    two_hop = apply_loss_flow(timedep_collision, 0.9, 0.4,
-                              apply_loss_flow(timedep_collision, 0.4, 0.0, phi))
+    phi = rng.uniform(0.1, 1.0, flow.grid.size)
+    one_hop = flow.apply(0.9, 0.0, phi)
+    two_hop = flow.apply(0.9, 0.4, flow.apply(0.4, 0.0, phi))
     np.testing.assert_allclose(two_hop, one_hop, rtol=1e-14)
     # identity at coincident times, strict contraction on positive states
-    np.testing.assert_array_equal(apply_loss_flow(timedep_collision, 0.3, 0.3, phi), phi)
-    w = timedep_collision.grid.weights
+    np.testing.assert_array_equal(flow.apply(0.3, 0.3, phi), phi)
+    w = flow.grid.weights
     assert w @ one_hop < w @ phi
-    with pytest.raises(PreconditionError):
-        apply_loss_flow(timedep_collision, 0.2, 0.5, phi)
 
 
-def test_loss_flow_matches_exact_integral(timedep_collision):
+def test_loss_flow_matches_exact_integral(timedep_collision_perturbed):
     # frequency 1 + t integrates to t + t^2/2 in closed form
-    phi = np.ones(timedep_collision.grid.size)
-    out = apply_loss_flow(timedep_collision, 0.8, 0.2, phi)
+    phi = np.ones(timedep_collision_perturbed.grid.size)
+    out = timedep_collision_perturbed.unperturbed.apply(0.8, 0.2, phi)
     elapsed = (0.8 + 0.8 ** 2 / 2.0) - (0.2 + 0.2 ** 2 / 2.0)
     np.testing.assert_allclose(out, np.exp(-elapsed) * phi, rtol=1e-14)
 
 
-def test_gain_is_weighted_matrix_product(subcritical_collision):
+def test_gain_is_weighted_matrix_product(subcritical_collision,
+                                         subcritical_collision_perturbed):
     grid = subcritical_collision.grid
     rng = np.random.default_rng(11)
     phi = rng.uniform(0.0, 1.0, grid.size)
-    out = apply_gain(subcritical_collision, 0.7, phi)
+    out = subcritical_collision_perturbed.perturbation.apply(0.7, phi)
     kern = subcritical_collision.kernel_values(0.7)
     np.testing.assert_allclose(out, kern @ (grid.weights * phi), rtol=1e-14)
-
-
-def test_state_vector_round_trip(subcritical_collision):
-    grid = subcritical_collision.grid
-    state = StateVector(grid, np.ones(grid.size))
-    gained = apply_gain(subcritical_collision, 0.0, state)
-    flowed = apply_loss_flow(subcritical_collision, 1.0, 0.0, state)
-    assert isinstance(gained, StateVector) and isinstance(flowed, StateVector)
-    other = uniform_velocity_grid(-2.0, 2.0, subcritical_collision.grid.size)
-    with pytest.raises(StructureError):
-        apply_gain(subcritical_collision, 0.0, StateVector(other, np.ones(grid.size)))
-    with pytest.raises(StructureError):
-        apply_gain(subcritical_collision, 0.0, np.ones(grid.size + 1))
 
 
 def test_gain_mass_rate_matches_column_sums(conservative_collision):
@@ -281,17 +264,25 @@ def test_perturbed_model_wires_both_parts(timedep_collision,
     grid = model.grid
     rng = np.random.default_rng(3)
     phi = rng.uniform(0.0, 1.0, grid.size)
-    np.testing.assert_allclose(model.unperturbed.apply(0.7, 0.2, phi),
-                               apply_loss_flow(timedep_collision, 0.7, 0.2, phi),
+    survival = np.exp(-np.asarray(timedep_collision.frequency.integral(0.2, 0.7)))
+    np.testing.assert_allclose(model.unperturbed.apply(0.7, 0.2, phi), survival * phi,
                                rtol=1e-15)
     np.testing.assert_allclose(model.perturbation.apply(0.7, phi),
-                               apply_gain(timedep_collision, 0.7, phi),
+                               timedep_collision.kernel_values(0.7) @ (grid.weights * phi),
                                rtol=1e-15)
     # matrix forms agree with the plain apply
     np.testing.assert_allclose(model.unperturbed.as_matrix(0.7, 0.2) @ phi,
                                model.unperturbed.apply(0.7, 0.2, phi), rtol=1e-14)
     np.testing.assert_allclose(model.perturbation.as_matrix(0.7) @ phi,
                                model.perturbation.apply(0.7, phi), rtol=1e-14)
+    # an array of times gives the per-time matrices in one batched apply
+    t, s = np.array([0.3, 0.7, 1.0]), np.array([0.0, 0.2, 1.0])
+    np.testing.assert_array_equal(
+        model.unperturbed.as_matrix(t, s),
+        np.stack([model.unperturbed.as_matrix(tk, sk) for tk, sk in zip(t, s)]))
+    np.testing.assert_allclose(model.perturbation.as_matrix(t),
+                               np.stack([model.perturbation.as_matrix(tk) for tk in t]),
+                               rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(model.loss_rate(0.5),
                                np.asarray(timedep_collision.frequency.value(0.5)))
 
@@ -307,10 +298,10 @@ def test_gain_and_loss_preserve_positivity(phi):
     grid = uniform_velocity_grid(-1.0, 1.0, 8)
     kernel = CollisionKernel(profile=CONSTANT_ONE,
                              matrix=gaussian_kernel_matrix(grid, 0.5, 0.5))
-    model = collision_model(grid, unit_frequency(grid), kernel)
+    model = collision_perturbed_model(collision_model(grid, unit_frequency(grid), kernel))
     state = np.array(phi)
-    assert np.all(apply_gain(model, 0.3, state) >= 0.0)
-    assert np.all(apply_loss_flow(model, 0.9, 0.1, state) >= 0.0)
+    assert np.all(model.perturbation.apply(0.3, state) >= 0.0)
+    assert np.all(model.unperturbed.apply(0.9, 0.1, state) >= 0.0)
 
 
 def test_outflow_kernel_is_rank_one():

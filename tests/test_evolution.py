@@ -17,6 +17,7 @@ from evofam import (
     PerturbedModel,
     PreconditionError,
     SizeCapError,
+    StateVector,
     StructureError,
     TimeGrid,
     abstract_grid,
@@ -26,6 +27,8 @@ from evofam import (
     iterate_left,
     iterate_right,
     left_right_discrepancy,
+    mass_balance_identity,
+    mol_reference,
     partial_sum_states,
     series_sum,
     summed_family_values,
@@ -34,12 +37,7 @@ from evofam import (
 )
 from evofam import evolution
 from evofam.coefficients import SeparableCoefficient, TimeProfile
-from evofam.evolution import (
-    loss_gain_model,
-    prefix_weights,
-    write_norm_summary_csv,
-    write_table_csv,
-)
+from evofam.evolution import loss_gain_model, prefix_weights
 from evofam.state_space import weighted_norm_array
 
 
@@ -457,6 +455,39 @@ def test_families_are_grid_and_apply(oracle_model):
                                math.exp(-0.5) * np.eye(2), rtol=1e-15)
 
 
+@pytest.mark.parametrize("fixture", ["timedep_collision_perturbed", "binary_frag_perturbed"])
+def test_loss_flow_rejects_s_after_t(fixture, request):
+    flow = request.getfixturevalue(fixture).unperturbed
+    d = flow.grid.size
+    with pytest.raises(PreconditionError, match=r"s = 0\.5, t = 0\.2"):
+        flow.apply(0.2, 0.5, np.ones(d))
+    # arrays of times name the first backward pair
+    t = np.array([0.3, 0.6, 0.4, 0.9])
+    s = np.array([0.1, 0.6, 0.7, 1.0])
+    with pytest.raises(PreconditionError, match=r"s = 0\.7, t = 0\.4"):
+        flow.apply(t, s, np.ones((4, d)))
+    with pytest.raises(PreconditionError, match=r"s = 0\.6, t = 0\.5"):
+        flow.apply(0.5, np.array([0.1, 0.6]), np.ones((2, d)))
+
+
+def test_state_inputs_must_match_the_grid(oracle_model, subcritical_collision, binary_frag):
+    tg = TimeGrid(0.0, 0.5, 0.25)
+    entries = [
+        (oracle_model.grid, lambda u: iterate_right(oracle_model, tg, u, 2)),
+        (subcritical_collision.grid, lambda u: mass_balance_identity(subcritical_collision, tg, u)),
+        (binary_frag.grid, lambda u: mol_reference(binary_frag, tg, u)),
+    ]
+    for grid, run in entries:
+        run(StateVector(grid, np.ones(grid.size)))
+        elsewhere = StateVector(abstract_grid(2.0 * grid.weights), np.ones(grid.size))
+        with pytest.raises(StructureError, match="different grid"):
+            run(elsewhere)
+        with pytest.raises(StructureError, match="coefficients"):
+            run(np.ones(grid.size + 1))
+        with pytest.raises(StructureError, match="one-dimensional"):
+            run(np.ones((2, grid.size)))
+
+
 # ---------------------------------------------------------------------------
 # family contract diagnostics
 # ---------------------------------------------------------------------------
@@ -479,25 +510,3 @@ def test_validate_family_flags_expanding_flow():
                            unperturbed=family, perturbation=kick)
     diag = validate_family(model, [0.0, 1.0], [np.array([1.0, 1.0])])
     assert diag.substochastic_excess > 1.0
-
-
-# ---------------------------------------------------------------------------
-# CSV dumps
-# ---------------------------------------------------------------------------
-
-def test_table_csv_round_trip_values(oracle_model, tmp_path):
-    tg = TimeGrid(0.0, 0.5, 0.25)
-    table = iterate_right(oracle_model, tg, np.array([1.0, 0.0]), 2)
-    path = tmp_path / "table.csv"
-    write_table_csv(table, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,tau,coeff_index,value"
-    n, tau, idx, value = lines[1].split(",")
-    assert (n, tau, idx) == ("0", "0.0", "0")
-    assert float(value) == table.iterates[0, 0, 0]
-
-    summary = tmp_path / "norms.csv"
-    write_norm_summary_csv(table, summary)
-    header, first = summary.read_text().splitlines()[:2]
-    assert header == "n,tau,iterate_norm,partial_sum"
-    assert float(first.split(",")[2]) == pytest.approx(1.0)

@@ -10,8 +10,6 @@ from evofam import (
     PreconditionError,
     StructureError,
     TimeGrid,
-    apply_breakup_decay,
-    apply_fragment_gain,
     daughter_matrix,
     fragmentation_model,
     fragmentation_perturbed_model,
@@ -155,43 +153,40 @@ def test_force_normalize_fixes_columns_with_support():
 # operators
 # ---------------------------------------------------------------------------
 
-def test_breakup_decay_composes_exactly(binary_frag):
+def test_breakup_decay_composes_exactly(binary_frag_perturbed):
+    flow = binary_frag_perturbed.unperturbed
     rng = np.random.default_rng(5)
-    u = rng.uniform(0.0, 1.0, binary_frag.grid.size)
-    one_hop = apply_breakup_decay(binary_frag, 0.9, 0.1, u)
-    two_hop = apply_breakup_decay(binary_frag, 0.9, 0.5,
-                                  apply_breakup_decay(binary_frag, 0.5, 0.1, u))
+    u = rng.uniform(0.0, 1.0, flow.grid.size)
+    one_hop = flow.apply(0.9, 0.1, u)
+    two_hop = flow.apply(0.9, 0.5, flow.apply(0.5, 0.1, u))
     np.testing.assert_allclose(two_hop, one_hop, rtol=1e-14)
     # linear rate a(x) = x gives the closed-form factor exp(-x (t - s))
-    np.testing.assert_allclose(one_hop, np.exp(-binary_frag.grid.nodes * 0.8) * u,
-                               rtol=1e-14)
-    with pytest.raises(PreconditionError):
-        apply_breakup_decay(binary_frag, 0.1, 0.9, u)
+    np.testing.assert_allclose(one_hop, np.exp(-flow.grid.nodes * 0.8) * u, rtol=1e-14)
+    np.testing.assert_array_equal(flow.apply(0.4, 0.4, u), u)
 
 
-def test_fragment_gain_formula_and_support(binary_frag):
+def test_fragment_gain_formula_and_support(binary_frag, binary_frag_perturbed):
     grid = binary_frag.grid
+    gain = binary_frag_perturbed.perturbation
     rng = np.random.default_rng(9)
     u = rng.uniform(0.0, 1.0, grid.size)
-    out = apply_fragment_gain(binary_frag, 0.3, u)
     a = binary_frag.rate_values(0.3)
-    np.testing.assert_allclose(out, binary_frag.dx * (binary_frag.daughter @ (a * u)),
+    np.testing.assert_allclose(gain.apply(0.3, u),
+                               binary_frag.dx * (binary_frag.daughter @ (a * u)),
                                rtol=1e-14)
+    assert np.all(gain.apply(0.3, u) >= 0.0)
     # mass on the smallest node has nowhere to go on the grid
     smallest = np.zeros(grid.size)
     smallest[0] = 1.0
-    assert np.all(apply_fragment_gain(binary_frag, 0.3, smallest) == 0.0)
+    assert np.all(gain.apply(0.3, smallest) == 0.0)
 
 
 def test_perturbed_adapter_consistency(binary_frag, binary_frag_perturbed):
     model = binary_frag_perturbed
     rng = np.random.default_rng(13)
     u = rng.uniform(0.0, 1.0, model.grid.size)
-    np.testing.assert_allclose(model.unperturbed.apply(0.8, 0.2, u),
-                               apply_breakup_decay(binary_frag, 0.8, 0.2, u),
-                               rtol=1e-15)
-    np.testing.assert_allclose(model.perturbation.apply(0.6, u),
-                               apply_fragment_gain(binary_frag, 0.6, u),
+    survival = np.exp(-np.asarray(binary_frag.rate.integral(0.2, 0.8)))
+    np.testing.assert_allclose(model.unperturbed.apply(0.8, 0.2, u), survival * u,
                                rtol=1e-15)
     np.testing.assert_allclose(model.perturbation.as_matrix(0.6) @ u,
                                model.perturbation.apply(0.6, u), rtol=1e-13)

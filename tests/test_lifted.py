@@ -19,8 +19,6 @@ from evofam import (
     TimeGrid,
     abstract_grid,
     apply_lifted_free,
-    apply_lifted_iterate,
-    apply_lifted_series,
     collision_model,
     collision_perturbed_model,
     gaussian_kernel_matrix,
@@ -28,7 +26,6 @@ from evofam import (
     kick_block_norm,
     laplace_kick,
     laplace_transform_check,
-    lifted_duhamel_residual,
     lifted_generator_matrix,
     lifted_norm,
     lifted_resolvent,
@@ -102,56 +99,6 @@ def test_free_action_identity_and_wavefront(oracle_model):
                          values=np.zeros((9, 3)))
     with pytest.raises(StructureError):
         apply_lifted_free(oracle_model, 0.0, other)
-
-
-def test_iterate_action_closed_form(oracle_model):
-    axis = TimeGrid(0.0, 1.0, 0.125)
-    grid = abstract_grid([1.0, 1.0])
-    constant = LiftedVector(grid=grid, axis=axis,
-                            values=np.tile(U0, (axis.n_steps + 1, 1)))
-    t = 0.5
-    j = 4
-    # row 2 integrand is linear, so the trapezoid value is exact:
-    # exp(-t) t^2/2 * (swap twice) u0
-    out = apply_lifted_iterate(oracle_model, 2, t, constant)
-    assert np.all(out.values[:j] == 0.0)
-    expected = math.exp(-t) * t ** 2 / 2.0 * U0
-    for k in range(j, axis.n_steps + 1):
-        np.testing.assert_allclose(out.values[k], expected, rtol=1e-13)
-    # n = 0 reduces to the free action
-    free = apply_lifted_free(oracle_model, t, constant)
-    zeroth = apply_lifted_iterate(oracle_model, 0, t, constant)
-    np.testing.assert_array_equal(zeroth.values, free.values)
-    # n >= 1 vanishes at zero shift
-    assert np.all(apply_lifted_iterate(oracle_model, 3, 0.0, constant).values == 0.0)
-    with pytest.raises(PreconditionError):
-        apply_lifted_iterate(oracle_model, -1, t, constant)
-
-
-def test_series_action_closed_form(oracle_model):
-    axis = TimeGrid(0.0, 1.0, 1.0 / 32.0)
-    f = make_history(axis)
-    t = 0.5
-    j = 16
-    out = apply_lifted_series(oracle_model, t, f)
-    swapped = f.values[:, ::-1]
-    expected = math.exp(-t) * (math.cosh(t) * f.values[:-j]
-                               + math.sinh(t) * swapped[:-j])
-    np.testing.assert_allclose(out.values[j:], expected, rtol=5.0 * axis.dt ** 2)
-    # zero shift is the identity
-    np.testing.assert_array_equal(apply_lifted_series(oracle_model, 0.0, f).values,
-                                  f.values)
-
-
-def test_series_action_matches_iterate_stack(oracle_model):
-    axis = TimeGrid(0.0, 0.5, 0.125)
-    f = make_history(axis)
-    t = 0.25
-    total = np.zeros_like(f.values)
-    for n in range(12):
-        total += apply_lifted_iterate(oracle_model, n, t, f).values
-    series = apply_lifted_series(oracle_model, t, f, tol=1e-14)
-    np.testing.assert_allclose(series.values, total, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +357,6 @@ def test_required_horizon_inverts_tail():
     horizon = required_horizon(lam)
     assert math.exp(-lam * horizon) == pytest.approx(HORIZON_TAIL_LIMIT, rel=1e-12)
     assert required_horizon(2.0, 1e-4) == pytest.approx(math.log(1e4) / 2.0)
-
-
-def test_lifted_duhamel_residual_rounding_level(oracle_model):
-    f = make_history(TimeGrid(0.0, 1.0, 0.125))
-    assert lifted_duhamel_residual(oracle_model, 0.5, f, tol=1e-14) < 1e-10
 
 
 def test_check_suite_csv_round_trip(tmp_path):
