@@ -4,13 +4,16 @@
 Usage: python3 scripts/run_all.py [output-root]
 
 Each config writes its CSV tables under <output-root>/<config-stem>/
-(default: out/). Exit code: the worst code any run produced, with
+(default: out/). The summary prints each config's exit code and wall time
+(wall_time_s, measured around the in-process CLI call) on stdout, never in
+the output directory. Exit code: the worst code any run produced, with
 dishonest (2) outranking inconclusive (3) outranking honest (0).
 """
 from __future__ import annotations
 
 import pathlib
 import sys
+import time
 
 from evofam.cli import main
 
@@ -35,13 +38,14 @@ def run_all(output_root: str) -> int:
         config = here / name
         out_dir = pathlib.Path(output_root) / config.stem
         print(f"=== {command} {name} -> {out_dir}")
+        started = time.perf_counter()
         code = main([command, str(config), "--output-dir", str(out_dir)])
-        outcomes.append((name, code))
+        outcomes.append((name, code, time.perf_counter() - started))
         print()
     print("=== summary")
-    for name, code in outcomes:
-        print(f"{name}: exit {code}")
-    return max((code for _name, code in outcomes), key=SEVERITY.get, default=0)
+    for name, code, wall in outcomes:
+        print(f"{name}: exit {code} wall_time_s={wall:.3f}")
+    return max((code for _name, code, _wall in outcomes), key=SEVERITY.get, default=0)
 
 
 if __name__ == "__main__":

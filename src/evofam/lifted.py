@@ -31,6 +31,7 @@ from .errors import PreconditionError, StructureError
 from .evolution import (
     PerturbedModel,
     TimeGrid,
+    _carry,
     _check_table_bytes,
     _combined_rows,
     _step_factors,
@@ -145,11 +146,12 @@ def laplace_kick(model: PerturbedModel, lam: float, f: LiftedVector) -> LiftedVe
         raise PreconditionError("lam must be positive")
     nodes = f.axis.nodes
     h = f.axis.dt
-    half = 0.5 * h
     steps = _step_factors(model, nodes) * math.exp(-lam * h)
     acc = np.zeros_like(f.values)
-    for k in range(1, nodes.size):
-        acc[k] = steps[k - 1] * (acc[k - 1] + half * f.values[k - 1]) + half * f.values[k]
+    np.multiply(steps, f.values[:-1], out=acc[1:])
+    acc[1:] += f.values[1:]
+    acc[1:] *= 0.5 * h
+    _carry(steps, acc)
     out = np.zeros_like(f.values)
     out[1:] = model.perturbation.apply(nodes[1:], acc[1:])
     return LiftedVector(grid=f.grid, axis=f.axis, values=out)
@@ -162,8 +164,13 @@ def lifted_resolvent(model: PerturbedModel, lam: float, f: LiftedVector, *,
     The generator is -d/dt - loss_rate(t) (upwind backward difference,
     zero inflow at time 0), optionally plus the kick block B(t).  The
     upwind structure makes the system block-lower-bidiagonal, so one
-    sweep along the axis solves it; each diagonal block is an M-matrix
-    for lam > 0, so nonnegative data produce nonnegative solutions.
+    sweep along the axis solves it; each diagonal block
+    A_k = diag(lam + 1/h + loss_rate(t_k)) - B(t_k) is an M-matrix for
+    lam > 0, so nonnegative data produce nonnegative solutions.  Without
+    the kick the blocks are diagonal, and the sweep
+    g_k = (f_k + g_{k-1} / h) / A_k is one node-wise carry over the axis.
+    The perturbed sweep inverts every block in one batched call, then
+    makes one d x d matvec per node.
     """
     _check_lifted(model, f)
     if lam <= 0.0:
@@ -173,16 +180,19 @@ def lifted_resolvent(model: PerturbedModel, lam: float, f: LiftedVector, *,
     diag = lam + 1.0 / h + _loss_rates(model, nodes)
     if np.any(diag <= 0.0):
         raise PreconditionError("generator diagonal must be positive for lam > 0")
-    blocks = _gain_blocks(model, nodes) if perturbed else None
-    out = np.zeros_like(f.values)
-    prev = np.zeros(f.grid.size)
-    for k in range(nodes.size):
-        rhs = f.values[k] + prev / h
-        if perturbed:
-            out[k] = np.linalg.solve(np.diag(diag[k]) - blocks[k], rhs)
-        else:
-            out[k] = rhs / diag[k]
-        prev = out[k]
+    if not perturbed:
+        out = f.values / diag
+        _carry(1.0 / (h * diag[1:]), out)
+        return LiftedVector(grid=f.grid, axis=f.axis, values=out)
+    blocks = -_gain_blocks(model, nodes)
+    idx = np.arange(f.grid.size)
+    blocks[:, idx, idx] += diag
+    inv = np.linalg.inv(blocks)
+    del blocks
+    out = np.matmul(inv, f.values[:, :, None])[:, :, 0]
+    inv /= h
+    for k in range(1, nodes.size):
+        out[k] += inv[k] @ out[k - 1]
     return LiftedVector(grid=f.grid, axis=f.axis, values=out)
 
 

@@ -309,17 +309,20 @@ def reference_residuals(model, tg, u0, r, tol, refine=8):
     ("timedep_collision_perturbed", None, "last", 20),
     ("timedep_collision_perturbed", None, "mid", 3),
     ("jump", None, "mid", 20),
+    ("timedep_collision_perturbed", None, "odd", 20),
 ], ids=["oracle", "collision", "fragmentation", "signed", "split_first", "split_last",
-        "short_table", "tail_outlasts_at_split"])
+        "short_table", "tail_outlasts_at_split", "odd_split_two_carry_levels"])
 def test_shared_pass_residuals_match_separate_runs(case, request):
     fixture, data, where, table_rows = case
     model = jump_after_split_model() if fixture == "jump" else request.getfixturevalue(fixture)
     d = model.grid.size
-    tg = TimeGrid(0.0, 1.0, 1.0 / 16.0)
+    # "odd": a fine lattice of 320 > K**2 steps, so the carry recurses
+    # twice, split at coarse node 13, inside a block of the second level
+    tg = TimeGrid(0.0, 1.0, 1.0 / (40.0 if where == "odd" else 16.0))
     u0 = np.linspace(1.0, 0.5, d)
     if data == "signed":
         u0 = np.array([1.0, -0.5])
-    r = {"first": 0.0, "mid": 0.5, "last": 1.0}[where]
+    r = {"first": 0.0, "mid": 0.5, "last": 1.0, "odd": tg.nodes[13]}[where]
     tol = 1e-12
     table = iterate_right(model, tg, u0, table_rows)
     # the short table cannot give the full value; every other case reads it
@@ -352,6 +355,66 @@ def test_series_sum_applies_b_only_to_rows_it_builds_on(oracle_model, tol):
     # rows 0..n_used - 1 feed the next row; B of row n_used is never read
     assert result.converged and result.n_used >= 2
     assert len(calls) == result.n_used
+
+
+# ---------------------------------------------------------------------------
+# blocked carry recursion
+# ---------------------------------------------------------------------------
+
+K = evolution._CARRY_BLOCK
+
+
+def sequential_carry(steps, out):
+    out = out.copy()
+    for j in range(1, len(out)):
+        out[j] = steps[j - 1] * out[j - 1] + out[j]
+    return out
+
+
+def carry_data(seed, m, d, zeros, tinies):
+    """Nonnegative factors in [0, 1) with exact zeros and 1e-300 mixed in,
+    and nonnegative start and inputs with exact zeros mixed in."""
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.0, 1.0, (m, d))
+    pick = rng.uniform(size=(m, d))
+    steps[pick < zeros] = 0.0
+    steps[(pick >= zeros) & (pick < zeros + tinies)] = 1e-300
+    out = rng.uniform(0.0, 2.0, (m + 1, d))
+    out[rng.uniform(size=out.shape) < zeros] = 0.0
+    return steps, out
+
+
+@given(m=st.sampled_from([0, 1, K, K + 1, K * K, K * K + 1, 2000]),
+       d=st.sampled_from([1, 2, 33]), seed=st.integers(0, 2 ** 32 - 1),
+       zeros=st.floats(0.0, 0.5), tinies=st.floats(0.0, 0.5))
+def test_carry_matches_sequential_loop(m, d, seed, zeros, tinies):
+    steps, start = carry_data(seed, m, d, zeros, tinies)
+    ref = sequential_carry(steps, start)
+    out = start.copy()
+    evolution._carry(steps, out)
+    # 1e-13 relative on every entry; below the smallest normal float the
+    # products of 1e-300 factors round as subnormals, in either order
+    assert np.all(np.abs(out - ref) <= 1e-13 * ref + np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("d", [1, 2, 33])
+def test_carry_on_a_prefix_is_bitwise_the_full_run(d):
+    # three blocked levels (650, 80 and 9 steps) before the plain loop
+    m = K * (K * 10 + 1) + 2
+    steps, start = carry_data(d, m, d, 0.1, 0.1)
+    full = start.copy()
+    evolution._carry(steps, full)
+    for cut in range(m + 1):
+        part = start[:cut + 1].copy()
+        evolution._carry(steps[:cut], part)
+        assert np.array_equal(part, full[:cut + 1]), cut
+
+
+def test_carry_on_wide_rows_is_the_sequential_loop():
+    steps, start = carry_data(5, 100, evolution._CARRY_WIDE_ROW, 0.1, 0.1)
+    out = start.copy()
+    evolution._carry(steps, out)
+    assert np.array_equal(out, sequential_carry(steps, start))
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +476,20 @@ def test_expanding_step_factor_rejected(oracle_model):
     with pytest.raises(ModelContractError, match="not substochastic") as err:
         iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
     assert "tau = 0.25, node index 0" in str(err.value)
+
+
+def test_scalar_time_flow_names_the_array_contract():
+    # validate_family calls U on scalar times only, so this family passes it
+    grid = abstract_grid([1.0, 1.0])
+    model = PerturbedModel(
+        name="scalar_times", grid=grid,
+        unperturbed=EvolutionFamily(grid, lambda t, s, u: math.exp(-(t - s)) * u),
+        perturbation=PerturbationFamily(grid, lambda t, u: 0.5 * u[..., ::-1]))
+    diag = validate_family(model, [0.0, 0.5, 1.0], [np.array([1.0, 0.5])])
+    assert diag.substochastic_excess <= 0.0
+    with pytest.raises(ModelContractError, match="arrays of times") as err:
+        iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
+    assert isinstance(err.value.__cause__, TypeError)
 
 
 def test_right_recursion_memory_cap():
