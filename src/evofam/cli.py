@@ -239,7 +239,9 @@ def _engine_grid(cfg: ExperimentConfig) -> TimeGrid:
 
 
 def _table_diagnostics(cfg: ExperimentConfig, model, tg: TimeGrid, u0):
-    table = iterate_right(model, tg, u0, cfg.engine.n_max)
+    # row-less: the ledger, verdict, leakage and full series value read
+    # only the per-row scalars and the t_end rows
+    table = iterate_right(model, tg, u0, cfg.engine.n_max, keep_rows=False)
     ledger = mass_ledger(table)
     series = table_verdict(table, rel_threshold=cfg.honesty.threshold,
                            persistence=cfg.honesty.persistence)

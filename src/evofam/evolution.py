@@ -8,7 +8,10 @@ space, the engine builds the perturbation-series iterates
     row n+1:  integral over r in [s, t] of U(t, r) B(r) (row n)(r, s) u0 dr
 
 by composite quadrature on a uniform time lattice, together with the
-partial sums whose limit is the perturbed evolution.  The module also
+partial sums whose limit is the perturbed evolution.  Each pass makes the
+rows one at a time and holds O(M d) floats; ``iterate_right`` reduces
+every row to its t_end value, norm and defect as it is made, and keeps
+the full rows only on request.  The module also
 provides the mirrored ("left") recursion as an operator-matrix table for
 cross-validation, series summation with a tail-norm stopping rule, and
 integral-identity residuals (variation-of-constants and two-interval
@@ -259,27 +262,42 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
 # iterate tables
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class DysonPhillipsTable:
-    """Iterate rows on the time lattice, with the perturbation applied.
+    """Iterate rows on the time lattice, reduced as the row pass makes them.
 
-    ``iterates[n, j]`` is row n evaluated at (tau_j, s) applied to u0;
-    ``b_applied[n, j]`` is B(tau_j) applied to that state (row n+1's
-    integrand, and the defect integrand).  Norms are taken at t_end.
+    Every table holds, per row n: ``end_rows[n]``, row n at (t_end, s)
+    applied to u0; ``iterate_norms[n]``, its weighted norm;
+    ``partial_norms[n]``, the sum of norms 0..n; and ``defects[n]``, the
+    defect D_n, the trapezoid time integral of the weighted norm of B
+    applied along row n.  A full table also keeps ``iterates[n, j]``, row
+    n at (tau_j, s) applied to u0, and ``b_applied[n, j]``, B(tau_j)
+    applied to that state (row n+1's integrand, and the defect
+    integrand), 2 (n+1)(M+1) d floats.  A row-less table holds None in
+    both and keeps only O(n d) floats.
     """
 
     grid: Grid
     time_grid: TimeGrid
     u0: np.ndarray
-    iterates: np.ndarray
-    b_applied: np.ndarray
+    end_rows: np.ndarray
     iterate_norms: np.ndarray
     partial_norms: np.ndarray
-    defects: np.ndarray | None = None
+    defects: np.ndarray
+    iterates: np.ndarray | None = None
+    b_applied: np.ndarray | None = None
 
     @property
     def n_max(self) -> int:
-        return self.iterates.shape[0] - 1
+        return self.end_rows.shape[0] - 1
+
+
+def _require_rows(table: DysonPhillipsTable, what: str) -> None:
+    """Raise PreconditionError, naming ``what``, on a row-less table."""
+    if table.iterates is None:
+        raise PreconditionError(
+            f"{what} needs the full iterate rows; this table was built with "
+            "keep_rows=False and holds only the t_end rows and per-row scalars")
 
 
 def _as_coeffs(grid: Grid, u0) -> np.ndarray:
@@ -292,14 +310,21 @@ def _as_coeffs(grid: Grid, u0) -> np.ndarray:
     return arr.copy()
 
 
-# Largest table either recursion may allocate.
+# Largest table either recursion may keep, and largest working set a row
+# pass may hold at once.
 _TABLE_MEMORY_CAP_BYTES = 256 * 1024 * 1024
+
+# Arrays of (M+1) d floats a row pass holds at once: the step factors,
+# row n, its B row, row n+1, and two temporaries of a B call (its input
+# product and output, or on the direct path a gathered B row and its
+# propagation).
+_PASS_ROWS = 6
 
 
 def _check_table_bytes(what: str, bytes_needed: int) -> None:
     if bytes_needed > _TABLE_MEMORY_CAP_BYTES:
         raise SizeCapError(
-            f"{what} table would need {bytes_needed} bytes; cap is {_TABLE_MEMORY_CAP_BYTES}"
+            f"{what} would need {bytes_needed} bytes; cap is {_TABLE_MEMORY_CAP_BYTES}"
         )
 
 
@@ -447,11 +472,16 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     O(K log_K M) numpy calls (O(M) for d >= 512), with the inputs g built
     by whole-array operations.  Every row is prefix-stable: on a lattice cut at node c,
     rows 0..c come out bitwise the same as on the whole lattice.
+
+    Memory: the pass holds ``_PASS_ROWS`` arrays of (M+1) d floats at
+    once, and raises ``SizeCapError`` before any operator call when they
+    would exceed the table cap (signed data runs two passes side by side).
     """
     nodes = tg.nodes
     m = tg.n_steps
     dt = tg.dt
     d = model.grid.size
+    _check_table_bytes("row pass working set", _PASS_ROWS * (m + 1) * d * 8)
     per_node = source.ndim == 2
     if per_node and (direct or tg.rule != "trapezoid"):
         raise PreconditionError("a per-node source needs the one-step trapezoid recursion")
@@ -477,8 +507,8 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
         del lazy_b
 
         n += 1
-        nxt = np.zeros_like(row)
         if direct or tg.rule != "trapezoid":
+            nxt = np.zeros_like(row)
             for j in range(1, m + 1):
                 w = prefix_weights(tg.rule, j, dt)
                 used = np.flatnonzero(w)
@@ -497,6 +527,7 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
                 ends = _b_rows(model, 0, nodes[1:], steps * row[:-1])
             else:
                 ends = b_row[1:]
+            nxt = np.zeros_like(row)
             np.multiply(steps, b_row[:-1], out=nxt[1:])
             nxt[1:] += ends
             del b_row, ends
@@ -529,39 +560,54 @@ def _resolve_direct(tg: TimeGrid, direct: bool | None) -> bool:
 
 
 def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
-                  *, direct: bool | None = None) -> DysonPhillipsTable:
+                  *, direct: bool | None = None, keep_rows: bool = True) -> DysonPhillipsTable:
     """Build iterate rows 0..n_max on the lattice (production recursion).
 
-    Each new row feeds the quadrature of the next; intermediate states and
-    the perturbation applied to them are retained for diagnostics.  Signed
-    initial data is split into positive/negative parts and recombined
-    linearly.  Cost: O(n_max * M) operator applications on the one-step
-    path, O(n_max * M^2) on the direct path.
+    One row pass: each new row feeds the quadrature of the next, and each
+    row is reduced as it is made to its t_end value, that value's weighted
+    norm, and its defect.  With ``keep_rows`` (the default) every row and
+    the perturbation applied to it are also kept for diagnostics; without,
+    the table is row-less (see ``DysonPhillipsTable``).  Signed initial
+    data is split into positive/negative parts and recombined linearly.
+    Cost: O(n_max * M) operator applications on the one-step path,
+    O(n_max * M^2) on the direct path.  Memory: the pass's O(M d) working
+    set, plus O(n_max d) kept, plus 2 (n_max+1)(M+1) d floats with
+    ``keep_rows``; what it keeps is checked against the table cap first.
     """
     coeffs = _as_coeffs(model.grid, u0)
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
     use_direct = _resolve_direct(tg, direct)
+    grid = model.grid
     m = tg.n_steps
-    d = model.grid.size
-    _check_table_bytes("iterate", 2 * (n_max + 1) * (m + 1) * d * 8)
-    iterates = np.empty((n_max + 1, m + 1, d))
-    b_applied = np.empty_like(iterates)
+    d = grid.size
+    _check_table_bytes("iterate table", (n_max + 1) * (2 * (m + 1) * keep_rows + 1) * d * 8)
+    end_rows = np.empty((n_max + 1, d))
+    defects = np.empty(n_max + 1)
+    iterates = np.empty((n_max + 1, m + 1, d)) if keep_rows else None
+    b_applied = np.empty_like(iterates) if keep_rows else None
+    w = prefix_weights("trapezoid", m, tg.dt)
     gen = _combined_rows(model, tg, coeffs, use_direct)
     for n in range(n_max + 1):
-        row, b_row = next(gen)
-        iterates[n] = row
-        b_applied[n] = b_row()
-    norms = np.array([weighted_norm_array(model.grid, iterates[n, m]) for n in range(n_max + 1)])
+        row, lazy_b = next(gen)
+        b_row = lazy_b()
+        end_rows[n] = row[m]
+        defects[n] = w @ (np.abs(b_row) @ grid.weights)
+        if keep_rows:
+            iterates[n] = row
+            b_applied[n] = b_row
+        del row, lazy_b, b_row  # so they die once the pass is past them
+    norms = np.array([weighted_norm_array(grid, end) for end in end_rows])
     return DysonPhillipsTable(
-        grid=model.grid, time_grid=tg, u0=coeffs,
+        grid=grid, time_grid=tg, u0=coeffs, end_rows=end_rows,
+        iterate_norms=norms, partial_norms=np.cumsum(norms), defects=defects,
         iterates=iterates, b_applied=b_applied,
-        iterate_norms=norms, partial_norms=np.cumsum(norms),
     )
 
 
 def partial_sum_states(table: DysonPhillipsTable, n: int) -> np.ndarray:
     """Partial sum of rows 0..n at every lattice node, shape (M+1, d)."""
+    _require_rows(table, "partial_sum_states")
     if n < 0 or n > table.n_max:
         raise PreconditionError(f"partial sum index {n} outside table range 0..{table.n_max}")
     return table.iterates[: n + 1].sum(axis=0)
@@ -661,10 +707,9 @@ def _table_series(table: DysonPhillipsTable, coeffs: np.ndarray, tol: float,
     """``series_sum``'s value read off a table's t_end rows, or None when the
     table stops before the series does."""
     bound = tol * weighted_norm_array(table.grid, coeffs)
-    m = table.time_grid.n_steps
     total = np.zeros(table.grid.size)
     for n in range(min(n_max, table.n_max) + 1):
-        total += table.iterates[n, m]
+        total += table.end_rows[n]
         if table.iterate_norms[n] <= bound:
             return total
     return total if table.n_max >= n_max else None
@@ -808,7 +853,7 @@ def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     d = model.grid.size
     if m > m_cap:
         raise SizeCapError(f"left recursion lattice has {m} steps; cap is {m_cap}")
-    _check_table_bytes("left recursion", (n_max + 1) * (m + 1) ** 2 * d * d * 8)
+    _check_table_bytes("left recursion table", (n_max + 1) * (m + 1) ** 2 * d * d * 8)
     nodes = tg.nodes
 
     u_mat = np.zeros((m + 1, m + 1, d, d))
@@ -839,6 +884,7 @@ def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
 
 def left_right_discrepancy(left: LeftIterates, right: DysonPhillipsTable) -> float:
     """Max weighted-L1 gap between the two recursions over all (n, node)."""
+    _require_rows(right, "left_right_discrepancy")
     if left.time_grid.nodes.shape != right.time_grid.nodes.shape or \
             not np.allclose(left.time_grid.nodes, right.time_grid.nodes):
         raise PreconditionError("tables live on different time lattices")

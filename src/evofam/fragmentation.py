@@ -27,6 +27,8 @@ from .evolution import (
     PerturbedModel,
     TimeGrid,
     _as_coeffs,
+    _require_rows,
+    iterate_right,
     loss_gain_model,
     prefix_weights,
 )
@@ -269,6 +271,7 @@ def vn_identity_residual(model: FragmentationModel, table: DysonPhillipsTable,
     rate against the unknown, so the residual shows the genuine O(dt^2)
     quadrature error.
     """
+    _require_rows(table, "vn_identity_residual")
     if not 0 <= n <= table.n_max:
         raise PreconditionError(f"need 0 <= n <= {table.n_max}, got {n}")
     tg = table.time_grid
@@ -378,7 +381,6 @@ def shattering_experiment(alpha: float, tg: TimeGrid, *, x_max: float = 1.0,
         raise PreconditionError("need 0 < x_min_start < x_max")
     if n_grids < 1:
         raise PreconditionError("n_grids must be >= 1")
-    from .evolution import iterate_right
 
     rows = []
     x_min = x_min_start
@@ -390,7 +392,7 @@ def shattering_experiment(alpha: float, tg: TimeGrid, *, x_max: float = 1.0,
                                     daughter_matrix(grid, daughter_kind, nu=nu))
         series_model = fragmentation_perturbed_model(model)
         u0 = np.where(grid.nodes >= 0.5 * x_max, 1.0, 0.0)
-        table = iterate_right(series_model, tg, u0, n_max)
+        table = iterate_right(series_model, tg, u0, n_max, keep_rows=False)
         verdict = table_verdict(table, rel_threshold=rel_threshold,
                                 persistence=persistence)
         defects = verdict.values

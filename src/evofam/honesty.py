@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .evolution import DysonPhillipsTable, prefix_weights
+from .evolution import DysonPhillipsTable
 from .state_space import StateVector, weighted_norm_array
 
 VERDICT_HONEST = "honest"
@@ -37,16 +37,11 @@ def defect(table: DysonPhillipsTable, n: int) -> float:
     """Trapezoid time integral of the perturbation norm along iterate n."""
     if n < 0 or n > table.n_max:
         raise PreconditionError(f"iterate index {n} outside table range 0..{table.n_max}")
-    tg = table.time_grid
-    norms = np.abs(table.b_applied[n]) @ table.grid.weights
-    w = prefix_weights("trapezoid", tg.n_steps, tg.dt)
-    return float(w @ norms)
+    return float(table.defects[n])
 
 
 def defect_sequence(table: DysonPhillipsTable) -> np.ndarray:
-    """All defects D_0..D_N; cached on the table."""
-    if table.defects is None or len(table.defects) != table.n_max + 1:
-        table.defects = np.array([defect(table, n) for n in range(table.n_max + 1)])
+    """All defects D_0..D_N, as the row pass computed them."""
     return table.defects
 
 

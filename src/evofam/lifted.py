@@ -106,7 +106,7 @@ def _loss_rates(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
 
 def _gain_blocks(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
     """B(tau_k) as dense matrices for every axis node, shape (K, d, d)."""
-    _check_table_bytes("kick block", nodes.size * model.grid.size ** 2 * 8)
+    _check_table_bytes("kick block table", nodes.size * model.grid.size ** 2 * 8)
     return model.perturbation.as_matrix(nodes)
 
 
@@ -355,7 +355,7 @@ def laplace_transform_check(model: PerturbedModel, lam: float, n: int,
     if n == 0:
         lhs = lhs - 0.5 * h * f.values
     if np.any(f.values[0]):
-        corner = iterate_right(model, axis, f.values[0], n).iterates[n, m]
+        corner = iterate_right(model, axis, f.values[0], n, keep_rows=False).end_rows[n]
         lhs[m] -= 0.5 * h * math.exp(-lam * axis.nodes[m]) * corner
 
     rhs = lifted_resolvent(model, lam, f, perturbed=False)

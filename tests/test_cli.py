@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import filecmp
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from evofam import TimeGrid, defect_sequence, evolution, iterate_right, two_state_exchange
+from evofam import TimeGrid, cli, defect_sequence, evolution, fragmentation, iterate_right
+from evofam import two_state_exchange
 from evofam.cli import main
 
 ORACLE_INI = """\
@@ -388,3 +390,43 @@ def test_sweep_row_makes_two_engine_passes(tmp_path, capsys, monkeypatch):
     assert main(["sweep", cfg, "--output-dir", str(tmp_path / "out")]) == 0
     # per row: main table and the Duhamel fine pass
     assert runs == [16, 8 * 16, 32, 8 * 32]
+
+
+@pytest.mark.parametrize("command, text, n_tables", [
+    ("run", FRAG_INI, 1),
+    ("sweep", ORACLE_INI + "\n[sweep]\nkind = dt\nvalues = 0.0625, 0.03125\n", 2),
+    ("run", SHATTERING_INI, 2),
+], ids=["run", "sweep", "shattering"])
+def test_cli_hands_row_less_tables_to_the_honesty_layer(command, text, n_tables, tmp_path,
+                                                        capsys, monkeypatch):
+    tables = []
+
+    def spy(*args, **kwargs):
+        table = iterate_right(*args, **kwargs)
+        tables.append(table)
+        return table
+
+    monkeypatch.setattr(cli, "iterate_right", spy)
+    monkeypatch.setattr(fragmentation, "iterate_right", spy)
+    code = main([command, write_ini(tmp_path, text), "--output-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert len(tables) == n_tables
+    assert all(t.iterates is None and t.b_applied is None for t in tables)
+
+
+def test_fragmentation_run_peak_stays_below_the_row_table(tmp_path, capsys):
+    # d = 64, M = 16, 61 rows: the full table would take 1.06 MB, while a
+    # streamed run peaks near 0.39 MB, and one that keeps the table near
+    # 1.43 MB (tracemalloc, numpy 2.4)
+    text = (FRAG_INI.replace("n_max = 14", "n_max = 60")
+            .replace("xmin = 0.0625", "xmin = 0.015625").replace("n = 24", "n = 64"))
+    cfg = write_ini(tmp_path, text)
+    table_bytes = 2 * 61 * 17 * 64 * 8
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes

@@ -34,6 +34,7 @@ from evofam import (
     summed_family_values,
     two_state_exchange,
     validate_family,
+    vn_identity_residual,
 )
 from evofam import evolution
 from evofam.coefficients import SeparableCoefficient, TimeProfile
@@ -505,6 +506,46 @@ def test_right_recursion_memory_cap():
                            perturbation=PerturbationFamily(grid, never))
     with pytest.raises(SizeCapError, match="bytes"):
         iterate_right(model, TimeGrid(0.0, 1.0, 1.0 / 4096.0), np.ones(512), 40)
+
+
+def test_row_pass_working_set_cap():
+    # a (2**15 + 1) x 512 row is 134 MB, so no row pass may hold six of them;
+    # each call is refused before any operator call, whatever it keeps
+    grid = abstract_grid(np.ones(512))
+
+    def never(t, u):
+        raise AssertionError("B applied before the size check")
+
+    model = PerturbedModel(name="wide", grid=grid,
+                           unperturbed=EvolutionFamily(grid, lambda t, s, u: u),
+                           perturbation=PerturbationFamily(grid, never))
+    long = TimeGrid(0.0, 1.0, 2.0 ** -15)
+    u0 = np.ones(512)
+    runs = [
+        lambda: iterate_right(model, long, u0, 1, keep_rows=False),
+        lambda: series_sum(model, long, u0),
+        # M = 4096 passes on its own; the Duhamel fine pass (8 M) does not
+        lambda: duhamel_residual(model, TimeGrid(0.0, 1.0, 2.0 ** -12), u0),
+    ]
+    for run in runs:
+        with pytest.raises(SizeCapError, match="row pass working set"):
+            run()
+
+
+def test_row_less_table_refuses_row_readers(oracle_model, binary_frag, binary_frag_perturbed):
+    tg = TimeGrid(0.0, 1.0, 0.25)
+    lean = iterate_right(oracle_model, tg, np.array([1.0, 0.0]), 3, keep_rows=False)
+    assert lean.iterates is None and lean.b_applied is None
+    left = iterate_left(oracle_model, tg, np.array([1.0, 0.0]), 3)
+    frag = iterate_right(binary_frag_perturbed, tg, np.ones(binary_frag.grid.size), 3,
+                         keep_rows=False)
+    for name, call in [
+        ("partial_sum_states", lambda: partial_sum_states(lean, 1)),
+        ("left_right_discrepancy", lambda: left_right_discrepancy(left, lean)),
+        ("vn_identity_residual", lambda: vn_identity_residual(binary_frag, frag, 1)),
+    ]:
+        with pytest.raises(PreconditionError, match=f"{name} needs the full iterate rows"):
+            call()
 
 
 @pytest.mark.parametrize("fixture", ["oracle_model", "conservative_collision_perturbed",

@@ -1,6 +1,7 @@
 """Mass-defect diagnostics, ledger accounting, and the balance certificate."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -14,18 +15,22 @@ from evofam import (
     defect,
     defect_sequence,
     detailed_balance_certificate,
+    grid_leakage,
     honesty_verdict,
     iterate_right,
     mass_ledger,
     table_verdict,
     uniform_velocity_grid,
 )
+from evofam import evolution
+from evofam.evolution import prefix_weights
 from evofam.honesty import (
     write_honesty_report,
     VERDICT_DISHONEST,
     VERDICT_HONEST,
     VERDICT_INCONCLUSIVE,
 )
+from evofam.state_space import weighted_norm_array
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +51,7 @@ def test_defect_sequence_cached_and_decaying(oracle_model):
     tg = TimeGrid(0.0, 1.0, 1.0 / 64.0)
     table = iterate_right(oracle_model, tg, np.array([1.0, 0.0]), 12)
     seq = defect_sequence(table)
-    assert seq is defect_sequence(table)  # cached on the table
+    assert seq is defect_sequence(table)  # held on the table, not recomputed
     assert seq.shape == (13,)
     assert np.all(np.diff(seq) < 0.0)
     with pytest.raises(PreconditionError):
@@ -153,6 +158,36 @@ def test_table_verdict_honest_on_bounded_models(oracle_model,
         series = table_verdict(table)
         assert series.verdict == VERDICT_HONEST
         assert series.limit_estimate < series.threshold
+
+
+@pytest.mark.parametrize("fixture", ["oracle_model", "timedep_collision_perturbed",
+                                     "binary_frag_perturbed"])
+def test_row_less_table_matches_full_table_bitwise(fixture, request):
+    model = request.getfixturevalue(fixture)
+    grid = model.grid
+    tg = TimeGrid(0.0, 1.0, 1.0 / 16.0)
+    u0 = np.linspace(1.0, 0.5, grid.size)
+    full = iterate_right(model, tg, u0, 12)
+    lean = iterate_right(model, tg, u0, 12, keep_rows=False)
+    assert lean.iterates is None and lean.b_applied is None
+
+    # the reduced fields are what the kept rows give, formula by formula
+    w = prefix_weights("trapezoid", tg.n_steps, tg.dt)
+    for n in range(13):
+        assert full.defects[n] == float(w @ (np.abs(full.b_applied[n]) @ grid.weights))
+        assert full.iterate_norms[n] == weighted_norm_array(grid, full.iterates[n, -1])
+    assert np.array_equal(full.end_rows, full.iterates[:, -1])
+
+    for name in ("end_rows", "defects", "iterate_norms", "partial_norms"):
+        assert np.array_equal(getattr(lean, name), getattr(full, name)), name
+    for a, b in [(mass_ledger(lean), mass_ledger(full)),
+                 (table_verdict(lean), table_verdict(full))]:
+        for f in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+    assert np.array_equal(grid_leakage(lean), grid_leakage(full))
+    for tol, n_max in [(1e-12, 40), (1e-12, 8), (1e-3, 40)]:
+        assert np.array_equal(evolution._table_series(lean, u0, tol, n_max),
+                              evolution._table_series(full, u0, tol, n_max))
 
 
 def test_honesty_report_layout(oracle_model, tmp_path):
