@@ -39,18 +39,8 @@ from .boltzmann import (
     uniform_kernel_matrix,
     validation_times,
 )
-from .coefficients import SeparableCoefficient, time_profile_from_params
-from .config import (
-    ExperimentConfig,
-    get_bool,
-    get_float,
-    get_float_list,
-    get_int,
-    get_str,
-    kernel_time_params,
-    parse_config,
-    profile_params,
-)
+from .coefficients import SeparableCoefficient, TimeProfile, time_profile_from_params
+from .config import ExperimentConfig, LiftedSection, parse_config
 from .errors import ConfigError, EvofamError
 from .evolution import TimeGrid, _flat_residuals, duhamel_residual, iterate_right
 from .fragmentation import (
@@ -102,7 +92,8 @@ class RunArtifacts:
 
 
 # ---------------------------------------------------------------------------
-# model construction from config sections
+# model construction from config sections: only the keys present reach the
+# library calls, so every absent key takes the library's own default
 # ---------------------------------------------------------------------------
 
 def _split_kind(params: dict) -> tuple[str, dict]:
@@ -111,43 +102,51 @@ def _split_kind(params: dict) -> tuple[str, dict]:
     return kind, rest
 
 
-def _require_section(cfg: ExperimentConfig, name: str) -> None:
+def _require_section(cfg: ExperimentConfig, name: str) -> dict:
     if name not in cfg.sections:
         raise ConfigError(f"experiment {cfg.kind!r} requires a [{name}] section")
+    return cfg.sections[name]
+
+
+def _model_flags(cfg: ExperimentConfig, strict_key: str, strict: bool | None) -> dict:
+    """[model] keys as library keywords; --strict/--lenient override ``strict_key``."""
+    flags = {("strict" if key == strict_key else key): value
+             for key, value in cfg.sections.get("model", {}).items()}
+    if strict is not None:
+        flags["strict"] = strict
+    return flags
 
 
 def build_oracle_model(cfg: ExperimentConfig):
-    return two_state_exchange(get_float(cfg.sections, "oracle", "rate", 1.0))
+    return two_state_exchange(**cfg.sections.get("oracle", {}))
+
+
+_KERNEL_MATRICES = {"uniform": uniform_kernel_matrix, "gaussian": gaussian_kernel_matrix}
 
 
 def build_collision(cfg: ExperimentConfig, strict: bool | None):
-    for name in ("grid", "frequency", "kernel"):
-        _require_section(cfg, name)
-    if get_str(cfg.sections, "grid", "kind") != "velocity":
-        raise ConfigError("[grid] kind must be 'velocity' for collision runs")
-    grid = uniform_velocity_grid(
-        get_float(cfg.sections, "grid", "min"),
-        get_float(cfg.sections, "grid", "max"),
-        get_int(cfg.sections, "grid", "n"),
-    )
+    grid_cfg, frequency_cfg, kernel_cfg = (
+        _require_section(cfg, name) for name in ("grid", "frequency", "kernel"))
+    grid = uniform_velocity_grid(grid_cfg["min"], grid_cfg["max"], grid_cfg["n"])
 
-    kernel_kind, kernel_args = _split_kind(profile_params(cfg.sections, "kernel"))
-    if kernel_kind == "uniform":
-        matrix = uniform_kernel_matrix(grid, kernel_args.get("value", 1.0))
-    elif kernel_kind == "gaussian":
-        matrix = gaussian_kernel_matrix(grid, amplitude=kernel_args.get("amplitude", 1.0),
-                                        width=kernel_args.get("width", 1.0))
-    else:
-        target = kernel_args.get("target", [1.0])
-        target = np.full(grid.size, target[0]) if len(target) == 1 else np.asarray(target)
+    kernel_kind, kernel_args = _split_kind(kernel_cfg)
+    # the time_ keys, time_kind among them, describe the kernel's time profile
+    time_args = {key[len("time_"):]: kernel_args.pop(key)
+                 for key in list(kernel_args) if key.startswith("time_")}
+    if kernel_kind == "outflow":
+        target = np.asarray(kernel_args.get("target", [1.0]))
+        if target.size == 1:
+            target = np.full(grid.size, target[0])
         if target.shape != (grid.size,):
             raise ConfigError("[kernel] target must hold 1 or grid-n values")
         matrix = outflow_kernel_matrix(grid, target)
-    tp = kernel_time_params(cfg.sections)
-    kernel = CollisionKernel(profile=time_profile_from_params(tp.pop("kind"), tp),
-                             matrix=matrix)
+    else:
+        matrix = _KERNEL_MATRICES[kernel_kind](grid, **kernel_args)
+    profile = (time_profile_from_params(time_args.pop("kind"), time_args)
+               if time_args else TimeProfile())
+    kernel = CollisionKernel(profile=profile, matrix=matrix)
 
-    freq_kind, freq_args = _split_kind(profile_params(cfg.sections, "frequency"))
+    freq_kind, freq_args = _split_kind(frequency_cfg)
     if freq_kind == "matching":
         frequency = frequency_matching_kernel(grid, kernel)
     else:
@@ -156,36 +155,22 @@ def build_collision(cfg: ExperimentConfig, strict: bool | None):
             space=np.ones(grid.size),
         )
 
-    if strict is None:
-        strict = get_bool(cfg.sections, "model", "strict_subcritical", True)
-    cmodel = collision_model(grid, frequency, kernel, strict=strict,
-                             time_samples=validation_times(_engine_grid(cfg)))
+    cmodel = collision_model(grid, frequency, kernel,
+                             time_samples=validation_times(_engine_grid(cfg)),
+                             **_model_flags(cfg, "strict_subcritical", strict))
     return collision_perturbed_model(cmodel)
 
 
 def build_fragmentation(cfg: ExperimentConfig, strict: bool | None):
-    for name in ("grid", "rate", "daughter"):
-        _require_section(cfg, name)
-    if get_str(cfg.sections, "grid", "kind") != "mass":
-        raise ConfigError("[grid] kind must be 'mass' for fragmentation runs")
-    grid = uniform_mass_grid(
-        get_float(cfg.sections, "grid", "xmin"),
-        get_float(cfg.sections, "grid", "xmax"),
-        get_int(cfg.sections, "grid", "n"),
-    )
-    rate_kind, rate_args = _split_kind(profile_params(cfg.sections, "rate"))
-    rate = fragmentation_rate(grid, rate_kind, rate_args)
-    daughter = daughter_matrix(
-        grid,
-        get_str(cfg.sections, "daughter", "kind"),
-        nu=get_float(cfg.sections, "daughter", "nu", 1.0),
-    )
-    if strict is None:
-        strict = get_bool(cfg.sections, "model", "strict_kernel", False)
+    grid_cfg, rate_cfg, daughter_cfg = (
+        _require_section(cfg, name) for name in ("grid", "rate", "daughter"))
+    grid = uniform_mass_grid(grid_cfg["xmin"], grid_cfg["xmax"], grid_cfg["n"])
+    rate = fragmentation_rate(grid, *_split_kind(rate_cfg))
+    daughter_kind, daughter_args = _split_kind(daughter_cfg)
     fmodel = fragmentation_model(
-        grid, rate, daughter, strict=strict,
-        force_normalize=get_bool(cfg.sections, "model", "force_normalize", False),
+        grid, rate, daughter_matrix(grid, daughter_kind, **daughter_args),
         time_samples=validation_times(_engine_grid(cfg)),
+        **_model_flags(cfg, "strict_kernel", strict),
     )
     return fragmentation_perturbed_model(fmodel)
 
@@ -288,37 +273,29 @@ def run_lifted_checks(cfg: ExperimentConfig) -> RunArtifacts:
     u0 = initial_coefficients(cfg, model.grid)
     _table, ledger, series = _table_diagnostics(cfg, model, tg, u0)
 
-    sec = cfg.sections
-    h = get_float(sec, "lifted", "h", 1.0 / 64.0)
-    t_max = get_float(sec, "lifted", "t_max", 1.0)
-    lam_fact = get_float(sec, "lifted", "lam_factorization", 2.0)
-    lam_series = get_float(sec, "lifted", "lam_series", 0.0)
-    n_terms = get_int(sec, "lifted", "n_terms", 8)
-    lam_laplace = get_float(sec, "lifted", "lam_laplace", 8.0)
-    laplace_t_max = get_float(sec, "lifted", "laplace_t_max", 3.0)
-    n_laplace = get_int(sec, "lifted", "n_laplace_max", 3)
-
-    axis = TimeGrid(0.0, t_max, h)
+    lifted = LiftedSection(**cfg.sections.get("lifted", {}))
+    h, lam_series = lifted.h, lifted.lam_series
+    axis = TimeGrid(0.0, lifted.t_max, h)
     f = LiftedVector(grid=model.grid, axis=axis,
                      values=_lifted_profile(axis, u0))
     f_norm = lifted_norm(f)
-    rows = [resolvent_factorization_check(model, lam_fact, f)]
+    rows = [resolvent_factorization_check(model, lifted.lam_factorization, f)]
     bounds = [LIFTED_CHECK_BOUND * f_norm]
 
     if lam_series <= 0.0:
         lam_series = 4.0 * kick_block_norm(model, axis)
-    residuals = resolvent_series_check(model, lam_series, f, n_terms)
+    residuals = resolvent_series_check(model, lam_series, f, lifted.n_terms)
     for n, res in enumerate(residuals):
         rows.append(CheckRow(check_name="resolvent_series", h=h, lam=lam_series,
                              n=n, residual=float(res), truncation_bound=0.0))
         bounds.append(LIFTED_CHECK_BOUND * f_norm)
 
-    laplace_axis = TimeGrid(0.0, laplace_t_max, h)
+    laplace_axis = TimeGrid(0.0, lifted.laplace_t_max, h)
     g = LiftedVector(grid=model.grid, axis=laplace_axis,
                      values=_lifted_profile(laplace_axis, u0))
     g_norm = lifted_norm(g)
-    for n in range(n_laplace + 1):
-        rows.append(laplace_transform_check(model, lam_laplace, n, g))
+    for n in range(lifted.n_laplace_max + 1):
+        rows.append(laplace_transform_check(model, lifted.lam_laplace, n, g))
         bounds.append(LIFTED_CHECK_BOUND * g_norm)
 
     complete = all(row.residual <= bound for row, bound in zip(rows, bounds))
@@ -337,22 +314,13 @@ def run_lifted_checks(cfg: ExperimentConfig) -> RunArtifacts:
 
 
 def run_shattering(cfg: ExperimentConfig) -> RunArtifacts:
-    _require_section(cfg, "shattering")
-    sec = cfg.sections
-    tg = _engine_grid(cfg)
-    alpha = get_float(sec, "shattering", "alpha")
-    report = shattering_experiment(
-        alpha, tg,
-        x_max=get_float(sec, "shattering", "x_max", 1.0),
-        x_min_start=get_float(sec, "shattering", "x_min_start", 1.0 / 16.0),
-        n_grids=get_int(sec, "shattering", "n_grids", 4),
-        nodes_per_grid=get_int(sec, "shattering", "nodes_per_grid", 64),
-        n_max=get_int(sec, "shattering", "n_max", 12),
-        daughter_kind=get_str(sec, "daughter", "kind", "binary_uniform"),
-        nu=get_float(sec, "daughter", "nu", 1.0),
-        rel_threshold=get_float(sec, "shattering", "rel_threshold", 1e-8),
-        persistence=cfg.honesty.persistence,
-    )
+    args = dict(_require_section(cfg, "shattering"))
+    alpha = args.pop("alpha")
+    if "daughter" in cfg.sections:
+        daughter_kind, daughter_args = _split_kind(cfg.sections["daughter"])
+        args.update(daughter_args, daughter_kind=daughter_kind)
+    report = shattering_experiment(alpha, _engine_grid(cfg),
+                                   persistence=cfg.honesty.persistence, **args)
 
     final = report.rows[-1]
     results = [
@@ -372,15 +340,10 @@ def run_shattering(cfg: ExperimentConfig) -> RunArtifacts:
 
 
 def run_sweep(cfg: ExperimentConfig, strict: bool | None) -> RunArtifacts:
-    _require_section(cfg, "sweep")
-    kind = get_str(cfg.sections, "sweep", "kind")
-    values = get_float_list(cfg.sections, "sweep", "values")
-    if kind not in ("dt", "x_min"):
-        raise ConfigError(f"[sweep] kind = {kind!r}; expected 'dt' or 'x_min'")
+    sweep = _require_section(cfg, "sweep")
+    kind, values = sweep["kind"], sweep["values"]
     if len(values) < 2:
         raise ConfigError("[sweep] values needs at least 2 entries")
-    if cfg.kind not in ("oracle", "boltzmann", "fragmentation"):
-        raise ConfigError(f"experiment {cfg.kind!r} cannot be swept")
     if kind == "x_min" and cfg.kind != "fragmentation":
         raise ConfigError("[sweep] kind = x_min applies to fragmentation only")
 
@@ -393,10 +356,10 @@ def run_sweep(cfg: ExperimentConfig, strict: bool | None) -> RunArtifacts:
                 raise ConfigError("[sweep] dt values must be positive")
             sub = dataclasses.replace(cfg, engine=dataclasses.replace(cfg.engine, dt=value))
         else:
-            if not 0.0 < value < get_float(cfg.sections, "grid", "xmax"):
+            if not 0.0 < value < _require_section(cfg, "grid")["xmax"]:
                 raise ConfigError("[sweep] x_min values must lie inside the grid span")
             override = dict(cfg.sections)
-            override["grid"] = dict(override["grid"], xmin=repr(value))
+            override["grid"] = dict(override["grid"], xmin=value)
             sub = dataclasses.replace(cfg, sections=override)
         model = build_model(sub, strict)
         tg = _engine_grid(sub)

@@ -1,101 +1,72 @@
-"""Config parsing for experiment runs: INI sections, hard unknown-key errors.
+"""Config parsing for experiment runs: one typed schema, hard errors.
 
-Schema (all keys optional unless marked required; see README for details):
+The sections each experiment kind reads (keys optional unless marked
+required; see README for details):
 
-    [experiment]  kind = oracle | boltzmann | fragmentation |
-                         lifted_checks | shattering_sweep      (required)
-    [engine]      s, t_end, dt (required), n_max, series_tol, rule
-    [honesty]     threshold, persistence
-    [initial]     kind = uniform | point | maxwellian | csv; node;
-                  temperature; path
-    [output]      directory, emit_svg
-    [oracle]      rate                      (oracle / lifted_checks runs)
-    [grid]        kind = velocity: min, max, n
-                  kind = mass:     xmin, xmax, n
-    [frequency]   kind = constant | affine | power | pwlinear | matching
-                  + the kind's parameters   (collision loss rate)
-    [kernel]      kind = uniform | gaussian | outflow + parameters;
-                  time_kind + time-profile parameters prefixed time_
-    [rate]        kind = constant | linear | power | product_t + parameters
-    [daughter]    kind = binary_uniform | powerlaw; nu
-    [model]       strict_subcritical; strict_kernel; force_normalize
-    [lifted]      t_max, h, lam_factorization, lam_series, n_terms,
-                  lam_laplace, laplace_t_max, n_laplace_max
-    [shattering]  alpha (required for shattering_sweep), x_max,
-                  x_min_start, n_grids, nodes_per_grid, n_max,
-                  rel_threshold
-    [sweep]       kind = dt | x_min; values (comma list, >= 2 entries,
-                  required for the sweep subcommand)
+    every kind    [experiment] kind (required) = oracle | boltzmann |
+                               fragmentation | lifted_checks |
+                               shattering_sweep
+                  [engine]     s, t_end, dt (required), n_max, series_tol,
+                               rule
+                  [honesty]    threshold, persistence
+                  [output]     directory, emit_svg
+    all but shattering_sweep
+                  [initial]    kind = uniform | point | maxwellian | csv;
+                               node; temperature; path
+    oracle, lifted_checks
+                  [oracle]     rate
+    lifted_checks [lifted]     t_max, h, lam_factorization, lam_series,
+                               n_terms, lam_laplace, laplace_t_max,
+                               n_laplace_max
+    boltzmann     [grid]       kind = velocity; min, max, n (required)
+                  [frequency]  kind = constant | affine | power | pwlinear |
+                               matching + the kind's parameters
+                  [kernel]     kind = uniform | gaussian | outflow +
+                               parameters; time_kind + time-profile
+                               parameters prefixed time_
+                  [model]      strict_subcritical
+    fragmentation [grid]       kind = mass; xmin, xmax, n (required)
+                  [rate]       kind = constant | linear | power |
+                               product_t + parameters
+                  [model]      strict_kernel, force_normalize
+    fragmentation, shattering_sweep
+                  [daughter]   kind = binary_uniform | powerlaw; nu
+    shattering_sweep
+                  [shattering] alpha (required), x_max, x_min_start,
+                               n_grids, nodes_per_grid, n_max,
+                               rel_threshold
+    oracle, boltzmann, fragmentation
+                  [sweep]      kind = dt | x_min; values (comma list,
+                               >= 2 entries; read by the sweep subcommand)
 
-Unknown sections or keys abort parsing with an error listing them: a
-silently ignored typo could flip an honesty verdict.
+Unknown sections and keys, sections the chosen kind never reads, and keys
+of another kind abort parsing with an error listing them all: a silently
+ignored typo could flip an honesty verdict.  Every present value is
+type-checked at parse time.  Each default is written once: on the section
+dataclasses below for [engine], [honesty], [initial], [output] and
+[lifted], and on the library function the CLI hands a key to otherwise.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
+from typing import NamedTuple
 
 from .errors import ConfigError
+from .evolution import TIME_RULES
 
 EXPERIMENT_KINDS = ("oracle", "boltzmann", "fragmentation", "lifted_checks",
                     "shattering_sweep")
 INITIAL_KINDS = ("uniform", "point", "maxwellian", "csv")
-GRID_KINDS = ("velocity", "mass")
-SWEEP_KINDS = ("dt", "x_min")
-
-_PROFILE_PARAMS = {
-    "constant": {"value"},
-    "affine": {"c0", "c1"},
-    "power": {"scale", "exponent"},
-    "pwlinear": {"times", "values"},
-}
-_FREQUENCY_PARAMS = dict(_PROFILE_PARAMS, matching=set())
-_KERNEL_PARAMS = {
-    "uniform": {"value"},
-    "gaussian": {"amplitude", "width"},
-    "outflow": {"target"},
-}
-_RATE_PARAMS = {
-    "constant": {"value"},
-    "linear": {"scale"},
-    "power": {"scale", "exponent"},
-    "product_t": {"scale", "exponent"},
-}
-_DAUGHTER_PARAMS = {
-    "binary_uniform": set(),
-    "powerlaw": {"nu"},
-}
-
-_FIXED_SECTION_KEYS = {
-    "experiment": {"kind"},
-    "engine": {"s", "t_end", "dt", "n_max", "series_tol", "rule"},
-    "honesty": {"threshold", "persistence"},
-    "initial": {"kind", "node", "temperature", "path"},
-    "output": {"directory", "emit_svg"},
-    "oracle": {"rate"},
-    "grid": {"kind", "min", "max", "xmin", "xmax", "n"},
-    "model": {"strict_subcritical", "strict_kernel", "force_normalize"},
-    "lifted": {"t_max", "h", "lam_factorization", "lam_series", "n_terms",
-               "lam_laplace", "laplace_t_max", "n_laplace_max"},
-    "shattering": {"alpha", "x_max", "x_min_start", "n_grids",
-                   "nodes_per_grid", "n_max", "rel_threshold"},
-    "sweep": {"kind", "values"},
-}
-_KIND_SECTIONS = {
-    "frequency": _FREQUENCY_PARAMS,
-    "kernel": _KERNEL_PARAMS,
-    "rate": _RATE_PARAMS,
-    "daughter": _DAUGHTER_PARAMS,
-}
 
 
 @dataclass(frozen=True)
 class EngineSection:
+    dt: float
     s: float = 0.0
     t_end: float = 1.0
-    dt: float = 0.0
     n_max: int = 20
     series_tol: float = 1e-10
     rule: str = "trapezoid"
@@ -122,118 +93,180 @@ class OutputSection:
 
 
 @dataclass(frozen=True)
+class LiftedSection:
+    t_max: float = 1.0
+    h: float = 1.0 / 64.0
+    lam_factorization: float = 2.0
+    lam_series: float = 0.0  # <= 0: four times the kick block norm
+    n_terms: int = 8
+    lam_laplace: float = 8.0
+    laplace_t_max: float = 3.0
+    n_laplace_max: int = 3
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed experiment configuration plus the raw key/value echo."""
+    """Parsed experiment configuration plus the raw key/value echo.
+
+    ``sections`` holds the typed values of every key present in the file,
+    by section; the section dataclasses add the defaults of absent keys
+    (``LiftedSection(**sections.get("lifted", {}))`` for [lifted], which
+    only lifted_checks runs read).
+    """
 
     kind: str
     engine: EngineSection
     honesty: HonestySection
     initial: InitialSection
     output: OutputSection
-    sections: dict = field(default_factory=dict)
-    echo_rows: tuple = ()
+    sections: dict
+    echo_rows: tuple
 
 
-def _parse_scalar(section: str, key: str, raw: str, kind: type):
+class _Need(NamedTuple):
+    """A key its section must hold."""
+
+    type: object
+
+
+# A key table maps each key to its type (float, int, str, bool, or list
+# for a comma list of floats), to _Need(type) for a required key, or to a
+# dict for a kind key: its value must name an entry, whose key table joins
+# the section's.  The _RECORDS sections, whose dataclasses become
+# ExperimentConfig fields, are typed even when absent, so that a missing
+# [engine] dt is reported.
+_RECORDS = {"engine": EngineSection, "honesty": HonestySection,
+            "initial": InitialSection, "output": OutputSection}
+
+
+def _record_keys(cls) -> dict:
+    types = {t.__name__: t for t in (float, int, str, bool)}
+    return {f.name: types[f.type] if f.default is not MISSING else _Need(types[f.type])
+            for f in fields(cls)}
+
+
+_PROFILES = {
+    "constant": {"value": float},
+    "affine": {"c0": float, "c1": float},
+    "power": {"scale": float, "exponent": float},
+    "pwlinear": {"times": _Need(list), "values": _Need(list)},
+}
+_RUNS = ("oracle", "boltzmann", "fragmentation", "lifted_checks")
+
+# section -> {the experiment kinds that read it: its key table}
+_SCHEMA = {
+    "experiment": {EXPERIMENT_KINDS: {"kind": str}},
+    "engine": {EXPERIMENT_KINDS: _record_keys(EngineSection)},
+    "honesty": {EXPERIMENT_KINDS: _record_keys(HonestySection)},
+    "output": {EXPERIMENT_KINDS: _record_keys(OutputSection)},
+    "initial": {_RUNS: _record_keys(InitialSection)},
+    "lifted": {("lifted_checks",): _record_keys(LiftedSection)},
+    "oracle": {("oracle", "lifted_checks"): {"rate": float}},
+    "grid": {
+        ("boltzmann",): {"kind": _Need({"velocity": {}}), "min": _Need(float),
+                         "max": _Need(float), "n": _Need(int)},
+        ("fragmentation",): {"kind": _Need({"mass": {}}), "xmin": _Need(float),
+                             "xmax": _Need(float), "n": _Need(int)},
+    },
+    "model": {
+        ("boltzmann",): {"strict_subcritical": bool},
+        ("fragmentation",): {"strict_kernel": bool, "force_normalize": bool},
+    },
+    "frequency": {("boltzmann",): {"kind": _Need(dict(_PROFILES, matching={}))}},
+    "kernel": {("boltzmann",): {
+        "kind": _Need({"uniform": {"value": float},
+                       "gaussian": {"amplitude": float, "width": float},
+                       "outflow": {"target": list}}),
+        "time_kind": {kind: {f"time_{key}": spec for key, spec in keys.items()}
+                      for kind, keys in _PROFILES.items()},
+    }},
+    "rate": {("fragmentation",): {"kind": _Need({
+        "constant": {"value": float},
+        "linear": {"scale": float},
+        "power": {"scale": float, "exponent": float},
+        "product_t": {"scale": float, "exponent": float},
+    })}},
+    "daughter": {("fragmentation", "shattering_sweep"): {
+        "kind": _Need({"binary_uniform": {}, "powerlaw": {"nu": float}})}},
+    "shattering": {("shattering_sweep",): {
+        "alpha": _Need(float), "x_max": float, "x_min_start": float,
+        "n_grids": int, "nodes_per_grid": int, "n_max": int,
+        "rel_threshold": float}},
+    "sweep": {("oracle", "boltzmann", "fragmentation"): {
+        "kind": _Need({"dt": {}, "x_min": {}}), "values": _Need(list)}},
+}
+class _Table(NamedTuple):
+    """A key table compiled for parsing."""
+
+    types: dict  # key -> float, int, str, bool or list (kind keys: str)
+    required: tuple
+    kinds: tuple  # (kind key, {kind value: its _Table})
+
+
+def _compile(keys: dict) -> _Table:
+    types, required, kinds = {}, [], []
+    for key, spec in keys.items():
+        if isinstance(spec, _Need):
+            spec = spec.type
+            required.append(key)
+        if isinstance(spec, dict):
+            kinds.append((key, {value: _compile(table) for value, table in spec.items()}))
+            spec = str
+        types[key] = spec
+    return _Table(types, tuple(required), tuple(kinds))
+
+
+# experiment kind -> {section it reads: compiled key table}
+_READS = {kind: {section: _compile(keys) for section, readers in _SCHEMA.items()
+                 for kinds, keys in readers.items() if kind in kinds}
+          for kind in EXPERIMENT_KINDS}
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+
+
+def _parse(section: str, key: str, raw: str, kind):
+    # configparser strips every value, so only list pieces need it
+    if kind is list:
+        out = [_parse(section, key, piece, float)
+               for piece in map(str.strip, raw.split(",")) if piece]
+        if not out:
+            raise ConfigError(f"[{section}] {key} holds no values")
+        return out
     try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except ValueError:
+        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
         raise ConfigError(
             f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}"
         ) from None
 
 
-def get_float(sections: dict, section: str, key: str, default=None) -> float:
-    raw = sections.get(section, {}).get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        return float(default)
-    return _parse_scalar(section, key, raw, float)
-
-
-def get_int(sections: dict, section: str, key: str, default=None) -> int:
-    raw = sections.get(section, {}).get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        return int(default)
-    return _parse_scalar(section, key, raw, int)
-
-
-def get_bool(sections: dict, section: str, key: str, default: bool) -> bool:
-    raw = sections.get(section, {}).get(key)
-    if raw is None:
-        return default
-    return _parse_scalar(section, key, raw, bool)
-
-
-def get_str(sections: dict, section: str, key: str, default=None) -> str:
-    raw = sections.get(section, {}).get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        return default
-    return raw.strip()
-
-
-def get_float_list(sections: dict, section: str, key: str, default=None) -> list:
-    raw = sections.get(section, {}).get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        return list(default)
-    out = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if piece:
-            out.append(_parse_scalar(section, key, piece, float))
-    if not out:
-        raise ConfigError(f"[{section}] {key} holds no values")
-    return out
-
-
-def _validate_keys(sections: dict) -> None:
-    problems = []
-    for section, pairs in sections.items():
-        if section in _FIXED_SECTION_KEYS:
-            allowed = _FIXED_SECTION_KEYS[section]
-            extra = sorted(set(pairs) - allowed)
-            problems.extend(f"[{section}] {k}" for k in extra)
-        elif section in _KIND_SECTIONS:
-            kinds = _KIND_SECTIONS[section]
-            kind = pairs.get("kind", "").strip()
-            if kind not in kinds:
-                problems.append(
-                    f"[{section}] kind = {kind!r} (expected one of "
-                    f"{sorted(kinds)})"
-                )
-                continue
-            allowed = {"kind"} | kinds[kind]
-            if section == "kernel":
-                time_kind = pairs.get("time_kind", "constant").strip()
-                if time_kind not in _PROFILE_PARAMS:
-                    problems.append(f"[kernel] time_kind = {time_kind!r}")
-                    continue
-                allowed |= {"time_kind"} | {
-                    f"time_{p}" for p in _PROFILE_PARAMS[time_kind]}
-            extra = sorted(set(pairs) - allowed)
-            problems.extend(f"[{section}] {k}" for k in extra)
+def _key_table(section: str, table: _Table, pairs: dict, problems: list) -> _Table:
+    """``table`` joined by the tables of the kinds ``pairs`` chooses."""
+    for key, choices in table.kinds:
+        if key not in pairs:
+            continue
+        value = pairs[key]
+        if value in choices:
+            chosen = choices[value]
+            table = _Table({**table.types, **chosen.types},
+                           table.required + chosen.required, table.kinds)
         else:
-            problems.append(f"[{section}] (unknown section)")
-    if problems:
-        raise ConfigError("unknown configuration keys: " + ", ".join(problems))
+            problems.append(f"[{section}] {key} = {value!r} (expected one of "
+                            f"{sorted(choices)})")
+    if not pairs.keys() <= table.types.keys():
+        problems.extend(f"[{section}] {key}" for key in pairs if key not in table.types)
+    return table
+
+
+def _typed(section: str, table: _Table, pairs: dict) -> dict:
+    for key in table.required:
+        if key not in pairs:
+            raise ConfigError(f"missing required key [{section}] {key}")
+    return {key: _parse(section, key, raw, table.types[key]) for key, raw in pairs.items()}
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment configuration file."""
+    """Parse, check and type an experiment configuration file."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
@@ -243,49 +276,46 @@ def parse_config(path) -> ExperimentConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} does not parse: {exc}") from exc
 
-    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    raw = {name: dict(parser.items(name)) for name in parser.sections()}
     if parser.defaults():
         raise ConfigError("top-level keys outside a section are not allowed")
-    _validate_keys(sections)
 
-    kind = get_str(sections, "experiment", "kind")
+    kind = raw.get("experiment", {}).get("kind")
+    if kind is None:
+        raise ConfigError("missing required key [experiment] kind")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(
             f"[experiment] kind = {kind!r}; expected one of {EXPERIMENT_KINDS}"
         )
+    reads = _READS[kind]
+    problems, tables = [], {}
+    for section, pairs in raw.items():
+        if section in reads:
+            tables[section] = _key_table(section, reads[section], pairs, problems)
+        elif section in _SCHEMA:
+            problems.append(f"[{section}] (not read by {kind} runs)")
+            problems.extend(f"[{section}] {key}" for key in pairs)
+        else:
+            problems.append(f"[{section}] (unknown section)")
+    if problems:
+        raise ConfigError("unknown configuration keys: " + ", ".join(problems))
 
-    engine = EngineSection(
-        s=get_float(sections, "engine", "s", 0.0),
-        t_end=get_float(sections, "engine", "t_end", 1.0),
-        dt=get_float(sections, "engine", "dt"),
-        n_max=get_int(sections, "engine", "n_max", 20),
-        series_tol=get_float(sections, "engine", "series_tol", 1e-10),
-        rule=get_str(sections, "engine", "rule", "trapezoid"),
-    )
+    typed = {section: _typed(section, tables.get(section, keys), raw.get(section, {}))
+             for section, keys in reads.items() if section in raw or section in _RECORDS}
+    records = {name: cls(**typed.get(name, {})) for name, cls in _RECORDS.items()}
+    engine, honesty, initial = records["engine"], records["honesty"], records["initial"]
     if engine.dt <= 0.0:
         raise ConfigError("[engine] dt must be positive")
     if engine.t_end <= engine.s:
         raise ConfigError("[engine] t_end must exceed s")
     if engine.n_max < 3:
         raise ConfigError("[engine] n_max must be >= 3")
-    if engine.rule not in ("trapezoid", "midpoint"):
+    if engine.rule not in TIME_RULES:
         raise ConfigError(f"[engine] rule = {engine.rule!r}")
-
-    honesty = HonestySection(
-        threshold=get_float(sections, "honesty", "threshold", 1e-8),
-        persistence=get_int(sections, "honesty", "persistence", 3),
-    )
     if honesty.threshold <= 0.0:
         raise ConfigError("[honesty] threshold must be positive")
     if honesty.persistence < 1:
         raise ConfigError("[honesty] persistence must be >= 1")
-
-    initial = InitialSection(
-        kind=get_str(sections, "initial", "kind", "uniform"),
-        node=get_int(sections, "initial", "node", 0),
-        temperature=get_float(sections, "initial", "temperature", 1.0),
-        path=get_str(sections, "initial", "path", ""),
-    )
     if initial.kind not in INITIAL_KINDS:
         raise ConfigError(
             f"[initial] kind = {initial.kind!r}; expected one of {INITIAL_KINDS}"
@@ -295,47 +325,10 @@ def parse_config(path) -> ExperimentConfig:
     if initial.kind == "maxwellian" and initial.temperature <= 0.0:
         raise ConfigError("[initial] temperature must be positive")
 
-    output = OutputSection(
-        directory=get_str(sections, "output", "directory", "out"),
-        emit_svg=get_bool(sections, "output", "emit_svg", False),
-    )
-
     echo_rows = tuple(
         (f"{section}.{key}", value)
-        for section in sorted(sections)
-        for key, value in sorted(sections[section].items())
+        for section in sorted(raw)
+        for key, value in sorted(raw[section].items())
     )
-    return ExperimentConfig(kind=kind, engine=engine, honesty=honesty,
-                            initial=initial, output=output,
-                            sections=sections, echo_rows=echo_rows)
-
-
-def profile_params(sections: dict, section: str) -> dict:
-    """Collect the kind-specific parameters of a profile-style section."""
-    pairs = sections.get(section, {})
-    kind = pairs.get("kind", "").strip()
-    out = {}
-    for key, raw in pairs.items():
-        if key == "kind" or key.startswith("time_"):
-            continue
-        if key in ("times", "values", "target"):
-            out[key] = get_float_list(sections, section, key)
-        else:
-            out[key] = get_float(sections, section, key)
-    out["kind"] = kind
-    return out
-
-
-def kernel_time_params(sections: dict) -> dict:
-    """Collect the kernel section's time-profile parameters (time_ prefix)."""
-    pairs = sections.get("kernel", {})
-    kind = pairs.get("time_kind", "constant").strip()
-    out = {"kind": kind}
-    for key in pairs:
-        if key.startswith("time_") and key != "time_kind":
-            name = key[len("time_"):]
-            if name in ("times", "values"):
-                out[name] = get_float_list(sections, "kernel", key)
-            else:
-                out[name] = get_float(sections, "kernel", key)
-    return out
+    return ExperimentConfig(kind=kind, sections={s: typed[s] for s in raw},
+                            echo_rows=echo_rows, **records)

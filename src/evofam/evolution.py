@@ -419,6 +419,23 @@ def _carry(steps: np.ndarray, out: np.ndarray) -> None:
         rows += carry[:n]
 
 
+def _trapezoid_kicks(steps: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                     dt: float) -> np.ndarray:
+    """One-step trapezoid kicks, the inputs of a ``_carry`` through ``steps``.
+
+    Returns ``out`` of shape (M+1, ...) with out[0] = 0 and
+    out[j] = dt/2 (steps[j-1] starts[j-1] + ends[j-1]): the kick at each
+    step's start node carried to its end node, plus the kick there.  The
+    caller runs the carry, so it can first drop inputs it no longer needs
+    and keep them off the carry's peak.
+    """
+    out = np.zeros((len(steps) + 1,) + ends.shape[1:])
+    np.multiply(steps, starts, out=out[1:])
+    out[1:] += ends
+    out[1:] *= 0.5 * dt
+    return out
+
+
 def _b_rows(model: PerturbedModel, n: int, taus: np.ndarray, states: np.ndarray) -> np.ndarray:
     """B(tau_j) states[j] for every node j in one call, checked finite once."""
     apply = model.perturbation.apply
@@ -527,11 +544,8 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
                 ends = _b_rows(model, 0, nodes[1:], steps * row[:-1])
             else:
                 ends = b_row[1:]
-            nxt = np.zeros_like(row)
-            np.multiply(steps, b_row[:-1], out=nxt[1:])
-            nxt[1:] += ends
+            nxt = _trapezoid_kicks(steps, b_row[:-1], ends, dt)
             del b_row, ends
-            nxt[1:] *= 0.5 * dt
             _carry(steps, nxt)
         _check_row(nxt, nodes, n, scale)
         row = nxt

@@ -174,9 +174,15 @@ def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter: np.nda
     if np.any(mat < 0.0):
         i, j = np.argwhere(mat < 0.0)[0]
         raise ModelContractError(f"daughter matrix negative at (i, j) = ({i}, {j})")
-    lower = np.tril(mat)
-    if np.any(lower != 0.0):
-        i, j = np.argwhere(lower != 0.0)[0]
+    # each row's first nonzero column; the first row where it sits on or
+    # below the diagonal holds the first offender in row-major order
+    nonzero = mat != 0.0
+    first = nonzero.argmax(axis=1)
+    rows = np.arange(grid.size)
+    offending = np.flatnonzero(nonzero[rows, first] & (first <= rows))
+    if offending.size:
+        i = offending[0]
+        j = first[i]
         raise ModelContractError(
             f"daughter matrix must vanish for x >= y; nonzero at (i, j) = ({i}, {j})"
         )

@@ -35,6 +35,7 @@ from .evolution import (
     _check_table_bytes,
     _combined_rows,
     _step_factors,
+    _trapezoid_kicks,
     iterate_right,
 )
 from .state_space import Grid
@@ -147,10 +148,7 @@ def laplace_kick(model: PerturbedModel, lam: float, f: LiftedVector) -> LiftedVe
     nodes = f.axis.nodes
     h = f.axis.dt
     steps = _step_factors(model, nodes) * math.exp(-lam * h)
-    acc = np.zeros_like(f.values)
-    np.multiply(steps, f.values[:-1], out=acc[1:])
-    acc[1:] += f.values[1:]
-    acc[1:] *= 0.5 * h
+    acc = _trapezoid_kicks(steps, f.values[:-1], f.values[1:], h)
     _carry(steps, acc)
     out = np.zeros_like(f.values)
     out[1:] = model.perturbation.apply(nodes[1:], acc[1:])

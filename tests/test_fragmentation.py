@@ -114,6 +114,12 @@ def test_model_rejects_bad_daughter_matrices():
         fragmentation_model(grid, rate, lower)
     with pytest.raises(StructureError, match="does not match grid size"):
         fragmentation_model(grid, rate, np.zeros((3, 3)))
+    # the first offender in row-major order is named: below the diagonal in
+    # a later row, ahead of that row's own upper entry and of later rows
+    later = good.copy()
+    later[2, 2] = later[2, 1] = later[3, 0] = 1.0
+    with pytest.raises(ModelContractError, match=r"nonzero at \(i, j\) = \(2, 1\)"):
+        fragmentation_model(grid, rate, later)
     nan = good.copy()
     nan[1, 3] = np.nan
     with pytest.raises(ModelContractError, match="not finite"):
