@@ -79,6 +79,7 @@ from .fragmentation import (
     ShatteringReport,
     ShatteringRow,
     binary_fragmentation_model,
+    daughter_factors,
     daughter_matrix,
     fragmentation_model,
     fragmentation_perturbed_model,

@@ -44,7 +44,7 @@ from .config import ExperimentConfig, LiftedSection, parse_config
 from .errors import ConfigError, EvofamError
 from .evolution import TimeGrid, _flat_residuals, duhamel_residual, iterate_right
 from .fragmentation import (
-    daughter_matrix,
+    daughter_factors,
     fragmentation_model,
     fragmentation_perturbed_model,
     fragmentation_rate,
@@ -168,7 +168,7 @@ def build_fragmentation(cfg: ExperimentConfig, strict: bool | None):
     rate = fragmentation_rate(grid, *_split_kind(rate_cfg))
     daughter_kind, daughter_args = _split_kind(daughter_cfg)
     fmodel = fragmentation_model(
-        grid, rate, daughter_matrix(grid, daughter_kind, **daughter_args),
+        grid, rate, daughter_factors(grid, daughter_kind, **daughter_args),
         time_samples=validation_times(_engine_grid(cfg)),
         **_model_flags(cfg, "strict_kernel", strict),
     )
@@ -185,7 +185,19 @@ def build_model(cfg: ExperimentConfig, strict: bool | None):
     raise ConfigError(f"experiment {cfg.kind!r} does not build a single model")
 
 
-def initial_coefficients(cfg: ExperimentConfig, grid) -> np.ndarray:
+def _read_initial_csv(cfg: ExperimentConfig) -> np.ndarray | None:
+    """The values of an ``[initial] kind = csv`` file, None for other kinds."""
+    if cfg.initial.kind != "csv":
+        return None
+    try:
+        return np.loadtxt(cfg.initial.path, dtype=float, ndmin=1)
+    except OSError as exc:
+        raise ConfigError(f"[initial] path {cfg.initial.path!r}: {exc}") from exc
+
+
+def initial_coefficients(cfg: ExperimentConfig, grid, csv_values=None) -> np.ndarray:
+    """u0 on ``grid``; a csv run reads its file here unless ``csv_values``
+    holds what ``_read_initial_csv`` returned."""
     init = cfg.initial
     if init.kind == "uniform":
         return np.ones(grid.size)
@@ -198,10 +210,7 @@ def initial_coefficients(cfg: ExperimentConfig, grid) -> np.ndarray:
         return coeffs
     if init.kind == "maxwellian":
         return np.exp(-grid.nodes ** 2 / (2.0 * init.temperature))
-    try:
-        coeffs = np.loadtxt(init.path, dtype=float, ndmin=1)
-    except OSError as exc:
-        raise ConfigError(f"[initial] path {init.path!r}: {exc}") from exc
+    coeffs = _read_initial_csv(cfg) if csv_values is None else csv_values
     if coeffs.shape != (grid.size,):
         raise ConfigError(
             f"[initial] csv holds {coeffs.shape} values, grid needs {grid.size}")
@@ -349,6 +358,7 @@ def run_sweep(cfg: ExperimentConfig, strict: bool | None) -> RunArtifacts:
 
     rows = []
     last = None
+    csv_values = _read_initial_csv(cfg)
     for value in values:
         # each row builds (and validates) its model on its own lattice
         if kind == "dt":
@@ -363,7 +373,7 @@ def run_sweep(cfg: ExperimentConfig, strict: bool | None) -> RunArtifacts:
             sub = dataclasses.replace(cfg, sections=override)
         model = build_model(sub, strict)
         tg = _engine_grid(sub)
-        u0 = initial_coefficients(cfg, model.grid)
+        u0 = initial_coefficients(cfg, model.grid, csv_values)
         table, ledger, series = _table_diagnostics(cfg, model, tg, u0)
         duhamel = duhamel_residual(model, tg, u0, tol=cfg.engine.series_tol)
         leakage = grid_leakage(table)[-1] if cfg.kind == "fragmentation" else 0.0

@@ -17,7 +17,11 @@ cross-validation, series summation with a tail-norm stopping rule, and
 integral-identity residuals (variation-of-constants and two-interval
 composition) used as discretization-error probes.  ``loss_gain_model``
 builds the one model form every built-in application takes: a node-wise
-exponential loss flow perturbed by a time-scaled gain matrix.
+exponential loss flow perturbed by a time-scaled gain matrix.  The gain
+is given either as a dense matrix, applied as a matrix product in O(d^2)
+per node, or for a strictly upper triangular product-form matrix
+K[i, j] = f[i] g[j] (i < j) as the factor pair (f, g), applied as a tail
+sum in O(d) per node.
 
 Production evaluation uses a one-step propagation form of the prefix
 trapezoid quadrature, which is algebraically identical to direct prefix
@@ -223,16 +227,29 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
         B(t) u = q(t) K (v * u),
 
     with q = ``gain_profile``, K = ``gain`` (nonnegative, K[i, j] moving
-    mass from node j to node i) and v = ``gain_weights``.  Both operators
-    batch over a leading time axis as the family contracts allow.  U
-    raises ``PreconditionError`` naming the first pair with s > t, where
-    its factor would exceed 1.
+    mass from node j to node i) and v = ``gain_weights``.  ``gain`` is
+    either the dense matrix K, applied as a matrix product in O(d^2) per
+    node, or a tuple (f, g) of d-vectors standing for the strictly upper
+    triangular K[i, j] = f[i] g[j] (i < j), applied in O(d) per node as
+
+        B(t) u = q(t) f[i] sum_{j > i} g[j] v[j] u[j],
+
+    the tail sums taken by one reversed cumulative sum (never as a total
+    minus a prefix sum, which cancels where the tail is small).  The last
+    node's gain is exactly 0.  Both operators batch over a leading time
+    axis as the family contracts allow.  U raises ``PreconditionError``
+    naming the first pair with s > t, where its factor would exceed 1.
     """
     d = grid.size
     a = loss.space
-    mat = np.asarray(gain, dtype=float)
     v = np.asarray(gain_weights, dtype=float)
-    if a.shape != (d,) or mat.shape != (d, d) or v.shape != (d,):
+    if isinstance(gain, tuple):
+        f, g = (np.asarray(h, dtype=float) for h in gain)
+        gain_ok = f.shape == g.shape == (d,)
+    else:
+        mat = np.asarray(gain, dtype=float)
+        gain_ok = mat.shape == (d, d)
+    if a.shape != (d,) or not gain_ok or v.shape != (d,):
         raise StructureError("loss rate, gain matrix and gain weights must match the grid")
     q = gain_profile.value
 
@@ -247,10 +264,22 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
         np.exp(out, out=out)
         return np.multiply(out, u, out=out)
 
-    def b_apply(t, u):
-        out = (u * v) @ mat.T
-        out *= np.asarray(q(t))[..., None]
-        return out
+    if isinstance(gain, tuple):
+        head, tail_weights = f[:-1], (g * v)[:0:-1]
+
+        def b_apply(t, u):
+            out = np.empty(np.shape(u))
+            # out[..., i] = sum over j > i, summed from j = d-1 down
+            np.cumsum(u[..., :0:-1] * tail_weights, axis=-1, out=out[..., -2::-1])
+            out[..., :-1] *= head
+            out[..., -1] = 0.0
+            out *= np.asarray(q(t))[..., None]
+            return out
+    else:
+        def b_apply(t, u):
+            out = (u * v) @ mat.T
+            out *= np.asarray(q(t))[..., None]
+            return out
 
     return PerturbedModel(name=name, grid=grid,
                           unperturbed=EvolutionFamily(grid, u_apply),

@@ -6,6 +6,12 @@ States live on a uniform mass grid over [x_min, x_max] with weights x*dx,
 so the weighted norm is the total mass; the daughter quadrature uses
 plain dx weights, with the x-weighting carried by the norm.
 
+Both built-in daughters factor as b(x, y) = f(x) g(y) on x < y, so their
+gain at x_i is f_i times the tail sum over larger parents j > i of
+g_j dx a(t, x_j) u_j.  Built from the factor pair of ``daughter_factors``,
+a model's gain costs O(d) per node; built from a dense daughter matrix, it
+is a matrix product, O(d^2) per node.
+
 The mass constraint (integral of x*b(x, y) over fragments equals y) can
 only hold up to truncation on a grid: fragments below x_min are simply
 lost.  ``kernel_mass_check`` quantifies the per-parent deviation, and the
@@ -51,7 +57,10 @@ class FragmentationModel:
     quadrature of x*b(x, x_j) from x_j measured at construction, before
     any normalization (the smallest parent has no grid fragments, so its
     residual is always 1).  ``normalized`` records whether columns were
-    rescaled to satisfy the constraint exactly on the grid.
+    rescaled to satisfy the constraint exactly on the grid.  ``factors``
+    is the pair (f, g) with daughter[i, j] = f[i] g[j] for i < j (g
+    rescaled with the columns) when the model was built from one, else
+    None.
     """
 
     grid: Grid
@@ -60,6 +69,7 @@ class FragmentationModel:
     dx: float
     normalization_residuals: np.ndarray
     normalized: bool = False
+    factors: tuple[np.ndarray, np.ndarray] | None = None
 
     def rate_values(self, t: float) -> np.ndarray:
         return np.asarray(self.rate.value(t), dtype=float)
@@ -69,28 +79,38 @@ class FragmentationModel:
 # daughter kernels
 # ---------------------------------------------------------------------------
 
-def daughter_matrix(grid: Grid, kind: str, *, nu: float = 1.0) -> np.ndarray:
-    """Daughter density matrix b(x_i, x_j) for the built-in kernel kinds.
+def daughter_factors(grid: Grid, kind: str, *,
+                     nu: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Product factors (f, g) of the built-in daughter kinds: b(x_i, x_j) =
+    f_i g_j for i < j, and zero on and below the diagonal.
 
-    binary_uniform  b(x, y) = 2 / y for x < y (two fragments, uniform split)
-    powerlaw        b(x, y) = (nu + 2) x**nu / y**(nu + 1) for x < y
+    binary_uniform  b(x, y) = 2 / y for x < y (two fragments, uniform split):
+                    f = 1, g = 2 / x
+    powerlaw        b(x, y) = (nu + 2) x**nu / y**(nu + 1) for x < y:
+                    f = (nu + 2) x**nu, g = x**-(nu + 1)
     Both satisfy the continuum mass constraint exactly.
     """
     x = grid.nodes
-    lower = x[:, None] < x[None, :]
-    if kind == "binary_uniform":
-        with np.errstate(divide="ignore"):
-            mat = np.where(lower, 2.0 / x[None, :], 0.0)
-        return mat
-    if kind == "powerlaw":
-        if nu <= -2.0:
-            raise StructureError("powerlaw daughter exponent must exceed -2")
-        with np.errstate(divide="ignore"):
-            mat = np.where(lower,
-                           (nu + 2.0) * x[:, None] ** nu / x[None, :] ** (nu + 1.0),
-                           0.0)
-        return mat
+    with np.errstate(divide="ignore"):
+        if kind == "binary_uniform":
+            return np.ones(x.size), 2.0 / x
+        if kind == "powerlaw":
+            if nu <= -2.0:
+                raise StructureError("powerlaw daughter exponent must exceed -2")
+            return (nu + 2.0) * x ** nu, 1.0 / x ** (nu + 1.0)
     raise StructureError(f"unknown daughter kernel kind {kind!r}")
+
+
+def _strict_upper(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The dense matrix with entries f_i g_j for i < j and zero elsewhere."""
+    mat = np.outer(f, g)
+    np.copyto(mat, 0.0, where=np.tri(*mat.shape, dtype=bool))
+    return mat
+
+
+def daughter_matrix(grid: Grid, kind: str, *, nu: float = 1.0) -> np.ndarray:
+    """Dense daughter density matrix b(x_i, x_j) of ``daughter_factors``."""
+    return _strict_upper(*daughter_factors(grid, kind, nu=nu))
 
 
 def fragmentation_rate(grid: Grid, kind: str, params: dict | None = None) -> SeparableCoefficient:
@@ -131,13 +151,19 @@ def _column_mass_residuals(grid: Grid, dx: float, daughter: np.ndarray) -> np.nd
     return np.abs(quad - grid.nodes) / grid.nodes
 
 
-def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter: np.ndarray, *,
+def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter, *,
                         strict: bool = False, force_normalize: bool = False,
                         kernel_tol: float = KERNEL_STRICT_LIMIT,
                         time_samples=None) -> FragmentationModel:
     """Validate and assemble a fragmentation model.
 
-    The grid must be a uniform mass grid (weights x*dx).  Validation
+    ``daughter`` is either the dense matrix b(x_i, x_j) or a tuple (f, g)
+    of product factors, b(x_i, x_j) = f_i g_j for i < j, as
+    ``daughter_factors`` returns them.  A pair is expanded once to its
+    dense matrix, which is validated and stored exactly as a matrix would
+    be; the model also keeps the pair, and the series engine then applies
+    the gain as a tail sum in O(d) per node instead of the matrix product's
+    O(d^2).  The grid must be a uniform mass grid (weights x*dx).  Validation
     checks the rate and daughter for sign and finiteness, zeroes nothing
     silently: daughter entries on or below the diagonal must already be
     zero.  Strict mode requires every parent's mass-constraint residual
@@ -146,7 +172,8 @@ def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter: np.nda
     fail (the smallest has residual 1), so the default is lenient with
     residuals recorded.  ``force_normalize`` rescales every column with
     grid support regardless of the gate (diagnostic use: isolates
-    honesty/leakage effects from quadrature error).
+    honesty/leakage effects from quadrature error); a pair's g is rescaled
+    by the same column factors.
     """
     if grid.kind != "mass":
         raise StructureError("fragmentation needs a mass grid")
@@ -162,11 +189,18 @@ def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter: np.nda
     sample_nonnegative(rate, np.asarray(time_samples, dtype=float), grid.size,
                        "breakup rate")
 
-    mat = np.asarray(daughter, dtype=float)
-    if mat.shape != (grid.size, grid.size):
+    if isinstance(daughter, tuple):
+        factors = tuple(np.ravel(np.asarray(h, dtype=float)) for h in daughter)
+        shape = tuple(h.size for h in factors)
+    else:
+        factors, mat = None, np.asarray(daughter, dtype=float)
+        shape = mat.shape
+    if shape != (grid.size, grid.size):
         raise StructureError(
-            f"daughter matrix shape {mat.shape} does not match grid size {grid.size}"
+            f"daughter matrix shape {shape} does not match grid size {grid.size}"
         )
+    if factors is not None:
+        mat = _strict_upper(*factors)
     bad = np.argwhere(~np.isfinite(mat))
     if bad.size:
         i, j = bad[0]
@@ -201,13 +235,15 @@ def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter: np.nda
         force_normalize = True
     if force_normalize:
         quad = dx * (grid.nodes @ mat)
-        factors = np.where(quad > 0.0, grid.nodes / np.where(quad > 0.0, quad, 1.0), 1.0)
-        mat = mat * factors[None, :]
+        scale = np.where(quad > 0.0, grid.nodes / np.where(quad > 0.0, quad, 1.0), 1.0)
+        mat = mat * scale[None, :]
+        if factors is not None:
+            factors = (factors[0], factors[1] * scale)
         normalized = True
 
     return FragmentationModel(grid=grid, rate=rate, daughter=mat, dx=dx,
                               normalization_residuals=residuals,
-                              normalized=normalized)
+                              normalized=normalized, factors=factors)
 
 
 def binary_fragmentation_model(x_min: float = 1.0 / 64.0, x_max: float = 1.0,
@@ -217,7 +253,7 @@ def binary_fragmentation_model(x_min: float = 1.0 / 64.0, x_max: float = 1.0,
     """Binary-uniform daughter with a(t, x) built-in rate on a uniform grid."""
     grid = uniform_mass_grid(x_min, x_max, n)
     rate = fragmentation_rate(grid, rate_kind, rate_params)
-    return fragmentation_model(grid, rate, daughter_matrix(grid, "binary_uniform"),
+    return fragmentation_model(grid, rate, daughter_factors(grid, "binary_uniform"),
                                **kwargs)
 
 
@@ -246,14 +282,16 @@ def kernel_mass_check(model: FragmentationModel, t: float,
 def fragmentation_perturbed_model(model: FragmentationModel,
                                   name: str = "fragmentation") -> PerturbedModel:
     """Adapt the fragmentation model to the series engine: loss at the
-    breakup rate a = q(t) a(x), gain B(t) u = q(t) daughter @ (dx a(x) u).
+    breakup rate a = q(t) a(x), gain B(t) u = q(t) daughter @ (dx a(x) u),
+    applied as the factored tail sum when the model keeps its factors.
 
     Never flagged conservative: even with normalized columns the smallest
     parent has no grid fragments, so some breakup mass always leaks below
     x_min.
     """
     rate = model.rate
-    return loss_gain_model(name, model.grid, rate, rate.profile, model.daughter,
+    gain = model.daughter if model.factors is None else model.factors
+    return loss_gain_model(name, model.grid, rate, rate.profile, gain,
                            model.dx * rate.space)
 
 
@@ -395,7 +433,7 @@ def shattering_experiment(alpha: float, tg: TimeGrid, *, x_max: float = 1.0,
         rate = fragmentation_rate(grid, "power",
                                   {"scale": 1.0, "exponent": -alpha})
         model = fragmentation_model(grid, rate,
-                                    daughter_matrix(grid, daughter_kind, nu=nu))
+                                    daughter_factors(grid, daughter_kind, nu=nu))
         series_model = fragmentation_perturbed_model(model)
         u0 = np.where(grid.nodes >= 0.5 * x_max, 1.0, 0.0)
         table = iterate_right(series_model, tg, u0, n_max, keep_rows=False)

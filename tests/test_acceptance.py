@@ -25,6 +25,7 @@ from evofam import (
     cocycle_residual,
     collision_model,
     collision_perturbed_model,
+    daughter_factors,
     daughter_matrix,
     defect,
     detailed_balance_certificate,
@@ -86,9 +87,10 @@ def builtin_models():
         grid, SeparableCoefficient(profile=TimeProfile(kind="constant", c0=1.0),
                                    space=np.ones(grid.size)), gauss)
     mass_grid = uniform_mass_grid(1.0 / 64.0, 1.0, 64)
-    powerlaw = fragmentation_model(
-        mass_grid, fragmentation_rate(mass_grid, "linear"),
-        daughter_matrix(mass_grid, "powerlaw", nu=0.5))
+    powerlaw, powerlaw_pair = (
+        fragmentation_model(mass_grid, fragmentation_rate(mass_grid, "linear"),
+                            daughter(mass_grid, "powerlaw", nu=0.5))
+        for daughter in (daughter_matrix, daughter_factors))
     return [
         two_state_exchange(1.0),
         collision_perturbed_model(build_conservative_collision()),
@@ -96,6 +98,7 @@ def builtin_models():
         collision_perturbed_model(build_timedep_collision()),
         fragmentation_perturbed_model(binary_fragmentation_model()),
         fragmentation_perturbed_model(powerlaw),
+        fragmentation_perturbed_model(powerlaw_pair),
     ]
 
 

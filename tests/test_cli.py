@@ -288,6 +288,24 @@ def test_dt_sweep_quarter_ratio(tmp_path, capsys):
     assert float(second[5]) == pytest.approx(0.25, abs=0.05)
 
 
+def test_sweep_reads_initial_csv_once(tmp_path, monkeypatch):
+    (tmp_path / "u0.csv").write_text("1.0\n0.5\n")
+    text = ORACLE_INI.replace("kind = point\nnode = 0\n",
+                              f"kind = csv\npath = {tmp_path / 'u0.csv'}\n")
+    cfg = write_ini(tmp_path, text + "\n[sweep]\nkind = dt\nvalues = 0.04, 0.02, 0.01\n")
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    assert main(["sweep", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 4
+
+
 def test_x_min_sweep_restricted_to_fragmentation(tmp_path, capsys):
     bad = write_ini(tmp_path, ORACLE_INI + "\n[sweep]\nkind = x_min\nvalues = 0.1, 0.05\n")
     assert main(["sweep", bad, "--output-dir", str(tmp_path / "a")]) == 1

@@ -274,6 +274,35 @@ def test_cocycle_needs_a_finer_reference(oracle_model):
         cocycle_residual(oracle_model, tg, np.array([1.0, 0.0]), 0.5, refine=1)
 
 
+nonneg_or_zero = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+@given(d=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_factored_gain_is_the_strictly_upper_product(d, seed, data):
+    f, g, v = (np.array(data.draw(st.lists(nonneg_or_zero, min_size=d, max_size=d)))
+               for _ in range(3))
+    profile = TimeProfile(kind="affine", c0=1.0, c1=2.0)
+    model = loss_gain_model("factored", abstract_grid(np.ones(d)),
+                            SeparableCoefficient(profile, np.ones(d)), profile, (f, g), v)
+    mat = np.triu(np.outer(f, g), 1)
+    u = np.random.default_rng(seed).uniform(0.0, 1.0, (5, d))
+    times = np.linspace(0.0, 1.0, 5)
+    gain = model.perturbation
+    scalar = gain.apply(0.3, u[0])
+    batch = gain.apply(times, u)
+    dense = gain.as_matrix(times)
+    np.testing.assert_allclose(scalar, profile.value(0.3) * (mat @ (v * u[0])),
+                               rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(batch, profile.value(times)[:, None] * ((u * v) @ mat.T),
+                               rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(dense, profile.value(times)[:, None, None] * (mat * v),
+                               rtol=1e-13, atol=0.0)
+    # nothing lies above the largest node
+    assert scalar[-1] == 0.0
+    assert np.all(batch[:, -1] == 0.0)
+    assert np.all(dense[:, -1, :] == 0.0)
+
+
 def jump_after_split_model():
     """Weak loss up to t = 0.5, then a loss 200 times stronger: the series
     tail at t_end dies out rows before the tail at 0.5 does."""

@@ -1,6 +1,8 @@
 """Fragmentation model: kernel constraints, leakage accounting, references."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from evofam import (
     PreconditionError,
     StructureError,
     TimeGrid,
+    daughter_factors,
     daughter_matrix,
     fragmentation_model,
     fragmentation_perturbed_model,
@@ -124,6 +127,68 @@ def test_model_rejects_bad_daughter_matrices():
     nan[1, 3] = np.nan
     with pytest.raises(ModelContractError, match="not finite"):
         fragmentation_model(grid, rate, nan)
+
+
+# the smallest parent's residual is always 1, so a strict model builds only
+# with a gate above it
+@pytest.mark.parametrize("kind", ["binary_uniform", "powerlaw"])
+@pytest.mark.parametrize("flags", [{}, {"force_normalize": True},
+                                   {"strict": True, "kernel_tol": 1.5}])
+def test_pair_and_matrix_build_the_same_model(kind, flags):
+    grid = uniform_mass_grid(1.0 / 256.0, 1.0, 256)
+    rate = fragmentation_rate(grid, "product_t", {"scale": 2.0, "exponent": 1.0})
+    pair = fragmentation_model(grid, rate, daughter_factors(grid, kind, nu=0.5), **flags)
+    matrix = fragmentation_model(grid, rate, daughter_matrix(grid, kind, nu=0.5), **flags)
+    np.testing.assert_array_equal(pair.daughter, matrix.daughter)
+    np.testing.assert_array_equal(pair.normalization_residuals,
+                                  matrix.normalization_residuals)
+    assert pair.normalized == matrix.normalized == bool(flags)
+    assert matrix.factors is None
+    f, g = pair.factors
+    np.testing.assert_allclose(np.triu(np.outer(f, g), 1), pair.daughter, rtol=1e-15)
+    tg = TimeGrid(0.0, 0.5, 1.0 / 16.0)
+    u0 = np.where(grid.nodes >= 0.5, 1.0, 0.25)
+    by_pair, by_matrix = (
+        iterate_right(fragmentation_perturbed_model(model), tg, u0, 10, keep_rows=False)
+        for model in (pair, matrix))
+    np.testing.assert_allclose(by_pair.end_rows, by_matrix.end_rows, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(by_pair.defects, by_matrix.defects, rtol=1e-12, atol=0.0)
+
+
+def _negative(f, g):
+    f[2] = -1.0
+    return f, g
+
+
+def _nan(f, g):
+    g[3] = np.nan
+    return f, g
+
+
+def _inf(f, g):
+    f[1] = np.inf
+    return f, g
+
+
+def _short(f, g):
+    return f, g[:-1]
+
+
+@pytest.mark.parametrize("spoil, flags, message", [
+    (_negative, {}, r"negative at \(i, j\) = \(2, 3\)"),
+    (_nan, {}, r"not finite at \(i, j\) = \(0, 3\)"),
+    (_inf, {}, r"not finite at \(i, j\) = \(1, 2\)"),
+    (_short, {}, r"shape \(5, 4\) does not match"),
+    (lambda f, g: (f, g), {"strict": True}, "strict gate"),
+])
+def test_bad_pair_raises_as_its_matrix(spoil, flags, message):
+    grid = uniform_mass_grid(0.1, 1.0, 5)
+    rate = fragmentation_rate(grid, "constant")
+    f, g = spoil(*daughter_factors(grid, "powerlaw", nu=0.5))
+    with pytest.raises((ModelContractError, StructureError), match=message) as by_pair:
+        fragmentation_model(grid, rate, (f, g), **flags)
+    with pytest.raises(type(by_pair.value), match=re.escape(str(by_pair.value))):
+        fragmentation_model(grid, rate, np.triu(np.outer(f, g), 1), **flags)
 
 
 def test_model_rejects_negative_rate():
