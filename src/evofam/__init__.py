@@ -19,9 +19,6 @@ from .state_space import (
     Grid,
     StateVector,
     abstract_grid,
-    decompose,
-    l1_norm,
-    mass,
     uniform_mass_grid,
     uniform_velocity_grid,
 )
@@ -34,22 +31,17 @@ from .evolution import (
     TimeGrid,
     cocycle_residual,
     duhamel_residual,
-    iterate_binomial_check,
     iterate_left,
     iterate_right,
     left_right_discrepancy,
     loss_gain_model,
-    partial_sum_states,
     series_sum,
-    summed_family_values,
-    validate_family,
 )
 from .honesty import (
     BalanceCertificate,
     DefectSeries,
     MassLedger,
     defect,
-    defect_sequence,
     detailed_balance_certificate,
     honesty_verdict,
     mass_ledger,
@@ -67,7 +59,6 @@ from .boltzmann import (
     collision_model,
     collision_perturbed_model,
     frequency_matching_kernel,
-    gain_mass_rate,
     gaussian_kernel_matrix,
     mass_balance_identity,
     outflow_kernel_matrix,
@@ -94,14 +85,11 @@ from .config import ExperimentConfig, parse_config
 from .lifted import (
     CheckRow,
     LiftedVector,
-    apply_lifted_free,
     kick_block_norm,
     laplace_kick,
     laplace_transform_check,
-    lifted_generator_matrix,
     lifted_norm,
     lifted_resolvent,
-    lifted_zero,
     required_horizon,
     resolvent_factorization_check,
     resolvent_series_check,

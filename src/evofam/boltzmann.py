@@ -9,10 +9,10 @@ as the engine's loss–gain families.
 
 Conventions: ``frequency.value(t)[i]`` is the total collision rate at
 node i, ``kernel.values(t)[i, j]`` the transfer density from node j into
-node i.  The column mass ``gain_mass_rate(t)[j] = sum_i w_i k(t, v_i,
-v_j)`` never exceeding the frequency at node j is the subcriticality
-contract; equality within rounding makes the model conservative (the
-gain returns exactly what the loss removes).
+node i.  The column mass ``sum_i w_i k(t, v_i, v_j)`` (the gain mass
+rate at node j) never exceeding the frequency at node j is the
+subcriticality contract; equality within rounding makes the model
+conservative (the gain returns exactly what the loss removes).
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ class CollisionKernel:
 class CollisionModel:
     """Validated collision model: grid, frequency, kernel, derived flags.
 
-    ``subcritical_excess`` records the worst sampled value of
-    gain_mass_rate - frequency found at construction (before any strict
+    ``subcritical_excess`` records the worst sampled value of the gain
+    mass rate minus the frequency found at construction (before any strict
     repair); ``column_rescale`` holds the per-column kernel factors a
     strict repair applied, or None.
     """
@@ -104,7 +104,7 @@ def collision_model(grid: Grid, frequency: SeparableCoefficient, kernel: Collisi
     """Validate and assemble a collision model.
 
     Checks kernel and frequency nonnegativity and the subcritical bound
-    gain_mass_rate <= frequency at every node for every sampled time
+    gain mass rate <= frequency at every node for every sampled time
     (default samples: 0 to 1 in steps of 1/8; pass ``validation_times`` of
     the active lattice for sharper coverage).  Strict mode repairs a
     relative excess up to 1e-6 by scaling each kernel column with the
@@ -137,7 +137,7 @@ def collision_model(grid: Grid, frequency: SeparableCoefficient, kernel: Collisi
                 f"kernel time profile {problem} at t = {times[np.argmax(bad)]}")
     freq = sample_nonnegative(frequency, times, grid.size, "collision frequency")
 
-    # gain_mass_rate at every (sample time, node): kernel and frequency are
+    # gain mass rate at every (sample time, node): kernel and frequency are
     # both separable, so the whole check is one (T, d) array
     gain = q[:, None] * (grid.weights @ mat)
     i, v_worst = np.unravel_index(np.argmax(gain - freq), gain.shape)
@@ -203,17 +203,6 @@ def outflow_kernel_matrix(grid: Grid, target_density) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def gain_mass_rate(model: CollisionModel, t: float, v_index: int | None = None):
-    """Column mass sum_i w_i kernel(t, v_i, v_j): gain produced per unit at j.
-
-    Returns the full per-node array when ``v_index`` is None.
-    """
-    rates = model.grid.weights @ model.kernel.values(t)
-    if v_index is None:
-        return rates
-    return float(rates[v_index])
-
 
 @dataclass(frozen=True)
 class MassBalanceResult:

@@ -23,12 +23,12 @@ per node, or for a strictly upper triangular product-form matrix
 K[i, j] = f[i] g[j] (i < j) as the factor pair (f, g), applied as a tail
 sum in O(d) per node.
 
-Production evaluation uses a one-step propagation form of the prefix
-trapezoid quadrature, which is algebraically identical to direct prefix
-evaluation whenever ``U`` composes exactly across intermediate times (all
-built-in families do, to rounding); the literal direct evaluation is kept
-behind ``direct=True`` for cross-checks and for the midpoint rule, whose
-prefix weights are not nested.
+The trapezoid rule runs a one-step propagation form of the prefix
+quadrature, which is algebraically identical to direct prefix evaluation
+whenever ``U`` composes exactly across intermediate times (all built-in
+families do, to rounding).  The midpoint rule, whose prefix weights are
+not nested, runs the literal direct evaluation, which also stays the
+reference the one-step path is tested against.
 
 Operators are applied in batches over a leading time axis: the one-step
 survival factors U(tau_j, tau_{j-1}) are computed once per lattice, and B
@@ -74,7 +74,8 @@ class TimeGrid:
     ``(t_end - s) / dt`` must be an integer to 1e-12 * dt.  ``t_end == s``
     is allowed as the degenerate single-node lattice (every quadrature on
     it is empty).  ``rule`` selects the prefix quadrature used for the
-    iterate integrals.
+    iterate integrals.  A lattice whose nodes alone would exceed the table
+    cap raises ``SizeCapError`` before it is allocated.
     """
 
     s: float
@@ -99,6 +100,7 @@ class TimeGrid:
             raise StructureError(
                 f"(t_end - s) = {span!r} is not an integer multiple of dt = {self.dt!r}"
             )
+        _check_table_bytes("time lattice", (m + 1) * 8)
         nodes = self.s + self.dt * np.arange(m + 1)
         nodes.setflags(write=False)
         object.__setattr__(self, "n_steps", m)
@@ -498,7 +500,7 @@ _Rows = Iterator[tuple[np.ndarray, Callable[[], np.ndarray]]]
 
 
 def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
-                direct: bool, lam: float = 0.0) -> _Rows:
+                direct: bool = False, lam: float = 0.0) -> _Rows:
     """Yield (row values, B of the row) for n = 0, 1, ... on nonnegative data.
 
     ``source`` is either the start state u0 (shape (d,)), or one state per
@@ -506,7 +508,9 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     per-node source starts one run at every node: row n at tau_k is then
     the sum over i <= k of (row n started at tau_i on source[i]) at tau_k,
     all in one pass.  ``lam`` discounts every step by exp(-lam dt), so each
-    run is weighted by exp(-lam (tau_k - tau_i)).
+    run is weighted by exp(-lam (tau_k - tau_i)).  The midpoint rule runs
+    the direct path; ``direct`` forces it under the trapezoid rule too, as
+    the reference the one-step path is tested against.
 
     B is applied lazily: the second item is a zero-argument callable that
     returns B(tau_j) row[j] at every node, computed once, on the first call
@@ -581,8 +585,8 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
 
 
 def _combined_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
-                   direct: bool, lam: float = 0.0) -> _Rows:
-    """Row generator with signed data routed through decompose."""
+                   direct: bool = False, lam: float = 0.0) -> _Rows:
+    """Row generator; signed data runs its positive and negative parts."""
     if np.all(source >= 0.0):
         yield from _right_rows(model, tg, source, direct, lam)
         return
@@ -594,16 +598,8 @@ def _combined_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
         yield row_p - row_n, functools.cache(lambda b_p=b_p, b_n=b_n: b_p() - b_n())
 
 
-def _resolve_direct(tg: TimeGrid, direct: bool | None) -> bool:
-    if direct is None:
-        return tg.rule != "trapezoid"
-    if direct is False and tg.rule != "trapezoid":
-        raise PreconditionError("one-step propagation requires the trapezoid rule")
-    return direct
-
-
 def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
-                  *, direct: bool | None = None, keep_rows: bool = True) -> DysonPhillipsTable:
+                  *, keep_rows: bool = True) -> DysonPhillipsTable:
     """Build iterate rows 0..n_max on the lattice (production recursion).
 
     One row pass: each new row feeds the quadrature of the next, and each
@@ -612,15 +608,14 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     the perturbation applied to it are also kept for diagnostics; without,
     the table is row-less (see ``DysonPhillipsTable``).  Signed initial
     data is split into positive/negative parts and recombined linearly.
-    Cost: O(n_max * M) operator applications on the one-step path,
-    O(n_max * M^2) on the direct path.  Memory: the pass's O(M d) working
-    set, plus O(n_max d) kept, plus 2 (n_max+1)(M+1) d floats with
-    ``keep_rows``; what it keeps is checked against the table cap first.
+    Cost: O(n_max * M) operator applications under the trapezoid rule
+    (one-step path), O(n_max * M^2) under the midpoint rule (direct path).
+    Memory: the pass's O(M d) working set, plus O(n_max d) kept, plus
+    2 (n_max+1)(M+1) d floats with ``keep_rows``; what it keeps is checked against the table cap first.
     """
     coeffs = _as_coeffs(model.grid, u0)
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
-    use_direct = _resolve_direct(tg, direct)
     grid = model.grid
     m = tg.n_steps
     d = grid.size
@@ -630,7 +625,7 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     iterates = np.empty((n_max + 1, m + 1, d)) if keep_rows else None
     b_applied = np.empty_like(iterates) if keep_rows else None
     w = prefix_weights("trapezoid", m, tg.dt)
-    gen = _combined_rows(model, tg, coeffs, use_direct)
+    gen = _combined_rows(model, tg, coeffs)
     for n in range(n_max + 1):
         row, lazy_b = next(gen)
         b_row = lazy_b()
@@ -648,14 +643,6 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     )
 
 
-def partial_sum_states(table: DysonPhillipsTable, n: int) -> np.ndarray:
-    """Partial sum of rows 0..n at every lattice node, shape (M+1, d)."""
-    _require_rows(table, "partial_sum_states")
-    if n < 0 or n > table.n_max:
-        raise PreconditionError(f"partial sum index {n} outside table range 0..{table.n_max}")
-    return table.iterates[: n + 1].sum(axis=0)
-
-
 # ---------------------------------------------------------------------------
 # series summation
 # ---------------------------------------------------------------------------
@@ -669,12 +656,9 @@ class SeriesResult:
     converged: bool
     iterate_norms: np.ndarray
 
-    def state(self, grid: Grid) -> StateVector:
-        return StateVector(grid, self.value)
-
 
 def series_sum(model: PerturbedModel, tg: TimeGrid, u0, *, tol: float = 1e-10,
-               n_max: int = 40, direct: bool | None = None) -> SeriesResult:
+               n_max: int = 40) -> SeriesResult:
     """Sum iterate rows at t_end until the newest row norm falls below
     ``tol * ||u0||`` (that row is still included), else flag non-convergence
     at ``n_max``.
@@ -682,10 +666,9 @@ def series_sum(model: PerturbedModel, tg: TimeGrid, u0, *, tol: float = 1e-10,
     coeffs = _as_coeffs(model.grid, u0)
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
-    use_direct = _resolve_direct(tg, direct)
     u0_norm = weighted_norm_array(model.grid, coeffs)
     m = tg.n_steps
-    gen = _combined_rows(model, tg, coeffs, use_direct)
+    gen = _combined_rows(model, tg, coeffs)
     total = np.zeros(model.grid.size)
     norms: list[float] = []
     for n in range(n_max + 1):
@@ -702,19 +685,8 @@ def series_sum(model: PerturbedModel, tg: TimeGrid, u0, *, tol: float = 1e-10,
 # integral-identity residuals
 # ---------------------------------------------------------------------------
 
-def summed_family_values(model: PerturbedModel, tg: TimeGrid, u0, *,
-                         tol: float = 1e-10, n_max: int = 40,
-                         direct: bool | None = None) -> np.ndarray:
-    """Summed series at every lattice node, shape (M+1, d).
-
-    Same stopping rule as ``series_sum`` (tail norm measured at t_end).
-    """
-    coeffs = _as_coeffs(model.grid, u0)
-    return _summed_values(model, tg, coeffs, tol, n_max, _resolve_direct(tg, direct), 1)[0]
-
-
 def _summed_values(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
-                   tol: float, n_max: int, direct: bool, stride: int,
+                   tol: float, n_max: int, stride: int,
                    split: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Summed series at every ``stride``-th lattice node (t_end included),
     and at node ``split`` alone.
@@ -728,7 +700,7 @@ def _summed_values(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
     grid = model.grid
     bound = tol * weighted_norm_array(grid, coeffs)
     m = tg.n_steps
-    gen = _combined_rows(model, tg, coeffs, direct)
+    gen = _combined_rows(model, tg, coeffs)
     total = np.zeros((m // stride + 1, grid.size))
     at_split = np.zeros(grid.size)
     open_all, open_split = True, split is not None
@@ -794,8 +766,7 @@ def _flat_residuals(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
         raise PreconditionError("refine must be >= 2 to produce an independent reference")
     fine = TimeGrid(tg.s, tg.t_end, tg.dt / refine, tg.rule)
     split = None if r is None else tg.node_index(r) * refine
-    v_values, first = _summed_values(model, fine, coeffs, tol, n_max,
-                                     _resolve_direct(fine, None), refine, split)
+    v_values, first = _summed_values(model, fine, coeffs, tol, n_max, refine, split)
     duhamel = _duhamel_gap(model, tg, coeffs, v_values)
     if r is None:
         return duhamel, None
@@ -832,7 +803,6 @@ def duhamel_residual(model: PerturbedModel, tg: TimeGrid, u0, v_values=None, *,
 
 
 def cocycle_residual(model: PerturbedModel, tg: TimeGrid, u0, r: float, *,
-                     v_apply: Callable[[float, float, np.ndarray], np.ndarray] | None = None,
                      refine: int = 8, tol: float = 1e-12, n_max: int = 40) -> float:
     """Two-interval composition residual || V(t,s)u0 - V(t,r) V(r,s) u0 ||.
 
@@ -845,15 +815,9 @@ def cocycle_residual(model: PerturbedModel, tg: TimeGrid, u0, r: float, *,
     exists to expose.  Against the sharper composed reference the residual
     tracks the lattice's own O(dt^2) error.  The first leg comes from the
     fine run over [s, t_end] that ``duhamel_residual`` makes, so calling
-    both repeats that run.  Supplying ``v_apply(t, s, u)`` replaces the
-    engine for all three evaluations (e.g. closed forms).
+    both repeats that run.
     """
     coeffs = _as_coeffs(model.grid, u0)
-    tg.node_index(r)
-    if v_apply is not None:
-        full = v_apply(tg.t_end, tg.s, coeffs)
-        second = v_apply(tg.t_end, r, v_apply(r, tg.s, coeffs))
-        return weighted_norm_array(model.grid, full - second)
     return _flat_residuals(model, tg, coeffs, r, refine=refine, tol=tol, n_max=n_max)[1]
 
 
@@ -881,21 +845,24 @@ class LeftIterates:
         return self.matrices.shape[0] - 1
 
 
-def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
-                 *, m_cap: int = 64) -> LeftIterates:
+# Most lattice steps the left recursion takes.
+_LEFT_STEP_CAP = 64
+
+
+def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int) -> LeftIterates:
     """Cross-validation recursion; mirrored integrand, full operator table.
 
     Iterate n+1 from tau_k to tau_j integrates (iterate n)(tau_j, r) B(r)
     U(r, tau_k) over r.  Cost O(n_max * M^3 * d^3) flops in one matrix
     product per (n, j), after one batched family-matrix build each for U
-    and B; the lattice is capped (default 64 steps) and a memory guard
-    refuses oversized tables.
+    and B; the lattice is capped at 64 steps and a memory guard refuses
+    oversized tables.
     """
     coeffs = _as_coeffs(model.grid, u0)
     m = tg.n_steps
     d = model.grid.size
-    if m > m_cap:
-        raise SizeCapError(f"left recursion lattice has {m} steps; cap is {m_cap}")
+    if m > _LEFT_STEP_CAP:
+        raise SizeCapError(f"left recursion lattice has {m} steps; cap is {_LEFT_STEP_CAP}")
     _check_table_bytes("left recursion table", (n_max + 1) * (m + 1) ** 2 * d * d * 8)
     nodes = tg.nodes
 
@@ -935,77 +902,3 @@ def left_right_discrepancy(left: LeftIterates, right: DysonPhillipsTable) -> flo
     diff = left.iterates[: n_common + 1] - right.iterates[: n_common + 1]
     gaps = np.abs(diff) @ left.grid.weights
     return float(gaps.max())
-
-
-def iterate_binomial_check(left: LeftIterates, r: float) -> float:
-    """Composition identity residual for the left table at split time r.
-
-    Iterate n over [s, t] must equal the sum over k of (iterate k over
-    [r, t]) composed with (iterate n-k over [s, r]); returns the max
-    weighted-L1 residual over n when applied to the stored u0.
-    """
-    tg = left.time_grid
-    jr = tg.node_index(r)
-    m = tg.n_steps
-    worst = 0.0
-    for n in range(left.n_max + 1):
-        lhs = left.matrices[n, m, 0] @ left.u0
-        rhs = np.zeros_like(lhs)
-        for k in range(n + 1):
-            rhs += left.matrices[k, m, jr] @ (left.matrices[n - k, jr, 0] @ left.u0)
-        worst = max(worst, weighted_norm_array(left.grid, lhs - rhs))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# family contract diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilyDiagnostics:
-    identity_residual: float
-    substochastic_excess: float
-    positivity_defect: float
-    cocycle_residual: float
-    perturbation_positivity_defect: float
-
-
-def validate_family(model: PerturbedModel, times, trial_states) -> FamilyDiagnostics:
-    """Probe the family contract on sample times and nonnegative states.
-
-    Returns worst-case residuals for: U(s,s) = identity, norm contraction
-    on nonnegative states, positivity of U and B, and two-interval
-    composition of U.  Raising on violations is left to the caller so the
-    same probe serves tests and CLI validation.
-    """
-    grid = model.grid
-    times = sorted(float(t) for t in times)
-    if len(times) < 2:
-        raise PreconditionError("need at least two sample times")
-    ident = sub_excess = pos_defect = coc = b_pos = 0.0
-    for u in trial_states:
-        coeffs = _as_coeffs(grid, u)
-        if np.any(coeffs < 0.0):
-            raise PreconditionError("trial states must be nonnegative")
-        norm0 = weighted_norm_array(grid, coeffs)
-        scale = max(norm0, 1e-300)
-        for i, s in enumerate(times):
-            ident = max(ident, weighted_norm_array(
-                grid, model.unperturbed.apply(s, s, coeffs) - coeffs) / scale)
-            for t in times[i + 1:]:
-                ut = model.unperturbed.apply(t, s, coeffs)
-                pos_defect = max(pos_defect, max(0.0, -float(ut.min())) / scale)
-                sub_excess = max(sub_excess, (weighted_norm_array(grid, ut) - norm0) / scale)
-                for r in times:
-                    if s < r < t:
-                        via = model.unperturbed.apply(t, r, model.unperturbed.apply(r, s, coeffs))
-                        coc = max(coc, weighted_norm_array(grid, via - ut) / scale)
-            bt = model.perturbation.apply(s, coeffs)
-            b_pos = max(b_pos, max(0.0, -float(np.min(bt))) / scale)
-    return FamilyDiagnostics(
-        identity_residual=ident,
-        substochastic_excess=sub_excess,
-        positivity_defect=pos_defect,
-        cocycle_residual=coc,
-        perturbation_positivity_defect=b_pos,
-    )

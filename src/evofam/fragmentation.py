@@ -261,22 +261,18 @@ def binary_fragmentation_model(x_min: float = 1.0 / 64.0, x_max: float = 1.0,
 # operations
 # ---------------------------------------------------------------------------
 
-def kernel_mass_check(model: FragmentationModel, t: float,
-                      y_index: int | None = None):
+def kernel_mass_check(model: FragmentationModel, t: float) -> np.ndarray:
     """Mass-constraint residual |quad(x b(x, y)) - y| / y of the active kernel.
 
     The quadrature runs over grid fragments below the parent (plain dx
     weights); the residual therefore mixes quadrature error O(dx) with
     truncation below x_min (dominant for small parents).  The built-in
     daughters are time-independent, so ``t`` does not affect the value;
-    it stays in the signature for kernel generality.  Returns the full
-    per-parent array when ``y_index`` is None.
+    it stays in the signature for kernel generality.  Returns one residual
+    per parent.
     """
     del t
-    residuals = _column_mass_residuals(model.grid, model.dx, model.daughter)
-    if y_index is None:
-        return residuals
-    return float(residuals[y_index])
+    return _column_mass_residuals(model.grid, model.dx, model.daughter)
 
 
 def fragmentation_perturbed_model(model: FragmentationModel,

@@ -40,11 +40,6 @@ def defect(table: DysonPhillipsTable, n: int) -> float:
     return float(table.defects[n])
 
 
-def defect_sequence(table: DysonPhillipsTable) -> np.ndarray:
-    """All defects D_0..D_N, as the row pass computed them."""
-    return table.defects
-
-
 @dataclass(frozen=True)
 class DefectSeries:
     """Defect sequence with its extrapolated limit and verdict.
@@ -108,7 +103,7 @@ def honesty_verdict(defects, u0_norm: float, *, rel_threshold: float = 1e-8,
 def table_verdict(table: DysonPhillipsTable, **kwargs) -> DefectSeries:
     """Defect sequence + verdict straight from an iterate table."""
     u0_norm = weighted_norm_array(table.grid, table.u0)
-    return honesty_verdict(defect_sequence(table), u0_norm, **kwargs)
+    return honesty_verdict(table.defects, u0_norm, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +132,7 @@ class MassLedger:
 
 
 def mass_ledger(table: DysonPhillipsTable) -> MassLedger:
-    defects = defect_sequence(table)
+    defects = table.defects
     u0_norm = weighted_norm_array(table.grid, table.u0)
     partial = table.partial_norms
     return MassLedger(

@@ -77,20 +77,9 @@ def lifted_norm(f: LiftedVector) -> float:
     return f.norm()
 
 
-def lifted_zero(grid: Grid, axis: TimeGrid) -> LiftedVector:
-    return LiftedVector(grid=grid, axis=axis,
-                        values=np.zeros((axis.n_steps + 1, grid.size)))
-
-
 def _check_lifted(model: PerturbedModel, f: LiftedVector) -> None:
     if f.grid != model.grid:
         raise StructureError("lifted vector grid does not match the model grid")
-
-
-def _shift_index(axis: TimeGrid, t: float) -> int:
-    if t < 0.0:
-        raise PreconditionError(f"shift must be nonnegative, got {t}")
-    return axis.node_index(axis.s + t)
 
 
 def _loss_rates(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
@@ -109,24 +98,6 @@ def _gain_blocks(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
     """B(tau_k) as dense matrices for every axis node, shape (K, d, d)."""
     _check_table_bytes("kick block table", nodes.size * model.grid.size ** 2 * 8)
     return model.perturbation.as_matrix(nodes)
-
-
-# ---------------------------------------------------------------------------
-# lifted semigroups
-# ---------------------------------------------------------------------------
-
-def apply_lifted_free(model: PerturbedModel, t: float, f: LiftedVector) -> LiftedVector:
-    """Free lifted action: node r receives U(r, r-t) f(r-t), zero for r < t.
-
-    ``t`` must be an axis-lattice multiple (no interpolation).
-    """
-    _check_lifted(model, f)
-    j = _shift_index(f.axis, t)
-    nodes = f.axis.nodes
-    out = np.zeros_like(f.values)
-    out[j:] = model.unperturbed.apply(nodes[j:], nodes[:nodes.size - j],
-                                      f.values[:nodes.size - j])
-    return LiftedVector(grid=f.grid, axis=f.axis, values=out)
 
 
 # ---------------------------------------------------------------------------
@@ -192,32 +163,6 @@ def lifted_resolvent(model: PerturbedModel, lam: float, f: LiftedVector, *,
     for k in range(1, nodes.size):
         out[k] += inv[k] @ out[k - 1]
     return LiftedVector(grid=f.grid, axis=f.axis, values=out)
-
-
-def lifted_generator_matrix(model: PerturbedModel, axis: TimeGrid, *,
-                            perturbed: bool = False) -> np.ndarray:
-    """Dense generator over the (time-node, grid-node) index set.
-
-    Row-major ordering: unknown index k * d + i for axis node k and grid
-    node i.  Intended for small-scale structure tests; the solver never
-    materializes this.
-    """
-    nodes = axis.nodes
-    h = axis.dt
-    d = model.grid.size
-    size = len(nodes) * d
-    mat = np.zeros((size, size))
-    eye = np.eye(d)
-    rates = _loss_rates(model, nodes)
-    blocks = _gain_blocks(model, nodes) if perturbed else None
-    for k in range(nodes.size):
-        block = -np.diag(1.0 / h + rates[k])
-        if perturbed:
-            block = block + blocks[k]
-        mat[k * d:(k + 1) * d, k * d:(k + 1) * d] = block
-        if k > 0:
-            mat[k * d:(k + 1) * d, (k - 1) * d:k * d] = eye / h
-    return mat
 
 
 def kick_block_norm(model: PerturbedModel, axis: TimeGrid) -> float:
@@ -346,7 +291,7 @@ def laplace_transform_check(model: PerturbedModel, lam: float, n: int,
     # that sum with every weight h; the pairs whose weight is h/2 are
     # corrected below: i = k (only row 0 is nonzero there) and
     # (k, i) = (M, 0).
-    rows = _combined_rows(model, axis, h * f.values, False, lam)
+    rows = _combined_rows(model, axis, h * f.values, lam=lam)
     for _ in range(n):
         next(rows)
     lhs = next(rows)[0]

@@ -6,12 +6,11 @@ weights encode the measure of the underlying continuum space: a uniform
 velocity cell width for kinetic densities, ``x*dx`` for mass-weighted
 fragment densities, or plain counting weights for abstract test systems.
 
-Norm and mass sums run in ascending node order so results are reproducible
-run to run.
+Norms are summed in ascending node order so results are reproducible run
+to run.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,6 @@ import numpy as np
 from .errors import StructureError
 
 GRID_KINDS = ("velocity", "mass", "abstract")
-
-GRID_CSV_HEADER = ["node", "weight"]
 
 
 def _ascending_sum(values: np.ndarray) -> float:
@@ -31,7 +28,8 @@ def _ascending_sum(values: np.ndarray) -> float:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
+    """A frozen float copy of ``a``; the caller's own array stays writable."""
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -92,31 +90,6 @@ class Grid:
             and bool(np.all(self.weights == other.weights))
         )
 
-    def to_csv(self, path) -> None:
-        """Write ``node,weight`` rows (header included, shortest-roundtrip floats)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(GRID_CSV_HEADER)
-            for x, w in zip(self.nodes, self.weights):
-                writer.writerow([repr(float(x)), repr(float(w))])
-
-    @classmethod
-    def from_csv(cls, path, kind: str = "abstract") -> "Grid":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != GRID_CSV_HEADER:
-                raise StructureError(
-                    f"grid csv {path!s} must start with header 'node,weight'"
-                )
-            rows = [row for row in reader if row]
-        try:
-            nodes = np.array([float(r[0]) for r in rows])
-            weights = np.array([float(r[1]) for r in rows])
-        except (IndexError, ValueError) as exc:
-            raise StructureError(f"grid csv {path!s}: malformed row ({exc})") from exc
-        return cls(nodes=nodes, weights=weights, kind=kind)
-
 
 def uniform_velocity_grid(v_min: float, v_max: float, n: int) -> Grid:
     """Midpoint grid on ``[v_min, v_max]`` with ``n`` cells; weights = cell width."""
@@ -163,43 +136,6 @@ class StateVector:
             )
         if not np.all(np.isfinite(coeffs)):
             raise StructureError("state coefficients must be finite")
-
-    # Small arithmetic helpers; everything returns fresh vectors.
-    def __add__(self, other: "StateVector") -> "StateVector":
-        self._check_same_grid(other)
-        return StateVector(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        self._check_same_grid(other)
-        return StateVector(self.grid, self.coeffs - other.coeffs)
-
-    def scaled(self, factor: float) -> "StateVector":
-        return StateVector(self.grid, factor * self.coeffs)
-
-    def _check_same_grid(self, other: "StateVector") -> None:
-        if self.grid != other.grid:
-            raise StructureError("state vectors live on different grids")
-
-
-def l1_norm(u: StateVector) -> float:
-    """Weighted L1 norm, summed in ascending node order."""
-    return _ascending_sum(u.grid.weights * np.abs(u.coeffs))
-
-
-def mass(u: StateVector) -> float:
-    """Signed weighted integral sum(w_i * u_i); equals the norm for u >= 0."""
-    return _ascending_sum(u.grid.weights * u.coeffs)
-
-
-def decompose(u: StateVector) -> tuple[StateVector, StateVector]:
-    """Split into positive/negative parts with ``u = pos - neg``, both >= 0.
-
-    Reconstruction is exact coefficient-wise (no cancellation occurs:
-    one of the two parts is zero at every node).
-    """
-    pos = np.maximum(u.coeffs, 0.0)
-    neg = np.maximum(-u.coeffs, 0.0)
-    return StateVector(u.grid, pos), StateVector(u.grid, neg)
 
 
 def weighted_norm_array(grid: Grid, coeffs: np.ndarray) -> float:

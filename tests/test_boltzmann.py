@@ -16,7 +16,6 @@ from evofam import (
     collision_model,
     collision_perturbed_model,
     frequency_matching_kernel,
-    gain_mass_rate,
     gaussian_kernel_matrix,
     mass_balance_identity,
     outflow_kernel_matrix,
@@ -48,7 +47,7 @@ def test_conservative_flag_detected(conservative_collision):
 def test_subcritical_model_records_negative_excess(subcritical_collision):
     assert not subcritical_collision.conservative
     assert subcritical_collision.subcritical_excess < 0.0
-    rates = gain_mass_rate(subcritical_collision, 0.5)
+    rates = subcritical_collision.grid.weights @ subcritical_collision.kernel_values(0.5)
     freq = np.asarray(subcritical_collision.frequency.value(0.5), dtype=float)
     assert np.all(rates <= freq)
 
@@ -141,7 +140,7 @@ def test_strict_mode_rescales_quadrature_level_excess():
     assert model.column_rescale is not None
     assert np.all(model.column_rescale <= 1.0)
     for t in (0.0, 0.5, 1.0):
-        rates = gain_mass_rate(model, t)
+        rates = model.grid.weights @ model.kernel_values(t)
         freq = np.asarray(model.frequency.value(t), dtype=float)
         assert np.all(rates <= freq * (1.0 + 1e-12))
 
@@ -212,12 +211,7 @@ def test_gain_is_weighted_matrix_product(subcritical_collision,
 
 
 def test_gain_mass_rate_matches_column_sums(conservative_collision):
-    grid = conservative_collision.grid
-    rates = gain_mass_rate(conservative_collision, 0.3)
-    kern = conservative_collision.kernel_values(0.3)
-    np.testing.assert_allclose(rates, grid.weights @ kern, rtol=1e-15)
-    single = gain_mass_rate(conservative_collision, 0.3, v_index=2)
-    assert single == pytest.approx(rates[2])
+    rates = conservative_collision.grid.weights @ conservative_collision.kernel_values(0.3)
     # conservative: column mass equals the frequency everywhere
     freq = np.asarray(conservative_collision.frequency.value(0.3), dtype=float)
     np.testing.assert_allclose(rates, freq, rtol=1e-14)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evofam import TimeGrid, cli, defect_sequence, evolution, fragmentation, iterate_right
+from evofam import TimeGrid, cli, evolution, fragmentation, iterate_right
 from evofam import two_state_exchange
 from evofam.cli import main
 
@@ -159,7 +159,7 @@ def test_run_oracle_matches_library_values(tmp_path, capsys):
     # defects.csv reproduces the library computation byte for byte
     table = iterate_right(two_state_exchange(1.0), TimeGrid(0.0, 1.0, 0.03125),
                           np.array([1.0, 0.0]), 12)
-    expected = defect_sequence(table)
+    expected = table.defects
     lines = (out_dir / "defects.csv").read_text().splitlines()
     assert lines[0] == "n,defect"
     assert len(lines) == 14
@@ -192,6 +192,14 @@ def test_run_unknown_key_exits_one(tmp_path, capsys):
     assert code == 1
     assert "unknown configuration keys" in err
     assert "[initial] typo_key" in err
+
+
+def test_run_oversized_lattice_exits_one(tmp_path, capsys):
+    cfg = write_ini(tmp_path, ORACLE_INI.replace("dt = 0.03125", "dt = 1e-12"))
+    code = main(["run", cfg, "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: time lattice would need")
 
 
 def test_run_strict_contract_violation_names_location(tmp_path, capsys):

@@ -23,17 +23,13 @@ from evofam import (
     abstract_grid,
     cocycle_residual,
     duhamel_residual,
-    iterate_binomial_check,
     iterate_left,
     iterate_right,
     left_right_discrepancy,
     mass_balance_identity,
     mol_reference,
-    partial_sum_states,
     series_sum,
-    summed_family_values,
     two_state_exchange,
-    validate_family,
     vn_identity_residual,
 )
 from evofam import evolution
@@ -81,6 +77,12 @@ def test_time_grid_degenerate_and_errors():
         TimeGrid(0.0, 1.0, -0.1)
     with pytest.raises(StructureError):
         TimeGrid(0.0, 1.0, 0.1, "simpson")
+
+
+def test_time_grid_refuses_an_oversized_lattice():
+    # 1e12 + 1 nodes would need 8 TB: refused before the nodes are allocated
+    with pytest.raises(SizeCapError, match="time lattice"):
+        TimeGrid(0.0, 1.0, 1e-12)
 
 
 @pytest.mark.parametrize("rule", ["trapezoid", "midpoint"])
@@ -134,15 +136,6 @@ def test_degenerate_interval_rows(oracle_model):
     assert np.all(table.iterates[1:] == 0.0)
 
 
-def test_partial_sum_states_and_range(oracle_model):
-    tg = TimeGrid(0.0, 0.5, 0.125)
-    table = iterate_right(oracle_model, tg, np.array([1.0, 0.0]), 4)
-    np.testing.assert_allclose(partial_sum_states(table, 2),
-                               table.iterates[:3].sum(axis=0))
-    with pytest.raises(PreconditionError):
-        partial_sum_states(table, 5)
-
-
 @given(u0=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)))
 def test_iterates_stay_nonnegative(u0):
     model = two_state_exchange(1.0)
@@ -164,9 +157,12 @@ def test_direct_trapezoid_matches_one_step(fixture, request):
     tg = TimeGrid(0.0, 0.5, 1.0 / 16.0)
     u0 = np.linspace(1.0, 2.0, model.grid.size)
     one_step = iterate_right(model, tg, u0, 4)
-    direct = iterate_right(model, tg, u0, 4, direct=True)
-    np.testing.assert_allclose(direct.iterates, one_step.iterates, rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(direct.b_applied, one_step.b_applied, rtol=1e-13, atol=0.0)
+    gen = evolution._combined_rows(model, tg, u0, True)
+    direct = [next(gen) for _ in range(5)]
+    np.testing.assert_allclose(np.array([row for row, _ in direct]), one_step.iterates,
+                               rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(np.array([b_row() for _, b_row in direct]), one_step.b_applied,
+                               rtol=1e-13, atol=0.0)
 
 
 def test_signed_data_resolved_linearly(oracle_model):
@@ -177,15 +173,6 @@ def test_signed_data_resolved_linearly(oracle_model):
     neg = iterate_right(oracle_model, tg, np.array([0.0, 2.0]), 4)
     np.testing.assert_allclose(table.iterates, pos.iterates - neg.iterates,
                                atol=1e-15)
-
-
-def test_summed_family_values_final_node(oracle_model):
-    tg = TimeGrid(0.0, 1.0, 1.0 / 32.0)
-    u0 = np.array([1.0, 0.0])
-    values = summed_family_values(oracle_model, tg, u0, tol=1e-12)
-    assert values.shape == (tg.n_steps + 1, 2)
-    reference = series_sum(oracle_model, tg, u0, tol=1e-12).value
-    np.testing.assert_allclose(values[-1], reference, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +205,6 @@ def test_left_recursion_size_cap(oracle_model):
         iterate_left(oracle_model, tg, np.array([1.0, 0.0]), 2)
 
 
-def test_binomial_composition_identity(oracle_model):
-    tg = TimeGrid(0.0, 1.0, 1.0 / 16.0)
-    left = iterate_left(oracle_model, tg, np.array([1.0, 0.0]), 5)
-    assert iterate_binomial_check(left, 0.5) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # integral identity residuals
 # ---------------------------------------------------------------------------
@@ -243,7 +224,7 @@ def test_duhamel_accepts_supplied_values(oracle_model):
     res = duhamel_residual(oracle_model, tg, u0, v_values=exact)
     assert res < 1e-3
     # same-lattice engine values satisfy the discrete identity exactly
-    own = summed_family_values(oracle_model, tg, u0, tol=1e-14)
+    own = evolution._summed_values(oracle_model, tg, u0, 1e-14, 40, 1)[0]
     assert duhamel_residual(oracle_model, tg, u0, v_values=own) < 1e-12
 
 
@@ -255,23 +236,14 @@ def test_cocycle_residual_second_order(oracle_model):
     assert res[1] / res[0] == pytest.approx(0.25, abs=0.1)
 
 
-def test_cocycle_with_closed_form_apply(oracle_model):
-    tg = TimeGrid(0.0, 1.0, 0.25)
-    u0 = np.array([1.0, 0.0])
-
-    def v_apply(t, s, u):
-        return oracle_sum(t - s, np.asarray(u))
-
-    assert cocycle_residual(oracle_model, tg, u0, 0.5, v_apply=v_apply) < 1e-14
-    with pytest.raises(PreconditionError):
-        cocycle_residual(oracle_model, tg, u0, 0.1)
-
-
 def test_cocycle_needs_a_finer_reference(oracle_model):
     # at one shared resolution the legs compose exactly: the check is blind
     tg = TimeGrid(0.0, 1.0, 0.25)
     with pytest.raises(PreconditionError, match="refine must be >= 2"):
         cocycle_residual(oracle_model, tg, np.array([1.0, 0.0]), 0.5, refine=1)
+    # and the split time must lie on the lattice
+    with pytest.raises(PreconditionError, match="does not lie on the lattice"):
+        cocycle_residual(oracle_model, tg, np.array([1.0, 0.0]), 0.1)
 
 
 nonneg_or_zero = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
@@ -322,7 +294,7 @@ def reference_residuals(model, tg, u0, r, tol, refine=8):
     summed at every fine node and restricted back."""
     fine_dt = tg.dt / refine
     fine = TimeGrid(tg.s, tg.t_end, fine_dt)
-    values = summed_family_values(model, fine, u0, tol=tol)[::refine]
+    values = evolution._summed_values(model, fine, u0, tol, 40, 1)[0][::refine]
     duhamel = duhamel_residual(model, tg, u0, v_values=values)
     full = series_sum(model, tg, u0, tol=tol).value
     first = series_sum(model, TimeGrid(tg.s, r, fine_dt), u0, tol=tol).value
@@ -509,14 +481,13 @@ def test_expanding_step_factor_rejected(oracle_model):
 
 
 def test_scalar_time_flow_names_the_array_contract():
-    # validate_family calls U on scalar times only, so this family passes it
     grid = abstract_grid([1.0, 1.0])
     model = PerturbedModel(
         name="scalar_times", grid=grid,
         unperturbed=EvolutionFamily(grid, lambda t, s, u: math.exp(-(t - s)) * u),
         perturbation=PerturbationFamily(grid, lambda t, u: 0.5 * u[..., ::-1]))
-    diag = validate_family(model, [0.0, 0.5, 1.0], [np.array([1.0, 0.5])])
-    assert diag.substochastic_excess <= 0.0
+    # the flow is a valid substochastic family on scalar times
+    np.testing.assert_allclose(model.unperturbed.apply(1.0, 0.5, np.ones(2)), math.exp(-0.5))
     with pytest.raises(ModelContractError, match="arrays of times") as err:
         iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
     assert isinstance(err.value.__cause__, TypeError)
@@ -569,7 +540,6 @@ def test_row_less_table_refuses_row_readers(oracle_model, binary_frag, binary_fr
     frag = iterate_right(binary_frag_perturbed, tg, np.ones(binary_frag.grid.size), 3,
                          keep_rows=False)
     for name, call in [
-        ("partial_sum_states", lambda: partial_sum_states(lean, 1)),
         ("left_right_discrepancy", lambda: left_right_discrepancy(left, lean)),
         ("vn_identity_residual", lambda: vn_identity_residual(binary_frag, frag, 1)),
     ]:
@@ -633,27 +603,3 @@ def test_state_inputs_must_match_the_grid(oracle_model, subcritical_collision, b
             run(np.ones(grid.size + 1))
         with pytest.raises(StructureError, match="one-dimensional"):
             run(np.ones((2, grid.size)))
-
-
-# ---------------------------------------------------------------------------
-# family contract diagnostics
-# ---------------------------------------------------------------------------
-
-def test_validate_family_clean_on_oracle(oracle_model):
-    diag = validate_family(oracle_model, [0.0, 0.5, 1.0],
-                           [np.array([1.0, 0.0]), np.array([0.5, 0.5])])
-    assert diag.identity_residual < 1e-14
-    assert diag.substochastic_excess <= 1e-14
-    assert diag.positivity_defect == 0.0
-    assert diag.cocycle_residual < 1e-14
-    assert diag.perturbation_positivity_defect == 0.0
-
-
-def test_validate_family_flags_expanding_flow():
-    grid = abstract_grid([1.0, 1.0])
-    family = EvolutionFamily(grid, lambda t, s, u: math.exp(t - s) * u)
-    kick = PerturbationFamily(grid, lambda t, u: 0.0 * u)
-    model = PerturbedModel(name="expanding", grid=grid,
-                           unperturbed=family, perturbation=kick)
-    diag = validate_family(model, [0.0, 1.0], [np.array([1.0, 1.0])])
-    assert diag.substochastic_excess > 1.0

@@ -13,7 +13,6 @@ from evofam import (
     StateVector,
     TimeGrid,
     defect,
-    defect_sequence,
     detailed_balance_certificate,
     grid_leakage,
     honesty_verdict,
@@ -50,8 +49,7 @@ def test_first_defects_match_closed_form(oracle_model):
 def test_defect_sequence_cached_and_decaying(oracle_model):
     tg = TimeGrid(0.0, 1.0, 1.0 / 64.0)
     table = iterate_right(oracle_model, tg, np.array([1.0, 0.0]), 12)
-    seq = defect_sequence(table)
-    assert seq is defect_sequence(table)  # held on the table, not recomputed
+    seq = table.defects
     assert seq.shape == (13,)
     assert np.all(np.diff(seq) < 0.0)
     with pytest.raises(PreconditionError):

@@ -1,4 +1,4 @@
-"""Trajectory-space lift: shift actions, resolvents, transform identities."""
+"""Trajectory-space lift: resolvents, discounted kicks, transform identities."""
 from __future__ import annotations
 
 import math
@@ -18,7 +18,6 @@ from evofam import (
     StructureError,
     TimeGrid,
     abstract_grid,
-    apply_lifted_free,
     collision_model,
     collision_perturbed_model,
     gaussian_kernel_matrix,
@@ -26,10 +25,8 @@ from evofam import (
     kick_block_norm,
     laplace_kick,
     laplace_transform_check,
-    lifted_generator_matrix,
     lifted_norm,
     lifted_resolvent,
-    lifted_zero,
     required_horizon,
     resolvent_factorization_check,
     resolvent_series_check,
@@ -70,35 +67,9 @@ def test_lifted_norm_hand_value():
     # h * sum of weighted node norms = 0.5 * (1 + 2 + 3)
     assert f.norm() == pytest.approx(3.0)
     assert lifted_norm(f) == pytest.approx(3.0)
-    zero = lifted_zero(grid, axis)
+    zero = LiftedVector(grid=grid, axis=axis, values=np.zeros((3, 2)))
     assert zero.norm() == 0.0
     assert zero.h == 0.5
-
-
-# ---------------------------------------------------------------------------
-# shift actions
-# ---------------------------------------------------------------------------
-
-def test_free_action_identity_and_wavefront(oracle_model):
-    axis = TimeGrid(0.0, 1.0, 0.125)
-    f = make_history(axis)
-    same = apply_lifted_free(oracle_model, 0.0, f)
-    np.testing.assert_array_equal(same.values, f.values)
-
-    t = 0.375  # three lattice steps
-    out = apply_lifted_free(oracle_model, t, f)
-    assert np.all(out.values[:3] == 0.0)
-    # exchange oracle: U(t, s) = exp(-(t-s)) identity
-    np.testing.assert_allclose(out.values[3:], math.exp(-t) * f.values[:-3],
-                               rtol=1e-14)
-    with pytest.raises(PreconditionError):
-        apply_lifted_free(oracle_model, -0.1, f)
-    with pytest.raises(PreconditionError):
-        apply_lifted_free(oracle_model, 0.2, f)  # off-lattice shift
-    other = LiftedVector(grid=abstract_grid([1.0, 1.0, 1.0]), axis=axis,
-                         values=np.zeros((9, 3)))
-    with pytest.raises(StructureError):
-        apply_lifted_free(oracle_model, 0.0, other)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +107,24 @@ def test_resolvent_free_geometric_decay(oracle_model):
         np.testing.assert_allclose(out.values[k], base * ratio ** k, rtol=1e-13)
 
 
+def lifted_generator_matrix(model, axis, perturbed):
+    """Dense generator over the (time-node, grid-node) index set, unknown
+    k * d + i for axis node k and grid node i: -d/dt by the upwind
+    difference with zero inflow at time 0, minus the loss rate, plus B(t)
+    when ``perturbed``."""
+    nodes, h, d = axis.nodes, axis.dt, model.grid.size
+    rates = model.loss_rate(nodes)
+    mat = np.zeros((nodes.size * d, nodes.size * d))
+    for k, tau in enumerate(nodes):
+        block = -np.diag(1.0 / h + rates[k])
+        if perturbed:
+            block = block + model.perturbation.as_matrix(tau)
+        mat[k * d:(k + 1) * d, k * d:(k + 1) * d] = block
+        if k > 0:
+            mat[k * d:(k + 1) * d, (k - 1) * d:k * d] = np.eye(d) / h
+    return mat
+
+
 def test_resolvents_match_dense_generator(oracle_model):
     axis = TimeGrid(0.0, 1.5, 0.25)
     grid = abstract_grid([1.0, 1.0])
@@ -145,7 +134,7 @@ def test_resolvents_match_dense_generator(oracle_model):
     lam = 1.2
     size = (axis.n_steps + 1) * 2
     for perturbed in (False, True):
-        gen = lifted_generator_matrix(oracle_model, axis, perturbed=perturbed)
+        gen = lifted_generator_matrix(oracle_model, axis, perturbed)
         dense = np.linalg.solve(lam * np.eye(size) - gen, f.values.ravel())
         sweep = lifted_resolvent(oracle_model, lam, f, perturbed=perturbed)
         np.testing.assert_allclose(sweep.values.ravel(), dense, rtol=1e-12)
@@ -191,7 +180,7 @@ def test_resolvent_needs_loss_rates():
         perturbation=PerturbationFamily(grid=grid, apply=lambda t, u: 0.0 * u),
     )
     axis = TimeGrid(0.0, 1.0, 0.5)
-    f = lifted_zero(grid, axis)
+    f = LiftedVector(grid=grid, axis=axis, values=np.zeros((3, 2)))
     with pytest.raises(PreconditionError, match="loss_rate"):
         lifted_resolvent(bare, 1.0, f)
     # rates are read for all axis nodes in one call: one row per node
@@ -206,17 +195,6 @@ def test_resolvent_needs_loss_rates():
                                                                    np.ones(2)))
     with pytest.raises(PreconditionError, match="diagonal must be positive"):
         lifted_resolvent(gaining, 1.0, f)
-
-
-def test_generator_is_m_matrix(oracle_model):
-    axis = TimeGrid(0.0, 1.0, 0.25)
-    lam = 0.7
-    gen = lifted_generator_matrix(oracle_model, axis, perturbed=True)
-    a_matrix = lam * np.eye(gen.shape[0]) - gen
-    diag = np.diag(a_matrix)
-    off = a_matrix - np.diag(diag)
-    assert np.all(diag > 0.0)
-    assert np.all(off <= 0.0)
 
 
 def test_kick_block_norm_on_exchange(oracle_model):
