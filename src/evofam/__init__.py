@@ -93,7 +93,6 @@ from .lifted import (
     required_horizon,
     resolvent_factorization_check,
     resolvent_series_check,
-    write_check_suite_csv,
 )
 from .presets import matrix_exchange_model, two_state_exchange
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import SeparableCoefficient, TimeProfile, sample_nonnegative
+from .coefficients import (SeparableCoefficient, TimeProfile, require_finite_nonnegative,
+                           sample_nonnegative)
 from .errors import ModelContractError, PreconditionError, StructureError
 from .evolution import (
     PerturbedModel,
@@ -122,13 +123,7 @@ def collision_model(grid: Grid, frequency: SeparableCoefficient, kernel: Collisi
         raise StructureError(
             f"kernel matrix shape {mat.shape} does not match grid size {grid.size}"
         )
-    bad = np.argwhere(~np.isfinite(mat))
-    if bad.size:
-        i, j = bad[0]
-        raise ModelContractError(f"kernel matrix not finite at (i, j) = ({i}, {j})")
-    if np.any(mat < 0.0):
-        i, j = np.argwhere(mat < 0.0)[0]
-        raise ModelContractError(f"kernel matrix negative at (i, j) = ({i}, {j})")
+    require_finite_nonnegative(mat, "kernel matrix")
 
     q = kernel.profile.value(times)
     for bad, problem in ((~np.isfinite(q), "not finite"), (q < 0.0, "negative")):

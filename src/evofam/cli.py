@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -57,7 +58,6 @@ from .honesty import (
     VERDICT_INCONCLUSIVE,
     mass_ledger,
     table_verdict,
-    write_honesty_report,
 )
 from .lifted import (
     CheckRow,
@@ -67,7 +67,6 @@ from .lifted import (
     lifted_norm,
     resolvent_factorization_check,
     resolvent_series_check,
-    write_check_suite_csv,
 )
 from .presets import two_state_exchange
 from .state_space import uniform_mass_grid, uniform_velocity_grid
@@ -328,7 +327,8 @@ def run_shattering(cfg: ExperimentConfig) -> RunArtifacts:
     if "daughter" in cfg.sections:
         daughter_kind, daughter_args = _split_kind(cfg.sections["daughter"])
         args.update(daughter_args, daughter_kind=daughter_kind)
-    report = shattering_experiment(alpha, _engine_grid(cfg),
+    report = shattering_experiment(alpha, _engine_grid(cfg), n_max=cfg.engine.n_max,
+                                   rel_threshold=cfg.honesty.threshold,
                                    persistence=cfg.honesty.persistence, **args)
 
     final = report.rows[-1]
@@ -405,42 +405,11 @@ def run_sweep(cfg: ExperimentConfig, strict: bool | None) -> RunArtifacts:
 # output writing (single writer, after the runner finished)
 # ---------------------------------------------------------------------------
 
-def _write_report(path, cfg: ExperimentConfig, art: RunArtifacts) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row_type", "name", "value"])
-        for name, value in cfg.echo_rows:
-            writer.writerow(["config", name, value])
-        for name, value in art.results:
-            writer.writerow(["result", name, value])
-
-
-def _write_defects(path, series) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "defect"])
-        for n, value in enumerate(series.values):
-            writer.writerow([n, repr(float(value))])
-
-
-def _write_shattering(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x_min", "n_nodes", "defect_last", "limit_estimate",
-                         "verdict", "leakage_last"])
-        for row in rows:
-            writer.writerow([repr(row.x_min), row.n_nodes, repr(row.defect_last),
-                             repr(row.limit_estimate), row.verdict,
-                             repr(row.leakage_last)])
-
-
-def _write_sweep(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["resolution", "defect_limit", "ledger_residual",
-                         "leakage", "duhamel_residual", "ratio", "verdict"])
-        for row in rows:
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _svg_panel(lines, x0, y0, width, height, series, title, log_y):
@@ -503,18 +472,38 @@ def write_outputs(out_dir, cfg: ExperimentConfig, art: RunArtifacts,
         written.append(name)
         return os.path.join(out_dir, name)
 
-    _write_report(target("report.csv"), cfg, art)
-    if art.ledger is not None and art.series is not None:
-        write_honesty_report(target("ledger.csv"), art.ledger, art.series)
-        _write_defects(target("defects.csv"), art.series)
+    # rows are generated as the file is written, none held as a list
+    report = itertools.chain((("config", *row) for row in cfg.echo_rows),
+                             (("result", *row) for row in art.results))
+    _write_csv(target("report.csv"), ("row_type", "name", "value"), report)
+    ledger, series = art.ledger, art.series
+    if ledger is not None and series is not None:
+        rows = ((n, *map(_fmt, entry)) for n, entry in enumerate(
+            zip(ledger.defects, ledger.partial_mass, ledger.residuals)))
+        footer = ("limit_estimate", _fmt(series.limit_estimate), "verdict", series.verdict)
+        _write_csv(target("ledger.csv"), ("n", "defect", "partial_mass", "ledger_residual"),
+                   itertools.chain(rows, [footer]))
+        _write_csv(target("defects.csv"), ("n", "defect"),
+                   enumerate(map(_fmt, series.values)))
         if emit_svg:
-            _write_svg(target("plots.svg"), art.ledger, art.series)
+            _write_svg(target("plots.svg"), ledger, series)
     if art.check_rows:
-        write_check_suite_csv(target("checks.csv"), art.check_rows)
+        _write_csv(target("checks.csv"),
+                   ("check_name", "h", "lambda", "n", "residual", "truncation_bound"),
+                   ((row.check_name, _fmt(row.h), _fmt(row.lam), row.n,
+                     _fmt(row.residual), _fmt(row.truncation_bound))
+                    for row in art.check_rows))
     if art.shattering_rows:
-        _write_shattering(target("shattering.csv"), art.shattering_rows)
+        _write_csv(target("shattering.csv"),
+                   ("x_min", "n_nodes", "defect_last", "limit_estimate", "verdict",
+                    "leakage_last"),
+                   ((_fmt(row.x_min), row.n_nodes, _fmt(row.defect_last),
+                     _fmt(row.limit_estimate), row.verdict, _fmt(row.leakage_last))
+                    for row in art.shattering_rows))
     if art.sweep_rows:
-        _write_sweep(target("sweep.csv"), art.sweep_rows)
+        _write_csv(target("sweep.csv"),
+                   ("resolution", "defect_limit", "ledger_residual", "leakage",
+                    "duhamel_residual", "ratio", "verdict"), art.sweep_rows)
     return written
 
 

@@ -147,6 +147,17 @@ def sample_nonnegative(coef: SeparableCoefficient, times: np.ndarray, size: int,
     return values
 
 
+def require_finite_nonnegative(values: np.ndarray, what: str) -> None:
+    """Raise naming the first (i, j) pair or node of ``values`` that is not finite or < 0."""
+    # one boolean mask alive at a time: a d x d mask is large for wide grids
+    for problem, bad in (("not finite", lambda: ~np.isfinite(values)),
+                         ("negative", lambda: values < 0.0)):
+        if bad().any():
+            index = tuple(int(k) for k in np.argwhere(bad())[0])
+            where = f"(i, j) = {index}" if len(index) == 2 else f"node index {index[0]}"
+            raise ModelContractError(f"{what} {problem} at {where}")
+
+
 def time_profile_from_params(kind: str, params: dict) -> TimeProfile:
     """Build a TimeProfile from flat config parameters."""
     if kind == "constant":

@@ -6,8 +6,10 @@ required; see README for details):
     every kind    [experiment] kind (required) = oracle | boltzmann |
                                fragmentation | lifted_checks |
                                shattering_sweep
-                  [engine]     s, t_end, dt (required), n_max, series_tol,
-                               rule
+                  [engine]     s, t_end, dt (required), n_max, rule;
+                               series_tol (oracle, boltzmann and
+                               fragmentation only: the kinds that compute
+                               residuals)
                   [honesty]    threshold, persistence
                   [output]     directory, emit_svg
     all but shattering_sweep
@@ -33,8 +35,8 @@ required; see README for details):
                   [daughter]   kind = binary_uniform | powerlaw; nu
     shattering_sweep
                   [shattering] alpha (required), x_max, x_min_start,
-                               n_grids, nodes_per_grid, n_max,
-                               rel_threshold
+                               n_grids, nodes_per_grid ([engine] n_max and
+                               [honesty] threshold apply to every grid)
     oracle, boltzmann, fragmentation
                   [sweep]      kind = dt | x_min; values (comma list,
                                >= 2 entries; read by the sweep subcommand)
@@ -151,15 +153,17 @@ _PROFILES = {
     "power": {"scale": float, "exponent": float},
     "pwlinear": {"times": _Need(list), "values": _Need(list)},
 }
-_RUNS = ("oracle", "boltzmann", "fragmentation", "lifted_checks")
+_SERIES_RUNS = ("oracle", "boltzmann", "fragmentation")  # the kinds with residuals
+_ENGINE_KEYS = _record_keys(EngineSection)
 
 # section -> {the experiment kinds that read it: its key table}
 _SCHEMA = {
     "experiment": {EXPERIMENT_KINDS: {"kind": str}},
-    "engine": {EXPERIMENT_KINDS: _record_keys(EngineSection)},
+    "engine": {_SERIES_RUNS: _ENGINE_KEYS, ("lifted_checks", "shattering_sweep"):
+               {k: v for k, v in _ENGINE_KEYS.items() if k != "series_tol"}},
     "honesty": {EXPERIMENT_KINDS: _record_keys(HonestySection)},
     "output": {EXPERIMENT_KINDS: _record_keys(OutputSection)},
-    "initial": {_RUNS: _record_keys(InitialSection)},
+    "initial": {_SERIES_RUNS + ("lifted_checks",): _record_keys(InitialSection)},
     "lifted": {("lifted_checks",): _record_keys(LiftedSection)},
     "oracle": {("oracle", "lifted_checks"): {"rate": float}},
     "grid": {
@@ -190,9 +194,8 @@ _SCHEMA = {
         "kind": _Need({"binary_uniform": {}, "powerlaw": {"nu": float}})}},
     "shattering": {("shattering_sweep",): {
         "alpha": _Need(float), "x_max": float, "x_min_start": float,
-        "n_grids": int, "nodes_per_grid": int, "n_max": int,
-        "rel_threshold": float}},
-    "sweep": {("oracle", "boltzmann", "fragmentation"): {
+        "n_grids": int, "nodes_per_grid": int}},
+    "sweep": {_SERIES_RUNS: {
         "kind": _Need({"dt": {}, "x_min": {}}), "values": _Need(list)}},
 }
 class _Table(NamedTuple):

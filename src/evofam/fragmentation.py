@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import SeparableCoefficient, TimeProfile, sample_nonnegative
+from .coefficients import (SeparableCoefficient, TimeProfile, require_finite_nonnegative,
+                           sample_nonnegative)
 from .errors import ModelContractError, PreconditionError, StructureError
 from .evolution import (
     DysonPhillipsTable,
@@ -201,13 +202,7 @@ def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter, *,
         )
     if factors is not None:
         mat = _strict_upper(*factors)
-    bad = np.argwhere(~np.isfinite(mat))
-    if bad.size:
-        i, j = bad[0]
-        raise ModelContractError(f"daughter matrix not finite at (i, j) = ({i}, {j})")
-    if np.any(mat < 0.0):
-        i, j = np.argwhere(mat < 0.0)[0]
-        raise ModelContractError(f"daughter matrix negative at (i, j) = ({i}, {j})")
+    require_finite_nonnegative(mat, "daughter matrix")
     # each row's first nonzero column; the first row where it sits on or
     # below the diagonal holds the first offender in row-major order
     nonzero = mat != 0.0

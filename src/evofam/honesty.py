@@ -13,7 +13,6 @@ collision models a priori.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -73,7 +72,7 @@ def honesty_verdict(defects, u0_norm: float, *, rel_threshold: float = 1e-8,
                    three computed ratios.  Honesty is never certified from
                    a non-decaying tail.
     """
-    values = np.asarray(defects, dtype=float)
+    values = np.array(defects, dtype=float)  # a copy: the caller's array stays apart
     if values.ndim != 1 or values.size == 0:
         raise PreconditionError("defect sequence must be a nonempty 1-d array")
     if persistence < 1:
@@ -141,23 +140,6 @@ def mass_ledger(table: DysonPhillipsTable) -> MassLedger:
         defects=defects.copy(),
         residuals=u0_norm - partial - defects,
     )
-
-
-def write_honesty_report(path, ledger: MassLedger, series: DefectSeries) -> None:
-    """CSV rows ``n,defect,partial_mass,ledger_residual`` plus a footer row
-    carrying the extrapolated limit and the verdict."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "defect", "partial_mass", "ledger_residual"])
-        for n in range(ledger.n_max + 1):
-            writer.writerow([
-                n,
-                repr(float(ledger.defects[n])),
-                repr(float(ledger.partial_mass[n])),
-                repr(float(ledger.residuals[n])),
-            ])
-        writer.writerow(["limit_estimate", repr(float(series.limit_estimate)),
-                         "verdict", series.verdict])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ measures and reports, together with any horizon-truncation bound.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from .evolution import (
     _trapezoid_kicks,
     iterate_right,
 )
-from .state_space import Grid
+from .state_space import Grid, _readonly
 
 HORIZON_TAIL_LIMIT = 1e-10
 
@@ -57,7 +56,7 @@ class LiftedVector:
     def __post_init__(self):
         if self.axis.s != 0.0:
             raise StructureError("lifted time axis must start at 0")
-        vals = np.asarray(self.values, dtype=float)
+        vals = _readonly(self.values)
         expected = (self.axis.n_steps + 1, self.grid.size)
         if vals.shape != expected:
             raise StructureError(f"lifted values must have shape {expected}, got {vals.shape}")
@@ -311,13 +310,3 @@ def laplace_transform_check(model: PerturbedModel, lam: float, n: int,
     return CheckRow(check_name="laplace_transform", h=axis.dt, lam=lam, n=n,
                     residual=residual, truncation_bound=bound)
 
-
-def write_check_suite_csv(path, rows) -> None:
-    """Write check rows as CSV: check_name, h, lambda, n, residual, truncation_bound."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["check_name", "h", "lambda", "n", "residual",
-                         "truncation_bound"])
-        for row in rows:
-            writer.writerow([row.check_name, repr(row.h), repr(row.lam),
-                             row.n, repr(row.residual), repr(row.truncation_bound)])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coefficients import SeparableCoefficient, TimeProfile
+from .coefficients import SeparableCoefficient, TimeProfile, require_finite_nonnegative
 from .errors import StructureError
 from .evolution import PerturbedModel, loss_gain_model
 from .state_space import Grid, abstract_grid
@@ -18,17 +18,17 @@ from .state_space import Grid, abstract_grid
 def matrix_exchange_model(grid: Grid, loss_rates, exchange, name: str = "matrix-exchange") -> PerturbedModel:
     """Constant-coefficient model: U(t,s) = diag(exp(-loss*(t-s))), B = exchange.
 
-    ``exchange`` must be nonnegative; the model is flagged conservative when
-    the weighted column sums of the exchange matrix exactly balance the
-    weighted loss rates (the discrete no-mass-created/none-hidden case).
+    Loss rates and ``exchange`` must be finite and nonnegative; the model
+    is flagged conservative when the weighted column sums of the exchange
+    matrix exactly balance the weighted loss rates (no mass created or hidden).
     """
     loss = np.asarray(loss_rates, dtype=float)
     mat = np.asarray(exchange, dtype=float)
     d = grid.size
     if loss.shape != (d,) or mat.shape != (d, d):
         raise StructureError("loss rates / exchange matrix shape mismatch with grid")
-    if np.any(loss < 0.0) or np.any(mat < 0.0):
-        raise StructureError("loss rates and exchange matrix must be nonnegative")
+    require_finite_nonnegative(loss, "loss rate")
+    require_finite_nonnegative(mat, "exchange matrix")
     w = grid.weights
     gained = w @ mat              # weighted mass produced per unit source coefficient
     lost = loss * w

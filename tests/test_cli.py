@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evofam import TimeGrid, cli, evolution, fragmentation, iterate_right
+from evofam import (LiftedVector, TimeGrid, cli, evolution, fragmentation, iterate_right,
+                    mass_ledger, resolvent_factorization_check, table_verdict)
 from evofam import two_state_exchange
 from evofam.cli import main
 
@@ -105,13 +106,13 @@ kind = shattering_sweep
 [engine]
 dt = 0.0625
 t_end = 0.5
+n_max = 12
 
 [shattering]
 alpha = 0.0
 x_min_start = 0.0625
 n_grids = 2
 nodes_per_grid = 24
-n_max = 12
 """
 
 
@@ -170,8 +171,18 @@ def test_run_oracle_matches_library_values(tmp_path, capsys):
     assert report[0] == "row_type,name,value"
     assert "config,engine.dt,0.03125" in report
     assert any(line.startswith("result,duhamel_residual,") for line in report)
+    ledger, series = mass_ledger(table), table_verdict(table)
     ledger_lines = (out_dir / "ledger.csv").read_text().splitlines()
-    assert ledger_lines[-1].split(",")[3] == "honest"
+    assert ledger_lines[0] == "n,defect,partial_mass,ledger_residual"
+    assert len(ledger_lines) == 2 + ledger.n_max + 1  # header + rows + footer
+    first = ledger_lines[1].split(",")
+    assert first[0] == "0"
+    assert [float(v) for v in first[1:]] == [ledger.defects[0], ledger.partial_mass[0],
+                                             ledger.residuals[0]]
+    footer = ledger_lines[-1].split(",")
+    assert footer[0] == "limit_estimate" and footer[2] == "verdict"
+    assert float(footer[1]) == series.limit_estimate
+    assert footer[3] == series.verdict == "honest"
 
 
 def test_run_missing_config_reports_error_without_outputs(tmp_path, capsys):
@@ -256,6 +267,19 @@ def test_lifted_checks_run_complete(tmp_path, capsys):
     names = {line.split(",")[0] for line in checks[1:]}
     assert names == {"resolvent_factorization", "resolvent_series",
                      "laplace_transform"}
+    # the first row is the library's factorization check on the run's profile
+    model = two_state_exchange(1.0)
+    axis = TimeGrid(0.0, 1.0, 0.0625)
+    f = LiftedVector(grid=model.grid, axis=axis,
+                     values=np.outer(axis.nodes * np.exp(-axis.nodes), [1.0, 0.0]))
+    row = resolvent_factorization_check(model, 2.0, f)
+    fields = checks[1].split(",")
+    assert fields[0] == row.check_name == "resolvent_factorization"
+    assert (float(fields[1]), float(fields[2]), int(fields[3])) == (0.0625, 2.0, 0)
+    assert (float(fields[4]), float(fields[5])) == (row.residual, 0.0)
+    last = checks[-1].split(",")
+    assert (last[0], float(last[2]), int(last[3])) == ("laplace_transform", 8.0, 1)
+    assert float(last[5]) > 0.0  # the horizon-truncation bound
 
 
 def test_shattering_run_writes_trend_rows(tmp_path, capsys):
@@ -373,6 +397,22 @@ def test_shattering_verdict_uses_configured_persistence(tmp_path, capsys):
     footer = (out_dir / "ledger.csv").read_text().splitlines()[-1].split(",")
     # 12 defect ratios cannot fill a 13-long tail: the verdict is open
     assert pairs["verdict"] == footer[3] == "inconclusive"
+    assert code == 3
+
+
+def test_shattering_reads_engine_n_max_and_honesty_threshold(tmp_path, capsys):
+    text = SHATTERING_INI.replace("n_max = 12", "n_max = 6")
+    out_dir = tmp_path / "out"
+    # 7 rows leave the defect above the threshold: inconclusive
+    assert main(["run", write_ini(tmp_path, text), "--output-dir", str(out_dir)]) == 3
+    assert len((out_dir / "ledger.csv").read_text().splitlines()) == 2 + 7
+    # alpha = 0 is honest at the default threshold; its finest limit
+    # estimate (about 5e-14) cannot fall below 1e-300
+    text = shipped_ini("shattering_sweep.ini", ("alpha = 1.0", "alpha = 0.0"))
+    text += "\n[honesty]\nthreshold = 1e-300\n"
+    code = main(["run", write_ini(tmp_path, text), "--output-dir", str(tmp_path / "tiny")])
+    pairs = stdout_pairs(capsys)
+    assert pairs["verdict"] == "inconclusive"
     assert code == 3
 
 

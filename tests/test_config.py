@@ -1,6 +1,8 @@
 """INI experiment configs: defaults, typed values, hard unknown-key errors."""
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from evofam import ConfigError, ExperimentConfig, parse_config
@@ -240,9 +242,26 @@ def test_shattering_sweep_refuses_grid_section(tmp_path):
     base = "[experiment]\nkind = shattering_sweep\n[shattering]\nalpha = 1.0\n"
     with pytest.raises(ConfigError, match=r"\[grid\] \(not read by shattering_sweep runs\)"):
         parse_config(write(tmp_path, base + "[engine]\ndt = 0.1\n[grid]\nkind = mass\n"))
-    # [engine], [honesty] and [output] keys stay accepted for every kind,
-    # read or not
+    # [engine] n_max and [honesty] threshold reach every grid of the sweep
     kept = base + ("[engine]\ndt = 0.1\nn_max = 12\n[honesty]\nthreshold = 1e-9\n"
                    "[output]\nemit_svg = yes\n")
     cfg = parse_config(write(tmp_path, kept))
     assert (cfg.engine.n_max, cfg.honesty.threshold, cfg.output.emit_svg) == (12, 1e-9, True)
+
+
+@pytest.mark.parametrize("kind, text, refused", [
+    ("shattering_sweep", "[shattering]\nalpha = 1.0\nn_max = 12\nrel_threshold = 1e-9\n",
+     [r"\[shattering\] n_max", r"\[shattering\] rel_threshold"]),
+    ("shattering_sweep", "[shattering]\nalpha = 1.0\n[engine]\nseries_tol = 1e-9\n",
+     [r"\[engine\] series_tol"]),
+    ("lifted_checks", "[engine]\nseries_tol = 1e-9\n", [r"\[engine\] series_tol"]),
+], ids=["shattering-keys", "shattering-series-tol", "lifted-series-tol"])
+def test_keys_a_kind_never_reads_are_refused(kind, text, refused, tmp_path):
+    text = f"[experiment]\nkind = {kind}\n" + text
+    if "[engine]" not in text:
+        text += "[engine]\n"
+    text = text.replace("[engine]\n", "[engine]\ndt = 0.1\n")
+    with pytest.raises(ConfigError, match="unknown configuration keys") as err:
+        parse_config(write(tmp_path, text))
+    for key in refused:
+        assert re.search(key, str(err.value))

@@ -27,6 +27,7 @@ from evofam import (
     iterate_right,
     left_right_discrepancy,
     mass_balance_identity,
+    matrix_exchange_model,
     mol_reference,
     series_sum,
     two_state_exchange,
@@ -446,6 +447,18 @@ def test_non_finite_perturbation_names_first_bad_node(oracle_model):
     with pytest.raises(EvaluationError, match="non-finite") as err:
         iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
     assert (err.value.n, err.value.tau) == (0, 0.5)
+
+
+@pytest.mark.parametrize("loss, exchange, message", [
+    ([1.0, np.nan], [[0.0, 1.0], [1.0, 0.0]], r"loss rate not finite at node index 1"),
+    ([1.0, 1.0], [[0.0, np.nan], [1.0, 0.0]],
+     r"exchange matrix not finite at \(i, j\) = \(0, 1\)"),
+    ([1.0, 1.0], [[0.0, 1.0], [-1.0, 0.0]],
+     r"exchange matrix negative at \(i, j\) = \(1, 0\)"),
+], ids=["nan-loss", "nan-exchange", "negative-exchange"])
+def test_exchange_model_refuses_bad_entries_at_construction(loss, exchange, message):
+    with pytest.raises(ModelContractError, match=message):
+        matrix_exchange_model(abstract_grid([1.0, 1.0]), loss, exchange)
 
 
 def test_negative_flow_rejected_at_its_row(oracle_model):

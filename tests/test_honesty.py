@@ -24,7 +24,6 @@ from evofam import (
 from evofam import evolution
 from evofam.evolution import prefix_weights
 from evofam.honesty import (
-    write_honesty_report,
     VERDICT_DISHONEST,
     VERDICT_HONEST,
     VERDICT_INCONCLUSIVE,
@@ -188,22 +187,11 @@ def test_row_less_table_matches_full_table_bitwise(fixture, request):
                               evolution._table_series(full, u0, tol, n_max))
 
 
-def test_honesty_report_layout(oracle_model, tmp_path):
-    tg = TimeGrid(0.0, 1.0, 1.0 / 32.0)
-    table = iterate_right(oracle_model, tg, np.array([1.0, 0.0]), 6)
-    ledger = mass_ledger(table)
-    series = table_verdict(table)
-    path = tmp_path / "honesty.csv"
-    write_honesty_report(path, ledger, series)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,defect,partial_mass,ledger_residual"
-    assert len(lines) == 2 + ledger.n_max + 1  # header + rows + footer
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert float(first[1]) == ledger.defects[0]
-    footer = lines[-1].split(",")
-    assert footer[0] == "limit_estimate" and footer[2] == "verdict"
-    assert footer[3] == series.verdict
+def test_verdict_values_are_a_copy(oracle_model):
+    table = iterate_right(oracle_model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 4)
+    kept = table.defects.copy()
+    table_verdict(table).values[0] = 99.0
+    np.testing.assert_array_equal(table.defects, kept)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from evofam import (
-    CheckRow,
     CollisionKernel,
     EvolutionFamily,
     LiftedVector,
@@ -31,7 +30,6 @@ from evofam import (
     resolvent_factorization_check,
     resolvent_series_check,
     uniform_velocity_grid,
-    write_check_suite_csv,
 )
 from evofam import evolution
 from evofam.coefficients import SeparableCoefficient, TimeProfile
@@ -57,6 +55,15 @@ def test_lifted_vector_validation():
         LiftedVector(grid=grid, axis=TimeGrid(0.5, 1.5, 0.25), values=np.zeros((5, 2)))
     with pytest.raises(StructureError, match="shape"):
         LiftedVector(grid=grid, axis=TimeGrid(0.0, 1.0, 0.25), values=np.zeros((5, 3)))
+
+
+def test_lifted_vector_freezes_a_copy():
+    values = np.zeros((3, 2))
+    f = LiftedVector(grid=abstract_grid([1.0, 1.0]), axis=TimeGrid(0.0, 1.0, 0.5),
+                     values=values)
+    values[0, 0] = 4.0
+    assert f.norm() == 0.0
+    assert not f.values.flags.writeable
 
 
 def test_lifted_norm_hand_value():
@@ -364,20 +371,3 @@ def test_required_horizon_inverts_tail():
     assert math.exp(-lam * horizon) == pytest.approx(HORIZON_TAIL_LIMIT, rel=1e-12)
     assert required_horizon(2.0, 1e-4) == pytest.approx(math.log(1e4) / 2.0)
 
-
-def test_check_suite_csv_round_trip(tmp_path):
-    rows = [
-        CheckRow(check_name="resolvent_factorization", h=0.03125, lam=2.0, n=0,
-                 residual=3.47e-4, truncation_bound=0.0),
-        CheckRow(check_name="laplace_transform", h=0.03125, lam=8.0, n=2,
-                 residual=1.25e-4, truncation_bound=4.7e-12),
-    ]
-    path = tmp_path / "checks.csv"
-    write_check_suite_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "check_name,h,lambda,n,residual,truncation_bound"
-    fields = lines[2].split(",")
-    assert fields[0] == "laplace_transform"
-    assert float(fields[1]) == 0.03125
-    assert int(fields[3]) == 2
-    assert float(fields[4]) == 1.25e-4
