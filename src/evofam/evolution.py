@@ -34,10 +34,11 @@ Operators are applied in batches over a leading time axis: the one-step
 survival factors U(tau_j, tau_{j-1}) are computed once per lattice, and B
 acts on all M+1 nodes of a row in one call.  Each one-step row is then the
 first-order recurrence c_j = e_j c_{j-1} + g_j along the lattice, run by a
-blocked recursive carry: O(M d) work in O(K log_K M) numpy calls per row
-(K = 8; rows of d >= 512 floats run the plain loop, O(M) calls), and
-prefix-stable, so a row on a lattice prefix is bitwise the prefix of the
-row on the whole lattice.
+carry chosen by the row width d: a doubling scan of the first 4096 rows
+for d <= 8 (O(log M) numpy calls), a blocked recursive carry for the rest
+of those rows and for d < 512 (O(K log_K M) calls, K = 8), and the plain
+loop for wider rows (O(M) calls).  Each is prefix-stable, so a row on a
+lattice prefix is bitwise the prefix of the row on the whole lattice.
 """
 from __future__ import annotations
 
@@ -348,8 +349,11 @@ _TABLE_MEMORY_CAP_BYTES = 256 * 1024 * 1024
 # Arrays of (M+1) d floats a row pass holds at once: the step factors,
 # row n, its B row, row n+1, and two temporaries of a B call (its input
 # product and output, or on the direct path a gathered B row and its
-# propagation).
+# propagation).  Rows narrow enough for ``_carry``'s doubling scan add
+# ``_SCAN_ROWS`` arrays the size of the scanned head, the scan's two
+# temporaries.
 _PASS_ROWS = 6
+_SCAN_ROWS = 2
 
 
 def _check_table_bytes(what: str, bytes_needed: int) -> None:
@@ -398,36 +402,101 @@ def _step_factors(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
     return steps
 
 
-# Block length of ``_carry``, and the row width (floats per row) from which
-# it runs the plain loop at any length.  The blocked form makes about three
-# passes over the data where the loop makes one, to save per-call overhead
-# that rows this wide already amortize: on a 2-core Xeon with numpy 2.4 it
-# measured slower than the loop at d = 512 for every length up to M = 1000,
-# and faster at d = 256 from M = 256 on.
+# How ``_carry`` runs a row of w floats, by w alone: rows of at most
+# ``_CARRY_NARROW_ROW`` floats scan their first ``_CARRY_SCAN_HEAD`` rows
+# and block the rest, rows under ``_CARRY_WIDE_ROW`` floats block
+# throughout, with block length ``_CARRY_BLOCK``, and wider rows loop.
+# Microseconds per call with the blocked carry on every row under 512
+# floats / with this rule, median of 31 interleaved rounds (2-core Xeon,
+# numpy 2.4):
+#
+#   w    M = 8   16      64      1024      4096     16384     65536
+#   1    31/19   96/23   123/33  287/70    366/144  591/475   1282/1277
+#   2    20/16   83/22   123/30  414/93    782/251  2209/1675 7779/7480
+#   8    24/19   92/25   137/39  446/199   970/628  3326/3084 14478/14029
+#   128  29/29   106/107 189/193 1460/1475
+#   512  31/31   61/60   240/247 4655/4670
+#
+# Strided calls on rows of a few floats pay per-row overhead that the
+# scan's contiguous calls do not; the scan's O(M log M) work catches up
+# near M = 65536 (a tie there: which rule is faster at w = 1 and 8 flips
+# from run to run), so it stops at a fixed head.  Loops on rows of 512
+# floats amortize their per-call overhead, so the blocked form's three
+# passes over the data do not pay there.
 _CARRY_BLOCK = 8
+_CARRY_NARROW_ROW = 8
 _CARRY_WIDE_ROW = 512
+_CARRY_SCAN_HEAD = 4096
 
 
 def _carry(steps: np.ndarray, out: np.ndarray) -> None:
     """Run the recurrence out[j] = steps[j-1] * out[j-1] + out[j] in place.
 
     ``out[0]`` is the start and ``out[1:]`` the inputs, shape (M+1, ...);
-    ``steps`` holds the M factors, shape (M, ...).  Rows 1..M fall into
-    blocks of K = ``_CARRY_BLOCK`` rows.  Block 0 runs the plain loop from
-    the start, which for M <= K, or rows of ``_CARRY_WIDE_ROW`` floats or
-    more, is the whole run.  Every later block runs its local recurrence
-    from zero, all blocks side by side; the true block ends are then
-    chained by this same carry on the block products, and each block's
-    carry-in is decayed through its other rows.  O(M) row work in
-    O(K log_K M) numpy calls, with no division, so zero factors need no
-    care.  Each row is computed by a rule fixed by its position, from rows
-    and factors before it only: a run on a prefix of the lattice gives
-    bitwise the rows of the full run.
+    ``steps`` holds the M factors, shape (M, ...).  The method is chosen
+    by the row width w = ``out[0].size`` and the row's position, never by
+    M:
+
+    - w <= ``_CARRY_NARROW_ROW``: rows 1..min(M, ``_CARRY_SCAN_HEAD``) by
+      the doubling scan, ceil(log2) levels of three contiguous calls each;
+      later rows by the blocked level, started from the last scanned row.
+    - w < ``_CARRY_WIDE_ROW``: the blocked level, O(M) work in
+      O(K log_K M) strided calls.
+    - wider rows: the plain loop, M calls that each amortize their
+      overhead over w floats.
+
+    No method divides, so zero factors need no care.  Each row is computed
+    by a rule fixed by its position, from rows and factors before it only:
+    a run on a prefix of the lattice gives bitwise the rows of the full
+    run, and a non-finite input at row j leaves the rows before j finite.
+    """
+    m, width = len(steps), out[0].size
+    if width >= _CARRY_WIDE_ROW:
+        _carry_loop(steps, out)
+    elif width > _CARRY_NARROW_ROW:
+        _carry_blocked(steps, out)
+    else:
+        head = min(m, _CARRY_SCAN_HEAD)
+        _carry_scan(steps[:head], out[:head + 1])
+        if m > head:
+            _carry_blocked(steps[head:], out[head:])
+
+
+def _carry_loop(steps: np.ndarray, out: np.ndarray) -> None:
+    for j in range(1, len(steps) + 1):
+        out[j] += steps[j - 1] * out[j - 1]
+
+
+def _carry_scan(steps: np.ndarray, out: np.ndarray) -> None:
+    """``_carry`` by a Kogge-Stone doubling scan.
+
+    At level o = 1, 2, 4, ... every row j >= o takes out[j] += G_j out[j-o],
+    where G_j is the product of the o factors that end at row j; then G_j
+    becomes the product of the 2o factors ending at j.  O(M log M) work,
+    holding at most two temporaries the size of ``steps``.
+    """
+    m, g, o = len(steps), steps, 1
+    while o <= m:
+        n = m + 1 - o
+        out[o:] += g * out[:n]
+        if 2 * o > m:
+            return
+        g = g[o:] * g[:n - o]
+        o *= 2
+
+
+def _carry_blocked(steps: np.ndarray, out: np.ndarray) -> None:
+    """``_carry`` by blocks of K = ``_CARRY_BLOCK`` rows.
+
+    Every block runs its local recurrence side by side with the others,
+    block 0 from the start (the whole run when M <= K) and later blocks
+    from zero.  The true block ends are then chained by ``_carry`` on the
+    block products, on a contiguous copy, and each block's carry-in is
+    decayed through its other rows.
     """
     m, k = len(steps), _CARRY_BLOCK
-    if m <= k or out[0].size >= _CARRY_WIDE_ROW:
-        for j in range(1, m + 1):
-            out[j] += steps[j - 1] * out[j - 1]
+    if m <= k:
+        _carry_loop(steps, out)
         return
     scratch = np.empty((-(-m // k),) + out.shape[1:])
     # local recurrences: block 0 from the start, later blocks from zero
@@ -438,11 +507,13 @@ def _carry(steps: np.ndarray, out: np.ndarray) -> None:
         out[1 + i::k] += scratch[:n]
     # chain the ends of the complete blocks through the block products
     full = m // k
+    ends = scratch[:full]
+    ends[...] = out[k:full * k + 1:k]
     prods = steps[k:full * k].reshape((full - 1, k) + steps.shape[1:]).prod(axis=1)
-    _carry(prods, out[k:full * k + 1:k])
+    _carry(prods, ends)
+    out[k:full * k + 1:k] = ends
     # decay each later block's carry-in through its rows before the end
     carry = scratch[:len(scratch) - 1]
-    carry[...] = out[k:len(carry) * k + 1:k]
     for i in range(k - 1):
         rows = out[k + 1 + i::k]
         n = len(rows)
@@ -518,20 +589,25 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     never calls it pays no B application on that row.
 
     Cost per one-step row: one batched B call and one ``_carry`` of the
-    recurrence c_j = steps[j-1] c_{j-1} + g_j, O(M d) work in
-    O(K log_K M) numpy calls (O(M) for d >= 512), with the inputs g built
-    by whole-array operations.  Every row is prefix-stable: on a lattice cut at node c,
-    rows 0..c come out bitwise the same as on the whole lattice.
+    recurrence c_j = steps[j-1] c_{j-1} + g_j, with the inputs g built by
+    whole-array operations.  The carry makes O(log M) numpy calls for
+    d <= 8 and M <= 4096, O(K log_K M) for d < 512 and M for wider rows
+    (see ``_carry``).  Every row is prefix-stable: on a lattice cut at
+    node c, rows 0..c come out bitwise the same as on the whole lattice.
 
     Memory: the pass holds ``_PASS_ROWS`` arrays of (M+1) d floats at
-    once, and raises ``SizeCapError`` before any operator call when they
-    would exceed the table cap (signed data runs two passes side by side).
+    once, and ``_SCAN_ROWS`` of min(M, ``_CARRY_SCAN_HEAD``) + 1 rows more
+    when d is narrow enough for the carry's scan, and raises
+    ``SizeCapError`` before any operator call when they would exceed the
+    table cap (signed data runs two passes side by side).
     """
     nodes = tg.nodes
     m = tg.n_steps
     dt = tg.dt
     d = model.grid.size
-    _check_table_bytes("row pass working set", _PASS_ROWS * (m + 1) * d * 8)
+    scanned = (min(m, _CARRY_SCAN_HEAD) + 1) * (d <= _CARRY_NARROW_ROW)
+    _check_table_bytes("row pass working set",
+                       (_PASS_ROWS * (m + 1) + _SCAN_ROWS * scanned) * d * 8)
     per_node = source.ndim == 2
     if per_node and (direct or tg.rule != "trapezoid"):
         raise PreconditionError("a per-node source needs the one-step trapezoid recursion")

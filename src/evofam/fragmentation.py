@@ -396,9 +396,9 @@ class ShatteringReport:
     series: DefectSeries
 
 
-def shattering_experiment(alpha: float, tg: TimeGrid, *, x_max: float = 1.0,
+def shattering_experiment(alpha: float, tg: TimeGrid, *, n_max: int, x_max: float = 1.0,
                           x_min_start: float = 1.0 / 16.0, n_grids: int = 4,
-                          nodes_per_grid: int = 64, n_max: int = 12,
+                          nodes_per_grid: int = 64,
                           daughter_kind: str = "binary_uniform", nu: float = 1.0,
                           rel_threshold: float = 1e-8,
                           persistence: int = 3) -> ShatteringReport:
@@ -407,8 +407,10 @@ def shattering_experiment(alpha: float, tg: TimeGrid, *, x_max: float = 1.0,
     Singular rates (alpha > 0) blow up toward zero size; the truncated
     grids probe whether the honesty limit estimate stays bounded away
     from zero as the truncation recedes.  alpha = 0 is the bounded
-    control and must come out honest on every grid.  ``rel_threshold``
-    and ``persistence`` feed each grid's ``table_verdict``.
+    control and must come out honest on every grid.  Every grid's table
+    runs to iterate ``n_max`` (required, as in ``iterate_right``; the CLI
+    passes ``[engine] n_max``).  ``rel_threshold`` and ``persistence`` feed
+    each grid's ``table_verdict``.
     """
     if alpha < 0.0:
         raise PreconditionError("alpha must be >= 0")

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evofam import (
@@ -361,10 +361,21 @@ def test_series_sum_applies_b_only_to_rows_it_builds_on(oracle_model, tol):
 
 
 # ---------------------------------------------------------------------------
-# blocked carry recursion
+# carry recursion
 # ---------------------------------------------------------------------------
 
 K = evolution._CARRY_BLOCK
+H = evolution._CARRY_SCAN_HEAD
+NARROW = evolution._CARRY_NARROW_ROW
+# row widths on both sides of each method boundary: scan (<= 8 floats),
+# blocked (< 512), plain loop
+WIDTHS = [1, 2, 8, 9, 33, 128, 512]
+# lengths at each boundary of the blocked level, and of the scanned head
+# and the blocked tail after it, which narrow rows have
+BLOCK_LENGTHS = [0, 1, K, K + 1, K * K, K * K + 1, K * K + K + 1, K ** 3 + K + 1]
+HEAD_LENGTHS = [H - 1, H, H + 1, H + K + 1, H + K * K + K + 1]
+CARRY_SHAPES = [(d, m) for d in WIDTHS
+                for m in BLOCK_LENGTHS + HEAD_LENGTHS * (d <= NARROW)]
 
 
 def sequential_carry(steps, out):
@@ -372,6 +383,10 @@ def sequential_carry(steps, out):
     for j in range(1, len(out)):
         out[j] = steps[j - 1] * out[j - 1] + out[j]
     return out
+
+
+def plain_loop_carry(steps, out):
+    out[...] = sequential_carry(steps, out)
 
 
 def carry_data(seed, m, d, zeros, tinies):
@@ -387,27 +402,44 @@ def carry_data(seed, m, d, zeros, tinies):
     return steps, out
 
 
-@given(m=st.sampled_from([0, 1, K, K + 1, K * K, K * K + 1, 2000]),
-       d=st.sampled_from([1, 2, 33]), seed=st.integers(0, 2 ** 32 - 1),
-       zeros=st.floats(0.0, 0.5), tinies=st.floats(0.0, 0.5))
-def test_carry_matches_sequential_loop(m, d, seed, zeros, tinies):
-    steps, start = carry_data(seed, m, d, zeros, tinies)
-    ref = sequential_carry(steps, start)
-    out = start.copy()
-    evolution._carry(steps, out)
+def assert_close_to_loop(out, ref):
     # 1e-13 relative on every entry; below the smallest normal float the
     # products of 1e-300 factors round as subnormals, in either order
     assert np.all(np.abs(out - ref) <= 1e-13 * ref + np.finfo(float).tiny)
 
 
-@pytest.mark.parametrize("d", [1, 2, 33])
+def every_shape_then_random(test):
+    """Run ``test`` once on each of CARRY_SHAPES, with exact zeros and
+    1e-300 factors mixed in, then on random draws."""
+    for i, shape in enumerate(CARRY_SHAPES):
+        test = example(shape=shape, seed=i, zeros=0.1, tinies=0.1)(test)
+    return given(shape=st.sampled_from(CARRY_SHAPES), seed=st.integers(0, 2 ** 32 - 1),
+                 zeros=st.floats(0.0, 0.5), tinies=st.floats(0.0, 0.5))(test)
+
+
+@every_shape_then_random
+def test_carry_matches_sequential_loop(shape, seed, zeros, tinies):
+    d, m = shape
+    steps, start = carry_data(seed, m, d, zeros, tinies)
+    out = start.copy()
+    evolution._carry(steps, out)
+    assert_close_to_loop(out, sequential_carry(steps, start))
+
+
+@pytest.mark.parametrize("d", WIDTHS)
 def test_carry_on_a_prefix_is_bitwise_the_full_run(d):
-    # three blocked levels (650, 80 and 9 steps) before the plain loop
-    m = K * (K * 10 + 1) + 2
+    # three blocked levels (650, 80 and 9 steps), after the scanned head on
+    # narrow rows
+    head = H if d <= NARROW else 0
+    m = head + K * (K * 10 + 1) + 2
     steps, start = carry_data(d, m, d, 0.1, 0.1)
     full = start.copy()
     evolution._carry(steps, full)
-    for cut in range(m + 1):
+    # every node of the blocked tail and of the head's first K^2 + K + 2
+    # rows; inside a scanned head, every 11th node
+    tail = head - K * K - K - 2
+    cuts = [c for c in range(m + 1) if c < K * K + K + 2 or c >= tail or c % 11 == 0]
+    for cut in cuts:
         part = start[:cut + 1].copy()
         evolution._carry(steps[:cut], part)
         assert np.array_equal(part, full[:cut + 1]), cut
@@ -418,6 +450,26 @@ def test_carry_on_wide_rows_is_the_sequential_loop():
     out = start.copy()
     evolution._carry(steps, out)
     assert np.array_equal(out, sequential_carry(steps, start))
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("m, j", [(64, 1), (64, 37), (H + 100, H), (H + 100, H + 37)])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("into", ["input", "factor"])
+def test_carry_keeps_rows_before_a_non_finite_entry_finite(d, m, j, bad, into):
+    steps, start = carry_data(j, m, d, 0.1, 0.1)
+    if into == "input":
+        start[j, d // 2] = bad
+    else:
+        start[j - 1, d // 2] = 1.0  # so the factor's product is not 0 * inf
+        steps[j - 1, d // 2] = bad
+    out = start.copy()
+    with np.errstate(invalid="ignore"):
+        evolution._carry(steps, out)
+        ref = sequential_carry(steps, start)
+    assert np.isfinite(out[:j]).all()
+    assert not np.isfinite(out[j]).all()
+    assert_close_to_loop(out[:j], ref[:j])
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +488,30 @@ def test_perturbation_failure_names_iterate_and_time(oracle_model):
     with pytest.raises(EvaluationError, match="kernel table missing") as err:
         iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
     assert (err.value.n, err.value.tau) == (0, 0.0)
+
+
+@pytest.mark.parametrize("m, first_bad", [(64, 20), (H + 64, H + 30)])
+def test_non_finite_flow_fails_at_the_node_the_plain_loop_names(m, first_bad, monkeypatch):
+    # d = 2 rows run the doubling scan (and, past its head, the blocked
+    # tail); a flow that turns nan at node first_bad must fail there
+    grid = abstract_grid(np.ones(2))
+    tg = TimeGrid(0.0, 1.0, 1.0 / m)
+    cut = tg.nodes[first_bad - 1]
+
+    def flow(t, s, u):
+        t, s = np.asarray(t), np.asarray(s)
+        return np.where(t > cut, np.nan, np.exp(s - t))[..., None] * u
+
+    model = PerturbedModel(name="nan_late", grid=grid, unperturbed=EvolutionFamily(grid, flow),
+                           perturbation=PerturbationFamily(grid, lambda t, u: 0.5 * u[..., ::-1]))
+    u0 = np.array([1.0, 0.5])
+    with pytest.raises(EvaluationError, match="non-finite") as scanned:
+        iterate_right(model, tg, u0, 2)
+    monkeypatch.setattr(evolution, "_carry", plain_loop_carry)
+    with pytest.raises(EvaluationError, match="non-finite") as looped:
+        iterate_right(model, tg, u0, 2)
+    assert (scanned.value.n, scanned.value.tau) == (looped.value.n, looped.value.tau)
+    assert (scanned.value.n, scanned.value.tau) == (0, float(tg.nodes[first_bad]))
 
 
 def test_non_finite_perturbation_names_first_bad_node(oracle_model):
@@ -543,6 +619,44 @@ def test_row_pass_working_set_cap():
     for run in runs:
         with pytest.raises(SizeCapError, match="row pass working set"):
             run()
+
+
+def test_row_pass_cap_counts_the_carry_scan(monkeypatch):
+    # d = 2 rows run the carry's doubling scan, two temporaries on top of
+    # the six arrays every pass holds: a cap that fits six arrays refuses
+    # the pass before any operator call
+    grid = abstract_grid(np.ones(2))
+
+    def never_u(t, s, u):
+        raise AssertionError("U applied before the size check")
+
+    def never_b(t, u):
+        raise AssertionError("B applied before the size check")
+
+    model = PerturbedModel(name="narrow", grid=grid,
+                           unperturbed=EvolutionFamily(grid, never_u),
+                           perturbation=PerturbationFamily(grid, never_b))
+    tg = TimeGrid(0.0, 1.0, 1.0 / 64.0)
+    monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", 6 * 65 * 2 * 8)
+    with pytest.raises(SizeCapError, match="row pass working set"):
+        iterate_right(model, tg, np.ones(2), 1, keep_rows=False)
+    with pytest.raises(SizeCapError, match="row pass working set"):
+        series_sum(model, tg, np.ones(2))
+
+
+def test_row_pass_cap_counts_only_the_scanned_head(monkeypatch):
+    # the scan holds its two temporaries over the first H + 1 rows only, so
+    # a long d = 2 pass that fits six full arrays and two head-sized ones runs
+    grid = abstract_grid(np.ones(2))
+    model = PerturbedModel(name="narrow", grid=grid,
+                           unperturbed=EvolutionFamily(grid, lambda t, s, u: u),
+                           perturbation=PerturbationFamily(grid, lambda t, u: 0.5 * u))
+    m = 2 * H
+    cap = (6 * (m + 1) + 2 * (H + 1)) * 2 * 8
+    assert 8 * (m + 1) * 2 * 8 > cap  # two full-length temporaries would not fit
+    monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", cap)
+    table = iterate_right(model, TimeGrid(0.0, 1.0, 1.0 / m), np.ones(2), 1, keep_rows=False)
+    assert np.isfinite(table.defects).all()
 
 
 def test_row_less_table_refuses_row_readers(oracle_model, binary_frag, binary_frag_perturbed):

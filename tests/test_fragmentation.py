@@ -345,11 +345,17 @@ def test_shattering_singular_rate_defect_persists():
 def test_shattering_preconditions():
     tg = TimeGrid(0.0, 0.5, 0.25)
     with pytest.raises(PreconditionError):
-        shattering_experiment(-0.5, tg)
+        shattering_experiment(-0.5, tg, n_max=4)
     with pytest.raises(PreconditionError):
-        shattering_experiment(1.0, tg, x_min_start=2.0)
+        shattering_experiment(1.0, tg, n_max=4, x_min_start=2.0)
     with pytest.raises(PreconditionError, match="n_grids"):
-        shattering_experiment(1.0, tg, n_grids=0)
+        shattering_experiment(1.0, tg, n_max=4, n_grids=0)
+
+
+def test_shattering_needs_n_max():
+    # the series depth has one default, [engine] n_max in the config schema
+    with pytest.raises(TypeError, match="n_max"):
+        shattering_experiment(0.0, TimeGrid(0.0, 0.5, 0.25))
 
 
 def test_binary_model_defaults(binary_frag):
