@@ -153,9 +153,13 @@ def require_finite_nonnegative(values: np.ndarray, what: str) -> None:
     for problem, bad in (("not finite", lambda: ~np.isfinite(values)),
                          ("negative", lambda: values < 0.0)):
         if bad().any():
-            index = tuple(int(k) for k in np.argwhere(bad())[0])
-            where = f"(i, j) = {index}" if len(index) == 2 else f"node index {index[0]}"
-            raise ModelContractError(f"{what} {problem} at {where}")
+            raise entry_error(what, problem, tuple(int(k) for k in np.argwhere(bad())[0]))
+
+
+def entry_error(what: str, problem: str, index: tuple[int, ...]) -> ModelContractError:
+    """The error ``require_finite_nonnegative`` raises for ``values[index]``."""
+    where = f"(i, j) = {index}" if len(index) == 2 else f"node index {index[0]}"
+    return ModelContractError(f"{what} {problem} at {where}")
 
 
 def time_profile_from_params(kind: str, params: dict) -> TimeProfile:

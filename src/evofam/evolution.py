@@ -383,9 +383,9 @@ def _check_row(row: np.ndarray, nodes: np.ndarray, n: int, scale: float) -> None
 def _step_factors(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
     """One-step survival factors U(tau_j, tau_{j-1}) on ones, shape (M, d).
 
-    Raises if ``U`` does not take arrays of times, or if a factor exceeds 1
-    (the flow must be substochastic); the sign is left to the row
-    positivity check.
+    Raises if ``U`` does not take arrays of times, or if a factor is not
+    <= 1 (the flow must be substochastic, and a nan factor is not); the
+    sign is left to the row positivity check.
     """
     m, d = nodes.size - 1, model.grid.size
     try:
@@ -394,11 +394,12 @@ def _step_factors(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
         raise ModelContractError(
             f"U(t, s) must accept arrays of times of shape u.shape[:-1], one state per "
             f"time pair; the batched call on the {m} lattice steps failed: {exc}") from exc
-    if m and steps.max() > 1.0 + _POSITIVITY_SLACK:
-        j, i = np.unravel_index(np.argmax(steps > 1.0 + _POSITIVITY_SLACK), steps.shape)
+    # written so that a nan maximum fails too
+    if m and not steps.max() <= 1.0 + _POSITIVITY_SLACK:
+        j, i = np.unravel_index(np.argmax(~(steps <= 1.0 + _POSITIVITY_SLACK)), steps.shape)
         raise ModelContractError(
-            f"unperturbed flow is not substochastic: step factor {float(steps[j, i])!r} "
-            f"> 1 on the step ending at tau = {float(nodes[j + 1])!r}, node index {i}")
+            f"unperturbed flow U is not substochastic: step factor {float(steps[j, i])!r} "
+            f"is not <= 1 on the step ending at tau = {float(nodes[j + 1])!r}, node index {i}")
     return steps
 
 

@@ -10,7 +10,9 @@ Both built-in daughters factor as b(x, y) = f(x) g(y) on x < y, so their
 gain at x_i is f_i times the tail sum over larger parents j > i of
 g_j dx a(t, x_j) u_j.  Built from the factor pair of ``daughter_factors``,
 a model's gain costs O(d) per node; built from a dense daughter matrix, it
-is a matrix product, O(d^2) per node.
+is a matrix product, O(d^2) per node.  A pair model is also validated in
+O(d) time and memory: it builds the d x d matrix only when a caller reads
+``FragmentationModel.daughter``.
 
 The mass constraint (integral of x*b(x, y) over fragments equals y) can
 only hold up to truncation on a grid: fragments below x_min are simply
@@ -22,12 +24,13 @@ honesty defect.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (SeparableCoefficient, TimeProfile, require_finite_nonnegative,
-                           sample_nonnegative)
+from .coefficients import (SeparableCoefficient, TimeProfile, entry_error,
+                           require_finite_nonnegative, sample_nonnegative)
 from .errors import ModelContractError, PreconditionError, StructureError
 from .evolution import (
     DysonPhillipsTable,
@@ -52,25 +55,31 @@ KERNEL_STRICT_LIMIT = 1e-3
 class FragmentationModel:
     """Validated fragmentation model on a uniform mass grid.
 
-    ``daughter[i, j]`` is the daughter density b(x_i, x_j), strictly upper
-    triangular (zero for x_i >= x_j); ``dx`` the uniform node spacing;
-    ``normalization_residuals[j]`` the relative deviation of the plain-dx
-    quadrature of x*b(x, x_j) from x_j measured at construction, before
-    any normalization (the smallest parent has no grid fragments, so its
-    residual is always 1).  ``normalized`` records whether columns were
-    rescaled to satisfy the constraint exactly on the grid.  ``factors``
-    is the pair (f, g) with daughter[i, j] = f[i] g[j] for i < j (g
-    rescaled with the columns) when the model was built from one, else
-    None.
+    ``kernel`` is the daughter density b(x_i, x_j) in the form the model
+    was built from: the dense matrix, strictly upper triangular (zero for
+    x_i >= x_j), or the pair (f, g) with b(x_i, x_j) = f[i] g[j] for i < j
+    (g rescaled with the columns; f[-1] and g[0] are never read).
+    ``daughter`` is the dense matrix either way; a pair model builds it,
+    d x d floats, on first read and keeps it.  ``dx`` is the uniform node
+    spacing; ``normalization_residuals[j]`` the relative deviation of the
+    plain-dx quadrature of x*b(x, x_j) from x_j measured at construction,
+    before any normalization (the smallest parent has no grid fragments,
+    so its residual is always 1).  ``normalized`` records whether columns
+    were rescaled to satisfy the constraint exactly on the grid.
     """
 
     grid: Grid
     rate: SeparableCoefficient
-    daughter: np.ndarray
+    kernel: np.ndarray | tuple[np.ndarray, np.ndarray]
     dx: float
     normalization_residuals: np.ndarray
     normalized: bool = False
-    factors: tuple[np.ndarray, np.ndarray] | None = None
+
+    @functools.cached_property
+    def daughter(self) -> np.ndarray:
+        if isinstance(self.kernel, tuple):
+            return _strict_upper(*self.kernel)
+        return self.kernel
 
     def rate_values(self, t: float) -> np.ndarray:
         return np.asarray(self.rate.value(t), dtype=float)
@@ -146,9 +155,57 @@ def fragmentation_rate(grid: Grid, kind: str, params: dict | None = None) -> Sep
 # construction
 # ---------------------------------------------------------------------------
 
-def _column_mass_residuals(grid: Grid, dx: float, daughter: np.ndarray) -> np.ndarray:
-    """Relative deviation of sum_i dx * x_i * b[i, j] from x_j, per parent j."""
-    quad = dx * (grid.nodes @ daughter)
+def _require_valid_pair(f: np.ndarray, g: np.ndarray) -> None:
+    """Raise as ``require_finite_nonnegative`` does on the pair's dense
+    matrix, naming the same first (i, j), in O(d) time and memory.
+
+    Row i holds the products f_i g_j, j > i.  Rounding is monotone, so all
+    are finite iff f_i times the largest |g_j| is (a nan or inf factor, or
+    an overflow, makes that product non-finite), and none is negative iff
+    neither f_i times the smallest nor times the largest g_j is (a product
+    that rounds to -0.0 is not negative).  Suffix extrema of g[1:] give
+    those bounds for every row at once; only a flagged row is built, and
+    it raises only if its own products confirm the fault.
+    """
+    head, tail = f[:-1], g[1:]
+
+    def suffix(extremum, h):
+        return extremum.accumulate(h[::-1])[::-1]
+
+    checks = (
+        ("not finite",
+         lambda: ~np.isfinite(head * suffix(np.maximum, np.abs(tail))),
+         lambda row: ~np.isfinite(row)),
+        ("negative",
+         lambda: np.minimum(head * suffix(np.minimum, tail),
+                            head * suffix(np.maximum, tail)) < 0.0,
+         lambda row: row < 0.0),
+    )
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        for problem, flagged, bad in checks:
+            for i in np.flatnonzero(flagged()):
+                hits = np.flatnonzero(bad(f[i] * tail[i:]))
+                if hits.size:
+                    raise entry_error("daughter matrix", problem, (int(i), int(i + 1 + hits[0])))
+
+
+def _column_quadrature(grid: Grid, dx: float, kernel) -> np.ndarray:
+    """Plain-dx quadrature sum_i dx x_i b(x_i, x_j) of each parent j's fragments.
+
+    For a pair this is dx g_j times the exclusive prefix sum of x_i f_i
+    over i < j, in O(d); the smallest parent's is exactly 0.
+    """
+    x = grid.nodes
+    if isinstance(kernel, tuple):
+        f, g = kernel
+        quad = np.zeros(x.size)
+        quad[1:] = dx * (g[1:] * np.cumsum(x[:-1] * f[:-1]))
+        return quad
+    return dx * (x @ kernel)
+
+
+def _column_mass_residuals(grid: Grid, quad: np.ndarray) -> np.ndarray:
+    """Relative deviation of each parent's fragment quadrature from x_j."""
     return np.abs(quad - grid.nodes) / grid.nodes
 
 
@@ -160,21 +217,21 @@ def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter, *,
 
     ``daughter`` is either the dense matrix b(x_i, x_j) or a tuple (f, g)
     of product factors, b(x_i, x_j) = f_i g_j for i < j, as
-    ``daughter_factors`` returns them.  A pair is expanded once to its
-    dense matrix, which is validated and stored exactly as a matrix would
-    be; the model also keeps the pair, and the series engine then applies
-    the gain as a tail sum in O(d) per node instead of the matrix product's
-    O(d^2).  The grid must be a uniform mass grid (weights x*dx).  Validation
-    checks the rate and daughter for sign and finiteness, zeroes nothing
-    silently: daughter entries on or below the diagonal must already be
-    zero.  Strict mode requires every parent's mass-constraint residual
-    below ``kernel_tol`` and then normalizes columns exactly; that is a
-    fine-grid regime — on coarse truncated grids small parents always
-    fail (the smallest has residual 1), so the default is lenient with
-    residuals recorded.  ``force_normalize`` rescales every column with
-    grid support regardless of the gate (diagnostic use: isolates
-    honesty/leakage effects from quadrature error); a pair's g is rescaled
-    by the same column factors.
+    ``daughter_factors`` returns them.  The model keeps the form it was
+    given.  A pair is validated in O(d) time and memory, from f[:-1], g[1:]
+    and a prefix sum, and raises as its dense matrix would; the series
+    engine then applies the gain as a tail sum in O(d) per node instead of
+    the matrix product's O(d^2).  The grid must be a uniform mass grid
+    (weights x*dx).  Validation checks the rate and daughter for sign and
+    finiteness, zeroes nothing silently: a matrix's entries on or below the
+    diagonal must already be zero.  Strict mode requires every parent's
+    mass-constraint residual below ``kernel_tol`` and then normalizes
+    columns exactly; that is a fine-grid regime — on coarse truncated grids
+    small parents always fail (the smallest has residual 1), so the default
+    is lenient with residuals recorded.  ``force_normalize`` rescales every
+    column with grid support regardless of the gate (diagnostic use:
+    isolates honesty/leakage effects from quadrature error); a pair's g is
+    rescaled by the same column factors.
     """
     if grid.kind != "mass":
         raise StructureError("fragmentation needs a mass grid")
@@ -191,32 +248,35 @@ def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter, *,
                        "breakup rate")
 
     if isinstance(daughter, tuple):
-        factors = tuple(np.ravel(np.asarray(h, dtype=float)) for h in daughter)
-        shape = tuple(h.size for h in factors)
+        kernel = tuple(np.ravel(np.asarray(h, dtype=float)) for h in daughter)
+        shape = tuple(h.size for h in kernel)
     else:
-        factors, mat = None, np.asarray(daughter, dtype=float)
-        shape = mat.shape
+        kernel = np.asarray(daughter, dtype=float)
+        shape = kernel.shape
     if shape != (grid.size, grid.size):
         raise StructureError(
             f"daughter matrix shape {shape} does not match grid size {grid.size}"
         )
-    if factors is not None:
-        mat = _strict_upper(*factors)
-    require_finite_nonnegative(mat, "daughter matrix")
-    # each row's first nonzero column; the first row where it sits on or
-    # below the diagonal holds the first offender in row-major order
-    nonzero = mat != 0.0
-    first = nonzero.argmax(axis=1)
-    rows = np.arange(grid.size)
-    offending = np.flatnonzero(nonzero[rows, first] & (first <= rows))
-    if offending.size:
-        i = offending[0]
-        j = first[i]
-        raise ModelContractError(
-            f"daughter matrix must vanish for x >= y; nonzero at (i, j) = ({i}, {j})"
-        )
+    if isinstance(kernel, tuple):
+        # a pair has no entries on or below the diagonal to check
+        _require_valid_pair(*kernel)
+    else:
+        require_finite_nonnegative(kernel, "daughter matrix")
+        # each row's first nonzero column; the first row where it sits on or
+        # below the diagonal holds the first offender in row-major order
+        nonzero = kernel != 0.0
+        first = nonzero.argmax(axis=1)
+        rows = np.arange(grid.size)
+        offending = np.flatnonzero(nonzero[rows, first] & (first <= rows))
+        if offending.size:
+            i = offending[0]
+            j = first[i]
+            raise ModelContractError(
+                f"daughter matrix must vanish for x >= y; nonzero at (i, j) = ({i}, {j})"
+            )
 
-    residuals = _column_mass_residuals(grid, dx, mat)
+    quad = _column_quadrature(grid, dx, kernel)
+    residuals = _column_mass_residuals(grid, quad)
     normalized = False
     if strict:
         worst = float(np.max(residuals))
@@ -229,16 +289,15 @@ def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter, *,
             )
         force_normalize = True
     if force_normalize:
-        quad = dx * (grid.nodes @ mat)
         scale = np.where(quad > 0.0, grid.nodes / np.where(quad > 0.0, quad, 1.0), 1.0)
-        mat = mat * scale[None, :]
-        if factors is not None:
-            factors = (factors[0], factors[1] * scale)
+        if isinstance(kernel, tuple):
+            kernel = (kernel[0], kernel[1] * scale)
+        else:
+            kernel = kernel * scale[None, :]
         normalized = True
 
-    return FragmentationModel(grid=grid, rate=rate, daughter=mat, dx=dx,
-                              normalization_residuals=residuals,
-                              normalized=normalized, factors=factors)
+    return FragmentationModel(grid=grid, rate=rate, kernel=kernel, dx=dx,
+                              normalization_residuals=residuals, normalized=normalized)
 
 
 def binary_fragmentation_model(x_min: float = 1.0 / 64.0, x_max: float = 1.0,
@@ -267,7 +326,8 @@ def kernel_mass_check(model: FragmentationModel, t: float) -> np.ndarray:
     per parent.
     """
     del t
-    return _column_mass_residuals(model.grid, model.dx, model.daughter)
+    return _column_mass_residuals(model.grid,
+                                  _column_quadrature(model.grid, model.dx, model.kernel))
 
 
 def fragmentation_perturbed_model(model: FragmentationModel,
@@ -281,8 +341,7 @@ def fragmentation_perturbed_model(model: FragmentationModel,
     x_min.
     """
     rate = model.rate
-    gain = model.daughter if model.factors is None else model.factors
-    return loss_gain_model(name, model.grid, rate, rate.profile, gain,
+    return loss_gain_model(name, model.grid, rate, rate.profile, model.kernel,
                            model.dx * rate.space)
 
 

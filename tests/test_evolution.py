@@ -492,8 +492,9 @@ def test_perturbation_failure_names_iterate_and_time(oracle_model):
 
 @pytest.mark.parametrize("m, first_bad", [(64, 20), (H + 64, H + 30)])
 def test_non_finite_flow_fails_at_the_node_the_plain_loop_names(m, first_bad, monkeypatch):
-    # d = 2 rows run the doubling scan (and, past its head, the blocked
-    # tail); a flow that turns nan at node first_bad must fail there
+    # a flow that turns nan at node first_bad fails the step-factor check
+    # there, before any carry runs: d = 2 rows would run the doubling scan
+    # (and, past its head, the blocked tail), yet fail as the plain loop does
     grid = abstract_grid(np.ones(2))
     tg = TimeGrid(0.0, 1.0, 1.0 / m)
     cut = tg.nodes[first_bad - 1]
@@ -505,13 +506,14 @@ def test_non_finite_flow_fails_at_the_node_the_plain_loop_names(m, first_bad, mo
     model = PerturbedModel(name="nan_late", grid=grid, unperturbed=EvolutionFamily(grid, flow),
                            perturbation=PerturbationFamily(grid, lambda t, u: 0.5 * u[..., ::-1]))
     u0 = np.array([1.0, 0.5])
-    with pytest.raises(EvaluationError, match="non-finite") as scanned:
+    with pytest.raises(ModelContractError, match="U is not substochastic") as scanned:
         iterate_right(model, tg, u0, 2)
     monkeypatch.setattr(evolution, "_carry", plain_loop_carry)
-    with pytest.raises(EvaluationError, match="non-finite") as looped:
+    with pytest.raises(ModelContractError) as looped:
         iterate_right(model, tg, u0, 2)
-    assert (scanned.value.n, scanned.value.tau) == (looped.value.n, looped.value.tau)
-    assert (scanned.value.n, scanned.value.tau) == (0, float(tg.nodes[first_bad]))
+    assert str(scanned.value) == str(looped.value)
+    assert (f"step factor nan is not <= 1 on the step ending at "
+            f"tau = {float(tg.nodes[first_bad])!r}, node index 0") in str(scanned.value)
 
 
 def test_non_finite_perturbation_names_first_bad_node(oracle_model):

@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evofam import (
+    EvofamError,
     Grid,
     ModelContractError,
     PreconditionError,
@@ -138,12 +142,16 @@ def test_pair_and_matrix_build_the_same_model(kind, flags):
     rate = fragmentation_rate(grid, "product_t", {"scale": 2.0, "exponent": 1.0})
     pair = fragmentation_model(grid, rate, daughter_factors(grid, kind, nu=0.5), **flags)
     matrix = fragmentation_model(grid, rate, daughter_matrix(grid, kind, nu=0.5), **flags)
-    np.testing.assert_array_equal(pair.daughter, matrix.daughter)
-    np.testing.assert_array_equal(pair.normalization_residuals,
-                                  matrix.normalization_residuals)
+    # the pair's column quadrature is a prefix sum, the matrix's a matvec:
+    # the same sums in another order, so equal to rounding only
+    np.testing.assert_allclose(pair.normalization_residuals,
+                               matrix.normalization_residuals, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(pair.daughter, matrix.daughter, rtol=1e-14, atol=0.0)
     assert pair.normalized == matrix.normalized == bool(flags)
-    assert matrix.factors is None
-    f, g = pair.factors
+    assert matrix.daughter is matrix.kernel
+    # a pair model builds its dense daughter once, on first read
+    assert pair.daughter is pair.daughter
+    f, g = pair.kernel
     np.testing.assert_allclose(np.triu(np.outer(f, g), 1), pair.daughter, rtol=1e-15)
     tg = TimeGrid(0.0, 0.5, 1.0 / 16.0)
     u0 = np.where(grid.nodes >= 0.5, 1.0, 0.25)
@@ -188,6 +196,71 @@ def test_bad_pair_raises_as_its_matrix(spoil, flags, message):
         fragmentation_model(grid, rate, (f, g), **flags)
     with pytest.raises(type(by_pair.value), match=re.escape(str(by_pair.value))):
         fragmentation_model(grid, rate, np.triu(np.outer(f, g), 1), **flags)
+
+
+# factor entries whose products are exact, overflow, underflow to +-0.0 or
+# are not finite; the corners f[-1] and g[0] are never part of a product
+_CLEAN = [0.0, 1e-200, 1.0, 1e200]
+_ANY = _CLEAN + [-1e-200, -1.0, -1e200, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def _factor_pairs(draw):
+    d = draw(st.integers(2, 12))
+    # both factors negative keeps the products nonnegative
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    f, g = (sign * np.array(draw(st.lists(st.sampled_from(_CLEAN), min_size=d, max_size=d)))
+            for _ in range(2))
+    for h in (f, g):
+        for k in draw(st.lists(st.integers(0, d - 1), max_size=2)):
+            h[k] = draw(st.sampled_from(_ANY))
+    f[-1], g[0] = draw(st.sampled_from(_ANY)), draw(st.sampled_from(_ANY))
+    return f, g
+
+
+def _build_or_error(grid, rate, daughter):
+    try:
+        return fragmentation_model(grid, rate, daughter)
+    except EvofamError as exc:
+        return exc
+
+
+@settings(max_examples=300)
+@given(_factor_pairs())
+def test_pair_validates_as_its_dense_matrix(pair):
+    f, g = pair
+    grid = uniform_mass_grid(0.1, 1.0, f.size)
+    rate = fragmentation_rate(grid, "constant")
+    with np.errstate(all="ignore"):
+        dense = np.triu(np.outer(f, g), 1)
+    by_pair = _build_or_error(grid, rate, (f, g))
+    by_matrix = _build_or_error(grid, rate, dense)
+    assert type(by_pair) is type(by_matrix)
+    if isinstance(by_matrix, Exception):
+        assert str(by_pair) == str(by_matrix)
+    else:
+        # residuals are relative deviations; huge kernels give huge ones
+        np.testing.assert_allclose(by_pair.normalization_residuals,
+                                   by_matrix.normalization_residuals, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("flags", [{}, {"force_normalize": True},
+                                   {"strict": True, "kernel_tol": 1.5}])
+def test_pair_model_builds_without_a_dense_daughter(flags):
+    # the dense 4096 x 4096 daughter would take 134 MB
+    grid = uniform_mass_grid(1.0 / 4096.0, 1.0, 4096)
+    rate = fragmentation_rate(grid, "linear")
+    pair = daughter_factors(grid, "binary_uniform")
+    tracemalloc.start()
+    try:
+        model = fragmentation_model(grid, rate, pair, **flags)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.normalized == bool(flags)
+    assert peak < 1e6
+    assert held < 1e6
+    assert "daughter" not in vars(model)
 
 
 def test_model_rejects_negative_rate():
