@@ -34,11 +34,11 @@ Operators are applied in batches over a leading time axis: the one-step
 survival factors U(tau_j, tau_{j-1}) are computed once per lattice, and B
 acts on all M+1 nodes of a row in one call.  Each one-step row is then the
 first-order recurrence c_j = e_j c_{j-1} + g_j along the lattice, run by a
-carry chosen by the row width d: a doubling scan of the first 4096 rows
-for d <= 8 (O(log M) numpy calls), a blocked recursive carry for the rest
-of those rows and for d < 512 (O(K log_K M) calls, K = 8), and the plain
-loop for wider rows (O(M) calls).  Each is prefix-stable, so a row on a
-lattice prefix is bitwise the prefix of the row on the whole lattice.
+carry chosen by the row width d: for d < 512 a doubling scan over
+consecutive chunks of 8192 // d steps (O(log) numpy calls per chunk), and
+the plain loop for wider rows (O(M) calls).  Both are prefix-stable, so a
+row on a lattice prefix is bitwise the prefix of the row on the whole
+lattice.
 """
 from __future__ import annotations
 
@@ -349,8 +349,8 @@ _TABLE_MEMORY_CAP_BYTES = 256 * 1024 * 1024
 # Arrays of (M+1) d floats a row pass holds at once: the step factors,
 # row n, its B row, row n+1, and two temporaries of a B call (its input
 # product and output, or on the direct path a gathered B row and its
-# propagation).  Rows narrow enough for ``_carry``'s doubling scan add
-# ``_SCAN_ROWS`` arrays the size of the scanned head, the scan's two
+# propagation).  Rows narrow enough for ``_carry``'s chunked scan add
+# ``_SCAN_ROWS`` arrays of one chunk plus a row, the scan's two
 # temporaries.
 _PASS_ROWS = 6
 _SCAN_ROWS = 2
@@ -403,31 +403,28 @@ def _step_factors(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
     return steps
 
 
-# How ``_carry`` runs a row of w floats, by w alone: rows of at most
-# ``_CARRY_NARROW_ROW`` floats scan their first ``_CARRY_SCAN_HEAD`` rows
-# and block the rest, rows under ``_CARRY_WIDE_ROW`` floats block
-# throughout, with block length ``_CARRY_BLOCK``, and wider rows loop.
-# Microseconds per call with the blocked carry on every row under 512
-# floats / with this rule, median of 31 interleaved rounds (2-core Xeon,
-# numpy 2.4):
+# How ``_carry`` runs a row of w floats, by w alone: rows under
+# ``_CARRY_WIDE_ROW`` floats scan consecutive chunks of
+# ``_CARRY_CHUNK`` // w steps, and wider rows loop.  The scan makes three
+# contiguous whole-array calls per level where the loop makes one call
+# per row, so it wins where per-call overhead dominates; the chunk budget
+# bounds its O(C log C) work per chunk of C steps and its two
+# temporaries.  Time of this rule / the blocked carry it replaced, median
+# of paired ratios over 9-15 interleaved rounds, range over 2-3 runs
+# (2-core Xeon, numpy 2.4):
 #
-#   w    M = 8   16      64      1024      4096     16384     65536
-#   1    31/19   96/23   123/33  287/70    366/144  591/475   1282/1277
-#   2    20/16   83/22   123/30  414/93    782/251  2209/1675 7779/7480
-#   8    24/19   92/25   137/39  446/199   970/628  3326/3084 14478/14029
-#   128  29/29   106/107 189/193 1460/1475
-#   512  31/31   61/60   240/247 4655/4670
+#   w = 1     M = 8192: 0.58   16384: 0.94-0.99   65536: 1.22-1.41
+#   w = 2     M = 8000-65536: 0.41-0.60 (the same scan up to M = 4096)
+#   w = 8     M = 16384: 0.87   65536: 0.77
+#   w = 16-64 M = 16-256: 0.28-0.56   w = 64, M = 512: 0.82-1.14
+#   w = 128   M = 16-128: 0.38-0.81   256: 0.92-1.07   1024: 1.10-1.33
+#   w = 33    M = 2048: 0.92-1.21     w = 256, M = 1024: 0.97-1.20
+#   w = 511   M = 64-1024: 0.81-0.83
 #
-# Strided calls on rows of a few floats pay per-row overhead that the
-# scan's contiguous calls do not; the scan's O(M log M) work catches up
-# near M = 65536 (a tie there: which rule is faster at w = 1 and 8 flips
-# from run to run), so it stops at a fixed head.  Loops on rows of 512
-# floats amortize their per-call overhead, so the blocked form's three
-# passes over the data do not pay there.
-_CARRY_BLOCK = 8
-_CARRY_NARROW_ROW = 8
+# The loop amortizes its per-call overhead over rows of 512 floats or
+# more, where a scan's log C passes over the data do not pay.
+_CARRY_CHUNK = 8192
 _CARRY_WIDE_ROW = 512
-_CARRY_SCAN_HEAD = 4096
 
 
 def _carry(steps: np.ndarray, out: np.ndarray) -> None:
@@ -438,34 +435,27 @@ def _carry(steps: np.ndarray, out: np.ndarray) -> None:
     by the row width w = ``out[0].size`` and the row's position, never by
     M:
 
-    - w <= ``_CARRY_NARROW_ROW``: rows 1..min(M, ``_CARRY_SCAN_HEAD``) by
-      the doubling scan, ceil(log2) levels of three contiguous calls each;
-      later rows by the blocked level, started from the last scanned row.
-    - w < ``_CARRY_WIDE_ROW``: the blocked level, O(M) work in
-      O(K log_K M) strided calls.
+    - w < ``_CARRY_WIDE_ROW``: the doubling scan over consecutive chunks
+      of C = ``_CARRY_CHUNK`` // w steps, each started from the last row
+      of the chunk before it; ceil(log2 C) levels of three contiguous
+      calls per chunk.
     - wider rows: the plain loop, M calls that each amortize their
       overhead over w floats.
 
-    No method divides, so zero factors need no care.  Each row is computed
-    by a rule fixed by its position, from rows and factors before it only:
-    a run on a prefix of the lattice gives bitwise the rows of the full
-    run, and a non-finite input at row j leaves the rows before j finite.
+    No method divides, so zero factors need no care.  Chunk boundaries
+    depend only on w and position, and each row is computed by a rule
+    fixed by its position, from rows and factors before it only: a run on
+    a prefix of the lattice gives bitwise the rows of the full run, and a
+    non-finite input at row j leaves the rows before j finite.
     """
-    m, width = len(steps), out[0].size
+    width = out[0].size
     if width >= _CARRY_WIDE_ROW:
-        _carry_loop(steps, out)
-    elif width > _CARRY_NARROW_ROW:
-        _carry_blocked(steps, out)
-    else:
-        head = min(m, _CARRY_SCAN_HEAD)
-        _carry_scan(steps[:head], out[:head + 1])
-        if m > head:
-            _carry_blocked(steps[head:], out[head:])
-
-
-def _carry_loop(steps: np.ndarray, out: np.ndarray) -> None:
-    for j in range(1, len(steps) + 1):
-        out[j] += steps[j - 1] * out[j - 1]
+        for j in range(1, len(steps) + 1):
+            out[j] += steps[j - 1] * out[j - 1]
+        return
+    chunk = _CARRY_CHUNK // width
+    for k in range(0, len(steps), chunk):
+        _carry_scan(steps[k:k + chunk], out[k:k + chunk + 1])
 
 
 def _carry_scan(steps: np.ndarray, out: np.ndarray) -> None:
@@ -484,42 +474,6 @@ def _carry_scan(steps: np.ndarray, out: np.ndarray) -> None:
             return
         g = g[o:] * g[:n - o]
         o *= 2
-
-
-def _carry_blocked(steps: np.ndarray, out: np.ndarray) -> None:
-    """``_carry`` by blocks of K = ``_CARRY_BLOCK`` rows.
-
-    Every block runs its local recurrence side by side with the others,
-    block 0 from the start (the whole run when M <= K) and later blocks
-    from zero.  The true block ends are then chained by ``_carry`` on the
-    block products, on a contiguous copy, and each block's carry-in is
-    decayed through its other rows.
-    """
-    m, k = len(steps), _CARRY_BLOCK
-    if m <= k:
-        _carry_loop(steps, out)
-        return
-    scratch = np.empty((-(-m // k),) + out.shape[1:])
-    # local recurrences: block 0 from the start, later blocks from zero
-    out[1] += steps[0] * out[0]
-    for i in range(1, k):
-        n = (m - 1 - i) // k + 1
-        np.multiply(steps[i::k], out[i:i + (n - 1) * k + 1:k], out=scratch[:n])
-        out[1 + i::k] += scratch[:n]
-    # chain the ends of the complete blocks through the block products
-    full = m // k
-    ends = scratch[:full]
-    ends[...] = out[k:full * k + 1:k]
-    prods = steps[k:full * k].reshape((full - 1, k) + steps.shape[1:]).prod(axis=1)
-    _carry(prods, ends)
-    out[k:full * k + 1:k] = ends
-    # decay each later block's carry-in through its rows before the end
-    carry = scratch[:len(scratch) - 1]
-    for i in range(k - 1):
-        rows = out[k + 1 + i::k]
-        n = len(rows)
-        carry[:n] *= steps[k + i::k]
-        rows += carry[:n]
 
 
 def _trapezoid_kicks(steps: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -591,22 +545,23 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
 
     Cost per one-step row: one batched B call and one ``_carry`` of the
     recurrence c_j = steps[j-1] c_{j-1} + g_j, with the inputs g built by
-    whole-array operations.  The carry makes O(log M) numpy calls for
-    d <= 8 and M <= 4096, O(K log_K M) for d < 512 and M for wider rows
-    (see ``_carry``).  Every row is prefix-stable: on a lattice cut at
-    node c, rows 0..c come out bitwise the same as on the whole lattice.
+    whole-array operations.  For d < 512 the carry scans chunks of
+    C = 8192 // d steps, O(log C) numpy calls each; wider rows loop, M
+    calls (see ``_carry``).  Every row is prefix-stable: on a lattice cut
+    at node c, rows 0..c come out bitwise the same as on the whole
+    lattice.
 
     Memory: the pass holds ``_PASS_ROWS`` arrays of (M+1) d floats at
-    once, and ``_SCAN_ROWS`` of min(M, ``_CARRY_SCAN_HEAD``) + 1 rows more
-    when d is narrow enough for the carry's scan, and raises
-    ``SizeCapError`` before any operator call when they would exceed the
-    table cap (signed data runs two passes side by side).
+    once, and ``_SCAN_ROWS`` of min(M, C) + 1 rows more when d is narrow
+    enough for the carry's scan, and raises ``SizeCapError`` before any
+    operator call when they would exceed the table cap (signed data runs
+    two passes side by side).
     """
     nodes = tg.nodes
     m = tg.n_steps
     dt = tg.dt
     d = model.grid.size
-    scanned = (min(m, _CARRY_SCAN_HEAD) + 1) * (d <= _CARRY_NARROW_ROW)
+    scanned = (min(m, _CARRY_CHUNK // d) + 1) * (d < _CARRY_WIDE_ROW)
     _check_table_bytes("row pass working set",
                        (_PASS_ROWS * (m + 1) + _SCAN_ROWS * scanned) * d * 8)
     per_node = source.ndim == 2

@@ -193,13 +193,23 @@ def _column_quadrature(grid: Grid, dx: float, kernel) -> np.ndarray:
     """Plain-dx quadrature sum_i dx x_i b(x_i, x_j) of each parent j's fragments.
 
     For a pair this is dx g_j times the exclusive prefix sum of x_i f_i
-    over i < j, in O(d); the smallest parent's is exactly 0.
+    over i < j, in O(d); the smallest parent's is exactly 0.  Where f is
+    near the float maximum that sum can overflow while every f_i g_j is
+    finite, so then, and only then, it is summed scaled down by 2^k, with
+    2^k above d times the largest node, and its products scaled back up.
     """
     x = grid.nodes
     if isinstance(kernel, tuple):
         f, g = kernel
         quad = np.zeros(x.size)
-        quad[1:] = dx * (g[1:] * np.cumsum(x[:-1] * f[:-1]))
+        with np.errstate(over="ignore"):
+            prefix = np.cumsum(x[:-1] * f[:-1])
+        if np.isfinite(prefix[-1]):  # an overflow stays inf or nan to the end
+            quad[1:] = dx * (g[1:] * prefix)
+        else:
+            k = x.size.bit_length() + max(int(np.frexp(x[-1])[1]), 0)
+            prefix = np.cumsum(x[:-1] * np.ldexp(f[:-1], -k))
+            quad[1:] = dx * np.ldexp(g[1:] * prefix, k)
         return quad
     return dx * (x @ kernel)
 

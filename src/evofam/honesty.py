@@ -27,6 +27,10 @@ VERDICT_HONEST = "honest"
 VERDICT_DISHONEST = "dishonest"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
+# bounds on the tail defect ratios for ``honesty_verdict``'s decay and plateau rules
+_DECAY_RATIO = 0.9
+_PLATEAU_RATIO = 0.99
+
 
 # ---------------------------------------------------------------------------
 # defect sequence and verdict
@@ -58,16 +62,15 @@ class DefectSeries:
 
 
 def honesty_verdict(defects, u0_norm: float, *, rel_threshold: float = 1e-8,
-                    decay_ratio: float = 0.9, plateau_ratio: float = 0.99,
                     persistence: int = 3) -> DefectSeries:
     """Classify a finite defect sequence.
 
     honest:        the last ``persistence`` ratios all fall below
-                   ``decay_ratio`` and the geometric tail bound lands below
-                   the absolute threshold;
-    dishonest:     the tail ratios all exceed ``plateau_ratio`` while the
-                   last defect still sits above 10x threshold (a plateau —
-                   mass persistently unaccounted for);
+                   ``_DECAY_RATIO`` = 0.9 and the geometric tail bound
+                   lands below the absolute threshold;
+    dishonest:     the tail ratios all exceed ``_PLATEAU_RATIO`` = 0.99
+                   while the last defect still sits above 10x threshold
+                   (a plateau — mass persistently unaccounted for);
     inconclusive:  everything else, including any sequence with fewer than
                    three computed ratios.  Honesty is never certified from
                    a non-decaying tail.
@@ -89,11 +92,11 @@ def honesty_verdict(defects, u0_norm: float, *, rel_threshold: float = 1e-8,
 
     tail = ratios[-persistence:]
     r = float(ratios[-1])
-    if np.all(tail < decay_ratio):
+    if np.all(tail < _DECAY_RATIO):
         limit = last + last * r / (1.0 - r)
         verdict = VERDICT_HONEST if limit < threshold else VERDICT_INCONCLUSIVE
         return DefectSeries(values, ratios, threshold, limit, verdict)
-    if np.all(tail > plateau_ratio) and last > 10.0 * threshold:
+    if np.all(tail > _PLATEAU_RATIO) and last > 10.0 * threshold:
         return DefectSeries(values, ratios, threshold, last, VERDICT_DISHONEST)
     limit = last + last * r / (1.0 - r) if r < 1.0 else last
     return DefectSeries(values, ratios, threshold, limit, VERDICT_INCONCLUSIVE)

@@ -314,13 +314,14 @@ def reference_residuals(model, tg, u0, r, tol, refine=8):
     ("jump", None, "mid", 20),
     ("timedep_collision_perturbed", None, "odd", 20),
 ], ids=["oracle", "collision", "fragmentation", "signed", "split_first", "split_last",
-        "short_table", "tail_outlasts_at_split", "odd_split_two_carry_levels"])
+        "short_table", "tail_outlasts_at_split", "odd_split_partial_scan_level"])
 def test_shared_pass_residuals_match_separate_runs(case, request):
     fixture, data, where, table_rows = case
     model = jump_after_split_model() if fixture == "jump" else request.getfixturevalue(fixture)
     d = model.grid.size
-    # "odd": a fine lattice of 320 > K**2 steps, so the carry recurses
-    # twice, split at coarse node 13, inside a block of the second level
+    # "odd": a fine lattice of 320 steps split at coarse node 13 (fine
+    # node 104), neither a power of two, so the scan's last level covers
+    # only part of each leg
     tg = TimeGrid(0.0, 1.0, 1.0 / (40.0 if where == "odd" else 16.0))
     u0 = np.linspace(1.0, 0.5, d)
     if data == "signed":
@@ -364,18 +365,17 @@ def test_series_sum_applies_b_only_to_rows_it_builds_on(oracle_model, tol):
 # carry recursion
 # ---------------------------------------------------------------------------
 
-K = evolution._CARRY_BLOCK
-H = evolution._CARRY_SCAN_HEAD
-NARROW = evolution._CARRY_NARROW_ROW
-# row widths on both sides of each method boundary: scan (<= 8 floats),
-# blocked (< 512), plain loop
-WIDTHS = [1, 2, 8, 9, 33, 128, 512]
-# lengths at each boundary of the blocked level, and of the scanned head
-# and the blocked tail after it, which narrow rows have
-BLOCK_LENGTHS = [0, 1, K, K + 1, K * K, K * K + 1, K * K + K + 1, K ** 3 + K + 1]
-HEAD_LENGTHS = [H - 1, H, H + 1, H + K + 1, H + K * K + K + 1]
+def chunk(d):
+    """Steps per chunk of ``_carry``'s scan on rows of d floats."""
+    return evolution._CARRY_CHUNK // d
+
+
+# row widths on both sides of the method boundary (scan under 512 floats,
+# plain loop from 512), and lengths on both sides of the first chunk
+# boundaries
+WIDTHS = [1, 2, 8, 9, 33, 128, 511, 512]
 CARRY_SHAPES = [(d, m) for d in WIDTHS
-                for m in BLOCK_LENGTHS + HEAD_LENGTHS * (d <= NARROW)]
+                for c in [chunk(d)] for m in [0, 1, 2, c - 1, c, c + 1, 2 * c, 2 * c + 1]]
 
 
 def sequential_carry(steps, out):
@@ -428,17 +428,14 @@ def test_carry_matches_sequential_loop(shape, seed, zeros, tinies):
 
 @pytest.mark.parametrize("d", WIDTHS)
 def test_carry_on_a_prefix_is_bitwise_the_full_run(d):
-    # three blocked levels (650, 80 and 9 steps), after the scanned head on
-    # narrow rows
-    head = H if d <= NARROW else 0
-    m = head + K * (K * 10 + 1) + 2
+    # three whole chunks and two steps of a fourth, cut at every node
+    # within three steps of each chunk boundary and at every 37th node
+    c = chunk(d)
+    m = 3 * c + 2
     steps, start = carry_data(d, m, d, 0.1, 0.1)
     full = start.copy()
     evolution._carry(steps, full)
-    # every node of the blocked tail and of the head's first K^2 + K + 2
-    # rows; inside a scanned head, every 11th node
-    tail = head - K * K - K - 2
-    cuts = [c for c in range(m + 1) if c < K * K + K + 2 or c >= tail or c % 11 == 0]
+    cuts = [j for j in range(m + 1) if min(j % c, c - j % c) <= 3 or j % 37 == 0]
     for cut in cuts:
         part = start[:cut + 1].copy()
         evolution._carry(steps[:cut], part)
@@ -452,8 +449,14 @@ def test_carry_on_wide_rows_is_the_sequential_loop():
     assert np.array_equal(out, sequential_carry(steps, start))
 
 
-@pytest.mark.parametrize("d", [1, 2, 8])
-@pytest.mark.parametrize("m, j", [(64, 1), (64, 37), (H + 100, H), (H + 100, H + 37)])
+# (m, j, d): node j early in the first chunk, and at and just after a
+# chunk boundary (4096 is one at d = 2 and 8)
+NON_FINITE_CASES = (
+    [(m, j, d) for d in (1, 2, 8) for m, j in [(64, 1), (64, 37), (4196, 4096), (4196, 4133)]]
+    + [(2 * chunk(d) + 10, j, d) for d in (33, 128) for j in (chunk(d), chunk(d) + 1)])
+
+
+@pytest.mark.parametrize("m, j, d", NON_FINITE_CASES)
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 @pytest.mark.parametrize("into", ["input", "factor"])
 def test_carry_keeps_rows_before_a_non_finite_entry_finite(d, m, j, bad, into):
@@ -490,11 +493,12 @@ def test_perturbation_failure_names_iterate_and_time(oracle_model):
     assert (err.value.n, err.value.tau) == (0, 0.0)
 
 
-@pytest.mark.parametrize("m, first_bad", [(64, 20), (H + 64, H + 30)])
+@pytest.mark.parametrize("m, first_bad", [(64, 20), (chunk(2) + 64, chunk(2) + 30)])
 def test_non_finite_flow_fails_at_the_node_the_plain_loop_names(m, first_bad, monkeypatch):
     # a flow that turns nan at node first_bad fails the step-factor check
-    # there, before any carry runs: d = 2 rows would run the doubling scan
-    # (and, past its head, the blocked tail), yet fail as the plain loop does
+    # there, before any carry runs: d = 2 rows would run the chunked scan
+    # (past a chunk boundary in the second case), yet fail as the plain
+    # loop does
     grid = abstract_grid(np.ones(2))
     tg = TimeGrid(0.0, 1.0, 1.0 / m)
     cut = tg.nodes[first_bad - 1]
@@ -623,11 +627,9 @@ def test_row_pass_working_set_cap():
             run()
 
 
-def test_row_pass_cap_counts_the_carry_scan(monkeypatch):
-    # d = 2 rows run the carry's doubling scan, two temporaries on top of
-    # the six arrays every pass holds: a cap that fits six arrays refuses
-    # the pass before any operator call
-    grid = abstract_grid(np.ones(2))
+def never_applied_model(d):
+    """A model on d nodes whose U and B fail if they are ever called."""
+    grid = abstract_grid(np.ones(d))
 
     def never_u(t, s, u):
         raise AssertionError("U applied before the size check")
@@ -635,9 +637,16 @@ def test_row_pass_cap_counts_the_carry_scan(monkeypatch):
     def never_b(t, u):
         raise AssertionError("B applied before the size check")
 
-    model = PerturbedModel(name="narrow", grid=grid,
-                           unperturbed=EvolutionFamily(grid, never_u),
-                           perturbation=PerturbationFamily(grid, never_b))
+    return PerturbedModel(name="never", grid=grid,
+                          unperturbed=EvolutionFamily(grid, never_u),
+                          perturbation=PerturbationFamily(grid, never_b))
+
+
+def test_row_pass_cap_counts_the_carry_scan(monkeypatch):
+    # d = 2 rows run the carry's chunked scan, two temporaries on top of
+    # the six arrays every pass holds: a cap that fits six arrays refuses
+    # the pass before any operator call
+    model = never_applied_model(2)
     tg = TimeGrid(0.0, 1.0, 1.0 / 64.0)
     monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", 6 * 65 * 2 * 8)
     with pytest.raises(SizeCapError, match="row pass working set"):
@@ -646,15 +655,28 @@ def test_row_pass_cap_counts_the_carry_scan(monkeypatch):
         series_sum(model, tg, np.ones(2))
 
 
+def test_row_pass_cap_counts_the_scan_on_mid_width_rows(monkeypatch):
+    # d = 128 rows scan chunks of 64 steps, so a 64-step pass holds two
+    # temporaries of 65 rows on top of its six arrays: a cap of exactly six
+    # arrays refuses it before any operator call
+    model = never_applied_model(128)
+    assert chunk(128) == 64
+    monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", 6 * 65 * 128 * 8)
+    with pytest.raises(SizeCapError, match="row pass working set"):
+        iterate_right(model, TimeGrid(0.0, 1.0, 1.0 / 64.0), np.ones(128), 1, keep_rows=False)
+
+
 def test_row_pass_cap_counts_only_the_scanned_head(monkeypatch):
-    # the scan holds its two temporaries over the first H + 1 rows only, so
-    # a long d = 2 pass that fits six full arrays and two head-sized ones runs
+    # the scan holds its two temporaries over one chunk of C + 1 rows only,
+    # so a long d = 2 pass that fits six full arrays and two chunk-sized
+    # ones runs
     grid = abstract_grid(np.ones(2))
     model = PerturbedModel(name="narrow", grid=grid,
                            unperturbed=EvolutionFamily(grid, lambda t, s, u: u),
                            perturbation=PerturbationFamily(grid, lambda t, u: 0.5 * u))
-    m = 2 * H
-    cap = (6 * (m + 1) + 2 * (H + 1)) * 2 * 8
+    c = chunk(2)
+    m = 2 * c
+    cap = (6 * (m + 1) + 2 * (c + 1)) * 2 * 8
     assert 8 * (m + 1) * 2 * 8 > cap  # two full-length temporaries would not fit
     monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", cap)
     table = iterate_right(model, TimeGrid(0.0, 1.0, 1.0 / m), np.ones(2), 1, keep_rows=False)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evofam import (
@@ -227,6 +227,8 @@ def _build_or_error(grid, rate, daughter):
 
 @settings(max_examples=300)
 @given(_factor_pairs())
+# every f_i g_j is 1e8, but the prefix sum of x_i f_i overflows unscaled
+@example((np.full(8, 1e308), np.full(8, 1e-300)))
 def test_pair_validates_as_its_dense_matrix(pair):
     f, g = pair
     grid = uniform_mass_grid(0.1, 1.0, f.size)
