@@ -4,7 +4,8 @@
 Usage: python3 scripts/run_all.py [output-root]
 
 Each config writes its CSV tables under <output-root>/<config-stem>/
-(default: out/). The summary prints each config's exit code and wall time
+(default: out/). A config with a [sweep] section runs with the sweep
+subcommand, every other one with run. The summary prints each config's exit code and wall time
 (wall_time_s, measured around the in-process CLI call) on stdout, never in
 the output directory. Exit code: the worst code any run produced, with
 dishonest (2) outranking inconclusive (3) outranking honest (0).
@@ -16,16 +17,17 @@ import sys
 import time
 
 from evofam.cli import main
+from evofam.config import parse_config
 
 RUNS = (
-    ("run", "oracle.ini"),
-    ("run", "boltzmann_conservative.ini"),
-    ("run", "boltzmann_timedep.ini"),
-    ("run", "fragmentation_binary.ini"),
-    ("run", "lifted_checks.ini"),
-    ("run", "shattering_sweep.ini"),
-    ("sweep", "oracle_dt_sweep.ini"),
-    ("sweep", "fragmentation_dt_sweep.ini"),
+    "oracle.ini",
+    "boltzmann_conservative.ini",
+    "boltzmann_timedep.ini",
+    "fragmentation_binary.ini",
+    "lifted_checks.ini",
+    "shattering_sweep.ini",
+    "oracle_dt_sweep.ini",
+    "fragmentation_dt_sweep.ini",
 )
 
 SEVERITY = {0: 0, 3: 1, 2: 2, 1: 3}
@@ -34,8 +36,9 @@ SEVERITY = {0: 0, 3: 1, 2: 2, 1: 3}
 def run_all(output_root: str) -> int:
     here = pathlib.Path(__file__).resolve().parent
     outcomes = []
-    for command, name in RUNS:
+    for name in RUNS:
         config = here / name
+        command = "sweep" if "sweep" in parse_config(config).sections else "run"
         out_dir = pathlib.Path(output_root) / config.stem
         print(f"=== {command} {name} -> {out_dir}")
         started = time.perf_counter()

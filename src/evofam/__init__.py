@@ -67,8 +67,6 @@ from .boltzmann import (
 )
 from .fragmentation import (
     FragmentationModel,
-    ShatteringReport,
-    ShatteringRow,
     binary_fragmentation_model,
     daughter_factors,
     daughter_matrix,
@@ -78,7 +76,6 @@ from .fragmentation import (
     grid_leakage,
     kernel_mass_check,
     mol_reference,
-    shattering_experiment,
     vn_identity_residual,
 )
 from .config import ExperimentConfig, parse_config

@@ -3,11 +3,13 @@
 Subcommands
 -----------
 run <config>     one experiment; writes report.csv, ledger.csv, defects.csv
-                 (plus checks.csv for lifted runs, shattering.csv for
-                 shattering runs, plots.svg when SVG output is on)
-sweep <config>   repeats the experiment across a resolution sequence from
-                 the [sweep] section and adds sweep.csv with one row per
-                 entry and a convergence-ratio column
+                 (plus checks.csv for lifted runs, plots.svg when SVG
+                 output is on); refuses a config with a [sweep] section
+sweep <config>   repeats the experiment across the [sweep] section's
+                 sequence of step sizes (kind = dt) or small-mass cutoffs
+                 (kind = x_min, fragmentation only) and adds sweep.csv with
+                 one row per entry and a convergence-ratio column; an
+                 x_min sweep under a singular rate is the shattering probe
 
 Exit codes: 0 honest/complete, 2 dishonest, 3 inconclusive, 1 on
 configuration or model-contract errors.  Identical configs produce
@@ -50,7 +52,6 @@ from .fragmentation import (
     fragmentation_perturbed_model,
     fragmentation_rate,
     grid_leakage,
-    shattering_experiment,
 )
 from .honesty import (
     VERDICT_DISHONEST,
@@ -86,7 +87,6 @@ class RunArtifacts:
     ledger: object = None
     series: object = None
     check_rows: tuple = ()
-    shattering_rows: tuple = ()
     sweep_rows: tuple = ()
 
 
@@ -321,33 +321,6 @@ def run_lifted_checks(cfg: ExperimentConfig) -> RunArtifacts:
                         ledger=ledger, series=series, check_rows=tuple(rows))
 
 
-def run_shattering(cfg: ExperimentConfig) -> RunArtifacts:
-    args = dict(_require_section(cfg, "shattering"))
-    alpha = args.pop("alpha")
-    if "daughter" in cfg.sections:
-        daughter_kind, daughter_args = _split_kind(cfg.sections["daughter"])
-        args.update(daughter_args, daughter_kind=daughter_kind)
-    report = shattering_experiment(alpha, _engine_grid(cfg), n_max=cfg.engine.n_max,
-                                   rel_threshold=cfg.honesty.threshold,
-                                   persistence=cfg.honesty.persistence, **args)
-
-    final = report.rows[-1]
-    results = [
-        ("experiment", cfg.kind),
-        ("model", "fragmentation"),
-        ("verdict", final.verdict),
-        ("alpha", _fmt(alpha)),
-        ("defect_persists", str(report.defect_persists)),
-        ("finest_x_min", _fmt(final.x_min)),
-        ("finest_defect_last", _fmt(final.defect_last)),
-        ("finest_limit_estimate", _fmt(final.limit_estimate)),
-        ("finest_leakage_last", _fmt(final.leakage_last)),
-    ]
-    return RunArtifacts(exit_code=_EXIT_BY_VERDICT[final.verdict],
-                        results=results, ledger=report.ledger,
-                        series=report.series, shattering_rows=report.rows)
-
-
 def run_sweep(cfg: ExperimentConfig, strict: bool | None) -> RunArtifacts:
     sweep = _require_section(cfg, "sweep")
     kind, values = sweep["kind"], sweep["values"]
@@ -493,13 +466,6 @@ def write_outputs(out_dir, cfg: ExperimentConfig, art: RunArtifacts,
                    ((row.check_name, _fmt(row.h), _fmt(row.lam), row.n,
                      _fmt(row.residual), _fmt(row.truncation_bound))
                     for row in art.check_rows))
-    if art.shattering_rows:
-        _write_csv(target("shattering.csv"),
-                   ("x_min", "n_nodes", "defect_last", "limit_estimate", "verdict",
-                    "leakage_last"),
-                   ((_fmt(row.x_min), row.n_nodes, _fmt(row.defect_last),
-                     _fmt(row.limit_estimate), row.verdict, _fmt(row.leakage_last))
-                    for row in art.shattering_rows))
     if art.sweep_rows:
         _write_csv(target("sweep.csv"),
                    ("resolution", "defect_limit", "ledger_residual", "leakage",
@@ -540,10 +506,11 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.command == "sweep":
             art = run_sweep(cfg, args.strict)
+        elif "sweep" in cfg.sections:
+            raise ConfigError("a config with a [sweep] section runs with the "
+                              "sweep subcommand, not run")
         elif cfg.kind == "lifted_checks":
             art = run_lifted_checks(cfg)
-        elif cfg.kind == "shattering_sweep":
-            art = run_shattering(cfg)
         else:
             art = run_engine_experiment(cfg, args.strict)
         out_dir = args.output_dir or cfg.output.directory

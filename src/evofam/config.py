@@ -4,15 +4,12 @@ The sections each experiment kind reads (keys optional unless marked
 required; see README for details):
 
     every kind    [experiment] kind (required) = oracle | boltzmann |
-                               fragmentation | lifted_checks |
-                               shattering_sweep
+                               fragmentation | lifted_checks
                   [engine]     s, t_end, dt (required), n_max, rule;
-                               series_tol (oracle, boltzmann and
-                               fragmentation only: the kinds that compute
-                               residuals)
+                               series_tol (all but lifted_checks: the kinds
+                               that compute residuals)
                   [honesty]    threshold, persistence
                   [output]     directory, emit_svg
-    all but shattering_sweep
                   [initial]    kind = uniform | point | maxwellian | csv;
                                node; temperature; path
     oracle, lifted_checks
@@ -31,15 +28,13 @@ required; see README for details):
                   [rate]       kind = constant | linear | power |
                                product_t + parameters
                   [model]      strict_kernel, force_normalize
-    fragmentation, shattering_sweep
                   [daughter]   kind = binary_uniform | powerlaw; nu
-    shattering_sweep
-                  [shattering] alpha (required), x_max, x_min_start,
-                               n_grids, nodes_per_grid ([engine] n_max and
-                               [honesty] threshold apply to every grid)
     oracle, boltzmann, fragmentation
-                  [sweep]      kind = dt | x_min; values (comma list,
-                               >= 2 entries; read by the sweep subcommand)
+                  [sweep]      kind = dt | x_min (fragmentation only);
+                               values (comma list, >= 2 entries; a config
+                               with this section runs with the sweep
+                               subcommand, which applies every other
+                               section to every entry)
 
 Unknown sections and keys, sections the chosen kind never reads, and keys
 of another kind abort parsing with an error listing them all: a silently
@@ -59,8 +54,7 @@ from typing import NamedTuple
 from .errors import ConfigError
 from .evolution import TIME_RULES
 
-EXPERIMENT_KINDS = ("oracle", "boltzmann", "fragmentation", "lifted_checks",
-                    "shattering_sweep")
+EXPERIMENT_KINDS = ("oracle", "boltzmann", "fragmentation", "lifted_checks")
 INITIAL_KINDS = ("uniform", "point", "maxwellian", "csv")
 
 
@@ -159,11 +153,11 @@ _ENGINE_KEYS = _record_keys(EngineSection)
 # section -> {the experiment kinds that read it: its key table}
 _SCHEMA = {
     "experiment": {EXPERIMENT_KINDS: {"kind": str}},
-    "engine": {_SERIES_RUNS: _ENGINE_KEYS, ("lifted_checks", "shattering_sweep"):
+    "engine": {_SERIES_RUNS: _ENGINE_KEYS, ("lifted_checks",):
                {k: v for k, v in _ENGINE_KEYS.items() if k != "series_tol"}},
     "honesty": {EXPERIMENT_KINDS: _record_keys(HonestySection)},
     "output": {EXPERIMENT_KINDS: _record_keys(OutputSection)},
-    "initial": {_SERIES_RUNS + ("lifted_checks",): _record_keys(InitialSection)},
+    "initial": {EXPERIMENT_KINDS: _record_keys(InitialSection)},
     "lifted": {("lifted_checks",): _record_keys(LiftedSection)},
     "oracle": {("oracle", "lifted_checks"): {"rate": float}},
     "grid": {
@@ -190,11 +184,8 @@ _SCHEMA = {
         "power": {"scale": float, "exponent": float},
         "product_t": {"scale": float, "exponent": float},
     })}},
-    "daughter": {("fragmentation", "shattering_sweep"): {
+    "daughter": {("fragmentation",): {
         "kind": _Need({"binary_uniform": {}, "powerlaw": {"nu": float}})}},
-    "shattering": {("shattering_sweep",): {
-        "alpha": _Need(float), "x_max": float, "x_min_start": float,
-        "n_grids": int, "nodes_per_grid": int}},
     "sweep": {_SERIES_RUNS: {
         "kind": _Need({"dt": {}, "x_min": {}}), "values": _Need(list)}},
 }

@@ -38,11 +38,10 @@ from .evolution import (
     TimeGrid,
     _as_coeffs,
     _require_rows,
-    iterate_right,
     loss_gain_model,
     prefix_weights,
 )
-from .honesty import DefectSeries, MassLedger, mass_ledger, table_verdict
+from .honesty import mass_ledger
 from .state_space import Grid, uniform_mass_grid
 
 # Largest per-parent mass-constraint residual that strict construction
@@ -434,85 +433,3 @@ def grid_leakage(table: DysonPhillipsTable) -> np.ndarray:
     """
     return mass_ledger(table).residuals.copy()
 
-
-@dataclass(frozen=True)
-class ShatteringRow:
-    """One grid of the shattering sweep."""
-
-    x_min: float
-    n_nodes: int
-    defect_last: float
-    limit_estimate: float
-    verdict: str
-    leakage_last: float
-
-
-@dataclass(frozen=True)
-class ShatteringReport:
-    """Honesty trend across grids with x_min halving.
-
-    ``defect_persists`` is True when the finest grid's honesty limit stays
-    above its threshold — the signature of mass escaping to zero size in
-    finite time.  ``ledger`` and ``series`` are the finest grid's mass
-    ledger and defect verdict.  Exploratory: thresholds control the
-    verdict per grid, but no pass/fail is implied by the trend itself.
-    """
-
-    alpha: float
-    rows: tuple[ShatteringRow, ...]
-    defect_persists: bool
-    ledger: MassLedger
-    series: DefectSeries
-
-
-def shattering_experiment(alpha: float, tg: TimeGrid, *, n_max: int, x_max: float = 1.0,
-                          x_min_start: float = 1.0 / 16.0, n_grids: int = 4,
-                          nodes_per_grid: int = 64,
-                          daughter_kind: str = "binary_uniform", nu: float = 1.0,
-                          rel_threshold: float = 1e-8,
-                          persistence: int = 3) -> ShatteringReport:
-    """Run the series on grids with x_min halving under rate a(x) = x**(-alpha).
-
-    Singular rates (alpha > 0) blow up toward zero size; the truncated
-    grids probe whether the honesty limit estimate stays bounded away
-    from zero as the truncation recedes.  alpha = 0 is the bounded
-    control and must come out honest on every grid.  Every grid's table
-    runs to iterate ``n_max`` (required, as in ``iterate_right``; the CLI
-    passes ``[engine] n_max``).  ``rel_threshold`` and ``persistence`` feed
-    each grid's ``table_verdict``.
-    """
-    if alpha < 0.0:
-        raise PreconditionError("alpha must be >= 0")
-    if x_min_start <= 0.0 or x_min_start >= x_max:
-        raise PreconditionError("need 0 < x_min_start < x_max")
-    if n_grids < 1:
-        raise PreconditionError("n_grids must be >= 1")
-
-    rows = []
-    x_min = x_min_start
-    for _ in range(n_grids):
-        grid = uniform_mass_grid(x_min, x_max, nodes_per_grid)
-        rate = fragmentation_rate(grid, "power",
-                                  {"scale": 1.0, "exponent": -alpha})
-        model = fragmentation_model(grid, rate,
-                                    daughter_factors(grid, daughter_kind, nu=nu))
-        series_model = fragmentation_perturbed_model(model)
-        u0 = np.where(grid.nodes >= 0.5 * x_max, 1.0, 0.0)
-        table = iterate_right(series_model, tg, u0, n_max, keep_rows=False)
-        verdict = table_verdict(table, rel_threshold=rel_threshold,
-                                persistence=persistence)
-        defects = verdict.values
-        leakage = grid_leakage(table)
-        rows.append(ShatteringRow(
-            x_min=x_min,
-            n_nodes=grid.size,
-            defect_last=float(defects[-1]),
-            limit_estimate=float(verdict.limit_estimate),
-            verdict=verdict.verdict,
-            leakage_last=float(leakage[-1]),
-        ))
-        x_min *= 0.5
-
-    return ShatteringReport(alpha=alpha, rows=tuple(rows),
-                            defect_persists=rows[-1].verdict != "honest",
-                            ledger=mass_ledger(table), series=verdict)

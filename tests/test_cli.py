@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evofam import (LiftedVector, TimeGrid, cli, evolution, fragmentation, iterate_right,
-                    mass_ledger, resolvent_factorization_check, table_verdict)
+from evofam import (LiftedVector, TimeGrid, cli, evolution, iterate_right, mass_ledger,
+                    resolvent_factorization_check, table_verdict)
 from evofam import two_state_exchange
 from evofam.cli import main
 
@@ -98,23 +98,6 @@ lam_laplace = 8.0
 laplace_t_max = 3.0
 n_laplace_max = 1
 """
-
-SHATTERING_INI = """\
-[experiment]
-kind = shattering_sweep
-
-[engine]
-dt = 0.0625
-t_end = 0.5
-n_max = 12
-
-[shattering]
-alpha = 0.0
-x_min_start = 0.0625
-n_grids = 2
-nodes_per_grid = 24
-"""
-
 
 SCRIPTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
@@ -283,15 +266,19 @@ def test_lifted_checks_run_complete(tmp_path, capsys):
 
 
 def test_shattering_run_writes_trend_rows(tmp_path, capsys):
-    cfg = write_ini(tmp_path, SHATTERING_INI)
+    # the shattering probe is an x_min sweep: one sweep.csv row per cutoff
     out_dir = tmp_path / "out"
-    code = main(["run", cfg, "--output-dir", str(out_dir)])
+    code = main(["sweep", write_ini(tmp_path, shipped_ini("shattering_sweep.ini")),
+                 "--output-dir", str(out_dir)])
     pairs = stdout_pairs(capsys)
-    assert code == 0
-    assert pairs["defect_persists"] == "False"
-    rows = (out_dir / "shattering.csv").read_text().splitlines()
-    assert rows[0].startswith("x_min,n_nodes,defect_last")
-    assert len(rows) == 3
+    assert code == 3
+    assert pairs["sweep_kind"] == "x_min"
+    assert pairs["verdicts"] == "honest;inconclusive;inconclusive;inconclusive"
+    assert pairs["files"] == "report.csv,ledger.csv,defects.csv,sweep.csv"
+    rows = [line.split(",") for line in (out_dir / "sweep.csv").read_text().splitlines()]
+    assert rows[0][:4] == ["resolution", "defect_limit", "ledger_residual", "leakage"]
+    assert [float(row[0]) for row in rows[1:]] == [0.0625, 0.03125, 0.015625, 0.0078125]
+    assert all(float(row[3]) > 0.0 for row in rows[1:])  # mass lost below each cutoff
 
 
 def test_sweep_needs_section_and_two_values(tmp_path, capsys):
@@ -388,32 +375,59 @@ def test_collision_model_validated_over_the_run_span(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+# the bounded control, a(x) = x**0: honest on every row of the shipped sweep
+BOUNDED_SHATTERING = ("exponent = -1.0", "exponent = 0.0")
+
+
 def test_shattering_verdict_uses_configured_persistence(tmp_path, capsys):
-    text = shipped_ini("shattering_sweep.ini", ("alpha = 1.0", "alpha = 0.0"))
+    text = shipped_ini("shattering_sweep.ini", BOUNDED_SHATTERING)
     text += "\n[honesty]\npersistence = 13\n"
     out_dir = tmp_path / "out"
-    code = main(["run", write_ini(tmp_path, text), "--output-dir", str(out_dir)])
+    code = main(["sweep", write_ini(tmp_path, text), "--output-dir", str(out_dir)])
     pairs = stdout_pairs(capsys)
     footer = (out_dir / "ledger.csv").read_text().splitlines()[-1].split(",")
-    # 12 defect ratios cannot fill a 13-long tail: the verdict is open
-    assert pairs["verdict"] == footer[3] == "inconclusive"
+    # 12 defect ratios cannot fill a 13-long tail: every row stays open
+    assert pairs["verdicts"] == ";".join(["inconclusive"] * 4)
+    assert footer[3] == "inconclusive"
     assert code == 3
 
 
 def test_shattering_reads_engine_n_max_and_honesty_threshold(tmp_path, capsys):
-    text = SHATTERING_INI.replace("n_max = 12", "n_max = 6")
+    text = shipped_ini("shattering_sweep.ini", BOUNDED_SHATTERING, ("n_max = 12", "n_max = 6"))
     out_dir = tmp_path / "out"
-    # 7 rows leave the defect above the threshold: inconclusive
-    assert main(["run", write_ini(tmp_path, text), "--output-dir", str(out_dir)]) == 3
+    # 7 rows leave every cutoff's defect above the threshold: inconclusive
+    assert main(["sweep", write_ini(tmp_path, text), "--output-dir", str(out_dir)]) == 3
+    assert stdout_pairs(capsys)["verdicts"] == ";".join(["inconclusive"] * 4)
     assert len((out_dir / "ledger.csv").read_text().splitlines()) == 2 + 7
-    # alpha = 0 is honest at the default threshold; its finest limit
-    # estimate (about 5e-14) cannot fall below 1e-300
-    text = shipped_ini("shattering_sweep.ini", ("alpha = 1.0", "alpha = 0.0"))
+    # honest at the default threshold; every cutoff's limit estimate (at
+    # most about 5e-14) stays above 1e-300
+    text = shipped_ini("shattering_sweep.ini", BOUNDED_SHATTERING)
     text += "\n[honesty]\nthreshold = 1e-300\n"
-    code = main(["run", write_ini(tmp_path, text), "--output-dir", str(tmp_path / "tiny")])
-    pairs = stdout_pairs(capsys)
-    assert pairs["verdict"] == "inconclusive"
+    code = main(["sweep", write_ini(tmp_path, text), "--output-dir", str(tmp_path / "tiny")])
+    assert stdout_pairs(capsys)["verdicts"] == ";".join(["inconclusive"] * 4)
     assert code == 3
+
+
+def test_run_refuses_a_sweep_config(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    config = os.path.join(SCRIPTS_DIR, "shattering_sweep.ini")
+    assert main(["run", config, "--output-dir", str(out_dir)]) == 1
+    assert "sweep subcommand" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (ORACLE_INI + "\n[sweep]\nkind = dt\nvalues = 0.04, 0.0\n", "dt values must be positive"),
+    (shipped_ini("shattering_sweep.ini", ("values = 0.0625,", "values = 1.0,")),
+     "x_min values must lie inside the grid span"),
+    (shipped_ini("shattering_sweep.ini", ("0.0078125", "0.0")),
+     "x_min values must lie inside the grid span"),
+], ids=["dt-zero", "x_min-at-x_max", "x_min-zero"])
+def test_sweep_value_guards(text, message, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["sweep", write_ini(tmp_path, text), "--output-dir", str(out_dir)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def count_engine_runs(monkeypatch):
@@ -461,7 +475,7 @@ def test_sweep_row_makes_two_engine_passes(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command, text, n_tables", [
     ("run", FRAG_INI, 1),
     ("sweep", ORACLE_INI + "\n[sweep]\nkind = dt\nvalues = 0.0625, 0.03125\n", 2),
-    ("run", SHATTERING_INI, 2),
+    ("sweep", shipped_ini("shattering_sweep.ini", BOUNDED_SHATTERING), 4),
 ], ids=["run", "sweep", "shattering"])
 def test_cli_hands_row_less_tables_to_the_honesty_layer(command, text, n_tables, tmp_path,
                                                         capsys, monkeypatch):
@@ -473,7 +487,6 @@ def test_cli_hands_row_less_tables_to_the_honesty_layer(command, text, n_tables,
         return table
 
     monkeypatch.setattr(cli, "iterate_right", spy)
-    monkeypatch.setattr(fragmentation, "iterate_right", spy)
     code = main([command, write_ini(tmp_path, text), "--output-dir", str(tmp_path / "out")])
     assert code == 0
     assert len(tables) == n_tables

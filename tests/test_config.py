@@ -238,24 +238,19 @@ def test_oracle_refuses_lifted_section(tmp_path):
         parse_config(write(tmp_path, text))
 
 
-def test_shattering_sweep_refuses_grid_section(tmp_path):
-    base = "[experiment]\nkind = shattering_sweep\n[shattering]\nalpha = 1.0\n"
-    with pytest.raises(ConfigError, match=r"\[grid\] \(not read by shattering_sweep runs\)"):
-        parse_config(write(tmp_path, base + "[engine]\ndt = 0.1\n[grid]\nkind = mass\n"))
-    # [engine] n_max and [honesty] threshold reach every grid of the sweep
-    kept = base + ("[engine]\ndt = 0.1\nn_max = 12\n[honesty]\nthreshold = 1e-9\n"
-                   "[output]\nemit_svg = yes\n")
-    cfg = parse_config(write(tmp_path, kept))
-    assert (cfg.engine.n_max, cfg.honesty.threshold, cfg.output.emit_svg) == (12, 1e-9, True)
+def test_shattering_sweep_kind_is_refused(tmp_path):
+    # shattering is an x_min sweep of a fragmentation config, not a kind
+    text = "[experiment]\nkind = shattering_sweep\n[engine]\ndt = 0.1\n"
+    with pytest.raises(ConfigError, match=r"kind = 'shattering_sweep'; expected one of"):
+        parse_config(write(tmp_path, text))
 
 
 @pytest.mark.parametrize("kind, text, refused", [
-    ("shattering_sweep", "[shattering]\nalpha = 1.0\nn_max = 12\nrel_threshold = 1e-9\n",
-     [r"\[shattering\] n_max", r"\[shattering\] rel_threshold"]),
-    ("shattering_sweep", "[shattering]\nalpha = 1.0\n[engine]\nseries_tol = 1e-9\n",
-     [r"\[engine\] series_tol"]),
+    ("fragmentation", "[shattering]\nalpha = 1.0\n", [r"\[shattering\] \(unknown section\)"]),
+    ("fragmentation", "[sweep]\nkind = x_min\nvalues = 0.5, 0.25\nalpha = 1.0\n",
+     [r"\[sweep\] alpha"]),
     ("lifted_checks", "[engine]\nseries_tol = 1e-9\n", [r"\[engine\] series_tol"]),
-], ids=["shattering-keys", "shattering-series-tol", "lifted-series-tol"])
+], ids=["shattering-keys", "sweep-alpha", "lifted-series-tol"])
 def test_keys_a_kind_never_reads_are_refused(kind, text, refused, tmp_path):
     text = f"[experiment]\nkind = {kind}\n" + text
     if "[engine]" not in text:

@@ -1,6 +1,7 @@
 """Fragmentation model: kernel constraints, leakage accounting, references."""
 from __future__ import annotations
 
+import csv
 import re
 import tracemalloc
 
@@ -26,12 +27,13 @@ from evofam import (
     kernel_mass_check,
     mass_ledger,
     mol_reference,
-    shattering_experiment,
     uniform_mass_grid,
     uniform_velocity_grid,
     vn_identity_residual,
 )
+from evofam.cli import main
 from evofam.fragmentation import KERNEL_STRICT_LIMIT
+from test_cli import BOUNDED_SHATTERING, shipped_ini, write_ini
 
 
 # ---------------------------------------------------------------------------
@@ -390,47 +392,32 @@ def test_leakage_is_ledger_residual_not_defect(binary_frag_perturbed):
 
 
 # ---------------------------------------------------------------------------
-# shattering sweep
+# shattering: the shipped x_min sweep under a(x) = x**-alpha
 # ---------------------------------------------------------------------------
 
-def test_shattering_bounded_control_is_honest():
-    tg = TimeGrid(0.0, 0.5, 1.0 / 16.0)
-    report = shattering_experiment(0.0, tg, x_min_start=1.0 / 16.0, n_grids=2,
-                                   nodes_per_grid=32, n_max=14)
-    assert report.alpha == 0.0
-    assert not report.defect_persists
-    assert all(row.verdict == "honest" for row in report.rows)
-    assert report.rows[1].x_min == pytest.approx(1.0 / 32.0)
-    # the finest grid's ledger and verdict travel with the report
-    assert report.series.verdict == report.rows[-1].verdict
-    assert report.ledger.n_max == 14
+def shattering_rows(tmp_path, capsys, *replacements):
+    """Exit code and sweep.csv rows of the shipped shattering sweep."""
+    out_dir = tmp_path / "out"
+    code = main(["sweep", write_ini(tmp_path, shipped_ini("shattering_sweep.ini", *replacements)),
+                 "--output-dir", str(out_dir)])
+    capsys.readouterr()
+    with open(out_dir / "sweep.csv", newline="") as fh:
+        return code, list(csv.DictReader(fh))
 
 
-def test_shattering_singular_rate_defect_persists():
-    tg = TimeGrid(0.0, 1.0, 1.0 / 16.0)
-    report = shattering_experiment(1.0, tg, x_min_start=1.0 / 16.0, n_grids=3,
-                                   nodes_per_grid=32, n_max=10)
-    assert report.defect_persists
-    assert all(row.verdict != "honest" for row in report.rows)
-    # refining the truncation strengthens the singular loss
-    defects = [row.defect_last for row in report.rows]
-    assert defects[-1] > defects[0]
+def test_shattering_bounded_control_is_honest(tmp_path, capsys):
+    code, rows = shattering_rows(tmp_path, capsys, BOUNDED_SHATTERING)
+    assert code == 0
+    assert [row["verdict"] for row in rows] == ["honest"] * 4
 
 
-def test_shattering_preconditions():
-    tg = TimeGrid(0.0, 0.5, 0.25)
-    with pytest.raises(PreconditionError):
-        shattering_experiment(-0.5, tg, n_max=4)
-    with pytest.raises(PreconditionError):
-        shattering_experiment(1.0, tg, n_max=4, x_min_start=2.0)
-    with pytest.raises(PreconditionError, match="n_grids"):
-        shattering_experiment(1.0, tg, n_max=4, n_grids=0)
-
-
-def test_shattering_needs_n_max():
-    # the series depth has one default, [engine] n_max in the config schema
-    with pytest.raises(TypeError, match="n_max"):
-        shattering_experiment(0.0, TimeGrid(0.0, 0.5, 0.25))
+def test_shattering_singular_rate_defect_persists(tmp_path, capsys):
+    code, rows = shattering_rows(tmp_path, capsys)
+    assert code == 3
+    assert all(row["verdict"] != "honest" for row in rows[1:])
+    # each halving of the cutoff strengthens the singular loss
+    limits = [float(row["defect_limit"]) for row in rows]
+    assert all(a < b for a, b in zip(limits, limits[1:]))
 
 
 def test_binary_model_defaults(binary_frag):
