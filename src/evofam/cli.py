@@ -8,8 +8,10 @@ run <config>     one experiment; writes report.csv, ledger.csv, defects.csv
 sweep <config>   repeats the experiment across the [sweep] section's
                  sequence of step sizes (kind = dt) or small-mass cutoffs
                  (kind = x_min, fragmentation only) and adds sweep.csv with
-                 one row per entry and a convergence-ratio column; an
-                 x_min sweep under a singular rate is the shattering probe
+                 one row per entry; its ratio column divides each row's
+                 Duhamel residual by the previous row's, a convergence
+                 ratio for kind = dt only; an x_min sweep under a singular
+                 rate is the shattering probe
 
 Exit codes: 0 honest/complete, 2 dishonest, 3 inconclusive, 1 on
 configuration or model-contract errors.  Identical configs produce
@@ -63,8 +65,8 @@ from .honesty import (
 from .lifted import (
     CheckRow,
     LiftedVector,
+    _laplace_rows,
     kick_block_norm,
-    laplace_transform_check,
     lifted_norm,
     resolvent_factorization_check,
     resolvent_series_check,
@@ -301,10 +303,9 @@ def run_lifted_checks(cfg: ExperimentConfig) -> RunArtifacts:
     laplace_axis = TimeGrid(0.0, lifted.laplace_t_max, h)
     g = LiftedVector(grid=model.grid, axis=laplace_axis,
                      values=_lifted_profile(laplace_axis, u0))
-    g_norm = lifted_norm(g)
-    for n in range(lifted.n_laplace_max + 1):
-        rows.append(laplace_transform_check(model, lifted.lam_laplace, n, g))
-        bounds.append(LIFTED_CHECK_BOUND * g_norm)
+    laplace = _laplace_rows(model, lifted.lam_laplace, g, lifted.n_laplace_max)
+    rows.extend(laplace)
+    bounds.extend([LIFTED_CHECK_BOUND * lifted_norm(g)] * len(laplace))
 
     complete = all(row.residual <= bound for row, bound in zip(rows, bounds))
     worst = max(row.residual / bound for row, bound in zip(rows, bounds))
@@ -328,6 +329,13 @@ def run_sweep(cfg: ExperimentConfig, strict: bool | None) -> RunArtifacts:
         raise ConfigError("[sweep] values needs at least 2 entries")
     if kind == "x_min" and cfg.kind != "fragmentation":
         raise ConfigError("[sweep] kind = x_min applies to fragmentation only")
+    # every value is checked before the first row runs
+    if kind == "dt" and any(value <= 0.0 for value in values):
+        raise ConfigError("[sweep] dt values must be positive")
+    if kind == "x_min":
+        xmax = _require_section(cfg, "grid")["xmax"]
+        if not all(0.0 < value < xmax for value in values):
+            raise ConfigError("[sweep] x_min values must lie inside the grid span")
 
     rows = []
     last = None
@@ -335,12 +343,8 @@ def run_sweep(cfg: ExperimentConfig, strict: bool | None) -> RunArtifacts:
     for value in values:
         # each row builds (and validates) its model on its own lattice
         if kind == "dt":
-            if value <= 0.0:
-                raise ConfigError("[sweep] dt values must be positive")
             sub = dataclasses.replace(cfg, engine=dataclasses.replace(cfg.engine, dt=value))
         else:
-            if not 0.0 < value < _require_section(cfg, "grid")["xmax"]:
-                raise ConfigError("[sweep] x_min values must lie inside the grid span")
             override = dict(cfg.sections)
             override["grid"] = dict(override["grid"], xmin=value)
             sub = dataclasses.replace(cfg, sections=override)

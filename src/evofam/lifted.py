@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -140,18 +141,12 @@ def lifted_resolvent(model: PerturbedModel, lam: float, f: LiftedVector, *,
     The perturbed sweep inverts every block in one batched call, then
     makes one d x d matvec per node.
     """
-    _check_lifted(model, f)
-    if lam <= 0.0:
-        raise PreconditionError("lam must be positive")
+    if not perturbed:
+        return LiftedVector(grid=f.grid, axis=f.axis,
+                            values=next(_series_terms(model, lam, f)))
+    diag = _resolvent_diagonal(model, lam, f)
     nodes = f.axis.nodes
     h = f.axis.dt
-    diag = lam + 1.0 / h + _loss_rates(model, nodes)
-    if np.any(diag <= 0.0):
-        raise PreconditionError("generator diagonal must be positive for lam > 0")
-    if not perturbed:
-        out = f.values / diag
-        _carry(1.0 / (h * diag[1:]), out)
-        return LiftedVector(grid=f.grid, axis=f.axis, values=out)
     blocks = -_gain_blocks(model, nodes)
     idx = np.arange(f.grid.size)
     blocks[:, idx, idx] += diag
@@ -162,6 +157,35 @@ def lifted_resolvent(model: PerturbedModel, lam: float, f: LiftedVector, *,
     for k in range(1, nodes.size):
         out[k] += inv[k] @ out[k - 1]
     return LiftedVector(grid=f.grid, axis=f.axis, values=out)
+
+
+def _resolvent_diagonal(model: PerturbedModel, lam: float, f: LiftedVector) -> np.ndarray:
+    """lam + 1/h + loss_rate at every axis node, shape (K, d), checked positive."""
+    _check_lifted(model, f)
+    if lam <= 0.0:
+        raise PreconditionError("lam must be positive")
+    diag = lam + 1.0 / f.axis.dt + _loss_rates(model, f.axis.nodes)
+    if np.any(diag <= 0.0):
+        raise PreconditionError("generator diagonal must be positive for lam > 0")
+    return diag
+
+
+def _series_terms(model: PerturbedModel, lam: float, f: LiftedVector) -> Iterator[np.ndarray]:
+    """Terms n = 0, 1, ... of the resolvent series of f: the free resolvent
+    applied after n rounds of (kick, free resolvent).
+
+    Term 0 is the free resolvent itself.  The chain makes its diagonal
+    once and each term when it is requested, so a consumer that stops
+    after term n pays n kicks and n + 1 free sweeps.  Consumers must not
+    write to a term: the next one is made from it.
+    """
+    diag = _resolvent_diagonal(model, lam, f)
+    steps = 1.0 / (f.axis.dt * diag[1:])
+    term = f.values / diag
+    while True:
+        _carry(steps, term)
+        yield term
+        term = model.perturbation.apply(f.axis.nodes, term) / diag
 
 
 def kick_block_norm(model: PerturbedModel, axis: TimeGrid) -> float:
@@ -210,11 +234,6 @@ def resolvent_factorization_check(model: PerturbedModel, lam: float,
                     lam=lam, n=0, residual=residual, truncation_bound=0.0)
 
 
-def _kick_blockwise(model: PerturbedModel, f: LiftedVector) -> LiftedVector:
-    return LiftedVector(grid=f.grid, axis=f.axis,
-                        values=model.perturbation.apply(f.axis.nodes, f.values))
-
-
 def resolvent_series_check(model: PerturbedModel, lam: float, f: LiftedVector,
                            n_terms: int) -> np.ndarray:
     """Residuals of the geometric resolvent expansion, one per truncation.
@@ -236,14 +255,10 @@ def resolvent_series_check(model: PerturbedModel, lam: float, f: LiftedVector,
     target = lifted_resolvent(model, lam, f, perturbed=True)
     residuals = np.zeros(n_terms + 1)
     partial = np.zeros_like(f.values)
-    term = lifted_resolvent(model, lam, f, perturbed=False)
-    for n in range(n_terms + 1):
-        partial = partial + term.values
+    for n, term in zip(range(n_terms + 1), _series_terms(model, lam, f)):
+        partial = partial + term
         residuals[n] = LiftedVector(grid=f.grid, axis=f.axis,
                                     values=target.values - partial).norm()
-        if n < n_terms:
-            term = lifted_resolvent(model, lam, _kick_blockwise(model, term),
-                                    perturbed=False)
     return residuals
 
 
@@ -262,13 +277,29 @@ def laplace_transform_check(model: PerturbedModel, lam: float, n: int,
     continuum; O(h) on the axis, plus the reported horizon-truncation
     bound exp(-lam T_max)/lam * norm(f).  The axis must use the trapezoid
     rule and satisfy exp(-lam T_max) < 1e-10 (raises with the required
-    horizon).  Cost: one engine pass of n + 1 rows over the axis, plus one
-    more when f(0) != 0.
+    horizon).  Cost: row n is the last row of the suite cut at n (see
+    ``_laplace_rows``): one engine pass of n + 1 rows over the axis, one
+    row-less ``iterate_right`` to n when f(0) != 0, and n + 1 free
+    resolvent sweeps.  A caller that wants rows 0..N takes them from one
+    suite to N at that same cost.
+    """
+    return _laplace_rows(model, lam, f, n)[n]
+
+
+def _laplace_rows(model: PerturbedModel, lam: float, f: LiftedVector,
+                  n_max: int) -> list[CheckRow]:
+    """The Laplace check rows for n = 0..n_max, in one pass.
+
+    Row n and term n are prefixes of row n_max and term n_max, so the
+    suite costs what its last row does: one engine pass of n_max + 1 rows
+    over the axis, one row-less ``iterate_right`` to n_max from f(0) when
+    f(0) != 0, and n_max + 1 free resolvent sweeps for the right side.
+    Each row comes out bitwise the same as a suite cut at its own n.
     """
     _check_lifted(model, f)
     if lam <= 0.0:
         raise PreconditionError("lam must be positive")
-    if n < 0:
+    if n_max < 0:
         raise PreconditionError("iterate index must be >= 0")
     axis = f.axis
     if axis.rule != "trapezoid":
@@ -282,6 +313,7 @@ def laplace_transform_check(model: PerturbedModel, lam: float, n: int,
         )
     h = axis.dt
     m = axis.n_steps
+    bound = math.exp(-lam * t_max) / lam * f.norm()
 
     # The left side at axis node k sums, over start nodes i <= k,
     # w_{k-i} exp(-lam (tau_k - tau_i)) (row n from tau_i to tau_k) f(tau_i)
@@ -291,22 +323,15 @@ def laplace_transform_check(model: PerturbedModel, lam: float, n: int,
     # corrected below: i = k (only row 0 is nonzero there) and
     # (k, i) = (M, 0).
     rows = _combined_rows(model, axis, h * f.values, lam=lam)
-    for _ in range(n):
-        next(rows)
-    lhs = next(rows)[0]
-    if n == 0:
-        lhs = lhs - 0.5 * h * f.values
-    if np.any(f.values[0]):
-        corner = iterate_right(model, axis, f.values[0], n, keep_rows=False).end_rows[n]
-        lhs[m] -= 0.5 * h * math.exp(-lam * axis.nodes[m]) * corner
-
-    rhs = lifted_resolvent(model, lam, f, perturbed=False)
-    for _ in range(n):
-        rhs = lifted_resolvent(model, lam, _kick_blockwise(model, rhs),
-                               perturbed=False)
-    residual = LiftedVector(grid=f.grid, axis=axis,
-                            values=lhs - rhs.values).norm()
-    bound = math.exp(-lam * t_max) / lam * f.norm()
-    return CheckRow(check_name="laplace_transform", h=axis.dt, lam=lam, n=n,
-                    residual=residual, truncation_bound=bound)
-
+    corners = (iterate_right(model, axis, f.values[0], n_max, keep_rows=False).end_rows
+               if np.any(f.values[0]) else None)
+    out = []
+    for n, (row, _b), rhs in zip(range(n_max + 1), rows, _series_terms(model, lam, f)):
+        # a fresh array: the pass still reads ``row`` for row n + 1
+        lhs = row - 0.5 * h * f.values if n == 0 else row.copy()
+        if corners is not None:
+            lhs[m] -= 0.5 * h * math.exp(-lam * axis.nodes[m]) * corners[n]
+        residual = LiftedVector(grid=f.grid, axis=axis, values=lhs - rhs).norm()
+        out.append(CheckRow(check_name="laplace_transform", h=h, lam=lam, n=n,
+                            residual=residual, truncation_bound=bound))
+    return out

@@ -423,10 +423,13 @@ def test_run_refuses_a_sweep_config(tmp_path, capsys):
     (shipped_ini("shattering_sweep.ini", ("0.0078125", "0.0")),
      "x_min values must lie inside the grid span"),
 ], ids=["dt-zero", "x_min-at-x_max", "x_min-zero"])
-def test_sweep_value_guards(text, message, tmp_path, capsys):
+def test_sweep_value_guards(text, message, tmp_path, capsys, monkeypatch):
+    runs = count_engine_runs(monkeypatch)
     out_dir = tmp_path / "out"
     assert main(["sweep", write_ini(tmp_path, text), "--output-dir", str(out_dir)]) == 1
     assert message in capsys.readouterr().err
+    # every value is checked before the first row, a bad last one too
+    assert runs == []
     assert not out_dir.exists()
 
 
@@ -470,6 +473,18 @@ def test_sweep_row_makes_two_engine_passes(tmp_path, capsys, monkeypatch):
     assert main(["sweep", cfg, "--output-dir", str(tmp_path / "out")]) == 0
     # per row: main table and the Duhamel fine pass
     assert runs == [16, 8 * 16, 32, 8 * 32]
+
+
+@pytest.mark.parametrize("n_laplace_max", [1, 3])
+def test_lifted_checks_make_one_laplace_pass(n_laplace_max, tmp_path, capsys, monkeypatch):
+    runs = count_engine_runs(monkeypatch)
+    text = LIFTED_INI.replace("n_laplace_max = 1", f"n_laplace_max = {n_laplace_max}")
+    cfg = write_ini(tmp_path, text)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+    assert stdout_pairs(capsys)["n_checks"] == str(6 + n_laplace_max + 1)
+    # the main table on [0, 1] and one pass over the Laplace axis [0, 3]
+    # for every check row n = 0..n_laplace_max
+    assert runs == [16, 48]
 
 
 @pytest.mark.parametrize("command, text, n_tables", [

@@ -34,7 +34,7 @@ from evofam import (
 from evofam import evolution
 from evofam.coefficients import SeparableCoefficient, TimeProfile
 from evofam.evolution import prefix_weights
-from evofam.lifted import HORIZON_TAIL_LIMIT
+from evofam.lifted import HORIZON_TAIL_LIMIT, _laplace_rows
 
 U0 = np.array([1.0, 0.5])
 
@@ -321,10 +321,14 @@ def test_laplace_check_matches_per_start_runs(which, oracle_model):
     axis = TimeGrid(0.0, 0.75, 1.0 / 32.0)
     for name, values in _histories(model.grid, axis).items():
         f = LiftedVector(grid=model.grid, axis=axis, values=values)
+        suite = _laplace_rows(model, lam, f, 3)
         for n in range(4):
             expected = _laplace_residual_per_start(model, lam, n, f)
-            got = laplace_transform_check(model, lam, n, f).residual
-            assert got == pytest.approx(expected, rel=1e-12, abs=0.0), (name, n)
+            assert suite[n].n == n
+            assert suite[n].residual == pytest.approx(expected, rel=1e-12, abs=0.0), (name, n)
+            # a suite cut at n is bitwise the first n + 1 rows of the suite to 3
+            assert _laplace_rows(model, lam, f, n) == suite[:n + 1], (name, n)
+            assert laplace_transform_check(model, lam, n, f) == suite[n], (name, n)
 
 
 def test_laplace_check_engine_runs_do_not_grow_with_axis(oracle_model, monkeypatch):
