@@ -3,11 +3,12 @@
 
 Usage: python3 scripts/run_all.py [output-root]
 
-Each config writes its CSV tables under <output-root>/<config-stem>/
-(default: out/). A config with a [sweep] section runs with the sweep
-subcommand, every other one with run. The summary prints each config's exit code and wall time
-(wall_time_s, measured around the in-process CLI call) on stdout, never in
-the output directory. Exit code: the worst code any run produced, with
+Every scripts/*.ini runs, in sorted order; each writes its CSV tables
+under <output-root>/<config-stem>/ (default: out/). A config with a [sweep]
+section runs with the sweep subcommand, every other one with run. The
+summary prints each config's exit code and wall time (wall_time_s,
+measured around the in-process CLI call) on stdout, never in the output
+directory. Exit code: the worst code any run produced, with
 dishonest (2) outranking inconclusive (3) outranking honest (0).
 """
 from __future__ import annotations
@@ -19,25 +20,14 @@ import time
 from evofam.cli import main
 from evofam.config import parse_config
 
-RUNS = (
-    "oracle.ini",
-    "boltzmann_conservative.ini",
-    "boltzmann_timedep.ini",
-    "fragmentation_binary.ini",
-    "lifted_checks.ini",
-    "shattering_sweep.ini",
-    "oracle_dt_sweep.ini",
-    "fragmentation_dt_sweep.ini",
-)
-
 SEVERITY = {0: 0, 3: 1, 2: 2, 1: 3}
 
 
 def run_all(output_root: str) -> int:
     here = pathlib.Path(__file__).resolve().parent
     outcomes = []
-    for name in RUNS:
-        config = here / name
+    for config in sorted(here.glob("*.ini")):
+        name = config.name
         command = "sweep" if "sweep" in parse_config(config).sections else "run"
         out_dir = pathlib.Path(output_root) / config.stem
         print(f"=== {command} {name} -> {out_dir}")

@@ -55,12 +55,10 @@ from .coefficients import (
 from .boltzmann import (
     CollisionKernel,
     CollisionModel,
-    MassBalanceResult,
     collision_model,
     collision_perturbed_model,
     frequency_matching_kernel,
     gaussian_kernel_matrix,
-    mass_balance_identity,
     outflow_kernel_matrix,
     uniform_kernel_matrix,
     validation_times,

@@ -23,16 +23,9 @@ import numpy as np
 
 from .coefficients import (SeparableCoefficient, TimeProfile, require_finite_nonnegative,
                            sample_nonnegative)
-from .errors import ModelContractError, PreconditionError, StructureError
-from .evolution import (
-    PerturbedModel,
-    TimeGrid,
-    _as_coeffs,
-    _b_rows,
-    loss_gain_model,
-    prefix_weights,
-)
-from .state_space import Grid, weighted_norm_array
+from .errors import ModelContractError, StructureError
+from .evolution import PerturbedModel, TimeGrid, loss_gain_model
+from .state_space import Grid
 
 # Largest relative subcriticality excess that strict construction repairs
 # by rescaling kernel columns; anything larger is a modelling error.
@@ -196,48 +189,11 @@ def outflow_kernel_matrix(grid: Grid, target_density) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# operations
+# adapter to the series engine
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MassBalanceResult:
-    """Gain-vs-loss mass accounting over one interval."""
-
-    gain_mass: float
-    lost_mass: float
-    residual: float
-
-
-def mass_balance_identity(model: CollisionModel, tg: TimeGrid, phi) -> MassBalanceResult:
-    """Quadrature of ||gain(loss-flow state)|| against the mass actually lost.
-
-    For nonnegative phi the gain mass never exceeds the lost mass up to
-    quadrature error, with equality (to quadrature) in the conservative
-    case.  Returns (gain_mass, lost_mass, gain_mass - lost_mass).  The loss
-    flow and gain are the engine's own families: one batched U call from s
-    to every node, one batched B call, which raises naming the first time
-    where the gain is not finite.
-    """
-    coeffs = _as_coeffs(model.grid, phi)
-    if np.any(coeffs < 0.0):
-        raise PreconditionError("mass balance identity needs a nonnegative state")
-    m = tg.n_steps
-    if m == 0:
-        return MassBalanceResult(0.0, 0.0, 0.0)
-    families = collision_perturbed_model(model)
-    w = prefix_weights(tg.rule, m, tg.dt)
-    used = np.flatnonzero(w)
-    flowed = families.unperturbed.apply(tg.nodes, tg.s,
-                                        np.broadcast_to(coeffs, (m + 1, coeffs.size)))
-    gains = _b_rows(families, 0, tg.nodes[used], flowed[used])
-    gain_mass = sum(w[j] * weighted_norm_array(model.grid, g) for j, g in zip(used, gains))
-    lost = float(model.grid.weights @ coeffs) - float(model.grid.weights @ flowed[m])
-    return MassBalanceResult(gain_mass, lost, gain_mass - lost)
-
 
 def collision_perturbed_model(model: CollisionModel, name: str = "collision") -> PerturbedModel:
     """Adapt the collision model to the series engine: loss at the collision
     frequency, gain B(t) u = kernel.values(t) @ (w * u)."""
     return loss_gain_model(name, model.grid, model.frequency, model.kernel.profile,
-                           model.kernel.matrix, model.grid.weights,
-                           conservative=model.conservative)
+                           model.kernel.matrix, model.grid.weights)

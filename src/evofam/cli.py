@@ -109,15 +109,6 @@ def _require_section(cfg: ExperimentConfig, name: str) -> dict:
     return cfg.sections[name]
 
 
-def _model_flags(cfg: ExperimentConfig, strict_key: str, strict: bool | None) -> dict:
-    """[model] keys as library keywords; --strict/--lenient override ``strict_key``."""
-    flags = {("strict" if key == strict_key else key): value
-             for key, value in cfg.sections.get("model", {}).items()}
-    if strict is not None:
-        flags["strict"] = strict
-    return flags
-
-
 def build_oracle_model(cfg: ExperimentConfig):
     return two_state_exchange(**cfg.sections.get("oracle", {}))
 
@@ -156,13 +147,16 @@ def build_collision(cfg: ExperimentConfig, strict: bool | None):
             space=np.ones(grid.size),
         )
 
+    # --strict/--lenient override [model] strict_subcritical
+    if strict is None:
+        strict = cfg.sections.get("model", {}).get("strict_subcritical")
+    flags = {} if strict is None else {"strict": strict}
     cmodel = collision_model(grid, frequency, kernel,
-                             time_samples=validation_times(_engine_grid(cfg)),
-                             **_model_flags(cfg, "strict_subcritical", strict))
+                             time_samples=validation_times(_engine_grid(cfg)), **flags)
     return collision_perturbed_model(cmodel)
 
 
-def build_fragmentation(cfg: ExperimentConfig, strict: bool | None):
+def build_fragmentation(cfg: ExperimentConfig):
     grid_cfg, rate_cfg, daughter_cfg = (
         _require_section(cfg, name) for name in ("grid", "rate", "daughter"))
     grid = uniform_mass_grid(grid_cfg["xmin"], grid_cfg["xmax"], grid_cfg["n"])
@@ -171,18 +165,20 @@ def build_fragmentation(cfg: ExperimentConfig, strict: bool | None):
     fmodel = fragmentation_model(
         grid, rate, daughter_factors(grid, daughter_kind, **daughter_args),
         time_samples=validation_times(_engine_grid(cfg)),
-        **_model_flags(cfg, "strict_kernel", strict),
+        **cfg.sections.get("model", {}),
     )
     return fragmentation_perturbed_model(fmodel)
 
 
 def build_model(cfg: ExperimentConfig, strict: bool | None):
+    """The config's model; ``strict`` (--strict/--lenient) reaches boltzmann
+    models only."""
     if cfg.kind in ("oracle", "lifted_checks"):
         return build_oracle_model(cfg)
     if cfg.kind == "boltzmann":
         return build_collision(cfg, strict)
     if cfg.kind == "fragmentation":
-        return build_fragmentation(cfg, strict)
+        return build_fragmentation(cfg)
     raise ConfigError(f"experiment {cfg.kind!r} does not build a single model")
 
 
@@ -496,18 +492,25 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--emit-svg", action="store_true",
                          help="also write plots.svg")
         mode = cmd.add_mutually_exclusive_group()
-        mode.add_argument("--strict", dest="strict", action="store_true",
-                          default=None, help="force strict model validation")
+        mode.add_argument("--strict", dest="strict", action="store_true", default=None,
+                          help="force strict subcriticality checks (boltzmann only)")
         mode.add_argument("--lenient", dest="strict", action="store_false",
-                          help="force lenient model validation")
+                          help="force lenient subcriticality checks (boltzmann only)")
     return parser
 
 
+# built once: parsing leaves the parser as it was
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
         cfg = parse_config(args.config)
+        if args.strict is not None and cfg.kind != "boltzmann":
+            raise ConfigError("--strict and --lenient apply to boltzmann runs only, "
+                              f"not to {cfg.kind} runs")
         if args.command == "sweep":
             art = run_sweep(cfg, args.strict)
         elif "sweep" in cfg.sections:

@@ -23,11 +23,13 @@ required; see README for details):
                   [kernel]     kind = uniform | gaussian | outflow +
                                parameters; time_kind + time-profile
                                parameters prefixed time_
-                  [model]      strict_subcritical
+                  [model]      strict_subcritical (the CLI's --strict and
+                               --lenient override it; no other kind
+                               takes them)
     fragmentation [grid]       kind = mass; xmin, xmax, n (required)
                   [rate]       kind = constant | linear | power |
                                product_t + parameters
-                  [model]      strict_kernel, force_normalize
+                  [model]      force_normalize
                   [daughter]   kind = binary_uniform | powerlaw; nu
     oracle, boltzmann, fragmentation
                   [sweep]      kind = dt | x_min (fragmentation only);
@@ -168,7 +170,7 @@ _SCHEMA = {
     },
     "model": {
         ("boltzmann",): {"strict_subcritical": bool},
-        ("fragmentation",): {"strict_kernel": bool, "force_normalize": bool},
+        ("fragmentation",): {"force_normalize": bool},
     },
     "frequency": {("boltzmann",): {"kind": _Need(dict(_PROFILES, matching={}))}},
     "kernel": {("boltzmann",): {

@@ -11,7 +11,7 @@ class StructureError(EvofamError, ValueError):
 
 class ModelContractError(EvofamError, ValueError):
     """A model violates its contract (negative rates, NaN kernel entries,
-    subcriticality or kernel-normalization failures in strict mode)."""
+    subcriticality failures in strict mode)."""
 
 
 class EvaluationError(EvofamError, RuntimeError):

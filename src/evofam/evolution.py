@@ -197,8 +197,7 @@ class PerturbedModel:
 
     ``loss_rate(t)`` (optional) returns the per-node multiplicative decay
     rates of the unperturbed family at time t, shape (d,), or at an array
-    of K times, shape (K, d); the lifted-space generator needs it.  ``conservative`` marks models whose perturbation exactly
-    balances the unperturbed loss on nonnegative states.
+    of K times, shape (K, d); the lifted-space generator needs it.
     """
 
     name: str
@@ -206,7 +205,6 @@ class PerturbedModel:
     unperturbed: EvolutionFamily
     perturbation: PerturbationFamily
     loss_rate: Callable[[float], np.ndarray] | None = None
-    conservative: bool = False
 
     def __post_init__(self):
         if self.unperturbed.grid != self.grid or self.perturbation.grid != self.grid:
@@ -214,8 +212,7 @@ class PerturbedModel:
 
 
 def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
-                    gain_profile: TimeProfile, gain, gain_weights, *,
-                    conservative: bool = False) -> PerturbedModel:
+                    gain_profile: TimeProfile, gain, gain_weights) -> PerturbedModel:
     """The loss–gain model every built-in application reduces to.
 
     With ``loss`` the separable rate F'(t) a (F the antiderivative of its
@@ -287,7 +284,7 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
     return PerturbedModel(name=name, grid=grid,
                           unperturbed=EvolutionFamily(grid, u_apply),
                           perturbation=PerturbationFamily(grid, b_apply),
-                          loss_rate=loss.value, conservative=conservative)
+                          loss_rate=loss.value)
 
 
 # ---------------------------------------------------------------------------
@@ -409,20 +406,22 @@ def _step_factors(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
 # contiguous whole-array calls per level where the loop makes one call
 # per row, so it wins where per-call overhead dominates; the chunk budget
 # bounds its O(C log C) work per chunk of C steps and its two
-# temporaries.  Time of this rule / the blocked carry it replaced, median
-# of paired ratios over 9-15 interleaved rounds, range over 2-3 runs
-# (2-core Xeon, numpy 2.4):
+# temporaries.  Time of the chunked scan (max(1, 8192 // w) steps per
+# chunk) / the plain loop, median of 9 paired rounds, range over 2 runs
+# (2-core Xeon, Python 3.11, numpy 2.4):
 #
-#   w = 1     M = 8192: 0.58   16384: 0.94-0.99   65536: 1.22-1.41
-#   w = 2     M = 8000-65536: 0.41-0.60 (the same scan up to M = 4096)
-#   w = 8     M = 16384: 0.87   65536: 0.77
-#   w = 16-64 M = 16-256: 0.28-0.56   w = 64, M = 512: 0.82-1.14
-#   w = 128   M = 16-128: 0.38-0.81   256: 0.92-1.07   1024: 1.10-1.33
-#   w = 33    M = 2048: 0.92-1.21     w = 256, M = 1024: 0.97-1.20
-#   w = 511   M = 64-1024: 0.81-0.83
+#   w = 64    M = 256: 0.33-0.50
+#   w = 128   M = 64: 0.54-0.80   M = 256: 0.60-0.64
+#   w = 256   M = 64: 0.92-1.02   M = 256: 0.95-1.01
+#   w = 384   M = 128: 1.20-1.21
+#   w = 512   M = 64: 1.36-1.38   M = 256: 1.30-1.36
+#   w = 1024  M = 64: 1.76-1.83   M = 256: 1.76-1.87
+#   w = 2048  M = 64: 1.87-2.05   w = 4096, M = 64: 1.62-1.68
+#   w = 8192  M = 32: 1.06-1.08
 #
-# The loop amortizes its per-call overhead over rows of 512 floats or
-# more, where a scan's log C passes over the data do not pay.
+# From 512 floats on, the loop amortizes its per-call overhead and wins in
+# every measured case; at 256 the two tie.  No shipped config or benchmark
+# workload runs the band between, where the scan loses about 1.2x at 384.
 _CARRY_CHUNK = 8192
 _CARRY_WIDE_ROW = 512
 

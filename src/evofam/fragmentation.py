@@ -44,11 +44,6 @@ from .evolution import (
 from .honesty import mass_ledger
 from .state_space import Grid, uniform_mass_grid
 
-# Largest per-parent mass-constraint residual that strict construction
-# repairs by exact column normalization; anything larger is considered a
-# modelling error rather than quadrature slack.
-KERNEL_STRICT_LIMIT = 1e-3
-
 
 @dataclass(frozen=True)
 class FragmentationModel:
@@ -219,8 +214,7 @@ def _column_mass_residuals(grid: Grid, quad: np.ndarray) -> np.ndarray:
 
 
 def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter, *,
-                        strict: bool = False, force_normalize: bool = False,
-                        kernel_tol: float = KERNEL_STRICT_LIMIT,
+                        force_normalize: bool = False,
                         time_samples=None) -> FragmentationModel:
     """Validate and assemble a fragmentation model.
 
@@ -233,14 +227,13 @@ def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter, *,
     the matrix product's O(d^2).  The grid must be a uniform mass grid
     (weights x*dx).  Validation checks the rate and daughter for sign and
     finiteness, zeroes nothing silently: a matrix's entries on or below the
-    diagonal must already be zero.  Strict mode requires every parent's
-    mass-constraint residual below ``kernel_tol`` and then normalizes
-    columns exactly; that is a fine-grid regime — on coarse truncated grids
-    small parents always fail (the smallest has residual 1), so the default
-    is lenient with residuals recorded.  ``force_normalize`` rescales every
-    column with grid support regardless of the gate (diagnostic use:
-    isolates honesty/leakage effects from quadrature error); a pair's g is
-    rescaled by the same column factors.
+    diagonal must already be zero.  The per-parent mass-constraint
+    residuals are recorded, never gated: on a truncated grid the smallest
+    parent has no grid fragments, so its residual is always 1.
+    ``force_normalize`` rescales every column with grid support so that
+    the constraint holds exactly on the grid (diagnostic use: isolates
+    honesty/leakage effects from quadrature error); a pair's g is rescaled
+    by the same column factors.
     """
     if grid.kind != "mass":
         raise StructureError("fragmentation needs a mass grid")
@@ -286,38 +279,24 @@ def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter, *,
 
     quad = _column_quadrature(grid, dx, kernel)
     residuals = _column_mass_residuals(grid, quad)
-    normalized = False
-    if strict:
-        worst = float(np.max(residuals))
-        if worst >= kernel_tol:
-            j = int(np.argmax(residuals))
-            raise ModelContractError(
-                f"mass-constraint residual {worst:.3e} at parent node {j} "
-                f"exceeds the strict gate {kernel_tol:.0e}; use lenient mode "
-                "on truncated grids"
-            )
-        force_normalize = True
     if force_normalize:
         scale = np.where(quad > 0.0, grid.nodes / np.where(quad > 0.0, quad, 1.0), 1.0)
         if isinstance(kernel, tuple):
             kernel = (kernel[0], kernel[1] * scale)
         else:
             kernel = kernel * scale[None, :]
-        normalized = True
 
     return FragmentationModel(grid=grid, rate=rate, kernel=kernel, dx=dx,
-                              normalization_residuals=residuals, normalized=normalized)
+                              normalization_residuals=residuals,
+                              normalized=bool(force_normalize))
 
 
-def binary_fragmentation_model(x_min: float = 1.0 / 64.0, x_max: float = 1.0,
-                               n: int = 64, *, rate_kind: str = "linear",
-                               rate_params: dict | None = None,
-                               **kwargs) -> FragmentationModel:
-    """Binary-uniform daughter with a(t, x) built-in rate on a uniform grid."""
-    grid = uniform_mass_grid(x_min, x_max, n)
-    rate = fragmentation_rate(grid, rate_kind, rate_params)
-    return fragmentation_model(grid, rate, daughter_factors(grid, "binary_uniform"),
-                               **kwargs)
+def binary_fragmentation_model() -> FragmentationModel:
+    """The reference fragmentation model: binary-uniform daughter, linear
+    rate a(t, x) = x, 64 uniform nodes on [1/64, 1], columns as built."""
+    grid = uniform_mass_grid(1.0 / 64.0, 1.0, 64)
+    rate = fragmentation_rate(grid, "linear")
+    return fragmentation_model(grid, rate, daughter_factors(grid, "binary_uniform"))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +324,7 @@ def fragmentation_perturbed_model(model: FragmentationModel,
     breakup rate a = q(t) a(x), gain B(t) u = q(t) daughter @ (dx a(x) u),
     applied as the factored tail sum when the model keeps its factors.
 
-    Never flagged conservative: even with normalized columns the smallest
+    Never conservative: even with normalized columns the smallest
     parent has no grid fragments, so some breakup mass always leaks below
     x_min.
     """

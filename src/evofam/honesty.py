@@ -170,8 +170,7 @@ class BalanceCertificate:
 
 def detailed_balance_certificate(model, reference_density, lam: float, time_samples, *,
                                  beta: Callable[[float], float] | None = None,
-                                 tol: float = 1e-8,
-                                 fd_step: float = 1e-4) -> BalanceCertificate:
+                                 tol: float = 1e-8) -> BalanceCertificate:
     """Test a collision kernel against a reversibility reference density.
 
     ``model`` must expose ``grid`` and ``kernel_values(t) -> (d, d)`` (entry
@@ -218,6 +217,7 @@ def detailed_balance_certificate(model, reference_density, lam: float, time_samp
 
     growth = math.inf
     m0_min, m0_max = float(m0.min()), float(m0.max())
+    fd_step = 1e-4  # finite-difference step of d(beta)/dt
     for t in samples:
         if t >= fd_step:
             dbeta = (beta(t + fd_step) - beta(t - fd_step)) / (2.0 * fd_step)

@@ -20,6 +20,7 @@ measures and reports, together with any horizon-truncation bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,10 +28,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import PreconditionError, StructureError
+from .errors import EvaluationError, PreconditionError, StructureError
 from .evolution import (
     PerturbedModel,
     TimeGrid,
+    _b_rows,
     _carry,
     _check_table_bytes,
     _combined_rows,
@@ -95,9 +97,17 @@ def _loss_rates(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
 
 
 def _gain_blocks(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
-    """B(tau_k) as dense matrices for every axis node, shape (K, d, d)."""
+    """B(tau_k) as dense matrices for every axis node, shape (K, d, d),
+    checked finite as the engine checks its B rows."""
     _check_table_bytes("kick block table", nodes.size * model.grid.size ** 2 * 8)
-    return model.perturbation.as_matrix(nodes)
+    blocks = model.perturbation.as_matrix(nodes)
+    if blocks.size and not (np.isfinite(blocks.min()) and np.isfinite(blocks.max())):
+        k = int(np.argmin(np.isfinite(blocks).all(axis=(1, 2))))
+        tau = float(nodes[k])
+        raise EvaluationError(
+            f"perturbation produced a non-finite block at axis node {k}, tau = {tau!r}",
+            tau=tau)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +132,7 @@ def laplace_kick(model: PerturbedModel, lam: float, f: LiftedVector) -> LiftedVe
     acc = _trapezoid_kicks(steps, f.values[:-1], f.values[1:], h)
     _carry(steps, acc)
     out = np.zeros_like(f.values)
-    out[1:] = model.perturbation.apply(nodes[1:], acc[1:])
+    out[1:] = _b_rows(model, 0, nodes[1:], acc[1:])
     return LiftedVector(grid=f.grid, axis=f.axis, values=out)
 
 
@@ -182,10 +192,10 @@ def _series_terms(model: PerturbedModel, lam: float, f: LiftedVector) -> Iterato
     diag = _resolvent_diagonal(model, lam, f)
     steps = 1.0 / (f.axis.dt * diag[1:])
     term = f.values / diag
-    while True:
+    for n in itertools.count():
         _carry(steps, term)
         yield term
-        term = model.perturbation.apply(f.axis.nodes, term) / diag
+        term = _b_rows(model, n, f.axis.nodes, term) / diag
 
 
 def kick_block_norm(model: PerturbedModel, axis: TimeGrid) -> float:

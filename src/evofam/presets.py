@@ -18,9 +18,9 @@ from .state_space import Grid, abstract_grid
 def matrix_exchange_model(grid: Grid, loss_rates, exchange, name: str = "matrix-exchange") -> PerturbedModel:
     """Constant-coefficient model: U(t,s) = diag(exp(-loss*(t-s))), B = exchange.
 
-    Loss rates and ``exchange`` must be finite and nonnegative; the model
-    is flagged conservative when the weighted column sums of the exchange
-    matrix exactly balance the weighted loss rates (no mass created or hidden).
+    Loss rates and ``exchange`` must be finite and nonnegative, and the
+    weighted column sums of the exchange matrix must not exceed the
+    weighted loss rates (no mass created).
     """
     loss = np.asarray(loss_rates, dtype=float)
     mat = np.asarray(exchange, dtype=float)
@@ -34,10 +34,9 @@ def matrix_exchange_model(grid: Grid, loss_rates, exchange, name: str = "matrix-
     lost = loss * w
     if np.any(gained > lost * (1.0 + 1e-12) + 1e-300):
         raise StructureError("exchange matrix exceeds the loss rates (not dissipative)")
-    conservative = bool(np.all(np.abs(gained - lost) <= 1e-12 * np.maximum(lost, 1.0)))
     unit = TimeProfile(kind="constant", c0=1.0)
     return loss_gain_model(name, grid, SeparableCoefficient(unit, loss), unit, mat,
-                           np.ones(d), conservative=conservative)
+                           np.ones(d))
 
 
 def two_state_exchange(rate: float = 1.0) -> PerturbedModel:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from evofam import (
     CollisionKernel,
     ModelContractError,
-    PreconditionError,
     StructureError,
     TimeGrid,
     TimeProfile,
@@ -17,7 +16,8 @@ from evofam import (
     collision_perturbed_model,
     frequency_matching_kernel,
     gaussian_kernel_matrix,
-    mass_balance_identity,
+    iterate_right,
+    mass_ledger,
     outflow_kernel_matrix,
     uniform_kernel_matrix,
     uniform_velocity_grid,
@@ -221,31 +221,37 @@ def test_gain_mass_rate_matches_column_sums(conservative_collision):
 # mass balance
 # ---------------------------------------------------------------------------
 
-def test_mass_balance_conservative_second_order(conservative_collision):
-    phi = np.ones(conservative_collision.grid.size)
+# Row 0 of the mass ledger balances the gain mass along the loss flow (the
+# defect) against the mass that flow removes (u0 norm minus partial mass).
+
+def _ledger_row0(model, tg, phi):
+    ledger = mass_ledger(iterate_right(model, tg, phi, 0, keep_rows=False))
+    return ledger.defects[0], ledger.u0_norm - ledger.partial_mass[0], ledger.residuals[0]
+
+
+def test_mass_balance_conservative_second_order(conservative_collision_perturbed):
+    phi = np.ones(conservative_collision_perturbed.grid.size)
     residuals = [
-        abs(mass_balance_identity(conservative_collision,
-                                  TimeGrid(0.0, 1.0, dt), phi).residual)
+        abs(_ledger_row0(conservative_collision_perturbed, TimeGrid(0.0, 1.0, dt), phi)[2])
         for dt in (1.0 / 16.0, 1.0 / 32.0)
     ]
     assert residuals[0] < 1e-2
     assert residuals[1] / residuals[0] == pytest.approx(0.25, abs=0.1)
 
 
-def test_mass_balance_gain_below_loss_for_subcritical(subcritical_collision):
-    phi = np.ones(subcritical_collision.grid.size)
-    result = mass_balance_identity(subcritical_collision,
-                                   TimeGrid(0.0, 1.0, 1.0 / 32.0), phi)
-    assert result.gain_mass < result.lost_mass
-    assert result.residual == pytest.approx(result.gain_mass - result.lost_mass)
+def test_mass_balance_gain_below_loss_for_subcritical(subcritical_collision_perturbed):
+    phi = np.ones(subcritical_collision_perturbed.grid.size)
+    gain, lost, residual = _ledger_row0(subcritical_collision_perturbed,
+                                        TimeGrid(0.0, 1.0, 1.0 / 32.0), phi)
+    assert gain < lost
+    assert residual == pytest.approx(lost - gain)
 
 
-def test_mass_balance_edge_cases(conservative_collision):
-    phi = np.ones(conservative_collision.grid.size)
-    empty = mass_balance_identity(conservative_collision, TimeGrid(0.5, 0.5, 0.1), phi)
-    assert (empty.gain_mass, empty.lost_mass, empty.residual) == (0.0, 0.0, 0.0)
-    with pytest.raises(PreconditionError):
-        mass_balance_identity(conservative_collision, TimeGrid(0.0, 1.0, 0.5), -phi)
+def test_mass_balance_edge_cases(conservative_collision_perturbed):
+    phi = np.ones(conservative_collision_perturbed.grid.size)
+    # a lattice of one node: nothing gained, nothing lost
+    assert _ledger_row0(conservative_collision_perturbed,
+                        TimeGrid(0.5, 0.5, 0.1), phi) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +285,6 @@ def test_perturbed_model_wires_both_parts(timedep_collision,
                                rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(model.loss_rate(0.5),
                                np.asarray(timedep_collision.frequency.value(0.5)))
-
-
-def test_perturbed_model_propagates_conservative_flag(
-        conservative_collision_perturbed, subcritical_collision_perturbed):
-    assert conservative_collision_perturbed.conservative
-    assert not subcritical_collision_perturbed.conservative
 
 
 @given(phi=st.lists(st.floats(0.0, 5.0), min_size=8, max_size=8))

@@ -218,6 +218,21 @@ def test_lenient_flag_lets_supercritical_model_run(tmp_path, capsys):
     assert float(pairs["ledger_max_abs_residual"]) > 1e-6
 
 
+@pytest.mark.parametrize("text", [ORACLE_INI, LIFTED_INI, FRAG_INI],
+                         ids=["oracle", "lifted_checks", "fragmentation"])
+def test_strict_flags_refused_outside_boltzmann(text, tmp_path, capsys, monkeypatch):
+    def no_model(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(cli, "build_model", no_model)
+    monkeypatch.setattr(cli, "build_oracle_model", no_model)
+    out_dir = tmp_path / "out"
+    code = main(["run", write_ini(tmp_path, text), "--lenient", "--output-dir", str(out_dir)])
+    assert code == 1
+    assert "apply to boltzmann runs only" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_initial_point_bounds_checked(tmp_path, capsys):
     cfg = write_ini(tmp_path, ORACLE_INI.replace("node = 0", "node = 9"))
     code = main(["run", cfg, "--output-dir", str(tmp_path / "out")])

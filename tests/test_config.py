@@ -219,8 +219,8 @@ def test_lifted_section_defaults_and_types(tmp_path):
 # Keys and sections the chosen kind never reads are refused, not ignored.
 
 def test_boltzmann_refuses_fragmentation_model_key(tmp_path):
-    text = BOLTZMANN + "\n[model]\nstrict_kernel = true\n"
-    with pytest.raises(ConfigError, match=r"\[model\] strict_kernel"):
+    text = BOLTZMANN + "\n[model]\nforce_normalize = true\n"
+    with pytest.raises(ConfigError, match=r"\[model\] force_normalize"):
         parse_config(write(tmp_path, text))
 
 

@@ -26,7 +26,6 @@ from evofam import (
     iterate_left,
     iterate_right,
     left_right_discrepancy,
-    mass_balance_identity,
     matrix_exchange_model,
     mol_reference,
     series_sum,
@@ -738,11 +737,10 @@ def test_loss_flow_rejects_s_after_t(fixture, request):
         flow.apply(0.5, np.array([0.1, 0.6]), np.ones((2, d)))
 
 
-def test_state_inputs_must_match_the_grid(oracle_model, subcritical_collision, binary_frag):
+def test_state_inputs_must_match_the_grid(oracle_model, binary_frag):
     tg = TimeGrid(0.0, 0.5, 0.25)
     entries = [
         (oracle_model.grid, lambda u: iterate_right(oracle_model, tg, u, 2)),
-        (subcritical_collision.grid, lambda u: mass_balance_identity(subcritical_collision, tg, u)),
         (binary_frag.grid, lambda u: mol_reference(binary_frag, tg, u)),
     ]
     for grid, run in entries:

@@ -32,7 +32,6 @@ from evofam import (
     vn_identity_residual,
 )
 from evofam.cli import main
-from evofam.fragmentation import KERNEL_STRICT_LIMIT
 from test_cli import BOUNDED_SHATTERING, shipped_ini, write_ini
 
 
@@ -134,11 +133,8 @@ def test_model_rejects_bad_daughter_matrices():
         fragmentation_model(grid, rate, nan)
 
 
-# the smallest parent's residual is always 1, so a strict model builds only
-# with a gate above it
 @pytest.mark.parametrize("kind", ["binary_uniform", "powerlaw"])
-@pytest.mark.parametrize("flags", [{}, {"force_normalize": True},
-                                   {"strict": True, "kernel_tol": 1.5}])
+@pytest.mark.parametrize("flags", [{}, {"force_normalize": True}])
 def test_pair_and_matrix_build_the_same_model(kind, flags):
     grid = uniform_mass_grid(1.0 / 256.0, 1.0, 256)
     rate = fragmentation_rate(grid, "product_t", {"scale": 2.0, "exponent": 1.0})
@@ -186,9 +182,9 @@ def _short(f, g):
 @pytest.mark.parametrize("spoil, flags, message", [
     (_negative, {}, r"negative at \(i, j\) = \(2, 3\)"),
     (_nan, {}, r"not finite at \(i, j\) = \(0, 3\)"),
-    (_inf, {}, r"not finite at \(i, j\) = \(1, 2\)"),
+    # normalizing columns skips no check
+    (_inf, {"force_normalize": True}, r"not finite at \(i, j\) = \(1, 2\)"),
     (_short, {}, r"shape \(5, 4\) does not match"),
-    (lambda f, g: (f, g), {"strict": True}, "strict gate"),
 ])
 def test_bad_pair_raises_as_its_matrix(spoil, flags, message):
     grid = uniform_mass_grid(0.1, 1.0, 5)
@@ -248,8 +244,7 @@ def test_pair_validates_as_its_dense_matrix(pair):
                                    by_matrix.normalization_residuals, rtol=1e-14, atol=1e-14)
 
 
-@pytest.mark.parametrize("flags", [{}, {"force_normalize": True},
-                                   {"strict": True, "kernel_tol": 1.5}])
+@pytest.mark.parametrize("flags", [{}, {"force_normalize": True}])
 def test_pair_model_builds_without_a_dense_daughter(flags):
     # the dense 4096 x 4096 daughter would take 134 MB
     grid = uniform_mass_grid(1.0 / 4096.0, 1.0, 4096)
@@ -272,15 +267,6 @@ def test_model_rejects_negative_rate():
     rate = fragmentation_rate(grid, "constant", {"value": -1.0})
     with pytest.raises(ModelContractError, match="negative at t"):
         fragmentation_model(grid, rate, daughter_matrix(grid, "binary_uniform"))
-
-
-def test_strict_gate_rejects_truncated_grid(binary_frag):
-    grid = binary_frag.grid
-    rate = fragmentation_rate(grid, "linear")
-    with pytest.raises(ModelContractError, match="strict gate") as err:
-        fragmentation_model(grid, rate, daughter_matrix(grid, "binary_uniform"),
-                            strict=True)
-    assert f"{KERNEL_STRICT_LIMIT:.0e}" in str(err.value)
 
 
 def test_force_normalize_fixes_columns_with_support():
@@ -337,7 +323,6 @@ def test_perturbed_adapter_consistency(binary_frag, binary_frag_perturbed):
                                rtol=1e-15)
     np.testing.assert_allclose(model.perturbation.as_matrix(0.6) @ u,
                                model.perturbation.apply(0.6, u), rtol=1e-13)
-    assert not model.conservative
     np.testing.assert_allclose(model.loss_rate(0.4), binary_frag.rate_values(0.4))
 
 

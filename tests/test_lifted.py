@@ -1,6 +1,8 @@
 """Trajectory-space lift: resolvents, discounted kicks, transform identities."""
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from evofam import (
     CollisionKernel,
+    EvaluationError,
     EvolutionFamily,
     LiftedVector,
     PerturbationFamily,
@@ -34,7 +37,7 @@ from evofam import (
 from evofam import evolution
 from evofam.coefficients import SeparableCoefficient, TimeProfile
 from evofam.evolution import prefix_weights
-from evofam.lifted import HORIZON_TAIL_LIMIT, _laplace_rows
+from evofam.lifted import HORIZON_TAIL_LIMIT, _laplace_rows, _series_terms
 
 U0 = np.array([1.0, 0.5])
 
@@ -217,6 +220,31 @@ def test_kick_blocks_memory_cap(oracle_model, monkeypatch):
         kick_block_norm(oracle_model, axis)
     with pytest.raises(SizeCapError, match="kick block"):
         lifted_resolvent(oracle_model, 1.0, make_history(axis), perturbed=True)
+
+
+def test_lifted_layer_names_where_b_turns_non_finite(oracle_model):
+    apply = oracle_model.perturbation.apply
+
+    def nan_past_half(t, u):
+        return np.where((np.asarray(t) > 0.5)[..., None], np.nan, apply(t, u))
+
+    model = dataclasses.replace(oracle_model, perturbation=dataclasses.replace(
+        oracle_model.perturbation, apply=nan_past_half))
+    axis = TimeGrid(0.0, 3.0, 1.0 / 16.0)
+    f = make_history(axis)
+    # every B call the lifted layer makes is checked as the engine checks its
+    # B rows, and the first bad node (axis node 9) is named
+    for call in (lambda: laplace_kick(model, 8.0, f),
+                 lambda: next(itertools.islice(_series_terms(model, 8.0, f), 1, None)),
+                 lambda: resolvent_factorization_check(model, 8.0, f),
+                 lambda: laplace_transform_check(model, 8.0, 2, f)):
+        with pytest.raises(EvaluationError, match=r"at iterate 0, tau = 0\.5625"):
+            call()
+    for call in (lambda: kick_block_norm(model, axis),
+                 lambda: lifted_resolvent(model, 8.0, f, perturbed=True),
+                 lambda: resolvent_series_check(model, 8.0, f, 2)):
+        with pytest.raises(EvaluationError, match=r"axis node 9, tau = 0\.5625"):
+            call()
 
 
 # ---------------------------------------------------------------------------
