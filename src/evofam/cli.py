@@ -28,6 +28,7 @@ import dataclasses
 import itertools
 import math
 import os
+import stat
 import sys
 import time
 from dataclasses import dataclass, field
@@ -378,11 +379,31 @@ def run_sweep(cfg: ExperimentConfig, strict: bool | None) -> RunArtifacts:
 # output writing (single writer, after the runner finished)
 # ---------------------------------------------------------------------------
 
+def _rewrite(path, write) -> None:
+    """Call ``write`` on a text stream over ``path``, written in place and
+    cut on every exit, error exits included, to what this call wrote.
+
+    Like O_TRUNC, the cut applies to regular files only, so a path that
+    names a device or a FIFO (say a link to /dev/null) is written as it
+    was before.
+    """
+    # not O_TRUNC: ext4's auto_da_alloc starts writeback on closing a file
+    # truncated over data (https://docs.kernel.org/admin-guide/ext4.html)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="") as fh:
+        try:
+            write(fh)
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    _rewrite(path, write)
 
 
 def _svg_panel(lines, x0, y0, width, height, series, title, log_y):
@@ -432,8 +453,7 @@ def _write_svg(path, ledger, series) -> None:
                [("ledger residual", list(ledger.residuals))],
                "ledger residual vs iterate", log_y=False)
     lines.append("</svg>")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _rewrite(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def write_outputs(out_dir, cfg: ExperimentConfig, art: RunArtifacts,

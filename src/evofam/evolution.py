@@ -45,8 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-import functools
-
 import numpy as np
 
 from .coefficients import SeparableCoefficient, TimeProfile
@@ -492,8 +490,13 @@ def _trapezoid_kicks(steps: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     return out
 
 
-def _b_rows(model: PerturbedModel, n: int, taus: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """B(tau_j) states[j] for every node j in one call, checked finite once."""
+def _b_rows(model: PerturbedModel, kicked: str, n: int, taus: np.ndarray,
+            states: np.ndarray) -> np.ndarray:
+    """B(tau_j) states[j] for every node j in one call, checked finite once.
+
+    A failure names ``kicked``, what the states are (say "iterate 3"), and
+    carries ``n`` and the first failing tau.
+    """
     apply = model.perturbation.apply
     try:
         out = apply(taus, states)
@@ -504,20 +507,32 @@ def _b_rows(model: PerturbedModel, n: int, taus: np.ndarray, states: np.ndarray)
                 apply(tau, state)
             except Exception as node_exc:
                 raise EvaluationError(
-                    f"perturbation evaluation failed at iterate {n}, tau = {tau!r}: {node_exc}",
+                    f"perturbation evaluation failed at {kicked}, tau = {tau!r}: {node_exc}",
                     n=n, tau=tau,
                 ) from node_exc
         raise EvaluationError(
-            f"perturbation evaluation failed at iterate {n} on a batch of "
+            f"perturbation evaluation failed at {kicked} on a batch of "
             f"{len(taus)} times, though every single time succeeds: {exc}", n=n,
         ) from exc
     if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
         tau = float(taus[int(np.argmin(np.isfinite(out).all(axis=1)))])
         raise EvaluationError(
-            f"perturbation produced non-finite values at iterate {n}, tau = {tau!r}",
+            f"perturbation produced non-finite values at {kicked}, tau = {tau!r}",
             n=n, tau=tau,
         )
     return out
+
+
+def _once(fn: Callable, *args) -> Callable[[], np.ndarray]:
+    """A zero-argument callable that returns fn(*args), computed on its first call."""
+    value = None
+
+    def get():
+        nonlocal value
+        if value is None:
+            value = fn(*args)
+        return value
+    return get
 
 
 # each row of a pass with its lazily applied B row
@@ -582,7 +597,7 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
 
     n = 0
     while True:
-        lazy_b = functools.cache(functools.partial(_b_rows, model, n, nodes, row))
+        lazy_b = _once(_b_rows, model, f"iterate {n}", n, nodes, row)
         yield row, lazy_b
         b_row = lazy_b()
         del lazy_b
@@ -605,7 +620,7 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
                 # at tau_j has no row-1 integral there yet.  Rows n >= 2
                 # need no such split, since every row n >= 1 is zero at its
                 # start node.
-                ends = _b_rows(model, 0, nodes[1:], steps * row[:-1])
+                ends = _b_rows(model, "iterate 0", 0, nodes[1:], steps * row[:-1])
             else:
                 ends = b_row[1:]
             nxt = _trapezoid_kicks(steps, b_row[:-1], ends, dt)
@@ -626,7 +641,7 @@ def _combined_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     gen_p = _right_rows(model, tg, pos, direct, lam)
     gen_n = _right_rows(model, tg, neg, direct, lam)
     for (row_p, b_p), (row_n, b_n) in zip(gen_p, gen_n):
-        yield row_p - row_n, functools.cache(lambda b_p=b_p, b_n=b_n: b_p() - b_n())
+        yield row_p - row_n, _once(lambda b_p, b_n: b_p() - b_n(), b_p, b_n)
 
 
 def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
@@ -774,7 +789,7 @@ def _duhamel_gap(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
     u_end = model.unperturbed.apply(tg.t_end, tg.s, coeffs)
     w = prefix_weights(tg.rule, m, tg.dt)
     used = np.flatnonzero(w)
-    kicks = _b_rows(model, 0, tg.nodes[used], v_values[used])
+    kicks = _b_rows(model, "the family values", 0, tg.nodes[used], v_values[used])
     integral = w[used] @ model.unperturbed.apply(tg.t_end, tg.nodes[used], kicks)
     return weighted_norm_array(model.grid, v_values[m] - u_end - integral)
 

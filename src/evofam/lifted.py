@@ -132,7 +132,7 @@ def laplace_kick(model: PerturbedModel, lam: float, f: LiftedVector) -> LiftedVe
     acc = _trapezoid_kicks(steps, f.values[:-1], f.values[1:], h)
     _carry(steps, acc)
     out = np.zeros_like(f.values)
-    out[1:] = _b_rows(model, 0, nodes[1:], acc[1:])
+    out[1:] = _b_rows(model, "the discounted history", 0, nodes[1:], acc[1:])
     return LiftedVector(grid=f.grid, axis=f.axis, values=out)
 
 
@@ -151,22 +151,31 @@ def lifted_resolvent(model: PerturbedModel, lam: float, f: LiftedVector, *,
     The perturbed sweep inverts every block in one batched call, then
     makes one d x d matvec per node.
     """
-    if not perturbed:
-        return LiftedVector(grid=f.grid, axis=f.axis,
-                            values=next(_series_terms(model, lam, f)))
+    values = (_perturbed_resolvents(model, lam, f, f.values)[0] if perturbed
+              else next(_series_terms(model, lam, f)))
+    return LiftedVector(grid=f.grid, axis=f.axis, values=values)
+
+
+def _perturbed_resolvents(model: PerturbedModel, lam: float, f: LiftedVector,
+                          *rhs: np.ndarray) -> list[np.ndarray]:
+    """The perturbed resolvent of each right-hand side on f's axis, all from
+    one batched block inverse.
+
+    Each right-hand side takes its own product with the inverses and its
+    own sweep, so it comes out bitwise as if solved alone.
+    """
     diag = _resolvent_diagonal(model, lam, f)
-    nodes = f.axis.nodes
-    h = f.axis.dt
-    blocks = -_gain_blocks(model, nodes)
+    blocks = -_gain_blocks(model, f.axis.nodes)
     idx = np.arange(f.grid.size)
     blocks[:, idx, idx] += diag
     inv = np.linalg.inv(blocks)
     del blocks
-    out = np.matmul(inv, f.values[:, :, None])[:, :, 0]
-    inv /= h
-    for k in range(1, nodes.size):
-        out[k] += inv[k] @ out[k - 1]
-    return LiftedVector(grid=f.grid, axis=f.axis, values=out)
+    outs = [np.matmul(inv, values[:, :, None])[:, :, 0] for values in rhs]
+    inv /= f.axis.dt
+    for out in outs:
+        for step, prev, cur in zip(inv[1:], out, out[1:]):
+            cur += step @ prev
+    return outs
 
 
 def _resolvent_diagonal(model: PerturbedModel, lam: float, f: LiftedVector) -> np.ndarray:
@@ -195,7 +204,7 @@ def _series_terms(model: PerturbedModel, lam: float, f: LiftedVector) -> Iterato
     for n in itertools.count():
         _carry(steps, term)
         yield term
-        term = _b_rows(model, n, f.axis.nodes, term) / diag
+        term = _b_rows(model, f"resolvent series term {n}", n, f.axis.nodes, term) / diag
 
 
 def kick_block_norm(model: PerturbedModel, axis: TimeGrid) -> float:
@@ -235,11 +244,9 @@ def resolvent_factorization_check(model: PerturbedModel, lam: float,
     enters: resolvents and kick only look backward in time.
     """
     kicked = laplace_kick(model, lam, f)
-    left = lifted_resolvent(model, lam, kicked, perturbed=True)
-    mid = lifted_resolvent(model, lam, f, perturbed=True)
-    right = lifted_resolvent(model, lam, f, perturbed=False)
-    residual = LiftedVector(grid=f.grid, axis=f.axis,
-                            values=left.values - mid.values + right.values).norm()
+    left, mid = _perturbed_resolvents(model, lam, f, kicked.values, f.values)
+    right = next(_series_terms(model, lam, f))
+    residual = LiftedVector(grid=f.grid, axis=f.axis, values=left - mid + right).norm()
     return CheckRow(check_name="resolvent_factorization", h=f.axis.dt,
                     lam=lam, n=0, residual=residual, truncation_bound=0.0)
 

@@ -376,6 +376,51 @@ def test_outputs_are_byte_deterministic(tmp_path, capsys):
         assert filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False), name
 
 
+OUTPUT_NAMES = ("report.csv", "ledger.csv", "defects.csv", "checks.csv", "sweep.csv",
+                "plots.svg")
+
+
+@pytest.mark.parametrize("name", ["oracle.ini", "lifted_checks.ini"])
+def test_rewritten_outputs_match_a_fresh_directory(name, tmp_path, capsys):
+    # every output name already holds a longer file; the run writes over
+    # each in place and must leave no old byte after its own
+    cfg = os.path.join(SCRIPTS_DIR, name)
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.mkdir()
+    for out_name in OUTPUT_NAMES:
+        (reused / out_name).write_text("garbage,\n" * 20000)
+    codes = [main(["run", cfg, "--output-dir", str(d), "--emit-svg"]) for d in (fresh, reused)]
+    written = stdout_pairs(capsys)["files"].split(",")
+    assert codes == [0, 0]
+    assert "plots.svg" in written
+    for out_name in written:
+        assert (fresh / out_name).read_bytes() == (reused / out_name).read_bytes(), out_name
+
+
+def test_failed_write_cuts_the_file_at_what_was_written(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("old,row\n" * 1000)
+
+    def rows():
+        for k in range(3):
+            yield k, repr(k / 3)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        cli._write_csv(path, ("n", "value"), rows())
+    assert path.read_text() == "n,value\n0,0.0\n1,0.3333333333333333\n2,0.6666666666666666\n"
+
+
+def test_outputs_linked_to_a_device_are_written_uncut(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "report.csv").symlink_to(os.devnull)
+    assert main(["run", write_ini(tmp_path, ORACLE_INI), "--output-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert (out_dir / "report.csv").is_symlink()
+    assert (out_dir / "ledger.csv").read_text().startswith("n,defect,")
+
+
 def test_collision_model_validated_over_the_run_span(tmp_path, capsys):
     # frequency 1 - 0.4 t falls to 0.2 at t = 2 while the gain mass stays
     # near 0.44: subcritical on [0, 1], supercritical on part of (1, 2]

@@ -22,6 +22,7 @@ from evofam import (
     abstract_grid,
     collision_model,
     collision_perturbed_model,
+    duhamel_residual,
     gaussian_kernel_matrix,
     iterate_right,
     kick_block_norm,
@@ -34,7 +35,7 @@ from evofam import (
     resolvent_series_check,
     uniform_velocity_grid,
 )
-from evofam import evolution
+from evofam import evolution, lifted
 from evofam.coefficients import SeparableCoefficient, TimeProfile
 from evofam.evolution import prefix_weights
 from evofam.lifted import HORIZON_TAIL_LIMIT, _laplace_rows, _series_terms
@@ -233,12 +234,16 @@ def test_lifted_layer_names_where_b_turns_non_finite(oracle_model):
     axis = TimeGrid(0.0, 3.0, 1.0 / 16.0)
     f = make_history(axis)
     # every B call the lifted layer makes is checked as the engine checks its
-    # B rows, and the first bad node (axis node 9) is named
-    for call in (lambda: laplace_kick(model, 8.0, f),
-                 lambda: next(itertools.islice(_series_terms(model, 8.0, f), 1, None)),
-                 lambda: resolvent_factorization_check(model, 8.0, f),
-                 lambda: laplace_transform_check(model, 8.0, 2, f)):
-        with pytest.raises(EvaluationError, match=r"at iterate 0, tau = 0\.5625"):
+    # B rows, and the first bad node (axis node 9) is named with what was
+    # kicked; the Laplace check's engine pass fails before its series terms
+    for call, kicked in (
+            (lambda: laplace_kick(model, 8.0, f), r"the discounted history"),
+            (lambda: next(itertools.islice(_series_terms(model, 8.0, f), 1, None)),
+             r"resolvent series term 0"),
+            (lambda: resolvent_factorization_check(model, 8.0, f), r"the discounted history"),
+            (lambda: laplace_transform_check(model, 8.0, 2, f), r"iterate 0"),
+            (lambda: duhamel_residual(model, axis, U0, f.values), r"the family values")):
+        with pytest.raises(EvaluationError, match=rf"at {kicked}, tau = 0\.5625"):
             call()
     for call in (lambda: kick_block_norm(model, axis),
                  lambda: lifted_resolvent(model, 8.0, f, perturbed=True),
@@ -261,6 +266,24 @@ def test_factorization_residual_first_order(oracle_model):
     assert rows[0].truncation_bound == 0.0
     assert rows[0].residual < 0.01 * scale
     assert 0.3 < rows[1].residual / rows[0].residual < 0.75
+
+
+def test_factorization_check_inverts_the_kick_blocks_once(oracle_model, monkeypatch):
+    # both perturbed solves share one block inverse, and the residual is
+    # bitwise the one the three separate resolvents give
+    f = make_history(TimeGrid(0.0, 1.0, 1.0 / 32.0))
+    kicked = laplace_kick(oracle_model, 2.0, f)
+    separate = LiftedVector(grid=f.grid, axis=f.axis, values=(
+        lifted_resolvent(oracle_model, 2.0, kicked, perturbed=True).values
+        - lifted_resolvent(oracle_model, 2.0, f, perturbed=True).values
+        + lifted_resolvent(oracle_model, 2.0, f).values)).norm()
+    calls = []
+    gain_blocks = lifted._gain_blocks
+    monkeypatch.setattr(lifted, "_gain_blocks",
+                        lambda *args: calls.append(args) or gain_blocks(*args))
+    row = resolvent_factorization_check(oracle_model, 2.0, f)
+    assert len(calls) == 1
+    assert row.residual == separate
 
 
 def test_series_expansion_geometric(oracle_model):
