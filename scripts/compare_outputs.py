@@ -6,8 +6,9 @@ Usage: python3 scripts/compare_outputs.py A B [--rtol R] [--atol T]
 Both trees must hold the same files.  CSV files are compared cell by
 cell: a cell that parses as a float on both sides must satisfy
 |a - b| <= atol + rtol * |b|, and every other cell must match exactly.
-Any other file must be byte-identical.  Prints the worst cell of each
-file (largest |a - b| over its allowance) and exits 1 on any mismatch.
+Any other file must be byte-identical.  Prints, for each CSV file that
+differs, how many cells differ and the worst one (largest |a - b| over its
+allowance), and exits 1 on any mismatch.
 """
 from __future__ import annotations
 
@@ -43,18 +44,21 @@ def _cell_excess(a: str, b: str, rtol: float, atol: float) -> tuple[float, float
 
 def compare_csv(path_a: pathlib.Path, path_b: pathlib.Path, rtol: float,
                 atol: float) -> tuple[bool, str]:
-    """(match, description of the worst cell) for one pair of CSV files."""
+    """(match, count of differing cells and the worst one) for one pair of
+    CSV files."""
     with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
         rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
     if len(rows_a) != len(rows_b):
         return False, f"{len(rows_a)} rows against {len(rows_b)}"
     header = rows_a[0] if rows_a else []
     worst = (0.0, 0.0, None)
+    differing = 0
     for r, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
         if len(row_a) != len(row_b):
             return False, f"row {r}: {len(row_a)} cells against {len(row_b)}"
         for c, (a, b) in enumerate(zip(row_a, row_b)):
             excess, diff = _cell_excess(a, b, rtol, atol)
+            differing += excess > 0.0
             if excess > worst[0]:
                 worst = (excess, diff, (r, c, a, b))
     excess, diff, where = worst
@@ -63,7 +67,8 @@ def compare_csv(path_a: pathlib.Path, path_b: pathlib.Path, rtol: float,
     r, c, a, b = where
     column = header[c] if c < len(header) else str(c)
     rel = diff / abs(_float(b)) if _float(b) else math.inf
-    text = (f"worst cell row {r} column {column!r} (row starts {rows_a[r][0]!r}): "
+    text = (f"{differing} {'cell differs' if differing == 1 else 'cells differ'}, "
+            f"worst cell row {r} column {column!r} (row starts {rows_a[r][0]!r}): "
             f"{a} vs {b}, abs {diff:.3g}, rel {rel:.3g}")
     return excess <= 1.0, text
 

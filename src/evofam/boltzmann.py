@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (SeparableCoefficient, TimeProfile, require_finite_nonnegative,
-                           sample_nonnegative)
+                           sample_nonnegative, sample_times)
 from .errors import ModelContractError, StructureError
 from .evolution import PerturbedModel, TimeGrid, loss_gain_model
 from .state_space import Grid
@@ -60,8 +60,9 @@ class CollisionModel:
 
     ``subcritical_excess`` records the worst sampled value of the gain
     mass rate minus the frequency found at construction (before any strict
-    repair); ``column_rescale`` holds the per-column kernel factors a
-    strict repair applied, or None.
+    repair); ``validated_span`` the (first, last) sample time it was found
+    on; ``column_rescale`` holds the per-column kernel factors a strict
+    repair applied, or None.
     """
 
     grid: Grid
@@ -69,6 +70,7 @@ class CollisionModel:
     kernel: CollisionKernel
     conservative: bool
     subcritical_excess: float
+    validated_span: tuple[float, float]
     column_rescale: np.ndarray | None = None
 
     def kernel_values(self, t: float) -> np.ndarray:
@@ -100,16 +102,12 @@ def collision_model(grid: Grid, frequency: SeparableCoefficient, kernel: Collisi
     Checks kernel and frequency nonnegativity and the subcritical bound
     gain mass rate <= frequency at every node for every sampled time
     (default samples: 0 to 1 in steps of 1/8; pass ``validation_times`` of
-    the active lattice for sharper coverage).  Strict mode repairs a
-    relative excess up to 1e-6 by scaling each kernel column with the
-    smallest sampled min(1, frequency/gain); larger excess raises.
-    Lenient mode only records the worst excess.
+    the active lattice; the engine refuses one outside the samples' span).
+    Strict mode repairs a relative excess up to 1e-6 by scaling each kernel
+    column with the smallest sampled min(1, frequency/gain); larger excess
+    raises.  Lenient mode only records the worst excess.
     """
-    if time_samples is None:
-        time_samples = np.linspace(0.0, 1.0, 9)
-    times = np.asarray(time_samples, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise StructureError("time_samples must be a nonempty 1-d sequence")
+    times = sample_times(time_samples)
 
     mat = np.asarray(kernel.matrix, dtype=float)
     if mat.shape != (grid.size, grid.size):
@@ -154,6 +152,7 @@ def collision_model(grid: Grid, frequency: SeparableCoefficient, kernel: Collisi
     return CollisionModel(grid=grid, frequency=frequency, kernel=kernel,
                           conservative=conservative,
                           subcritical_excess=excess,
+                          validated_span=(float(times.min()), float(times.max())),
                           column_rescale=rescale)
 
 
@@ -196,4 +195,5 @@ def collision_perturbed_model(model: CollisionModel, name: str = "collision") ->
     """Adapt the collision model to the series engine: loss at the collision
     frequency, gain B(t) u = kernel.values(t) @ (w * u)."""
     return loss_gain_model(name, model.grid, model.frequency, model.kernel.profile,
-                           model.kernel.matrix, model.grid.weights)
+                           model.kernel.matrix, model.grid.weights,
+                           validated_span=model.validated_span)

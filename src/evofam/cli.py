@@ -10,8 +10,9 @@ sweep <config>   repeats the experiment across the [sweep] section's
                  (kind = x_min, fragmentation only) and adds sweep.csv with
                  one row per entry; its ratio column divides each row's
                  Duhamel residual by the previous row's, a convergence
-                 ratio for kind = dt only; an x_min sweep under a singular
-                 rate is the shattering probe
+                 ratio for kind = dt only; leakage repeats ledger_residual
+                 on fragmentation sweeps and is 0.0 on all others; an
+                 x_min sweep under a singular rate is the shattering probe
 
 Exit codes: 0 honest/complete, 2 dishonest, 3 inconclusive, 1 on
 configuration or model-contract errors.  Identical configs produce
@@ -246,7 +247,8 @@ def run_engine_experiment(cfg: ExperimentConfig, strict: bool | None) -> RunArti
     u0 = initial_coefficients(cfg, model.grid)
     table, ledger, series = _table_diagnostics(cfg, model, tg, u0)
 
-    # one fine pass serves both residuals; the full value comes from the table
+    # one fine pass serves both residuals, its t_end sum as the cocycle's
+    # composed side; the full value comes from the table
     split = tg.nodes[tg.n_steps // 2] if tg.n_steps >= 2 else None
     duhamel, cocycle = _flat_residuals(model, tg, u0, split, table,
                                        tol=cfg.engine.series_tol)

@@ -130,6 +130,15 @@ class SeparableCoefficient:
         return np.multiply.outer(self.profile.integral(s, t), self.space)
 
 
+def sample_times(time_samples) -> np.ndarray:
+    """A model builder's check times as a nonempty 1-d array; None gives the
+    default, 0 to 1 in steps of 1/8."""
+    times = np.linspace(0.0, 1.0, 9) if time_samples is None else np.asarray(time_samples, float)
+    if times.ndim != 1 or times.size == 0:
+        raise StructureError("time_samples must be a nonempty 1-d sequence")
+    return times
+
+
 def sample_nonnegative(coef: SeparableCoefficient, times: np.ndarray, size: int,
                        what: str) -> np.ndarray:
     """``coef.value(t)`` at every sample time as one (T, size) array.

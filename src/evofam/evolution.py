@@ -196,6 +196,8 @@ class PerturbedModel:
     ``loss_rate(t)`` (optional) returns the per-node multiplicative decay
     rates of the unperturbed family at time t, shape (d,), or at an array
     of K times, shape (K, d); the lifted-space generator needs it.
+    ``validated_span`` (optional) is the (first, last) time the model's
+    contract was checked at; the engine refuses a lattice outside it.
     """
 
     name: str
@@ -203,6 +205,7 @@ class PerturbedModel:
     unperturbed: EvolutionFamily
     perturbation: PerturbationFamily
     loss_rate: Callable[[float], np.ndarray] | None = None
+    validated_span: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.unperturbed.grid != self.grid or self.perturbation.grid != self.grid:
@@ -210,7 +213,8 @@ class PerturbedModel:
 
 
 def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
-                    gain_profile: TimeProfile, gain, gain_weights) -> PerturbedModel:
+                    gain_profile: TimeProfile, gain, gain_weights, *,
+                    validated_span: tuple[float, float] | None = None) -> PerturbedModel:
     """The loss–gain model every built-in application reduces to.
 
     With ``loss`` the separable rate F'(t) a (F the antiderivative of its
@@ -282,7 +286,7 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
     return PerturbedModel(name=name, grid=grid,
                           unperturbed=EvolutionFamily(grid, u_apply),
                           perturbation=PerturbationFamily(grid, b_apply),
-                          loss_rate=loss.value)
+                          loss_rate=loss.value, validated_span=validated_span)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +573,13 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     once, and ``_SCAN_ROWS`` of min(M, C) + 1 rows more when d is narrow
     enough for the carry's scan, and raises ``SizeCapError`` before any
     operator call when they would exceed the table cap (signed data runs
-    two passes side by side).
+    two passes side by side).  A lattice outside the model's
+    ``validated_span`` (to 1e-12 relative) raises ``PreconditionError``.
     """
+    lo, hi = model.validated_span or (tg.s, tg.t_end)
+    if tg.s < lo - 1e-12 * max(1.0, abs(lo)) or tg.t_end > hi + 1e-12 * max(1.0, abs(hi)):
+        raise PreconditionError(f"lattice [{tg.s!r}, {tg.t_end!r}] leaves the span "
+                                f"[{lo!r}, {hi!r}] model {model.name!r} was validated on")
     nodes = tg.nodes
     m = tg.n_steps
     dt = tg.dt
@@ -732,35 +741,21 @@ def series_sum(model: PerturbedModel, tg: TimeGrid, u0, *, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 def _summed_values(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
-                   tol: float, n_max: int, stride: int,
-                   split: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   tol: float, n_max: int, stride: int) -> np.ndarray:
     """Summed series at every ``stride``-th lattice node (t_end included),
-    and at node ``split`` alone.
-
-    The strided sums stop on the tail at t_end; the sum at ``split`` stops,
-    as ``series_sum`` on the lattice cut at that node would, on the tail
-    there.  The pass draws rows until both have stopped (at most n_max + 1).
-    The recursion is causal, so the sum at ``split`` is bitwise the one
-    ``series_sum`` gives on the sub-lattice ending at that node.
-    """
+    stopped on the tail at t_end as ``series_sum`` stops: its t_end sum is
+    bitwise ``series_sum``'s value on the same lattice."""
     grid = model.grid
     bound = tol * weighted_norm_array(grid, coeffs)
     m = tg.n_steps
     gen = _combined_rows(model, tg, coeffs)
     total = np.zeros((m // stride + 1, grid.size))
-    at_split = np.zeros(grid.size)
-    open_all, open_split = True, split is not None
     for _ in range(n_max + 1):
         row = next(gen)[0]
-        if open_all:
-            total += row[::stride]
-            open_all = weighted_norm_array(grid, row[m]) > bound
-        if open_split:
-            at_split += row[split]
-            open_split = weighted_norm_array(grid, row[split]) > bound
-        if not (open_all or open_split):
+        total += row[::stride]
+        if weighted_norm_array(grid, row[m]) <= bound:
             break
-    return total, at_split
+    return total
 
 
 def _table_series(table: DysonPhillipsTable, coeffs: np.ndarray, tol: float,
@@ -801,27 +796,26 @@ def _flat_residuals(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
     """Duhamel residual and, for a split time ``r``, cocycle residual.
 
     One run on the ``refine``-times finer lattice over [s, t_end] gives the
-    Duhamel reference values and the cocycle's first leg V(r, s) u0; the
-    second leg runs from r on its own fine lattice.  The full-interval
-    value is read off ``table`` (the ``iterate_right`` table of the same
-    model, lattice and u0) when it holds enough rows, else summed afresh.
-    Engine runs: one without ``r``, two with it (three if the table is
-    short or absent).
+    Duhamel reference values and, as its t_end sum, the cocycle's composed
+    side V(t_end, r) V(r, s) u0 (see ``cocycle_residual``).  The
+    full-interval value is read off ``table`` (the ``iterate_right`` table
+    of the same model, lattice and u0) when it holds enough rows, else
+    summed afresh.  Engine runs: one, two if ``r`` is given and the table
+    is short or absent.
     """
     if refine < 2:
         raise PreconditionError("refine must be >= 2 to produce an independent reference")
     fine = TimeGrid(tg.s, tg.t_end, tg.dt / refine, tg.rule)
-    split = None if r is None else tg.node_index(r) * refine
-    v_values, first = _summed_values(model, fine, coeffs, tol, n_max, refine, split)
+    if r is not None:
+        tg.node_index(r)
+    v_values = _summed_values(model, fine, coeffs, tol, n_max, refine)
     duhamel = _duhamel_gap(model, tg, coeffs, v_values)
     if r is None:
         return duhamel, None
     full = None if table is None else _table_series(table, coeffs, tol, n_max)
     if full is None:
         full = series_sum(model, tg, coeffs, tol=tol, n_max=n_max).value
-    second = series_sum(model, TimeGrid(r, tg.t_end, fine.dt, tg.rule), first,
-                        tol=tol, n_max=n_max).value
-    return duhamel, weighted_norm_array(model.grid, full - second)
+    return duhamel, weighted_norm_array(model.grid, full - v_values[-1])
 
 
 def duhamel_residual(model: PerturbedModel, tg: TimeGrid, u0, v_values=None, *,
@@ -852,16 +846,16 @@ def cocycle_residual(model: PerturbedModel, tg: TimeGrid, u0, r: float, *,
                      refine: int = 8, tol: float = 1e-12, n_max: int = 40) -> float:
     """Two-interval composition residual || V(t,s)u0 - V(t,r) V(r,s) u0 ||.
 
-    ``r`` must lie on the lattice (raises otherwise).  By default the
-    full-interval value is summed at the lattice resolution while the
-    composed side runs on ``refine``-times finer lattices (``refine`` >= 2):
-    summing at one shared resolution composes exactly up to series
-    truncation (the prefix weights factor across interior nodes), which
-    would leave the residual blind to the quadrature error this check
-    exists to expose.  Against the sharper composed reference the residual
-    tracks the lattice's own O(dt^2) error.  The first leg comes from the
-    fine run over [s, t_end] that ``duhamel_residual`` makes, so calling
-    both repeats that run.
+    ``r`` must lie on the lattice (raises otherwise).  The full-interval
+    value is summed at the lattice resolution, the composed side on the
+    ``refine``-times finer lattice (``refine`` >= 2).  On one lattice the
+    legs compose exactly up to series truncation (the prefix weights factor
+    across the split node; under the midpoint rule only across an even
+    node, as an even ``refine`` makes every split), so the composed side is
+    the fine lattice's own t_end sum, whatever ``r``; at the coarse
+    resolution it would leave the check blind to the O(dt^2) quadrature
+    error it exists to expose.  The fine sum comes from the run that
+    ``duhamel_residual`` makes, so calling both repeats that run.
     """
     coeffs = _as_coeffs(model.grid, u0)
     return _flat_residuals(model, tg, coeffs, r, refine=refine, tol=tol, n_max=n_max)[1]

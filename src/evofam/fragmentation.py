@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (SeparableCoefficient, TimeProfile, entry_error,
-                           require_finite_nonnegative, sample_nonnegative)
+                           require_finite_nonnegative, sample_nonnegative, sample_times)
 from .errors import ModelContractError, PreconditionError, StructureError
 from .evolution import (
     DysonPhillipsTable,
@@ -58,7 +58,8 @@ class FragmentationModel:
     spacing; ``normalization_residuals[j]`` the relative deviation of the
     plain-dx quadrature of x*b(x, x_j) from x_j measured at construction,
     before any normalization (the smallest parent has no grid fragments,
-    so its residual is always 1).  ``normalized`` records whether columns
+    so its residual is always 1).  ``validated_span`` is the (first, last)
+    time the rate was sampled at.  ``normalized`` records whether columns
     were rescaled to satisfy the constraint exactly on the grid.
     """
 
@@ -67,6 +68,7 @@ class FragmentationModel:
     kernel: np.ndarray | tuple[np.ndarray, np.ndarray]
     dx: float
     normalization_residuals: np.ndarray
+    validated_span: tuple[float, float]
     normalized: bool = False
 
     @functools.cached_property
@@ -225,7 +227,8 @@ def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter, *,
     and a prefix sum, and raises as its dense matrix would; the series
     engine then applies the gain as a tail sum in O(d) per node instead of
     the matrix product's O(d^2).  The grid must be a uniform mass grid
-    (weights x*dx).  Validation checks the rate and daughter for sign and
+    (weights x*dx).  Validation checks the rate at ``time_samples`` (default
+    and span as in ``collision_model``) and the daughter for sign and
     finiteness, zeroes nothing silently: a matrix's entries on or below the
     diagonal must already be zero.  The per-parent mass-constraint
     residuals are recorded, never gated: on a truncated grid the smallest
@@ -244,10 +247,8 @@ def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter, *,
     if np.max(np.abs(diffs - dx)) > 1e-12 * dx:
         raise StructureError("fragmentation grid must be uniformly spaced")
 
-    if time_samples is None:
-        time_samples = np.linspace(0.0, 1.0, 9)
-    sample_nonnegative(rate, np.asarray(time_samples, dtype=float), grid.size,
-                       "breakup rate")
+    times = sample_times(time_samples)
+    sample_nonnegative(rate, times, grid.size, "breakup rate")
 
     if isinstance(daughter, tuple):
         kernel = tuple(np.ravel(np.asarray(h, dtype=float)) for h in daughter)
@@ -288,6 +289,7 @@ def fragmentation_model(grid: Grid, rate: SeparableCoefficient, daughter, *,
 
     return FragmentationModel(grid=grid, rate=rate, kernel=kernel, dx=dx,
                               normalization_residuals=residuals,
+                              validated_span=(float(times.min()), float(times.max())),
                               normalized=bool(force_normalize))
 
 
@@ -330,7 +332,7 @@ def fragmentation_perturbed_model(model: FragmentationModel,
     """
     rate = model.rate
     return loss_gain_model(name, model.grid, rate, rate.profile, model.kernel,
-                           model.dx * rate.space)
+                           model.dx * rate.space, validated_span=model.validated_span)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from evofam import (
     CollisionKernel,
     ModelContractError,
+    PreconditionError,
     StructureError,
     TimeGrid,
     TimeProfile,
@@ -164,6 +165,29 @@ def test_lenient_mode_only_records_excess():
     assert model.column_rescale is None
     assert model.subcritical_excess > 0.0
     assert not model.conservative
+
+
+def test_engine_refuses_a_lattice_past_the_validated_span():
+    # the kernel's time profile stays 1 up to t = 1, then rises to 3, so the
+    # gain mass rate exceeds the frequency only after the default samples
+    grid = uniform_velocity_grid(-1.0, 1.0, 4)
+    rising = TimeProfile(kind="pwlinear", times=np.array([0.0, 1.0, 2.0]),
+                         values=np.array([1.0, 1.0, 3.0]))
+    kernel = CollisionKernel(profile=rising, matrix=uniform_kernel_matrix(grid))
+    frequency = SeparableCoefficient(profile=CONSTANT_ONE,
+                                     space=grid.weights @ kernel.matrix)
+    model = collision_model(grid, frequency, kernel)
+    perturbed = collision_perturbed_model(model)
+    u0 = np.ones(grid.size)
+    iterate_right(perturbed, TimeGrid(0.0, 1.0, 0.125), u0, 2)
+    with pytest.raises(PreconditionError,
+                       match=r"lattice \[0.0, 2.0\] leaves the span \[0.0, 1.0\]"):
+        iterate_right(perturbed, TimeGrid(0.0, 2.0, 0.125), u0, 2)
+    assert model.validated_span == perturbed.validated_span == (0.0, 1.0)
+    # samples over the lattice find the violation the engine refused to run
+    with pytest.raises(ModelContractError, match="refusing to rescale"):
+        collision_model(grid, frequency, kernel,
+                        time_samples=validation_times(TimeGrid(0.0, 2.0, 0.125)))
 
 
 def test_validation_times_interleaves_midpoints():

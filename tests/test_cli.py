@@ -511,12 +511,12 @@ def count_engine_runs(monkeypatch):
     (shipped_ini("boltzmann_timedep.ini", ("dt = 0.03125", "dt = 0.0625")), 16),
     (FRAG_INI.replace("n_max = 14", "n_max = 20"), 16),
 ], ids=["oracle", "collision", "fragmentation"])
-def test_run_makes_three_engine_passes(text, m, tmp_path, capsys, monkeypatch):
+def test_run_makes_two_engine_passes(text, m, tmp_path, capsys, monkeypatch):
     runs = count_engine_runs(monkeypatch)
     cfg = write_ini(tmp_path, text)
     assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 0
-    # main table, the fine pass behind both residuals, the second cocycle leg
-    assert runs == [m, 8 * m, 8 * m // 2]
+    # main table, and the fine pass behind both residuals
+    assert runs == [m, 8 * m]
 
 
 def test_short_table_adds_one_pass_for_the_full_value(tmp_path, capsys, monkeypatch):
@@ -524,7 +524,7 @@ def test_short_table_adds_one_pass_for_the_full_value(tmp_path, capsys, monkeypa
     # 13 rows cannot reach the series tolerance at t_end = 1
     cfg = write_ini(tmp_path, ORACLE_INI)
     assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 0
-    assert runs == [32, 8 * 32, 32, 8 * 16]
+    assert runs == [32, 8 * 32, 32]
 
 
 def test_sweep_row_makes_two_engine_passes(tmp_path, capsys, monkeypatch):

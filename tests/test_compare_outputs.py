@@ -40,6 +40,19 @@ def test_numeric_cells_within_tolerance(tmp_path):
     code, out = compare(a, b, "--rtol", "1e-8")
     assert code == 1
     assert "MISMATCH" in out and "column 'value'" in out and "0.25 vs 0.2500001" in out
+    assert "1 cell differs, worst cell row 2" in out
+
+
+def test_reports_how_many_cells_differ(tmp_path):
+    a = write_tree(tmp_path / "a", REPORT + "result,limit,1.0\nresult,last,2.0\n")
+    b = write_tree(tmp_path / "b", REPORT + "result,limit,1.5\nresult,last,2.0000001\n")
+    # both moved cells count, also the one within tolerance; the worst is named
+    code, out = compare(a, b, "--rtol", "1.0")
+    assert code == 0
+    assert "run/report.csv: ok: 2 cells differ, worst cell row 3 column 'value'" in out
+    code, out = compare(a, b)
+    assert code == 1
+    assert "run/report.csv: MISMATCH: 2 cells differ, worst cell row 3" in out
 
 
 def test_text_cells_and_file_sets_must_match(tmp_path):

@@ -224,7 +224,7 @@ def test_duhamel_accepts_supplied_values(oracle_model):
     res = duhamel_residual(oracle_model, tg, u0, v_values=exact)
     assert res < 1e-3
     # same-lattice engine values satisfy the discrete identity exactly
-    own = evolution._summed_values(oracle_model, tg, u0, 1e-14, 40, 1)[0]
+    own = evolution._summed_values(oracle_model, tg, u0, 1e-14, 40, 1)
     assert duhamel_residual(oracle_model, tg, u0, v_values=own) < 1e-12
 
 
@@ -288,57 +288,80 @@ def jump_after_split_model():
                            gain, np.ones(3))
 
 
-def reference_residuals(model, tg, u0, r, tol, refine=8):
-    """The two residuals from separate runs: the full value and each
-    composed leg summed by series_sum on its own lattice, the Duhamel values
-    summed at every fine node and restricted back."""
-    fine_dt = tg.dt / refine
-    fine = TimeGrid(tg.s, tg.t_end, fine_dt)
-    values = evolution._summed_values(model, fine, u0, tol, 40, 1)[0][::refine]
+def reference_residuals(model, tg, u0, tol, refine=8):
+    """The two residuals from separate runs: the Duhamel values summed at
+    every fine node and restricted back, and the full value against the
+    whole-interval sum on the fine lattice, summed by series_sum."""
+    fine = TimeGrid(tg.s, tg.t_end, tg.dt / refine)
+    values = evolution._summed_values(model, fine, u0, tol, 40, 1)[::refine]
     duhamel = duhamel_residual(model, tg, u0, v_values=values)
     full = series_sum(model, tg, u0, tol=tol).value
-    first = series_sum(model, TimeGrid(tg.s, r, fine_dt), u0, tol=tol).value
-    second = series_sum(model, TimeGrid(r, tg.t_end, fine_dt), first, tol=tol).value
-    return duhamel, weighted_norm_array(model.grid, full - second)
+    composed = series_sum(model, fine, u0, tol=tol).value
+    return duhamel, weighted_norm_array(model.grid, full - composed)
 
 
-@pytest.mark.parametrize("case", [
-    ("oracle_model", None, "mid", 20),
-    ("timedep_collision_perturbed", None, "mid", 20),
-    ("binary_frag_perturbed", None, "mid", 20),
-    ("oracle_model", "signed", "mid", 20),
-    ("oracle_model", None, "first", 20),
-    ("timedep_collision_perturbed", None, "last", 20),
-    ("timedep_collision_perturbed", None, "mid", 3),
-    ("jump", None, "mid", 20),
-    ("timedep_collision_perturbed", None, "odd", 20),
-], ids=["oracle", "collision", "fragmentation", "signed", "split_first", "split_last",
-        "short_table", "tail_outlasts_at_split", "odd_split_partial_scan_level"])
-def test_shared_pass_residuals_match_separate_runs(case, request):
-    fixture, data, where, table_rows = case
+SPLIT_CASES = {
+    "oracle": ("oracle_model", None, "mid", 20),
+    "collision": ("timedep_collision_perturbed", None, "mid", 20),
+    "fragmentation": ("binary_frag_perturbed", None, "mid", 20),
+    "signed": ("oracle_model", "signed", "mid", 20),
+    "split_first": ("oracle_model", None, "first", 20),
+    "split_last": ("timedep_collision_perturbed", None, "last", 20),
+    "short_table": ("timedep_collision_perturbed", None, "mid", 3),
+    "tail_outlasts_at_split": ("jump", None, "mid", 20),
+    "odd_split_partial_scan_level": ("timedep_collision_perturbed", None, "odd", 20),
+}
+
+
+def split_case(case, request, rule="trapezoid"):
+    """Model, lattice, u0 and split time of a ``SPLIT_CASES`` entry."""
+    fixture, data, where, _table_rows = case
     model = jump_after_split_model() if fixture == "jump" else request.getfixturevalue(fixture)
-    d = model.grid.size
     # "odd": a fine lattice of 320 steps split at coarse node 13 (fine
     # node 104), neither a power of two, so the scan's last level covers
     # only part of each leg
-    tg = TimeGrid(0.0, 1.0, 1.0 / (40.0 if where == "odd" else 16.0))
-    u0 = np.linspace(1.0, 0.5, d)
-    if data == "signed":
-        u0 = np.array([1.0, -0.5])
+    tg = TimeGrid(0.0, 1.0, 1.0 / (40.0 if where == "odd" else 16.0), rule)
+    u0 = np.array([1.0, -0.5]) if data == "signed" else np.linspace(1.0, 0.5, model.grid.size)
     r = {"first": 0.0, "mid": 0.5, "last": 1.0, "odd": tg.nodes[13]}[where]
+    return model, tg, u0, r
+
+
+@pytest.mark.parametrize("case", list(SPLIT_CASES.values()), ids=list(SPLIT_CASES))
+def test_shared_pass_residuals_match_separate_runs(case, request):
+    model, tg, u0, r = split_case(case, request)
+    table_rows = case[3]
     tol = 1e-12
     table = iterate_right(model, tg, u0, table_rows)
     # the short table cannot give the full value; every other case reads it
     assert (evolution._table_series(table, u0, tol, 40) is None) == (table_rows == 3)
-    if fixture == "jump":
-        first = series_sum(model, TimeGrid(0.0, r, tg.dt / 8), u0, tol=tol)
-        whole = series_sum(model, TimeGrid(0.0, 1.0, tg.dt / 8), u0, tol=tol)
-        assert first.n_used > whole.n_used
 
-    duhamel, cocycle = reference_residuals(model, tg, u0, r, tol)
+    duhamel, cocycle = reference_residuals(model, tg, u0, tol)
     assert evolution._flat_residuals(model, tg, u0, r, table, tol=tol) == (duhamel, cocycle)
     assert duhamel_residual(model, tg, u0, tol=tol) == duhamel
     assert cocycle_residual(model, tg, u0, r, tol=tol) == cocycle
+
+
+@pytest.mark.parametrize("case, rule", [
+    *((case, "trapezoid") for case in SPLIT_CASES.values()),
+    (SPLIT_CASES["oracle"], "midpoint"),
+    (("oracle_model", None, "odd", 20), "midpoint"),
+], ids=[*SPLIT_CASES.keys(), "oracle_midpoint", "odd_split_midpoint"])
+def test_legs_on_one_fine_lattice_compose(case, rule, request):
+    """V(t_end, r) V(r, s) u0 summed leg by leg on the fine lattice is the
+    one-leg sum over [s, t_end]: the identity that lets the cocycle
+    residual read its composed side off the fine pass."""
+    model, tg, u0, r = split_case(case, request, rule)
+    tol = 1e-12
+    fine_dt = tg.dt / 8
+    first = series_sum(model, TimeGrid(tg.s, r, fine_dt, rule), u0, tol=tol)
+    two_legs = series_sum(model, TimeGrid(r, tg.t_end, fine_dt, rule), first.value, tol=tol)
+    one_leg = series_sum(model, TimeGrid(tg.s, tg.t_end, fine_dt, rule), u0, tol=tol)
+    assert first.converged and two_legs.converged and one_leg.converged
+    if case[0] == "jump":
+        # the series tail at the split outlasts the one at t_end
+        assert first.n_used > one_leg.n_used
+    gap = weighted_norm_array(model.grid, two_legs.value - one_leg.value)
+    assert gap <= 1e-10 * weighted_norm_array(model.grid, u0)
 
 
 def counting_b(model):

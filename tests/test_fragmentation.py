@@ -17,6 +17,7 @@ from evofam import (
     PreconditionError,
     StructureError,
     TimeGrid,
+    TimeProfile,
     daughter_factors,
     daughter_matrix,
     fragmentation_model,
@@ -32,6 +33,7 @@ from evofam import (
     vn_identity_residual,
 )
 from evofam.cli import main
+from evofam.coefficients import SeparableCoefficient
 from test_cli import BOUNDED_SHATTERING, shipped_ini, write_ini
 
 
@@ -267,6 +269,22 @@ def test_model_rejects_negative_rate():
     rate = fragmentation_rate(grid, "constant", {"value": -1.0})
     with pytest.raises(ModelContractError, match="negative at t"):
         fragmentation_model(grid, rate, daughter_matrix(grid, "binary_uniform"))
+
+
+def test_engine_refuses_a_lattice_past_the_sampled_rate(oracle_model):
+    # the rate 2 - 1.5 t turns negative at t = 4/3, past the default samples
+    grid = uniform_mass_grid(0.1, 1.0, 4)
+    rate = SeparableCoefficient(TimeProfile(kind="affine", c0=2.0, c1=-1.5), grid.nodes)
+    daughter = daughter_factors(grid, "binary_uniform")
+    model = fragmentation_perturbed_model(fragmentation_model(grid, rate, daughter))
+    assert model.validated_span == (0.0, 1.0)
+    with pytest.raises(PreconditionError, match=r"leaves the span \[0.0, 1.0\]"):
+        iterate_right(model, TimeGrid(0.0, 2.0, 0.25), np.ones(4), 2)
+    with pytest.raises(ModelContractError, match="negative at t"):
+        fragmentation_model(grid, rate, daughter, time_samples=np.linspace(0.0, 2.0, 9))
+    # a model built straight from its families carries no span
+    assert oracle_model.validated_span is None
+    iterate_right(oracle_model, TimeGrid(0.0, 2.0, 0.25), np.ones(2), 2)
 
 
 def test_force_normalize_fixes_columns_with_support():
