@@ -33,12 +33,14 @@ reference the one-step path is tested against.
 Operators are applied in batches over a leading time axis: the one-step
 survival factors U(tau_j, tau_{j-1}) are computed once per lattice, and B
 acts on all M+1 nodes of a row in one call.  Each one-step row is then the
-first-order recurrence c_j = e_j c_{j-1} + g_j along the lattice, run by a
-carry chosen by the row width d: for d < 512 a doubling scan over
-consecutive chunks of 8192 // d steps (O(log) numpy calls per chunk), and
-the plain loop for wider rows (O(M) calls).  Both are prefix-stable, so a
-row on a lattice prefix is bitwise the prefix of the row on the whole
-lattice.
+first-order recurrence c_j = e_j c_{j-1} + g_j along the lattice, which is
+the cocycle law applied node by node: with the running products
+P_j = e_1 ... e_j it is c_j = P_j (c_0 + sum over i <= j of g_i / P_i),
+one prefix sum in the flow's own frame (``_Flow``), restarted wherever P
+would leave [1e-150, 1e150].  The prefix sum is one ``np.cumsum`` on rows
+under 256 floats and one add per node on wider rows; the two give the
+same sums bitwise, and a row on a lattice prefix is bitwise the prefix of
+the row on the whole lattice.
 """
 from __future__ import annotations
 
@@ -230,8 +232,9 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
 
     with q = ``gain_profile``, K = ``gain`` (nonnegative, K[i, j] moving
     mass from node j to node i) and v = ``gain_weights``.  ``gain`` is
-    either the dense matrix K, applied as a matrix product in O(d^2) per
-    node, or a tuple (f, g) of d-vectors standing for the strictly upper
+    either the dense matrix K, whose weights are folded in once so that
+    B(t) u = q(t) (u @ (K v)^T), one matrix product in O(d^2) per node, or
+    a tuple (f, g) of d-vectors standing for the strictly upper
     triangular K[i, j] = f[i] g[j] (i < j), applied in O(d) per node as
 
         B(t) u = q(t) f[i] sum_{j > i} g[j] v[j] u[j],
@@ -278,8 +281,17 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
             out *= np.asarray(q(t))[..., None]
             return out
     else:
+        # the weights folded into the matrix once, on the first call so
+        # that set-up does not pay for it, and the fold then replaces the
+        # matrix: kv[j, i] = K[i, j] v[j]
+        kv = None
+
         def b_apply(t, u):
-            out = (u * v) @ mat.T
+            nonlocal kv, mat
+            if kv is None:
+                kv = np.multiply(mat.T, v[:, None], out=np.empty((d, d)))
+                mat = None
+            out = u @ kv
             out *= np.asarray(q(t))[..., None]
             return out
 
@@ -345,14 +357,17 @@ def _as_coeffs(grid: Grid, u0) -> np.ndarray:
 # pass may hold at once.
 _TABLE_MEMORY_CAP_BYTES = 256 * 1024 * 1024
 
-# Arrays of (M+1) d floats a row pass holds at once: the step factors,
-# row n, its B row, row n+1, and two temporaries of a B call (its input
-# product and output, or on the direct path a gathered B row and its
-# propagation).  Rows narrow enough for ``_carry``'s chunked scan add
-# ``_SCAN_ROWS`` arrays of one chunk plus a row, the scan's two
-# temporaries.
-_PASS_ROWS = 6
-_SCAN_ROWS = 2
+# Arrays of (M+1) d floats a row pass holds at once, measured by a
+# per-phase tracemalloc.  From a start state: the flow's running products,
+# row n and the two arrays of a B call on it (its output and, for a
+# factor-pair gain, the reversed product the tail sum reads); the next
+# row's kicks then take one array beside the products and the B row,
+# which is divided by them in place.  The direct path holds four too:
+# row n+1, the B row, and per node the gathered B rows and their
+# propagation.  A per-node source's row 1 also holds the step factors and
+# its end-point kicks beside row 0, which the Laplace check still reads.
+_PASS_ROWS = 4
+_PER_NODE_PASS_ROWS = 6
 
 
 def _check_table_bytes(what: str, bytes_needed: int) -> None:
@@ -360,6 +375,17 @@ def _check_table_bytes(what: str, bytes_needed: int) -> None:
         raise SizeCapError(
             f"{what} would need {bytes_needed} bytes; cap is {_TABLE_MEMORY_CAP_BYTES}"
         )
+
+
+def _require_validated(model: PerturbedModel, first: float, last: float, what: str) -> None:
+    """Raise PreconditionError when [first, last] leaves the model's
+    ``validated_span`` (to 1e-12 relative); ``what`` names the interval."""
+    if model.validated_span is None:
+        return
+    lo, hi = model.validated_span
+    if first < lo - 1e-12 * max(1.0, abs(lo)) or last > hi + 1e-12 * max(1.0, abs(hi)):
+        raise PreconditionError(f"{what} [{float(first)!r}, {float(last)!r}] leaves the span "
+                                f"[{lo!r}, {hi!r}] model {model.name!r} was validated on")
 
 
 def _check_row(row: np.ndarray, nodes: np.ndarray, n: int, scale: float) -> None:
@@ -402,79 +428,189 @@ def _step_factors(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
     return steps
 
 
-# How ``_carry`` runs a row of w floats, by w alone: rows under
-# ``_CARRY_WIDE_ROW`` floats scan consecutive chunks of
-# ``_CARRY_CHUNK`` // w steps, and wider rows loop.  The scan makes three
-# contiguous whole-array calls per level where the loop makes one call
-# per row, so it wins where per-call overhead dominates; the chunk budget
-# bounds its O(C log C) work per chunk of C steps and its two
-# temporaries.  Time of the chunked scan (max(1, 8192 // w) steps per
-# chunk) / the plain loop, median of 9 paired rounds, range over 2 runs
-# (2-core Xeon, Python 3.11, numpy 2.4):
+# A chunk of the carry holds its running products inside
+# [_FLOW_FLOOR, 1 / _FLOW_FLOOR] in magnitude, so that an input divided by
+# one cannot overflow unless the input itself is within 1e150 of overflow.
+_FLOW_FLOOR = 1e-150
+
+# Rows of at least ``_LOOP_ROW`` floats take their prefix sums by one
+# in-place add per node, narrower rows by one ``np.cumsum`` along time; the
+# two give bitwise the same sums.  ``np.cumsum`` along time costs about
+# 2 us plus 4.5 ns per float at w = 128, the loop about 1 us per node
+# plus 0.5 ns per float.  Time of the loop / ``np.cumsum`` on one chunk of
+# (M + 1) x w floats, median of 15 paired rounds, range over 2 runs
+# (``scripts/bench_carry.py``; 2-core Xeon, Python 3.11, numpy 2.4):
 #
-#   w = 64    M = 256: 0.33-0.50
-#   w = 128   M = 64: 0.54-0.80   M = 256: 0.60-0.64
-#   w = 256   M = 64: 0.92-1.02   M = 256: 0.95-1.01
-#   w = 384   M = 128: 1.20-1.21
-#   w = 512   M = 64: 1.36-1.38   M = 256: 1.30-1.36
-#   w = 1024  M = 64: 1.76-1.83   M = 256: 1.76-1.87
-#   w = 2048  M = 64: 1.87-2.05   w = 4096, M = 64: 1.62-1.68
-#   w = 8192  M = 32: 1.06-1.08
+#   w       M = 8       M = 32      M = 128     M = 512
+#   2       5.97-6.09   16.0-17.7   44.5-48.0   83.8-91.9
+#   128     1.02-1.56   1.27-1.95   1.54-2.10   2.10-2.17
+#   256     0.86        0.88-0.91   0.96-1.02   1.01
+#   384     0.58-0.60   0.71-0.74   0.73-0.75   0.67-0.77
+#   512     0.36-0.52   0.39-0.46   0.34-0.49   0.40-0.42
+#   1024    0.28-0.29   0.24        0.19-0.27   0.15-0.17
 #
-# From 512 floats on, the loop amortizes its per-call overhead and wins in
-# every measured case; at 256 the two tie.  No shipped config or benchmark
-# workload runs the band between, where the scan loses about 1.2x at 384.
-_CARRY_CHUNK = 8192
-_CARRY_WIDE_ROW = 512
+# The two tie at 256 floats, and the loop wins from 384 on.
+_LOOP_ROW = 256
 
 
-def _carry(steps: np.ndarray, out: np.ndarray) -> None:
-    """Run the recurrence out[j] = steps[j-1] * out[j-1] + out[j] in place.
+def _in_band(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` lies in [floor, 1/floor] in magnitude
+    (False on a nan)."""
+    hi = 1.0 / _FLOW_FLOOR
+    if a.min() >= _FLOW_FLOOR and a.max() <= hi:
+        return True
+    mag = np.abs(a)
+    return bool(mag.min() >= _FLOW_FLOOR and mag.max() <= hi)
 
-    ``out[0]`` is the start and ``out[1:]`` the inputs, shape (M+1, ...);
-    ``steps`` holds the M factors, shape (M, ...).  The method is chosen
-    by the row width w = ``out[0].size`` and the row's position, never by
-    M:
 
-    - w < ``_CARRY_WIDE_ROW``: the doubling scan over consecutive chunks
-      of C = ``_CARRY_CHUNK`` // w steps, each started from the last row
-      of the chunk before it; ceil(log2 C) levels of three contiguous
-      calls per chunk.
-    - wider rows: the plain loop, M calls that each amortize their
-      overhead over w floats.
+def _rows_in_band(a: np.ndarray) -> np.ndarray:
+    """Per row of ``a``, whether every entry lies in the band."""
+    mag = np.abs(a).reshape(len(a), -1)
+    return ((mag >= _FLOW_FLOOR) & (mag <= 1.0 / _FLOW_FLOOR)).all(axis=1)
 
-    No method divides, so zero factors need no care.  Chunk boundaries
-    depend only on w and position, and each row is computed by a rule
-    fixed by its position, from rows and factors before it only: a run on
-    a prefix of the lattice gives bitwise the rows of the full run, and a
-    non-finite input at row j leaves the rows before j finite.
+
+def _first_out_of_band(block: np.ndarray) -> int | None:
+    """Index of the first row of ``block`` with an entry outside the band."""
+    if _in_band(block):
+        return None
+    return int(np.argmin(_rows_in_band(block)))
+
+
+def _accumulate_loop(ufunc: np.ufunc, rows: np.ndarray) -> None:
+    """rows[j] = ufunc(rows[j-1], rows[j]) for j = 1, 2, ... in place, one
+    call per row."""
+    views = list(rows)
+    for prev, cur in zip(views, views[1:]):
+        ufunc(cur, prev, out=cur)
+
+
+def _accumulate_whole(ufunc: np.ufunc, rows: np.ndarray) -> None:
+    """The same running results as ``_accumulate_loop`` (``ufunc`` is
+    commutative), by one ``ufunc.accumulate`` along time."""
+    ufunc.accumulate(rows, axis=0, out=rows)
+
+
+def _accumulate(ufunc: np.ufunc, rows: np.ndarray) -> None:
+    """Running sums or products of ``rows`` along time, in place, by the
+    method ``_LOOP_ROW`` picks for the row width."""
+    (_accumulate_loop if rows[0].size >= _LOOP_ROW else _accumulate_whole)(ufunc, rows)
+
+
+class _Flow:
+    """The lattice's one-step factors as running products, in chunks.
+
+    The recurrence c_j = e_j c_{j-1} + g_j is the cocycle law applied node
+    by node, so on a chunk that starts at node s with value c_s it is one
+    prefix sum in the flow's own frame:
+
+        c_j = P_j (c_s + sum over s < i <= j of g_i / P_i),
+        P_j = e_{s+1} ... e_j.
+
+    ``prod[j]`` holds P_j in the frame of the chunk that runs through or
+    ends at node j (``prod[0]`` = 1).  A chunk runs on until the next
+    product would leave the band [_FLOW_FLOOR, 1 / _FLOW_FLOOR] in some
+    entry; the next chunk starts at the node before.  A step whose own factor leaves the band (an exact
+    zero, say) is carried as one plain step, and holds ``prod`` = 1.
+    Every product is the one before it times one factor, and each chunk
+    boundary is fixed by the factors before it, so both are the same on
+    any prefix of the lattice.  Planning costs O(M d) in all: the first
+    window covers the whole lattice, and after each restart the window is
+    twice the chunk just closed and doubles while no restart is found.
     """
-    width = out[0].size
-    if width >= _CARRY_WIDE_ROW:
-        for j in range(1, len(steps) + 1):
-            out[j] += steps[j - 1] * out[j - 1]
-        return
-    chunk = _CARRY_CHUNK // width
-    for k in range(0, len(steps), chunk):
-        _carry_scan(steps[k:k + chunk], out[k:k + chunk + 1])
 
+    def __init__(self, steps: np.ndarray):
+        m = len(steps)
+        prod = np.empty((m + 1,) + steps.shape[1:])
+        prod[0] = 1.0
+        # (s, e, factor): a chunk from node s to node e carried in its
+        # frame, or with e = s + 1 the plain step of factor ``factor``
+        chunks: list[tuple[int, int, np.ndarray | None]] = []
+        s = j = 0
+        window = m
+        # which factors lie in the band, checked for the whole lattice at
+        # the first restart, so that many restarts cost O(1) calls each
+        own_in_band = None
+        while j < m:
+            if j == s and not (_in_band(steps[s]) if own_in_band is None
+                               else own_in_band[s]):
+                prod[s + 1] = 1.0
+                chunks.append((s, s + 1, steps[s].copy()))
+                s = j = s + 1
+                if own_in_band is None:
+                    own_in_band = _rows_in_band(steps).tolist()
+                continue
+            end = min(m, j + window)
+            block = prod[j + 1:end + 1]
+            block[...] = steps[j:end]
+            if j > s:
+                block[0] *= prod[j]
+            _accumulate(np.multiply, block)
+            bad = _first_out_of_band(block)
+            if bad is None:
+                j = end
+                window *= 2
+                continue
+            j += bad
+            chunks.append((s, j, None))
+            window = max(2 * (j - s), 16)
+            s = j
+            if own_in_band is None:
+                own_in_band = _rows_in_band(steps).tolist()
+        if j > s:
+            chunks.append((s, j, None))
+        self.prod = prod
+        self.chunks = chunks
 
-def _carry_scan(steps: np.ndarray, out: np.ndarray) -> None:
-    """``_carry`` by a Kogge-Stone doubling scan.
+    def carry(self, out: np.ndarray, framed: bool = False) -> None:
+        """Run the recurrence out[j] = e_j out[j-1] + out[j] in place.
 
-    At level o = 1, 2, 4, ... every row j >= o takes out[j] += G_j out[j-o],
-    where G_j is the product of the o factors that end at row j; then G_j
-    becomes the product of the 2o factors ending at j.  O(M log M) work,
-    holding at most two temporaries the size of ``steps``.
-    """
-    m, g, o = len(steps), steps, 1
-    while o <= m:
-        n = m + 1 - o
-        out[o:] += g * out[:n]
-        if 2 * o > m:
-            return
-        g = g[o:] * g[:n - o]
-        o *= 2
+        ``out[0]`` is the start and ``out[1:]`` the inputs g, shape
+        (M+1, ...); with ``framed`` the inputs are already g_j / P_j (see
+        ``kicks``).  Per chunk: add its start value, one prefix sum along
+        time, multiply by P; unframed inputs are first divided by P in one
+        call.  The prefix sum is one ``np.cumsum`` on rows under
+        ``_LOOP_ROW`` floats and one add per node on wider ones.  Node j
+        reads only nodes and factors before it, so a run on a prefix of the
+        lattice gives bitwise the rows of the full run, and a non-finite
+        input at node j leaves the nodes before j finite.
+        """
+        if not framed:
+            np.divide(out, self.prod, out=out)
+        for s, e, factor in self.chunks:
+            if factor is not None:
+                out[e] += factor * out[s]
+                continue
+            seg = out[s + 1:e + 1]
+            seg[0] += out[s]
+            _accumulate(np.add, seg)
+            seg *= self.prod[s + 1:e + 1]
+
+    def kicks(self, b_row: np.ndarray, dt: float) -> np.ndarray:
+        """The one-step trapezoid kicks of a B row, framed for ``carry``.
+
+        The kick into node j is g_j = dt/2 (e_j b_{j-1} + b_j), and since
+        e_j / P_j = 1 / P_{j-1} inside a chunk, g_j / P_j is
+        dt/2 (beta_{j-1} + beta_j) with beta = b / P: one divide and one add
+        for the whole row.  The first kick of a chunk that starts at s > 0
+        reads b_s itself (P_s = 1 in that chunk's frame), and a plain step
+        takes its kick unframed.  Row 0 of the result is 0.  ``b_row`` is
+        divided in place: it holds beta afterwards, and the kicks take one
+        new array.
+        """
+        heads = [(s, e, factor, b_row[s].copy()) for s, e, factor in self.chunks
+                 if s or factor is not None]
+        beta = np.divide(b_row, self.prod, out=b_row)
+        out = np.empty_like(beta)
+        out[0] = 0.0
+        np.add(beta[:-1], beta[1:], out=out[1:])
+        for s, e, factor, b_s in heads:
+            if factor is not None:
+                # prod[e] = 1 after a plain step, so beta[e] is b_e
+                out[e] = factor * b_s + beta[e]
+            else:
+                out[s + 1] = b_s + beta[s + 1]
+        out *= 0.5 * dt
+        return out
 
 
 def _trapezoid_kicks(steps: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -524,6 +660,10 @@ def _b_rows(model: PerturbedModel, kicked: str, n: int, taus: np.ndarray,
             f"perturbation produced non-finite values at {kicked}, tau = {tau!r}",
             n=n, tau=tau,
         )
+    if np.may_share_memory(out, states):
+        # a B that returns (a view of) its input: the one-step pass turns
+        # the B row into kicks in place, which must not reach the row
+        out = out.copy()
     return out
 
 
@@ -559,41 +699,44 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     B is applied lazily: the second item is a zero-argument callable that
     returns B(tau_j) row[j] at every node, computed once, on the first call
     or when row n+1 is requested.  A consumer that stops after row n and
-    never calls it pays no B application on that row.
+    never calls it pays no B application on that row.  The B row is valid
+    until row n+1 is requested: the one-step path then divides it in place
+    to form the next row's kicks.
 
-    Cost per one-step row: one batched B call and one ``_carry`` of the
-    recurrence c_j = steps[j-1] c_{j-1} + g_j, with the inputs g built by
-    whole-array operations.  For d < 512 the carry scans chunks of
-    C = 8192 // d steps, O(log C) numpy calls each; wider rows loop, M
-    calls (see ``_carry``).  Every row is prefix-stable: on a lattice cut
-    at node c, rows 0..c come out bitwise the same as on the whole
-    lattice.
+    Cost per one-step row: one batched B call, its kicks divided by the
+    flow's running products P in one call (see ``_Flow.kicks``), and one
+    prefix sum along the lattice per chunk of ``_Flow`` (one chunk unless
+    the flow decays past 1e-150 or has a factor below it).  Every row is
+    prefix-stable: on a lattice cut at node c, rows 0..c come out bitwise
+    the same as on the whole lattice.
 
     Memory: the pass holds ``_PASS_ROWS`` arrays of (M+1) d floats at
-    once, and ``_SCAN_ROWS`` of min(M, C) + 1 rows more when d is narrow
-    enough for the carry's scan, and raises ``SizeCapError`` before any
-    operator call when they would exceed the table cap (signed data runs
-    two passes side by side).  A lattice outside the model's
-    ``validated_span`` (to 1e-12 relative) raises ``PreconditionError``.
+    once (``_PER_NODE_PASS_ROWS`` from a per-node source), and raises
+    ``SizeCapError`` before any operator call when they would exceed the
+    table cap (signed data runs two passes side by side).  A lattice
+    outside the model's ``validated_span`` (to 1e-12 relative) raises
+    ``PreconditionError``.
     """
-    lo, hi = model.validated_span or (tg.s, tg.t_end)
-    if tg.s < lo - 1e-12 * max(1.0, abs(lo)) or tg.t_end > hi + 1e-12 * max(1.0, abs(hi)):
-        raise PreconditionError(f"lattice [{tg.s!r}, {tg.t_end!r}] leaves the span "
-                                f"[{lo!r}, {hi!r}] model {model.name!r} was validated on")
+    _require_validated(model, tg.s, tg.t_end, "lattice")
     nodes = tg.nodes
     m = tg.n_steps
     dt = tg.dt
     d = model.grid.size
-    scanned = (min(m, _CARRY_CHUNK // d) + 1) * (d < _CARRY_WIDE_ROW)
-    _check_table_bytes("row pass working set",
-                       (_PASS_ROWS * (m + 1) + _SCAN_ROWS * scanned) * d * 8)
     per_node = source.ndim == 2
-    if per_node and (direct or tg.rule != "trapezoid"):
+    direct = direct or tg.rule != "trapezoid"
+    if per_node and direct:
         raise PreconditionError("a per-node source needs the one-step trapezoid recursion")
+    _check_table_bytes("row pass working set",
+                       (_PER_NODE_PASS_ROWS if per_node else _PASS_ROWS) * (m + 1) * d * 8)
     scale = max(float(np.max(np.abs(source))) if source.size else 0.0, 1e-300)
     steps = _step_factors(model, nodes)
     if lam:
         steps = steps * np.exp(-lam * dt)
+    flow = _Flow(steps)
+    if not per_node:
+        # the running products replace the factors; only the per-node
+        # source's row 1 reads them again
+        del steps
 
     # row 0: the unperturbed evolution of the source
     if per_node:
@@ -601,42 +744,46 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     else:
         row = np.zeros((m + 1, d))
         row[0] = source
-    _carry(steps, row)
+    flow.carry(row)
     _check_row(row, nodes, 0, scale)
+    if direct:
+        del flow
 
     n = 0
     while True:
         lazy_b = _once(_b_rows, model, f"iterate {n}", n, nodes, row)
         yield row, lazy_b
+        if per_node and n == 0:
+            # Row 1's end-point kick at tau_j acts on what row 0 carries
+            # into tau_j, without node j's own source: the run started at
+            # tau_j has no row-1 integral there yet.  Rows n >= 2 need no
+            # such split, since every row n >= 1 is zero at its start node.
+            ends = _b_rows(model, "iterate 0", 0, nodes[1:], steps * row[:-1])
         b_row = lazy_b()
-        del lazy_b
+        # the pass reads row n no further
+        del lazy_b, row
 
         n += 1
-        if direct or tg.rule != "trapezoid":
-            nxt = np.zeros_like(row)
+        if direct:
+            row = np.zeros((m + 1, d))
             for j in range(1, m + 1):
                 w = prefix_weights(tg.rule, j, dt)
                 used = np.flatnonzero(w)
-                nxt[j] = w[used] @ model.unperturbed.apply(nodes[j], nodes[used], b_row[used])
+                row[j] = w[used] @ model.unperturbed.apply(nodes[j], nodes[used], b_row[used])
             del b_row
-        else:
+        elif per_node and n == 1:
             # one-step propagation of the prefix trapezoid sums: row n at
-            # tau_j is steps[j-1] (row n at tau_{j-1}) plus the step's
-            # kicks dt/2 (steps[j-1] b_{j-1} + b_j), b the B row of row n-1
-            if per_node and n == 1:
-                # Row 1's end-point kick at tau_j acts on what row 0 carries
-                # into tau_j, without node j's own source: the run started
-                # at tau_j has no row-1 integral there yet.  Rows n >= 2
-                # need no such split, since every row n >= 1 is zero at its
-                # start node.
-                ends = _b_rows(model, "iterate 0", 0, nodes[1:], steps * row[:-1])
-            else:
-                ends = b_row[1:]
-            nxt = _trapezoid_kicks(steps, b_row[:-1], ends, dt)
-            del b_row, ends
-            _carry(steps, nxt)
-        _check_row(nxt, nodes, n, scale)
-        row = nxt
+            # tau_j is e_j (row n at tau_{j-1}) plus the step's kicks
+            # dt/2 (e_j b_{j-1} + b_j), b the B row of row n-1
+            row = _trapezoid_kicks(steps, b_row[:-1], ends, dt)
+            del b_row, ends, steps
+            flow.carry(row)
+        else:
+            # the same propagation, with the kicks formed in the flow's frame
+            row = flow.kicks(b_row, dt)
+            del b_row
+            flow.carry(row, framed=True)
+        _check_row(row, nodes, n, scale)
 
 
 def _combined_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
@@ -727,9 +874,9 @@ def series_sum(model: PerturbedModel, tg: TimeGrid, u0, *, tol: float = 1e-10,
     total = np.zeros(model.grid.size)
     norms: list[float] = []
     for n in range(n_max + 1):
-        row = next(gen)[0]
-        total += row[m]
-        rn = weighted_norm_array(model.grid, row[m])
+        end = next(gen)[0][m].copy()
+        total += end
+        rn = weighted_norm_array(model.grid, end)
         norms.append(rn)
         if rn <= tol * u0_norm:
             return SeriesResult(total, n, True, np.array(norms))
@@ -753,7 +900,9 @@ def _summed_values(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
     for _ in range(n_max + 1):
         row = next(gen)[0]
         total += row[::stride]
-        if weighted_norm_array(grid, row[m]) <= bound:
+        end_norm = weighted_norm_array(grid, row[m])
+        del row  # so the pass can drop it while it makes the next row
+        if end_norm <= bound:
             break
     return total
 
@@ -895,10 +1044,12 @@ def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int) -> LeftIte
     Iterate n+1 from tau_k to tau_j integrates (iterate n)(tau_j, r) B(r)
     U(r, tau_k) over r.  Cost O(n_max * M^3 * d^3) flops in one matrix
     product per (n, j), after one batched family-matrix build each for U
-    and B; the lattice is capped at 64 steps and a memory guard refuses
-    oversized tables.
+    and B; the lattice is capped at 64 steps, a memory guard refuses
+    oversized tables, and a lattice outside the model's ``validated_span``
+    raises ``PreconditionError``.
     """
     coeffs = _as_coeffs(model.grid, u0)
+    _require_validated(model, tg.s, tg.t_end, "lattice")
     m = tg.n_steps
     d = model.grid.size
     if m > _LEFT_STEP_CAP:

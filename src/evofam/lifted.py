@@ -32,10 +32,11 @@ from .errors import EvaluationError, PreconditionError, StructureError
 from .evolution import (
     PerturbedModel,
     TimeGrid,
+    _Flow,
     _b_rows,
-    _carry,
     _check_table_bytes,
     _combined_rows,
+    _require_validated,
     _step_factors,
     _trapezoid_kicks,
     iterate_right,
@@ -86,6 +87,7 @@ def _check_lifted(model: PerturbedModel, f: LiftedVector) -> None:
 
 def _loss_rates(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
     """Per-node loss rates at every axis node, shape (K, d), in one call."""
+    _require_validated(model, nodes[0], nodes[-1], "axis")
     if model.loss_rate is None:
         raise PreconditionError(
             "model must provide loss_rate for the lifted generator"
@@ -99,6 +101,7 @@ def _loss_rates(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
 def _gain_blocks(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
     """B(tau_k) as dense matrices for every axis node, shape (K, d, d),
     checked finite as the engine checks its B rows."""
+    _require_validated(model, nodes[0], nodes[-1], "axis")
     _check_table_bytes("kick block table", nodes.size * model.grid.size ** 2 * 8)
     blocks = model.perturbation.as_matrix(nodes)
     if blocks.size and not (np.isfinite(blocks.min()) and np.isfinite(blocks.max())):
@@ -127,10 +130,11 @@ def laplace_kick(model: PerturbedModel, lam: float, f: LiftedVector) -> LiftedVe
     if lam <= 0.0:
         raise PreconditionError("lam must be positive")
     nodes = f.axis.nodes
+    _require_validated(model, nodes[0], nodes[-1], "axis")
     h = f.axis.dt
     steps = _step_factors(model, nodes) * math.exp(-lam * h)
     acc = _trapezoid_kicks(steps, f.values[:-1], f.values[1:], h)
-    _carry(steps, acc)
+    _Flow(steps).carry(acc)
     out = np.zeros_like(f.values)
     out[1:] = _b_rows(model, "the discounted history", 0, nodes[1:], acc[1:])
     return LiftedVector(grid=f.grid, axis=f.axis, values=out)
@@ -199,10 +203,10 @@ def _series_terms(model: PerturbedModel, lam: float, f: LiftedVector) -> Iterato
     write to a term: the next one is made from it.
     """
     diag = _resolvent_diagonal(model, lam, f)
-    steps = 1.0 / (f.axis.dt * diag[1:])
+    flow = _Flow(1.0 / (f.axis.dt * diag[1:]))
     term = f.values / diag
     for n in itertools.count():
-        _carry(steps, term)
+        flow.carry(term)
         yield term
         term = _b_rows(model, f"resolvent series term {n}", n, f.axis.nodes, term) / diag
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from evofam import (
     CollisionKernel,
+    LiftedVector,
     ModelContractError,
     PreconditionError,
     StructureError,
@@ -17,9 +18,14 @@ from evofam import (
     collision_perturbed_model,
     frequency_matching_kernel,
     gaussian_kernel_matrix,
+    iterate_left,
     iterate_right,
+    kick_block_norm,
+    laplace_kick,
+    lifted_resolvent,
     mass_ledger,
     outflow_kernel_matrix,
+    resolvent_factorization_check,
     uniform_kernel_matrix,
     uniform_velocity_grid,
     validation_times,
@@ -167,16 +173,22 @@ def test_lenient_mode_only_records_excess():
     assert not model.conservative
 
 
-def test_engine_refuses_a_lattice_past_the_validated_span():
-    # the kernel's time profile stays 1 up to t = 1, then rises to 3, so the
-    # gain mass rate exceeds the frequency only after the default samples
+def rising_gain_collision():
+    """(grid, kernel, frequency, model) of a collision model validated on
+    [0, 1]: the kernel's time profile stays 1 up to t = 1, then rises to 3,
+    so the gain mass rate exceeds the frequency only after the default
+    samples."""
     grid = uniform_velocity_grid(-1.0, 1.0, 4)
     rising = TimeProfile(kind="pwlinear", times=np.array([0.0, 1.0, 2.0]),
                          values=np.array([1.0, 1.0, 3.0]))
     kernel = CollisionKernel(profile=rising, matrix=uniform_kernel_matrix(grid))
     frequency = SeparableCoefficient(profile=CONSTANT_ONE,
                                      space=grid.weights @ kernel.matrix)
-    model = collision_model(grid, frequency, kernel)
+    return grid, kernel, frequency, collision_model(grid, frequency, kernel)
+
+
+def test_engine_refuses_a_lattice_past_the_validated_span():
+    grid, kernel, frequency, model = rising_gain_collision()
     perturbed = collision_perturbed_model(model)
     u0 = np.ones(grid.size)
     iterate_right(perturbed, TimeGrid(0.0, 1.0, 0.125), u0, 2)
@@ -188,6 +200,44 @@ def test_engine_refuses_a_lattice_past_the_validated_span():
     with pytest.raises(ModelContractError, match="refusing to rescale"):
         collision_model(grid, frequency, kernel,
                         time_samples=validation_times(TimeGrid(0.0, 2.0, 0.125)))
+
+
+def test_left_recursion_refuses_a_lattice_past_the_validated_span():
+    # run anyway, the left table's t_end rows on [0, 2] sum to weighted
+    # mass 2.19 from u0 of mass 2
+    grid, _kernel, _frequency, model = rising_gain_collision()
+    perturbed = collision_perturbed_model(model)
+    u0 = np.ones(grid.size)
+    iterate_left(perturbed, TimeGrid(0.0, 1.0, 0.25), u0, 3)
+    with pytest.raises(PreconditionError,
+                       match=r"lattice \[0.0, 2.0\] leaves the span \[0.0, 1.0\]"):
+        iterate_left(perturbed, TimeGrid(0.0, 2.0, 0.25), u0, 3)
+
+
+def test_lifted_checks_refuse_an_axis_past_the_validated_span():
+    # run anyway, the factorization check on [0, 3] reads residual 60.2
+    grid, _kernel, _frequency, model = rising_gain_collision()
+    perturbed = collision_perturbed_model(model)
+
+    def lifted(t_end):
+        axis = TimeGrid(0.0, t_end, 0.25)
+        values = (axis.nodes * np.exp(-axis.nodes))[:, None] * np.ones(grid.size)
+        return LiftedVector(grid=grid, axis=axis, values=values)
+
+    inside, past = lifted(1.0), lifted(3.0)
+    resolvent_factorization_check(perturbed, 1.0, inside)
+    calls = [
+        lambda f: resolvent_factorization_check(perturbed, 1.0, f),
+        lambda f: laplace_kick(perturbed, 1.0, f),
+        lambda f: lifted_resolvent(perturbed, 1.0, f),
+        lambda f: lifted_resolvent(perturbed, 1.0, f, perturbed=True),
+        lambda f: kick_block_norm(perturbed, f.axis),
+    ]
+    for call in calls:
+        call(inside)
+        with pytest.raises(PreconditionError,
+                           match=r"axis \[0.0, 3.0\] leaves the span \[0.0, 1.0\]"):
+            call(past)
 
 
 def test_validation_times_interleaves_midpoints():

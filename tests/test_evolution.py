@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,38 @@ def test_direct_trapezoid_matches_one_step(fixture, request):
                                rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("fast", [5000.0, 6000.0])
+def test_direct_trapezoid_matches_one_step_where_the_flow_restarts(fast):
+    # one node decays by exp(-fast / 16) per step: at 5000 two steps leave
+    # the running products' band, so every chunk is one step long; at 6000
+    # every factor is below the floor itself, so every step is plain
+    grid = abstract_grid(np.ones(3))
+    model = matrix_exchange_model(grid, [1.0, fast, 1.0],
+                                  [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    tg = TimeGrid(0.0, 0.5, 1.0 / 16.0)
+    flow = evolution._Flow(evolution._step_factors(model, tg.nodes))
+    plain = [factor is not None for _s, _e, factor in flow.chunks]
+    assert len(flow.chunks) == 8 and all(plain) == (fast == 6000.0)
+    u0 = np.array([1.0, 2.0, 0.5])
+    one_step = iterate_right(model, tg, u0, 4)
+    gen = evolution._combined_rows(model, tg, u0, True)
+    direct = np.array([next(gen)[0] for _ in range(5)])
+    np.testing.assert_allclose(direct, one_step.iterates, rtol=1e-13, atol=1e-300)
+
+
+def test_a_b_that_returns_a_view_of_its_input_leaves_the_rows_intact(oracle_model):
+    # the one-step pass divides its B row in place; a B row that is a view
+    # of the row it was made from must not take that row with it
+    model = dataclasses.replace(
+        oracle_model, perturbation=PerturbationFamily(oracle_model.grid, lambda t, u: u[..., ::-1]))
+    tg = TimeGrid(0.0, 1.0, 0.125)
+    u0 = np.array([1.0, 0.5])
+    gen = evolution._combined_rows(model, tg, u0)
+    held = [next(gen)[0] for _ in range(4)]
+    np.testing.assert_allclose(np.array(held), iterate_right(oracle_model, tg, u0, 3).iterates,
+                               rtol=1e-13, atol=0.0)
+
+
 def test_signed_data_resolved_linearly(oracle_model):
     tg = TimeGrid(0.0, 0.5, 0.125)
     u0 = np.array([1.0, -2.0])
@@ -318,8 +351,7 @@ def split_case(case, request, rule="trapezoid"):
     fixture, data, where, _table_rows = case
     model = jump_after_split_model() if fixture == "jump" else request.getfixturevalue(fixture)
     # "odd": a fine lattice of 320 steps split at coarse node 13 (fine
-    # node 104), neither a power of two, so the scan's last level covers
-    # only part of each leg
+    # node 104), neither a power of two
     tg = TimeGrid(0.0, 1.0, 1.0 / (40.0 if where == "odd" else 16.0), rule)
     u0 = np.array([1.0, -0.5]) if data == "signed" else np.linspace(1.0, 0.5, model.grid.size)
     r = {"first": 0.0, "mid": 0.5, "last": 1.0, "odd": tg.nodes[13]}[where]
@@ -387,17 +419,16 @@ def test_series_sum_applies_b_only_to_rows_it_builds_on(oracle_model, tol):
 # carry recursion
 # ---------------------------------------------------------------------------
 
-def chunk(d):
-    """Steps per chunk of ``_carry``'s scan on rows of d floats."""
-    return evolution._CARRY_CHUNK // d
+# row widths on both sides of the prefix-sum threshold (np.cumsum under
+# _LOOP_ROW floats, one add per node from it), and lengths from the empty
+# lattice up
+LOOP_ROW = evolution._LOOP_ROW
+WIDTHS = [1, 2, 8, 33, 128, LOOP_ROW - 1, LOOP_ROW, 512]
+CARRY_SHAPES = [(d, m) for d in WIDTHS for m in [0, 1, 2, 3, 17, 64, 400]]
 
 
-# row widths on both sides of the method boundary (scan under 512 floats,
-# plain loop from 512), and lengths on both sides of the first chunk
-# boundaries
-WIDTHS = [1, 2, 8, 9, 33, 128, 511, 512]
-CARRY_SHAPES = [(d, m) for d in WIDTHS
-                for c in [chunk(d)] for m in [0, 1, 2, c - 1, c, c + 1, 2 * c, 2 * c + 1]]
+def carry(steps, out):
+    evolution._Flow(steps).carry(out)
 
 
 def sequential_carry(steps, out):
@@ -405,10 +436,6 @@ def sequential_carry(steps, out):
     for j in range(1, len(out)):
         out[j] = steps[j - 1] * out[j - 1] + out[j]
     return out
-
-
-def plain_loop_carry(steps, out):
-    out[...] = sequential_carry(steps, out)
 
 
 def carry_data(seed, m, d, zeros, tinies):
@@ -424,6 +451,13 @@ def carry_data(seed, m, d, zeros, tinies):
     return steps, out
 
 
+def decaying_data(seed, m, d):
+    """Factors in [1e-40, 1e-20], so that the running products leave the
+    band within a few steps and every chunk restarts by decay alone."""
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(-40.0, -20.0, (m, d)), rng.uniform(0.0, 2.0, (m + 1, d))
+
+
 def assert_close_to_loop(out, ref):
     # 1e-13 relative on every entry; below the smallest normal float the
     # products of 1e-300 factors round as subnormals, in either order
@@ -431,10 +465,13 @@ def assert_close_to_loop(out, ref):
 
 
 def every_shape_then_random(test):
-    """Run ``test`` once on each of CARRY_SHAPES, with exact zeros and
-    1e-300 factors mixed in, then on random draws."""
+    """Run ``test`` once on each of CARRY_SHAPES with exact zeros and 1e-300
+    factors mixed in, once more without them on the longest lattices (which
+    then restart by decay alone), then on random draws."""
     for i, shape in enumerate(CARRY_SHAPES):
         test = example(shape=shape, seed=i, zeros=0.1, tinies=0.1)(test)
+        if shape[1] == 400:
+            test = example(shape=shape, seed=i, zeros=0.0, tinies=0.0)(test)
     return given(shape=st.sampled_from(CARRY_SHAPES), seed=st.integers(0, 2 ** 32 - 1),
                  zeros=st.floats(0.0, 0.5), tinies=st.floats(0.0, 0.5))(test)
 
@@ -444,38 +481,127 @@ def test_carry_matches_sequential_loop(shape, seed, zeros, tinies):
     d, m = shape
     steps, start = carry_data(seed, m, d, zeros, tinies)
     out = start.copy()
-    evolution._carry(steps, out)
+    carry(steps, out)
     assert_close_to_loop(out, sequential_carry(steps, start))
 
 
+@every_shape_then_random
+def test_framed_kicks_carry_as_the_plain_kicks(shape, seed, zeros, tinies):
+    # the one-step row formed in the flow's frame against the plain kicks
+    # dt/2 (e_j b_{j-1} + b_j) run through the sequential loop
+    d, m = shape
+    steps, b_row = carry_data(seed, m, d, zeros, tinies)
+    flow = evolution._Flow(steps)
+    out = flow.kicks(b_row.copy(), 0.25)  # it divides the B row in place
+    flow.carry(out, framed=True)
+    plain = evolution._trapezoid_kicks(steps, b_row[:-1], b_row[1:], 0.25)
+    assert_close_to_loop(out, sequential_carry(steps, plain))
+
+
 @pytest.mark.parametrize("d", WIDTHS)
+def test_carry_restarted_by_decay_matches_sequential_loop(d):
+    steps, start = decaying_data(d, 40, d)
+    flow = evolution._Flow(steps)
+    # a product of four factors may already leave the band
+    # no product of eight factors stays in the band
+    assert len(flow.chunks) >= 6 and all(e - s <= 7 for s, e, _f in flow.chunks)
+    assert all(factor is None for _s, _e, factor in flow.chunks)
+    out = start.copy()
+    flow.carry(out)
+    assert_close_to_loop(out, sequential_carry(steps, start))
+
+
+@pytest.mark.parametrize("tiny", [0.0, 1e-300, 1e-151])
+@pytest.mark.parametrize("d", [1, 2, LOOP_ROW])
+def test_a_step_below_the_floor_is_one_plain_step(d, tiny):
+    # one factor below the floor in one entry, amid factors near 1: the
+    # chunk ends before it, it is carried plainly, and a chunk starts after
+    rng = np.random.default_rng(d)
+    steps = rng.uniform(0.5, 1.0, (30, d))
+    steps[11, d // 2] = tiny
+    start = rng.uniform(0.0, 2.0, (31, d))
+    flow = evolution._Flow(steps)
+    assert [(s, e) for s, e, _f in flow.chunks] == [(0, 11), (11, 12), (12, 30)]
+    assert np.array_equal(flow.chunks[1][2], steps[11])
+    out = start.copy()
+    flow.carry(out)
+    ref = sequential_carry(steps, start)
+    assert_close_to_loop(out, ref)
+    # the plain step is the loop's own step, bitwise
+    assert np.array_equal(out[12], steps[11] * out[11] + start[12])
+
+
+def test_long_lattice_carry_matches_a_long_double_reference():
+    # d = 2, M = 65536 steps of exp(-rate dt): the frame's products and
+    # quotients must not lose more than the plain loop does
+    m = 65536
+    rates = np.array([0.5, 3.0])
+    steps = np.exp(-rates * (8.0 / m)) * np.ones((m, 2))
+    rng = np.random.default_rng(3)
+    start = rng.uniform(0.0, 1.0, (m + 1, 2)) / m
+    ref = start.astype(np.longdouble)
+    ld_steps = steps.astype(np.longdouble)
+    for j in range(1, m + 1):
+        ref[j] += ld_steps[j - 1] * ref[j - 1]
+    out = start.copy()
+    carry(steps, out)
+    assert float(np.max(np.abs(out - ref) / ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("ufunc", [np.add, np.multiply])
+@pytest.mark.parametrize("m", [1, 2, 17, 300])
+def test_accumulate_methods_agree_bitwise(m, ufunc):
+    # the per-node loop and the whole-array accumulate, on either side of
+    # _LOOP_ROW, give the same running sums and products
+    rows = np.random.default_rng(m).uniform(0.5, 1.0, (m + 1, 5))
+    looped, whole = rows.copy(), rows.copy()
+    evolution._accumulate_loop(ufunc, looped)
+    evolution._accumulate_whole(ufunc, whole)
+    assert np.array_equal(looped, whole)
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 9, 33, 128, 511, 512, LOOP_ROW - 1, LOOP_ROW])
 def test_carry_on_a_prefix_is_bitwise_the_full_run(d):
-    # three whole chunks and two steps of a fourth, cut at every node
-    # within three steps of each chunk boundary and at every 37th node
-    c = chunk(d)
-    m = 3 * c + 2
-    steps, start = carry_data(d, m, d, 0.1, 0.1)
+    # chunks restarted by zeros, by 1e-300 factors and by decay: cut at
+    # every node
+    m = 60
+    steps, start = carry_data(d, m, d, 0.02, 0.02)
+    steps[30:] = decaying_data(d, m - 30, d)[0]
     full = start.copy()
-    evolution._carry(steps, full)
-    cuts = [j for j in range(m + 1) if min(j % c, c - j % c) <= 3 or j % 37 == 0]
-    for cut in cuts:
+    carry(steps, full)
+    for cut in range(m + 1):
         part = start[:cut + 1].copy()
-        evolution._carry(steps[:cut], part)
+        carry(steps[:cut], part)
         assert np.array_equal(part, full[:cut + 1]), cut
 
 
-def test_carry_on_wide_rows_is_the_sequential_loop():
-    steps, start = carry_data(5, 100, evolution._CARRY_WIDE_ROW, 0.1, 0.1)
-    out = start.copy()
-    evolution._carry(steps, out)
-    assert np.array_equal(out, sequential_carry(steps, start))
+def test_chunk_planning_is_linear_in_the_lattice(monkeypatch):
+    # restarts every few steps on a long lattice: the products are formed
+    # over windows that grow with the chunks, never over the rest of the
+    # lattice at each restart
+    steps = decaying_data(0, 20000, 1)[0]
+    formed = []
+    first_out_of_band = evolution._first_out_of_band
+
+    def counting(block):
+        formed.append(len(block))
+        return first_out_of_band(block)
+
+    monkeypatch.setattr(evolution, "_first_out_of_band", counting)
+    flow = evolution._Flow(steps)
+    assert len(flow.chunks) > 2000
+    # the first window is the whole lattice; every later one is at most
+    # 16 steps or twice the chunk before it
+    assert sum(formed) <= 6 * len(steps)
 
 
-# (m, j, d): node j early in the first chunk, and at and just after a
-# chunk boundary (4096 is one at d = 2 and 8)
+# (m, j, d): node j early in the lattice, near the end of a long one, and
+# in a long mid-width one; carry_data's zeros and 1e-300 factors end the
+# chunks around node j
 NON_FINITE_CASES = (
     [(m, j, d) for d in (1, 2, 8) for m, j in [(64, 1), (64, 37), (4196, 4096), (4196, 4133)]]
-    + [(2 * chunk(d) + 10, j, d) for d in (33, 128) for j in (chunk(d), chunk(d) + 1)])
+    + [(506, j, 33) for j in (248, 249)] + [(138, j, 128) for j in (64, 65)]
+    + [(300, j, d) for d in (LOOP_ROW - 1, LOOP_ROW) for j in (1, 150)])
 
 
 @pytest.mark.parametrize("m, j, d", NON_FINITE_CASES)
@@ -490,7 +616,7 @@ def test_carry_keeps_rows_before_a_non_finite_entry_finite(d, m, j, bad, into):
         steps[j - 1, d // 2] = bad
     out = start.copy()
     with np.errstate(invalid="ignore"):
-        evolution._carry(steps, out)
+        carry(steps, out)
         ref = sequential_carry(steps, start)
     assert np.isfinite(out[:j]).all()
     assert not np.isfinite(out[j]).all()
@@ -515,12 +641,11 @@ def test_perturbation_failure_names_iterate_and_time(oracle_model):
     assert (err.value.n, err.value.tau) == (0, 0.0)
 
 
-@pytest.mark.parametrize("m, first_bad", [(64, 20), (chunk(2) + 64, chunk(2) + 30)])
+@pytest.mark.parametrize("m, first_bad", [(64, 20), (4160, 4126)])
 def test_non_finite_flow_fails_at_the_node_the_plain_loop_names(m, first_bad, monkeypatch):
     # a flow that turns nan at node first_bad fails the step-factor check
-    # there, before any carry runs: d = 2 rows would run the chunked scan
-    # (past a chunk boundary in the second case), yet fail as the plain
-    # loop does
+    # there, naming the node the plain loop would fail at, before any
+    # running product is formed or any row carried
     grid = abstract_grid(np.ones(2))
     tg = TimeGrid(0.0, 1.0, 1.0 / m)
     cut = tg.nodes[first_bad - 1]
@@ -529,17 +654,16 @@ def test_non_finite_flow_fails_at_the_node_the_plain_loop_names(m, first_bad, mo
         t, s = np.asarray(t), np.asarray(s)
         return np.where(t > cut, np.nan, np.exp(s - t))[..., None] * u
 
+    def never(steps):
+        raise AssertionError("running products formed before the step-factor check")
+
     model = PerturbedModel(name="nan_late", grid=grid, unperturbed=EvolutionFamily(grid, flow),
                            perturbation=PerturbationFamily(grid, lambda t, u: 0.5 * u[..., ::-1]))
-    u0 = np.array([1.0, 0.5])
-    with pytest.raises(ModelContractError, match="U is not substochastic") as scanned:
-        iterate_right(model, tg, u0, 2)
-    monkeypatch.setattr(evolution, "_carry", plain_loop_carry)
-    with pytest.raises(ModelContractError) as looped:
-        iterate_right(model, tg, u0, 2)
-    assert str(scanned.value) == str(looped.value)
+    monkeypatch.setattr(evolution, "_Flow", never)
+    with pytest.raises(ModelContractError, match="U is not substochastic") as err:
+        iterate_right(model, tg, np.array([1.0, 0.5]), 2)
     assert (f"step factor nan is not <= 1 on the step ending at "
-            f"tau = {float(tg.nodes[first_bad])!r}, node index 0") in str(scanned.value)
+            f"tau = {float(tg.nodes[first_bad])!r}, node index 0") in str(err.value)
 
 
 def test_non_finite_perturbation_names_first_bad_node(oracle_model):
@@ -664,45 +788,76 @@ def never_applied_model(d):
                           perturbation=PerturbationFamily(grid, never_b))
 
 
-def test_row_pass_cap_counts_the_carry_scan(monkeypatch):
-    # d = 2 rows run the carry's chunked scan, two temporaries on top of
-    # the six arrays every pass holds: a cap that fits six arrays refuses
-    # the pass before any operator call
-    model = never_applied_model(2)
-    tg = TimeGrid(0.0, 1.0, 1.0 / 64.0)
-    monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", 6 * 65 * 2 * 8)
+def narrow_model(d):
+    """A model on d nodes with a unit flow and a halving B."""
+    grid = abstract_grid(np.ones(d))
+    return PerturbedModel(name="narrow", grid=grid,
+                          unperturbed=EvolutionFamily(grid, lambda t, s, u: u),
+                          perturbation=PerturbationFamily(grid, lambda t, u: 0.5 * u))
+
+
+def pass_bytes(rows, m, d):
+    return rows * (m + 1) * d * 8
+
+
+@pytest.mark.parametrize("d, m", [(2, 64), (128, 64), (512, 8)])
+def test_row_pass_cap_counts_the_arrays_a_pass_holds(d, m, monkeypatch):
+    # a start-state pass holds _PASS_ROWS = 4 arrays of (M+1) d floats on
+    # the one-step and the direct path alike: a cap one byte under that is
+    # refused before any operator call, and a cap equal to it runs
+    assert evolution._PASS_ROWS == 4
+    need = pass_bytes(4, m, d)
+    for rule in ("trapezoid", "midpoint"):
+        tg = TimeGrid(0.0, 1.0, 1.0 / m, rule)
+        monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need - 1)
+        with pytest.raises(SizeCapError, match="row pass working set"):
+            iterate_right(never_applied_model(d), tg, np.ones(d), 1, keep_rows=False)
+        with pytest.raises(SizeCapError, match="row pass working set"):
+            series_sum(never_applied_model(d), tg, np.ones(d))
+        monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need)
+        table = iterate_right(narrow_model(d), tg, np.ones(d), 2, keep_rows=False)
+        assert np.isfinite(table.defects).all()
+
+
+def test_row_pass_cap_counts_the_per_node_source_rows(monkeypatch):
+    # a per-node source also holds the step factors, row 1's end-point
+    # kicks and row 0 beside the start-state pass's four arrays
+    assert evolution._PER_NODE_PASS_ROWS == 6
+    d, m = 2, 64
+    tg = TimeGrid(0.0, 1.0, 1.0 / m)
+    source = np.ones((m + 1, d))
+    need = pass_bytes(6, m, d)
+    monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need - 1)
     with pytest.raises(SizeCapError, match="row pass working set"):
-        iterate_right(model, tg, np.ones(2), 1, keep_rows=False)
-    with pytest.raises(SizeCapError, match="row pass working set"):
-        series_sum(model, tg, np.ones(2))
+        next(evolution._right_rows(never_applied_model(d), tg, source))
+    monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need)
+    rows = evolution._right_rows(narrow_model(d), tg, source)
+    for _ in range(3):
+        row, _b = next(rows)
+    assert np.isfinite(row).all()
 
 
-def test_row_pass_cap_counts_the_scan_on_mid_width_rows(monkeypatch):
-    # d = 128 rows scan chunks of 64 steps, so a 64-step pass holds two
-    # temporaries of 65 rows on top of its six arrays: a cap of exactly six
-    # arrays refuses it before any operator call
-    model = never_applied_model(128)
-    assert chunk(128) == 64
-    monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", 6 * 65 * 128 * 8)
-    with pytest.raises(SizeCapError, match="row pass working set"):
-        iterate_right(model, TimeGrid(0.0, 1.0, 1.0 / 64.0), np.ones(128), 1, keep_rows=False)
-
-
-def test_row_pass_cap_counts_only_the_scanned_head(monkeypatch):
-    # the scan holds its two temporaries over one chunk of C + 1 rows only,
-    # so a long d = 2 pass that fits six full arrays and two chunk-sized
-    # ones runs
-    grid = abstract_grid(np.ones(2))
-    model = PerturbedModel(name="narrow", grid=grid,
-                           unperturbed=EvolutionFamily(grid, lambda t, s, u: u),
-                           perturbation=PerturbationFamily(grid, lambda t, u: 0.5 * u))
-    c = chunk(2)
-    m = 2 * c
-    cap = (6 * (m + 1) + 2 * (c + 1)) * 2 * 8
-    assert 8 * (m + 1) * 2 * 8 > cap  # two full-length temporaries would not fit
-    monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", cap)
-    table = iterate_right(model, TimeGrid(0.0, 1.0, 1.0 / m), np.ones(2), 1, keep_rows=False)
-    assert np.isfinite(table.defects).all()
+@pytest.mark.parametrize("d, m", [(2, 8192), (33, 512), (128, 256)])
+def test_row_pass_peak_stays_within_its_count(d, m):
+    # the count is what a pass holds: the traced peak of a row-less
+    # iterate_right stays within _PASS_ROWS arrays plus lattice vectors
+    # (the defect's quadrature weights and integrand) and numpy's fixed
+    # buffers
+    model = loss_gain_model("decay", abstract_grid(np.ones(d)),
+                            SeparableCoefficient(TimeProfile(kind="constant", c0=1.0),
+                                                 np.linspace(0.5, 1.5, d)),
+                            TimeProfile(kind="constant", c0=1.0),
+                            np.full((d, d), 0.3 / d), np.ones(d))
+    tg = TimeGrid(0.0, 1.0, 1.0 / m)
+    iterate_right(model, tg, np.ones(d), 3, keep_rows=False)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        iterate_right(model, tg, np.ones(d), 3, keep_rows=False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= pass_bytes(evolution._PASS_ROWS, m, d) + 2 * (m + 1) * 8 + 2 ** 18
 
 
 def test_row_less_table_refuses_row_readers(oracle_model, binary_frag, binary_frag_perturbed):
