@@ -23,12 +23,14 @@ per node, or for a strictly upper triangular product-form matrix
 K[i, j] = f[i] g[j] (i < j) as the factor pair (f, g), applied as a tail
 sum in O(d) per node.
 
-The trapezoid rule runs a one-step propagation form of the prefix
-quadrature, which is algebraically identical to direct prefix evaluation
-whenever ``U`` composes exactly across intermediate times (all built-in
-families do, to rounding).  The midpoint rule, whose prefix weights are
-not nested, runs the literal direct evaluation, which also stays the
-reference the one-step path is tested against.
+Each time rule is one entry of ``_RULES``: its prefix weights and whether
+they nest.  The trapezoid rule, whose weights nest, runs a one-step
+propagation form of the prefix quadrature (kicks in ``_Flow.kicks``),
+algebraically identical to direct prefix evaluation whenever ``U``
+composes exactly across intermediate times (all built-in families do, to
+rounding).  The midpoint rule, whose weights do not nest, runs the literal
+direct evaluation, which also stays the reference the one-step path is
+tested against.  A row's defect is a trapezoid integral under either rule.
 
 Operators are applied in batches over a leading time axis: the one-step
 survival factors U(tau_j, tau_{j-1}) are computed once per lattice, and B
@@ -45,7 +47,7 @@ the row on the whole lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -59,14 +61,54 @@ from .errors import (
 )
 from .state_space import Grid, StateVector, weighted_norm_array
 
-TIME_RULES = ("trapezoid", "midpoint")
-
 _POSITIVITY_SLACK = 1e-15
 
 
 # ---------------------------------------------------------------------------
 # time lattice
 # ---------------------------------------------------------------------------
+
+def _trapezoid_weights(j: int, dt: float) -> np.ndarray:
+    """Composite trapezoid weights for the integral over [tau_0, tau_j]."""
+    w = np.zeros(j + 1)
+    if j:
+        w[:] = dt
+        w[0] = w[j] = 0.5 * dt
+    return w
+
+
+def _midpoint_weights(j: int, dt: float) -> np.ndarray:
+    """Composite midpoint weights for the integral over [tau_0, tau_j], with
+    cells [tau_2i, tau_2i+2] (their centers are odd lattice nodes), closed
+    with one trapezoid cell when j is odd."""
+    w = np.zeros(j + 1)
+    j_even = j - j % 2
+    w[1:j_even:2] = 2.0 * dt
+    if j != j_even:
+        w[j - 1] += 0.5 * dt
+        w[j] += 0.5 * dt
+    return w
+
+
+class _Rule(NamedTuple):
+    """A time rule: ``weights(j, dt)``, its weights on nodes 0..j for the
+    integral over [tau_0, tau_j], and whether they nest (see ``_RULES``)."""
+
+    weights: Callable[[int, float], np.ndarray]
+    nested: bool
+
+
+# The one table of time rules, which every path that depends on the rule
+# reads through its lattice.  Weights that nest, those on [tau_0, tau_j]
+# being those on [tau_0, tau_{j-1}] plus the last step's, run the one-step
+# path, whose kicks ``_Flow.kicks`` forms as the trapezoid's; any other
+# rule runs the direct path.
+_RULES = {
+    "trapezoid": _Rule(_trapezoid_weights, nested=True),
+    "midpoint": _Rule(_midpoint_weights, nested=False),
+}
+TIME_RULES = tuple(_RULES)
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -85,9 +127,10 @@ class TimeGrid:
     rule: str = "trapezoid"
     n_steps: int = field(init=False)
     nodes: np.ndarray = field(init=False, repr=False)
+    _quadrature: _Rule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.rule not in TIME_RULES:
+        if self.rule not in _RULES:
             raise StructureError(f"unknown quadrature rule {self.rule!r}; expected one of {TIME_RULES}")
         if not (np.isfinite(self.s) and np.isfinite(self.t_end) and np.isfinite(self.dt)):
             raise StructureError("time grid parameters must be finite")
@@ -106,6 +149,7 @@ class TimeGrid:
         nodes.setflags(write=False)
         object.__setattr__(self, "n_steps", m)
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_quadrature", _RULES[self.rule])
 
     def node_index(self, t: float) -> int:
         """Index of the lattice node equal to ``t`` (1e-12 relative), else error."""
@@ -113,31 +157,6 @@ class TimeGrid:
         if j < 0 or j > self.n_steps or abs(self.nodes[j] - t) > 1e-12 * max(1.0, abs(t)):
             raise PreconditionError(f"time {t!r} does not lie on the lattice")
         return j
-
-
-def prefix_weights(rule: str, j: int, dt: float) -> np.ndarray:
-    """Quadrature weights for integral over [tau_0, tau_j] on nodes 0..j.
-
-    trapezoid: the composite trapezoid rule.
-    midpoint:  composite midpoint with cells [tau_2i, tau_2i+2] (their
-               centers are odd lattice nodes), closed with one trapezoid
-               cell when j is odd.  Node-restricted but not nested in j.
-    """
-    w = np.zeros(j + 1)
-    if j == 0:
-        return w
-    if rule == "trapezoid":
-        w[:] = dt
-        w[0] = w[j] = 0.5 * dt
-        return w
-    if rule == "midpoint":
-        j_even = j if j % 2 == 0 else j - 1
-        w[1:j_even:2] = 2.0 * dt
-        if j != j_even:
-            w[j - 1] += 0.5 * dt
-            w[j] += 0.5 * dt
-        return w
-    raise StructureError(f"unknown quadrature rule {rule!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +383,10 @@ _TABLE_MEMORY_CAP_BYTES = 256 * 1024 * 1024
 # row's kicks then take one array beside the products and the B row,
 # which is divided by them in place.  The direct path holds four too:
 # row n+1, the B row, and per node the gathered B rows and their
-# propagation.  A per-node source's row 1 also holds the step factors and
-# its end-point kicks beside row 0, which the Laplace check still reads.
+# propagation.  A per-node source's row 1 peaks as it forms its end-point
+# B rows: beside the products and row 0 (which the Laplace check still
+# reads), the step factors, their product with row 0 and the two arrays
+# of a B call on it; the kicks then divide those B rows in place.
 _PASS_ROWS = 4
 _PER_NODE_PASS_ROWS = 6
 
@@ -585,49 +606,34 @@ class _Flow:
             _accumulate(np.add, seg)
             seg *= self.prod[s + 1:e + 1]
 
-    def kicks(self, b_row: np.ndarray, dt: float) -> np.ndarray:
+    def kicks(self, b_row: np.ndarray, dt: float, ends: np.ndarray | None = None) -> np.ndarray:
         """The one-step trapezoid kicks of a B row, framed for ``carry``.
 
         The kick into node j is g_j = dt/2 (e_j b_{j-1} + b_j), and since
         e_j / P_j = 1 / P_{j-1} inside a chunk, g_j / P_j is
         dt/2 (beta_{j-1} + beta_j) with beta = b / P: one divide and one add
-        for the whole row.  The first kick of a chunk that starts at s > 0
-        reads b_s itself (P_s = 1 in that chunk's frame), and a plain step
-        takes its kick unframed.  Row 0 of the result is 0.  ``b_row`` is
-        divided in place: it holds beta afterwards, and the kicks take one
-        new array.
+        for the whole row.  ``ends`` (shape (M, ...)), when given, stands in
+        for b_1..b_M as the steps' end-point rows.  The first kick of a
+        chunk that starts at s > 0 reads b_s itself (P_s = 1 in that chunk's
+        frame), and a plain step takes its kick unframed.  Row 0 of the
+        result is 0.  ``b_row`` and ``ends`` are divided in place, and the
+        kicks take one new array.
         """
         heads = [(s, e, factor, b_row[s].copy()) for s, e, factor in self.chunks
                  if s or factor is not None]
         beta = np.divide(b_row, self.prod, out=b_row)
+        end_beta = beta[1:] if ends is None else np.divide(ends, self.prod[1:], out=ends)
         out = np.empty_like(beta)
         out[0] = 0.0
-        np.add(beta[:-1], beta[1:], out=out[1:])
+        np.add(beta[:-1], end_beta, out=out[1:])
         for s, e, factor, b_s in heads:
             if factor is not None:
-                # prod[e] = 1 after a plain step, so beta[e] is b_e
-                out[e] = factor * b_s + beta[e]
+                # prod[e] = 1 after a plain step, so end_beta[e - 1] is unframed
+                out[e] = factor * b_s + end_beta[e - 1]
             else:
-                out[s + 1] = b_s + beta[s + 1]
+                out[s + 1] = b_s + end_beta[s]
         out *= 0.5 * dt
         return out
-
-
-def _trapezoid_kicks(steps: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                     dt: float) -> np.ndarray:
-    """One-step trapezoid kicks, the inputs of a ``_carry`` through ``steps``.
-
-    Returns ``out`` of shape (M+1, ...) with out[0] = 0 and
-    out[j] = dt/2 (steps[j-1] starts[j-1] + ends[j-1]): the kick at each
-    step's start node carried to its end node, plus the kick there.  The
-    caller runs the carry, so it can first drop inputs it no longer needs
-    and keep them off the carry's peak.
-    """
-    out = np.zeros((len(steps) + 1,) + ends.shape[1:])
-    np.multiply(steps, starts, out=out[1:])
-    out[1:] += ends
-    out[1:] *= 0.5 * dt
-    return out
 
 
 def _b_rows(model: PerturbedModel, kicked: str, n: int, taus: np.ndarray,
@@ -688,13 +694,13 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     """Yield (row values, B of the row) for n = 0, 1, ... on nonnegative data.
 
     ``source`` is either the start state u0 (shape (d,)), or one state per
-    lattice node (shape (M+1, d), one-step trapezoid recursion only).  A
+    lattice node (shape (M+1, d), one-step recursion only).  A
     per-node source starts one run at every node: row n at tau_k is then
     the sum over i <= k of (row n started at tau_i on source[i]) at tau_k,
     all in one pass.  ``lam`` discounts every step by exp(-lam dt), so each
-    run is weighted by exp(-lam (tau_k - tau_i)).  The midpoint rule runs
-    the direct path; ``direct`` forces it under the trapezoid rule too, as
-    the reference the one-step path is tested against.
+    run is weighted by exp(-lam (tau_k - tau_i)).  A rule whose weights do
+    not nest runs the direct path; ``direct`` forces it under the trapezoid
+    rule too, as the reference the one-step path is tested against.
 
     B is applied lazily: the second item is a zero-argument callable that
     returns B(tau_j) row[j] at every node, computed once, on the first call
@@ -723,9 +729,9 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     dt = tg.dt
     d = model.grid.size
     per_node = source.ndim == 2
-    direct = direct or tg.rule != "trapezoid"
+    direct = direct or not tg._quadrature.nested
     if per_node and direct:
-        raise PreconditionError("a per-node source needs the one-step trapezoid recursion")
+        raise PreconditionError("a per-node source needs the one-step recursion")
     _check_table_bytes("row pass working set",
                        (_PER_NODE_PASS_ROWS if per_node else _PASS_ROWS) * (m + 1) * d * 8)
     scale = max(float(np.max(np.abs(source))) if source.size else 0.0, 1e-300)
@@ -737,6 +743,7 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
         # the running products replace the factors; only the per-node
         # source's row 1 reads them again
         del steps
+    ends = None
 
     # row 0: the unperturbed evolution of the source
     if per_node:
@@ -759,6 +766,7 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
             # tau_j has no row-1 integral there yet.  Rows n >= 2 need no
             # such split, since every row n >= 1 is zero at its start node.
             ends = _b_rows(model, "iterate 0", 0, nodes[1:], steps * row[:-1])
+            del steps
         b_row = lazy_b()
         # the pass reads row n no further
         del lazy_b, row
@@ -767,21 +775,16 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
         if direct:
             row = np.zeros((m + 1, d))
             for j in range(1, m + 1):
-                w = prefix_weights(tg.rule, j, dt)
+                w = tg._quadrature.weights(j, dt)
                 used = np.flatnonzero(w)
                 row[j] = w[used] @ model.unperturbed.apply(nodes[j], nodes[used], b_row[used])
             del b_row
-        elif per_node and n == 1:
-            # one-step propagation of the prefix trapezoid sums: row n at
-            # tau_j is e_j (row n at tau_{j-1}) plus the step's kicks
-            # dt/2 (e_j b_{j-1} + b_j), b the B row of row n-1
-            row = _trapezoid_kicks(steps, b_row[:-1], ends, dt)
-            del b_row, ends, steps
-            flow.carry(row)
         else:
-            # the same propagation, with the kicks formed in the flow's frame
-            row = flow.kicks(b_row, dt)
-            del b_row
+            # one-step propagation of the prefix trapezoid sums: row n at
+            # tau_j is e_j (row n at tau_{j-1}) plus the step's kicks, formed
+            # in the flow's frame from the B row of row n-1
+            row = flow.kicks(b_row, dt, ends)
+            b_row = ends = None  # the kicks divided them in place
             flow.carry(row, framed=True)
         _check_row(row, nodes, n, scale)
 
@@ -806,10 +809,11 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
 
     One row pass: each new row feeds the quadrature of the next, and each
     row is reduced as it is made to its t_end value, that value's weighted
-    norm, and its defect.  With ``keep_rows`` (the default) every row and
-    the perturbation applied to it are also kept for diagnostics; without,
-    the table is row-less (see ``DysonPhillipsTable``).  Signed initial
-    data is split into positive/negative parts and recombined linearly.
+    norm, and its defect (a trapezoid integral under either rule).  With
+    ``keep_rows`` (the default) every row and the perturbation applied to
+    it are also kept for diagnostics; without, the table is row-less (see
+    ``DysonPhillipsTable``).  Signed initial data is split into
+    positive/negative parts and recombined linearly.
     Cost: O(n_max * M) operator applications under the trapezoid rule
     (one-step path), O(n_max * M^2) under the midpoint rule (direct path).
     Memory: the pass's O(M d) working set, plus O(n_max d) kept, plus
@@ -826,7 +830,8 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     defects = np.empty(n_max + 1)
     iterates = np.empty((n_max + 1, m + 1, d)) if keep_rows else None
     b_applied = np.empty_like(iterates) if keep_rows else None
-    w = prefix_weights("trapezoid", m, tg.dt)
+    # the defect is a trapezoid integral whatever the lattice rule
+    w = _trapezoid_weights(m, tg.dt)
     gen = _combined_rows(model, tg, coeffs)
     for n in range(n_max + 1):
         row, lazy_b = next(gen)
@@ -931,7 +936,7 @@ def _duhamel_gap(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
             f"family values must have shape {(m + 1, model.grid.size)}, got {v_values.shape}"
         )
     u_end = model.unperturbed.apply(tg.t_end, tg.s, coeffs)
-    w = prefix_weights(tg.rule, m, tg.dt)
+    w = tg._quadrature.weights(m, tg.dt)
     used = np.flatnonzero(w)
     kicks = _b_rows(model, "the family values", 0, tg.nodes[used], v_values[used])
     integral = w[used] @ model.unperturbed.apply(tg.t_end, tg.nodes[used], kicks)
@@ -1063,7 +1068,7 @@ def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int) -> LeftIte
     b_mat = model.perturbation.as_matrix(nodes)
     # kick[r, k] = B(tau_r) U(tau_r, tau_k): the shared right factor
     kick = np.einsum("rab,rkbc->rkac", b_mat, u_mat)
-    offsets = [prefix_weights(tg.rule, o, tg.dt) for o in range(m + 1)]
+    offsets = [tg._quadrature.weights(o, tg.dt) for o in range(m + 1)]
 
     mats = np.zeros((n_max + 1, m + 1, m + 1, d, d))
     mats[0] = u_mat

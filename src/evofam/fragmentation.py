@@ -39,7 +39,6 @@ from .evolution import (
     _as_coeffs,
     _require_rows,
     loss_gain_model,
-    prefix_weights,
 )
 from .honesty import mass_ledger
 from .state_space import Grid, uniform_mass_grid
@@ -361,15 +360,10 @@ def vn_identity_residual(model: FragmentationModel, table: DysonPhillipsTable,
     tg = table.time_grid
     m = tg.n_steps
     vn = np.sum(table.iterates[:n + 1], axis=0)
-    w = prefix_weights(tg.rule, m, tg.dt) if m else np.zeros(1)
-    loss = np.zeros(model.grid.size)
-    gain = np.zeros(model.grid.size)
-    for j, tau in enumerate(tg.nodes):
-        if m == 0 or w[j] == 0.0:
-            continue
-        loss += w[j] * (model.rate_values(tau) * vn[j])
-        if n >= 1:
-            gain += w[j] * np.sum(table.b_applied[:n, j], axis=0)
+    w = tg._quadrature.weights(m, tg.dt)
+    used = np.flatnonzero(w)
+    loss = w[used] @ (model.rate_values(tg.nodes[used]) * vn[used])
+    gain = w[used] @ np.sum(table.b_applied[:n, used], axis=0)
     return float(np.max(np.abs(vn[m] - table.u0 + loss - gain)))
 
 

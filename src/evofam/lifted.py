@@ -38,7 +38,6 @@ from .evolution import (
     _combined_rows,
     _require_validated,
     _step_factors,
-    _trapezoid_kicks,
     iterate_right,
 )
 from .state_space import Grid, _readonly
@@ -123,8 +122,9 @@ def laplace_kick(model: PerturbedModel, lam: float, f: LiftedVector) -> LiftedVe
     At axis node s the output is the trapezoid quadrature over tau in
     [0, s] of exp(-lam (s - tau)) B(s) U(s, tau) f(tau): free transport of
     the history into s, discounted at rate lam, then kicked once.  The
-    accumulator form below is the nested-prefix evaluation of that
-    quadrature (exact for composing U).
+    quadrature takes the engine's one-step form (exact for composing U):
+    the history's trapezoid kicks, formed by ``_Flow.kicks`` in the frame
+    of the discounted flow, carried along the axis, then one B call.
     """
     _check_lifted(model, f)
     if lam <= 0.0:
@@ -132,9 +132,9 @@ def laplace_kick(model: PerturbedModel, lam: float, f: LiftedVector) -> LiftedVe
     nodes = f.axis.nodes
     _require_validated(model, nodes[0], nodes[-1], "axis")
     h = f.axis.dt
-    steps = _step_factors(model, nodes) * math.exp(-lam * h)
-    acc = _trapezoid_kicks(steps, f.values[:-1], f.values[1:], h)
-    _Flow(steps).carry(acc)
+    flow = _Flow(_step_factors(model, nodes) * math.exp(-lam * h))
+    acc = flow.kicks(f.values.copy(), h)
+    flow.carry(acc, framed=True)
     out = np.zeros_like(f.values)
     out[1:] = _b_rows(model, "the discounted history", 0, nodes[1:], acc[1:])
     return LiftedVector(grid=f.grid, axis=f.axis, values=out)
@@ -323,9 +323,9 @@ def _laplace_rows(model: PerturbedModel, lam: float, f: LiftedVector,
     if n_max < 0:
         raise PreconditionError("iterate index must be >= 0")
     axis = f.axis
-    if axis.rule != "trapezoid":
-        raise PreconditionError(
-            f"laplace_transform_check needs a trapezoid axis, got rule {axis.rule!r}")
+    if not axis._quadrature.nested:
+        raise PreconditionError("laplace_transform_check needs an axis rule whose weights "
+                                f"nest, as the trapezoid's do; got rule {axis.rule!r}")
     t_max = axis.t_end
     if math.exp(-lam * t_max) >= HORIZON_TAIL_LIMIT:
         raise PreconditionError(

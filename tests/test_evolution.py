@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from evofam import (
     EvaluationError,
     EvolutionFamily,
+    LiftedVector,
     ModelContractError,
     PerturbationFamily,
     PerturbedModel,
@@ -26,6 +27,7 @@ from evofam import (
     duhamel_residual,
     iterate_left,
     iterate_right,
+    laplace_transform_check,
     left_right_discrepancy,
     matrix_exchange_model,
     mol_reference,
@@ -35,7 +37,7 @@ from evofam import (
 )
 from evofam import evolution
 from evofam.coefficients import SeparableCoefficient, TimeProfile
-from evofam.evolution import loss_gain_model, prefix_weights
+from evofam.evolution import TIME_RULES, loss_gain_model
 from evofam.state_space import weighted_norm_array
 
 
@@ -86,16 +88,37 @@ def test_time_grid_refuses_an_oversized_lattice():
         TimeGrid(0.0, 1.0, 1e-12)
 
 
-@pytest.mark.parametrize("rule", ["trapezoid", "midpoint"])
+@pytest.mark.parametrize("rule", TIME_RULES)
 @pytest.mark.parametrize("j", [0, 1, 2, 3, 7, 8])
 def test_prefix_weights_integrate_linear_exactly(rule, j):
     dt = 0.125
-    w = prefix_weights(rule, j, dt)
+    w = evolution._RULES[rule].weights(j, dt)
     assert w.shape == (j + 1,)
     span = j * dt
     nodes = dt * np.arange(j + 1)
     assert float(w.sum()) == pytest.approx(span, abs=1e-15)
     assert float(w @ nodes) == pytest.approx(span ** 2 / 2.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("rule", TIME_RULES)
+def test_every_rule_reaches_every_path(rule, oracle_model, binary_frag, binary_frag_perturbed):
+    # each path that reads the lattice's rule runs under every rule, but
+    # the Laplace check, which refuses a rule whose weights do not nest
+    tg = TimeGrid(0.0, 1.0, 0.125, rule)
+    u0 = np.array([1.0, 0.5])
+    assert np.isfinite(iterate_right(oracle_model, tg, u0, 3).defects).all()
+    assert np.isfinite(iterate_left(oracle_model, tg, u0, 3).iterates).all()
+    assert np.isfinite(duhamel_residual(oracle_model, tg, u0))
+    frag = iterate_right(binary_frag_perturbed, tg, np.ones(binary_frag.grid.size), 3)
+    assert np.isfinite(vn_identity_residual(binary_frag, frag, 2))
+    axis = TimeGrid(0.0, 4.0, 0.25, rule)
+    f = LiftedVector(grid=oracle_model.grid, axis=axis,
+                     values=np.outer(np.exp(-axis.nodes), u0))
+    if evolution._RULES[rule].nested:
+        assert np.isfinite(laplace_transform_check(oracle_model, 8.0, 1, f).residual)
+    else:
+        with pytest.raises(PreconditionError, match=f"trapezoid.*{rule!r}"):
+            laplace_transform_check(oracle_model, 8.0, 1, f)
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +511,18 @@ def test_carry_matches_sequential_loop(shape, seed, zeros, tinies):
 @every_shape_then_random
 def test_framed_kicks_carry_as_the_plain_kicks(shape, seed, zeros, tinies):
     # the one-step row formed in the flow's frame against the plain kicks
-    # dt/2 (e_j b_{j-1} + b_j) run through the sequential loop
+    # dt/2 (e_j b_{j-1} + b_j) run through the sequential loop, first with
+    # the B row's own end points, then with separate end-point rows
     d, m = shape
     steps, b_row = carry_data(seed, m, d, zeros, tinies)
     flow = evolution._Flow(steps)
-    out = flow.kicks(b_row.copy(), 0.25)  # it divides the B row in place
-    flow.carry(out, framed=True)
-    plain = evolution._trapezoid_kicks(steps, b_row[:-1], b_row[1:], 0.25)
-    assert_close_to_loop(out, sequential_carry(steps, plain))
+    for ends in (None, carry_data(seed + 1, m, d, zeros, tinies)[1][1:]):
+        # the kicks divide the B row and the end-point rows in place
+        out = flow.kicks(b_row.copy(), 0.25, None if ends is None else ends.copy())
+        flow.carry(out, framed=True)
+        plain = np.zeros_like(b_row)
+        plain[1:] = 0.125 * (steps * b_row[:-1] + (b_row[1:] if ends is None else ends))
+        assert_close_to_loop(out, sequential_carry(steps, plain))
 
 
 @pytest.mark.parametrize("d", WIDTHS)
@@ -621,6 +648,41 @@ def test_carry_keeps_rows_before_a_non_finite_entry_finite(d, m, j, bad, into):
     assert np.isfinite(out[:j]).all()
     assert not np.isfinite(out[j]).all()
     assert_close_to_loop(out[:j], ref[:j])
+
+
+def stiff_conservative_model(rate):
+    """5 nodes, loss rate (1 + t/2) rate a with a in [0.5, 1.5], and a
+    dense gain that returns every lost unit of mass."""
+    d = 5
+    profile = TimeProfile(kind="affine", c0=1.0, c1=0.5)
+    a = rate * np.linspace(0.5, 1.5, d)
+    gain = np.random.default_rng(5).uniform(0.1, 1.0, (d, d))
+    gain /= gain.sum(axis=0)
+    return loss_gain_model("stiff", abstract_grid(np.ones(d)),
+                           SeparableCoefficient(profile, a), profile, gain, a)
+
+
+@pytest.mark.parametrize("rate, m, flow_shape", [
+    (1.0, 12, "one chunk"), (300.0, 16, "restarted by decay"), (1e4, 16, "every step plain")])
+def test_per_node_source_rows_sum_the_runs_from_each_node(rate, m, flow_shape):
+    # row n of the per-node source pass at tau_k is the sum over i <= k of
+    # row n of the run started at tau_i on source[i], read at tau_k
+    model = stiff_conservative_model(rate)
+    tg = TimeGrid(0.0, m * 0.125, 0.125)
+    chunks = evolution._Flow(evolution._step_factors(model, tg.nodes)).chunks
+    plain = [factor is not None for _s, _e, factor in chunks]
+    assert {"one chunk": len(chunks) == 1 and not any(plain),
+            "restarted by decay": len(chunks) > 1 and not any(plain),
+            "every step plain": len(chunks) == m and all(plain)}[flow_shape]
+    source = np.random.default_rng(2).uniform(0.0, 1.0, (m + 1, 5))
+    rows = evolution._right_rows(model, tg, source)
+    got = np.stack([next(rows)[0].copy() for _ in range(4)])
+    ref = np.zeros_like(got)
+    for k in range(m + 1):
+        for i in range(k + 1):
+            ref[:, k] += iterate_right(model, TimeGrid(tg.nodes[i], tg.nodes[k], 0.125),
+                                       source[i], 3).end_rows
+    assert_close_to_loop(got, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from evofam import (
     uniform_velocity_grid,
 )
 from evofam import evolution
-from evofam.evolution import prefix_weights
+from evofam.evolution import _trapezoid_weights
 from evofam.honesty import (
     VERDICT_DISHONEST,
     VERDICT_HONEST,
@@ -169,7 +169,7 @@ def test_row_less_table_matches_full_table_bitwise(fixture, request):
     assert lean.iterates is None and lean.b_applied is None
 
     # the reduced fields are what the kept rows give, formula by formula
-    w = prefix_weights("trapezoid", tg.n_steps, tg.dt)
+    w = _trapezoid_weights(tg.n_steps, tg.dt)
     for n in range(13):
         assert full.defects[n] == float(w @ (np.abs(full.b_applied[n]) @ grid.weights))
         assert full.iterate_norms[n] == weighted_norm_array(grid, full.iterates[n, -1])

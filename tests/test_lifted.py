@@ -37,7 +37,7 @@ from evofam import (
 )
 from evofam import evolution, lifted
 from evofam.coefficients import SeparableCoefficient, TimeProfile
-from evofam.evolution import prefix_weights
+from evofam.evolution import _trapezoid_weights, loss_gain_model
 from evofam.lifted import HORIZON_TAIL_LIMIT, _laplace_rows, _series_terms
 
 U0 = np.array([1.0, 0.5])
@@ -87,18 +87,41 @@ def test_lifted_norm_hand_value():
 # discounted kick and resolvents
 # ---------------------------------------------------------------------------
 
+def stiff_exchange(rate):
+    """Two nodes losing at (1 + t/2) rate (0.5, 1.5), each gaining what the
+    other loses."""
+    profile = TimeProfile(kind="affine", c0=1.0, c1=0.5)
+    a = rate * np.array([0.5, 1.5])
+    return loss_gain_model("stiff", abstract_grid([1.0, 1.0]), SeparableCoefficient(profile, a),
+                           profile, np.array([[0.0, 1.0], [1.0, 0.0]]), a)
+
+
 def test_laplace_kick_matches_explicit_quadrature(oracle_model):
+    # the oracle's flow is one chunk; at rate 4000 every discounted step
+    # is below the floor and plain, and at rate 200 a chunk of three steps
+    # restarts by decay, so the framed kicks take both chunk-head branches
     axis = TimeGrid(0.0, 1.0, 0.25)
     f = make_history(axis)
     lam = 2.0
-    out = laplace_kick(oracle_model, lam, f)
-    for k in range(axis.n_steps + 1):
-        w = prefix_weights("trapezoid", k, axis.dt)
-        acc = np.zeros(2)
-        for i in range(k + 1):
-            gap = axis.nodes[k] - axis.nodes[i]
-            acc += w[i] * math.exp(-lam * gap) * (math.exp(-gap) * f.values[i])
-        np.testing.assert_allclose(out.values[k], acc[::-1], atol=1e-15)
+    chunks = []
+    for model in (oracle_model, stiff_exchange(4000.0), stiff_exchange(200.0)):
+        steps = evolution._step_factors(model, axis.nodes) * math.exp(-lam * axis.dt)
+        chunks.append([(s, e, factor is not None)
+                       for s, e, factor in evolution._Flow(steps).chunks])
+        out = laplace_kick(model, lam, f)
+        ref = np.zeros_like(out.values)
+        for k in range(axis.n_steps + 1):
+            w = _trapezoid_weights(k, axis.dt)
+            acc = np.zeros(2)
+            for i in range(k + 1):
+                gap = axis.nodes[k] - axis.nodes[i]
+                acc += w[i] * math.exp(-lam * gap) * model.unperturbed.apply(
+                    axis.nodes[k], axis.nodes[i], f.values[i])
+            ref[k] = model.perturbation.apply(axis.nodes[k], acc)
+        np.testing.assert_allclose(out.values, ref, rtol=0.0,
+                                   atol=1e-15 * max(1.0, float(np.abs(ref).max())))
+    assert chunks == [[(0, 4, False)], [(j, j + 1, True) for j in range(4)],
+                      [(0, 3, False), (3, 4, False)]]
     with pytest.raises(PreconditionError):
         laplace_kick(oracle_model, 0.0, f)
 
@@ -329,7 +352,7 @@ def _laplace_residual_per_start(model, lam, n, f):
     axis = f.axis
     nodes = axis.nodes
     m = axis.n_steps
-    discount = prefix_weights("trapezoid", m, axis.dt) * np.exp(-lam * nodes)
+    discount = _trapezoid_weights(m, axis.dt) * np.exp(-lam * nodes)
     lhs = np.zeros_like(f.values)
     for i in range(m + 1):
         sub = TimeGrid(nodes[i], nodes[-1], axis.dt)
