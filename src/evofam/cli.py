@@ -247,10 +247,9 @@ def run_engine_experiment(cfg: ExperimentConfig, strict: bool | None) -> RunArti
     u0 = initial_coefficients(cfg, model.grid)
     table, ledger, series = _table_diagnostics(cfg, model, tg, u0)
 
-    # one fine pass serves both residuals, its t_end sum as the cocycle's
-    # composed side; the full value comes from the table
-    split = tg.nodes[tg.n_steps // 2] if tg.n_steps >= 2 else None
-    duhamel, cocycle = _flat_residuals(model, tg, u0, split, table,
+    # one fine pass serves both residuals: the cocycle row holds its t_end
+    # sum against the coarse one, read off the table
+    duhamel, cocycle = _flat_residuals(model, tg, u0, table, cocycle=tg.n_steps >= 2,
                                        tol=cfg.engine.series_tol)
     results = [
         ("experiment", cfg.kind),

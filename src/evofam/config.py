@@ -41,14 +41,16 @@ required; see README for details):
 Unknown sections and keys, sections the chosen kind never reads, and keys
 of another kind abort parsing with an error listing them all: a silently
 ignored typo could flip an honesty verdict.  Every present value is
-type-checked at parse time.  Each default is written once: on the section
-dataclasses below for [engine], [honesty], [initial], [output] and
-[lifted], and on the library function the CLI hands a key to otherwise.
+type-checked at parse time, and no float may be nan or infinite.  Each
+default is written once: on the section dataclasses below for [engine],
+[honesty], [initial], [output] and [lifted], and on the library function
+the CLI hands a key to otherwise.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
@@ -229,11 +231,14 @@ def _parse(section: str, key: str, raw: str, kind):
             raise ConfigError(f"[{section}] {key} holds no values")
         return out
     try:
-        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+        value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
     except (KeyError, ValueError):
         raise ConfigError(
             f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}"
         ) from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    return value
 
 
 def _key_table(section: str, table: _Table, pairs: dict, problems: list) -> _Table:
@@ -306,6 +311,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("[engine] t_end must exceed s")
     if engine.n_max < 3:
         raise ConfigError("[engine] n_max must be >= 3")
+    if engine.series_tol < 0.0:
+        raise ConfigError("[engine] series_tol must be >= 0")
     if engine.rule not in TIME_RULES:
         raise ConfigError(f"[engine] rule = {engine.rule!r}")
     if honesty.threshold <= 0.0:

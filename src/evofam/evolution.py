@@ -47,6 +47,8 @@ the row on the whole lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -153,7 +155,8 @@ class TimeGrid:
 
     def node_index(self, t: float) -> int:
         """Index of the lattice node equal to ``t`` (1e-12 relative), else error."""
-        j = int(round((t - self.s) / self.dt))
+        x = (t - self.s) / self.dt
+        j = int(round(x)) if np.isfinite(x) else -1
         if j < 0 or j > self.n_steps or abs(self.nodes[j] - t) > 1e-12 * max(1.0, abs(t)):
             raise PreconditionError(f"time {t!r} does not lie on the lattice")
         return j
@@ -864,6 +867,35 @@ class SeriesResult:
     iterate_norms: np.ndarray
 
 
+def _tail_sum(rows: Iterator[np.ndarray], take, grid: Grid, coeffs: np.ndarray,
+              tol: float, n_max: int) -> SeriesResult:
+    """Add ``row[take]`` of the rows 0, 1, ... of a pass from ``coeffs``
+    onto a zero array, in row order, and stop after the first row whose
+    t_end value ``row[-1]`` has norm <= ``tol * ||coeffs||`` (that row is
+    still added), after row ``n_max``, or when ``rows`` runs out: the one
+    tail rule of ``series_sum``, the residuals' fine pass and coarse sum."""
+    bound = tol * weighted_norm_array(grid, coeffs)
+    total = None
+    norms: list[float] = []
+    converged = False
+    for row in islice(rows, n_max + 1):
+        if total is None:
+            total = np.zeros(row[take].shape)
+        total += row[take]
+        norms.append(weighted_norm_array(grid, row[-1]))
+        del row  # so a pass can drop it while it makes the next row
+        converged = norms[-1] <= bound
+        if converged:
+            break
+    return SeriesResult(total, len(norms) - 1, converged, np.array(norms))
+
+
+def _row_values(model: PerturbedModel, tg: TimeGrid,
+                coeffs: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows of a pass on any data, without their B rows."""
+    return map(itemgetter(0), _combined_rows(model, tg, coeffs))
+
+
 def series_sum(model: PerturbedModel, tg: TimeGrid, u0, *, tol: float = 1e-10,
                n_max: int = 40) -> SeriesResult:
     """Sum iterate rows at t_end until the newest row norm falls below
@@ -873,56 +905,17 @@ def series_sum(model: PerturbedModel, tg: TimeGrid, u0, *, tol: float = 1e-10,
     coeffs = _as_coeffs(model.grid, u0)
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
-    u0_norm = weighted_norm_array(model.grid, coeffs)
-    m = tg.n_steps
-    gen = _combined_rows(model, tg, coeffs)
-    total = np.zeros(model.grid.size)
-    norms: list[float] = []
-    for n in range(n_max + 1):
-        end = next(gen)[0][m].copy()
-        total += end
-        rn = weighted_norm_array(model.grid, end)
-        norms.append(rn)
-        if rn <= tol * u0_norm:
-            return SeriesResult(total, n, True, np.array(norms))
-    return SeriesResult(total, n_max, False, np.array(norms))
+    return _tail_sum(_row_values(model, tg, coeffs), -1, model.grid, coeffs, tol, n_max)
 
 
 # ---------------------------------------------------------------------------
 # integral-identity residuals
 # ---------------------------------------------------------------------------
 
-def _summed_values(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
-                   tol: float, n_max: int, stride: int) -> np.ndarray:
-    """Summed series at every ``stride``-th lattice node (t_end included),
-    stopped on the tail at t_end as ``series_sum`` stops: its t_end sum is
-    bitwise ``series_sum``'s value on the same lattice."""
-    grid = model.grid
-    bound = tol * weighted_norm_array(grid, coeffs)
-    m = tg.n_steps
-    gen = _combined_rows(model, tg, coeffs)
-    total = np.zeros((m // stride + 1, grid.size))
-    for _ in range(n_max + 1):
-        row = next(gen)[0]
-        total += row[::stride]
-        end_norm = weighted_norm_array(grid, row[m])
-        del row  # so the pass can drop it while it makes the next row
-        if end_norm <= bound:
-            break
-    return total
-
-
-def _table_series(table: DysonPhillipsTable, coeffs: np.ndarray, tol: float,
-                  n_max: int) -> np.ndarray | None:
-    """``series_sum``'s value read off a table's t_end rows, or None when the
-    table stops before the series does."""
-    bound = tol * weighted_norm_array(table.grid, coeffs)
-    total = np.zeros(table.grid.size)
-    for n in range(min(n_max, table.n_max) + 1):
-        total += table.end_rows[n]
-        if table.iterate_norms[n] <= bound:
-            return total
-    return total if table.n_max >= n_max else None
+# The residuals' reference lattice is this many times finer than the run's,
+# and their series sums stop at this row if the tail has not.
+_REFINE = 8
+_RESIDUAL_ROWS = 40
 
 
 def _duhamel_gap(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
@@ -944,41 +937,40 @@ def _duhamel_gap(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
 
 
 def _flat_residuals(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
-                    r: float | None = None, table: DysonPhillipsTable | None = None, *,
-                    refine: int = 8, tol: float = 1e-12,
-                    n_max: int = 40) -> tuple[float, float | None]:
-    """Duhamel residual and, for a split time ``r``, cocycle residual.
+                    table: DysonPhillipsTable | None = None, *, cocycle: bool = False,
+                    tol: float = 1e-12) -> tuple[float, float | None]:
+    """Duhamel residual and, with ``cocycle``, the cocycle residual.
 
-    One run on the ``refine``-times finer lattice over [s, t_end] gives the
-    Duhamel reference values and, as its t_end sum, the cocycle's composed
-    side V(t_end, r) V(r, s) u0 (see ``cocycle_residual``).  The
-    full-interval value is read off ``table`` (the ``iterate_right`` table
-    of the same model, lattice and u0) when it holds enough rows, else
-    summed afresh.  Engine runs: one, two if ``r`` is given and the table
-    is short or absent.
+    One run on the ``_REFINE``-times finer lattice gives the Duhamel
+    reference values at the lattice nodes and, at t_end, the fine sum the
+    cocycle residual holds the coarse one against.  The coarse sum is read
+    off ``table`` (the ``iterate_right`` table of the same model, lattice
+    and u0) as far as its rows go, and a fresh coarse run sums the rest.
+    Engine runs: one, two with ``cocycle`` and a short or absent table.
     """
-    if refine < 2:
-        raise PreconditionError("refine must be >= 2 to produce an independent reference")
-    fine = TimeGrid(tg.s, tg.t_end, tg.dt / refine, tg.rule)
-    if r is not None:
-        tg.node_index(r)
-    v_values = _summed_values(model, fine, coeffs, tol, n_max, refine)
+    grid = model.grid
+    fine = TimeGrid(tg.s, tg.t_end, tg.dt / _REFINE, tg.rule)
+    v_values = _tail_sum(_row_values(model, fine, coeffs), slice(None, None, _REFINE),
+                         grid, coeffs, tol, _RESIDUAL_ROWS).value
     duhamel = _duhamel_gap(model, tg, coeffs, v_values)
-    if r is None:
+    if not cocycle:
         return duhamel, None
-    full = None if table is None else _table_series(table, coeffs, tol, n_max)
-    if full is None:
-        full = series_sum(model, tg, coeffs, tol=tol, n_max=n_max).value
-    return duhamel, weighted_norm_array(model.grid, full - v_values[-1])
+    # a fresh run's rows are bitwise the table's, so the sum is the same
+    # wherever the table stops; the run starts only if the sum gets past it
+    kept = () if table is None else table.end_rows[:, None]
+    rows = chain(kept, islice(_row_values(model, tg, coeffs), len(kept), None))
+    full = _tail_sum(rows, -1, grid, coeffs, tol, _RESIDUAL_ROWS).value
+    return duhamel, weighted_norm_array(grid, full - v_values[-1])
 
 
 def duhamel_residual(model: PerturbedModel, tg: TimeGrid, u0, v_values=None, *,
-                     refine: int = 8, tol: float = 1e-12, n_max: int = 40) -> float:
+                     tol: float = 1e-12) -> float:
     """Variation-of-constants residual of supplied family values at t_end.
 
     ``v_values`` holds the perturbed family applied to u0 at every lattice
-    node (shape (M+1, d)); by default it is produced on a ``refine``-times
-    finer lattice and restricted back, so it is accurate well below the
+    node (shape (M+1, d)); by default it is the series summed on the
+    8-times finer lattice (stopped on the tail at t_end by ``tol``, or at
+    row 40), read at the lattice nodes, so it is accurate well below the
     lattice quadrature error.  The residual inserts those values into
 
         V u0  =  U u0  +  quadrature over r of  U(t_end, r) B(r) V(r, s) u0
@@ -992,27 +984,27 @@ def duhamel_residual(model: PerturbedModel, tg: TimeGrid, u0, v_values=None, *,
     """
     coeffs = _as_coeffs(model.grid, u0)
     if v_values is None:
-        return _flat_residuals(model, tg, coeffs, refine=refine, tol=tol, n_max=n_max)[0]
+        return _flat_residuals(model, tg, coeffs, tol=tol)[0]
     return _duhamel_gap(model, tg, coeffs, v_values)
 
 
 def cocycle_residual(model: PerturbedModel, tg: TimeGrid, u0, r: float, *,
-                     refine: int = 8, tol: float = 1e-12, n_max: int = 40) -> float:
+                     tol: float = 1e-12) -> float:
     """Two-interval composition residual || V(t,s)u0 - V(t,r) V(r,s) u0 ||.
 
-    ``r`` must lie on the lattice (raises otherwise).  The full-interval
-    value is summed at the lattice resolution, the composed side on the
-    ``refine``-times finer lattice (``refine`` >= 2).  On one lattice the
-    legs compose exactly up to series truncation (the prefix weights factor
-    across the split node; under the midpoint rule only across an even
-    node, as an even ``refine`` makes every split), so the composed side is
-    the fine lattice's own t_end sum, whatever ``r``; at the coarse
-    resolution it would leave the check blind to the O(dt^2) quadrature
-    error it exists to expose.  The fine sum comes from the run that
-    ``duhamel_residual`` makes, so calling both repeats that run.
+    Computed as the t_end series sum on the lattice against the one on the
+    8-times finer lattice, which ``duhamel_residual`` also runs (both
+    stopped as there).  ``r`` must lie on the lattice and is only checked:
+    on one lattice the legs compose exactly up to series truncation (the
+    prefix weights factor across the split node; under the midpoint rule
+    across an even node, as every node of the refined lattice is), so the
+    composed side on the fine lattice is its own t_end sum, whatever
+    ``r``.  At the coarse resolution it would leave the check blind to the
+    O(dt^2) quadrature error it exists to expose.
     """
     coeffs = _as_coeffs(model.grid, u0)
-    return _flat_residuals(model, tg, coeffs, r, refine=refine, tol=tol, n_max=n_max)[1]
+    tg.node_index(r)
+    return _flat_residuals(model, tg, coeffs, cocycle=True, tol=tol)[1]
 
 
 # ---------------------------------------------------------------------------

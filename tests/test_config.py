@@ -122,6 +122,25 @@ def test_scalar_type_errors_name_section_and_key(tmp_path):
         parse_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "Infinity"])
+def test_non_finite_floats_are_refused(tmp_path, raw):
+    # a nan threshold reads inconclusive; a nan series_tol runs every
+    # residual pass to its row cap
+    for text in (MINIMAL + f"\n[honesty]\nthreshold = {raw}\n",
+                 MINIMAL + f"series_tol = {raw}\n",
+                 MINIMAL + f"t_end = {raw}\n",
+                 MINIMAL + f"\n[sweep]\nkind = dt\nvalues = 0.1, {raw}\n",
+                 BOLTZMANN + f"\n[frequency]\nkind = affine\nc0 = 1.0\nc1 = {raw}\n"):
+        with pytest.raises(ConfigError, match=rf"= '{raw}' is not finite"):
+            parse_config(write(tmp_path, text))
+
+
+def test_series_tol_must_not_be_negative(tmp_path):
+    with pytest.raises(ConfigError, match=r"\[engine\] series_tol must be >= 0"):
+        parse_config(write(tmp_path, MINIMAL + "series_tol = -1\n"))
+    assert parse_config(write(tmp_path, MINIMAL + "series_tol = 0\n")).engine.series_tol == 0.0
+
+
 def test_bool_spellings(tmp_path):
     for raw, expected in (("true", True), ("yes", True), ("on", True), ("1", True),
                           ("False", False), ("no", False), ("off", False), ("0", False)):

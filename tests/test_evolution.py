@@ -67,6 +67,9 @@ def test_time_grid_nodes_and_index():
         tg.node_index(1.1)
     with pytest.raises(PreconditionError):
         tg.node_index(2.0)
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(PreconditionError, match="does not lie on the lattice"):
+            tg.node_index(t)
 
 
 def test_time_grid_degenerate_and_errors():
@@ -280,7 +283,7 @@ def test_duhamel_accepts_supplied_values(oracle_model):
     res = duhamel_residual(oracle_model, tg, u0, v_values=exact)
     assert res < 1e-3
     # same-lattice engine values satisfy the discrete identity exactly
-    own = evolution._summed_values(oracle_model, tg, u0, 1e-14, 40, 1)
+    own = summed_values(oracle_model, tg, u0, 1e-14)
     assert duhamel_residual(oracle_model, tg, u0, v_values=own) < 1e-12
 
 
@@ -292,14 +295,24 @@ def test_cocycle_residual_second_order(oracle_model):
     assert res[1] / res[0] == pytest.approx(0.25, abs=0.1)
 
 
+@pytest.mark.parametrize("fixture", ["oracle_model", "timedep_collision_perturbed"])
+def test_split_time_does_not_change_the_cocycle_residual(fixture, request):
+    # the value is the coarse t_end sum against the fine one; r is only checked
+    model = request.getfixturevalue(fixture)
+    tg = TimeGrid(0.0, 1.0, 1.0 / 16.0)
+    u0 = np.linspace(1.0, 0.5, model.grid.size)
+    first, middle, odd, last = (cocycle_residual(model, tg, u0, r)
+                                for r in tg.nodes[[0, 8, 13, 16]])
+    assert first > 0.0
+    assert first == middle == odd == last
+
+
 def test_cocycle_needs_a_finer_reference(oracle_model):
-    # at one shared resolution the legs compose exactly: the check is blind
+    # the split time must lie on the lattice
     tg = TimeGrid(0.0, 1.0, 0.25)
-    with pytest.raises(PreconditionError, match="refine must be >= 2"):
-        cocycle_residual(oracle_model, tg, np.array([1.0, 0.0]), 0.5, refine=1)
-    # and the split time must lie on the lattice
-    with pytest.raises(PreconditionError, match="does not lie on the lattice"):
-        cocycle_residual(oracle_model, tg, np.array([1.0, 0.0]), 0.1)
+    for r in (0.1, float("nan"), float("inf")):
+        with pytest.raises(PreconditionError, match="does not lie on the lattice"):
+            cocycle_residual(oracle_model, tg, np.array([1.0, 0.0]), r)
 
 
 nonneg_or_zero = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
@@ -344,12 +357,24 @@ def jump_after_split_model():
                            gain, np.ones(3))
 
 
-def reference_residuals(model, tg, u0, tol, refine=8):
+def summed_values(model, tg, u0, tol):
+    """The series summed at every lattice node, stopped on the tail at t_end."""
+    rows = evolution._row_values(model, tg, u0)
+    return evolution._tail_sum(rows, slice(None), model.grid, u0, tol, 40).value
+
+
+def table_sum(table, tol, n_max=40):
+    """The series summed off a table's t_end rows alone."""
+    rows = iter(table.end_rows[:, None])
+    return evolution._tail_sum(rows, -1, table.grid, table.u0, tol, n_max)
+
+
+def reference_residuals(model, tg, u0, tol):
     """The two residuals from separate runs: the Duhamel values summed at
     every fine node and restricted back, and the full value against the
     whole-interval sum on the fine lattice, summed by series_sum."""
-    fine = TimeGrid(tg.s, tg.t_end, tg.dt / refine)
-    values = evolution._summed_values(model, fine, u0, tol, 40, 1)[::refine]
+    fine = TimeGrid(tg.s, tg.t_end, tg.dt / 8)
+    values = summed_values(model, fine, u0, tol)[::8]
     duhamel = duhamel_residual(model, tg, u0, v_values=values)
     full = series_sum(model, tg, u0, tol=tol).value
     composed = series_sum(model, fine, u0, tol=tol).value
@@ -388,10 +413,11 @@ def test_shared_pass_residuals_match_separate_runs(case, request):
     tol = 1e-12
     table = iterate_right(model, tg, u0, table_rows)
     # the short table cannot give the full value; every other case reads it
-    assert (evolution._table_series(table, u0, tol, 40) is None) == (table_rows == 3)
+    assert table_sum(table, tol).converged == (table_rows != 3)
 
     duhamel, cocycle = reference_residuals(model, tg, u0, tol)
-    assert evolution._flat_residuals(model, tg, u0, r, table, tol=tol) == (duhamel, cocycle)
+    assert evolution._flat_residuals(model, tg, u0, table, cocycle=True, tol=tol) == (
+        duhamel, cocycle)
     assert duhamel_residual(model, tg, u0, tol=tol) == duhamel
     assert cocycle_residual(model, tg, u0, r, tol=tol) == cocycle
 
