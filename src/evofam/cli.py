@@ -287,10 +287,15 @@ def run_lifted_checks(cfg: ExperimentConfig) -> RunArtifacts:
     f = LiftedVector(grid=model.grid, axis=axis,
                      values=_lifted_profile(axis, u0))
     f_norm = lifted_norm(f)
+    if f_norm == 0.0:
+        # every check's bound is a multiple of it (the Laplace history's
+        # norm is 0 only with this one, or on an axis its horizon refuses)
+        raise ConfigError(f"the lifted history t exp(-t) u0 on [0, {lifted.t_max!r}] has "
+                          "zero norm, so no check has a bound: u0 or [lifted] t_max is 0")
     rows = [resolvent_factorization_check(model, lifted.lam_factorization, f)]
     bounds = [LIFTED_CHECK_BOUND * f_norm]
 
-    if lam_series <= 0.0:
+    if lam_series == 0.0:
         lam_series = 4.0 * kick_block_norm(model, axis)
     residuals = resolvent_series_check(model, lam_series, f, lifted.n_terms)
     for n, res in enumerate(residuals):

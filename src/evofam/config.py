@@ -56,7 +56,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 from .errors import ConfigError
-from .evolution import TIME_RULES
+from .evolution import _SERIES_TOL, TIME_RULES
 
 EXPERIMENT_KINDS = ("oracle", "boltzmann", "fragmentation", "lifted_checks")
 INITIAL_KINDS = ("uniform", "point", "maxwellian", "csv")
@@ -68,7 +68,7 @@ class EngineSection:
     s: float = 0.0
     t_end: float = 1.0
     n_max: int = 20
-    series_tol: float = 1e-10
+    series_tol: float = _SERIES_TOL
     rule: str = "trapezoid"
 
 
@@ -97,7 +97,7 @@ class LiftedSection:
     t_max: float = 1.0
     h: float = 1.0 / 64.0
     lam_factorization: float = 2.0
-    lam_series: float = 0.0  # <= 0: four times the kick block norm
+    lam_series: float = 0.0  # 0: four times the kick block norm
     n_terms: int = 8
     lam_laplace: float = 8.0
     laplace_t_max: float = 3.0
@@ -327,6 +327,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("[initial] kind = csv requires path")
     if initial.kind == "maxwellian" and initial.temperature <= 0.0:
         raise ConfigError("[initial] temperature must be positive")
+    if typed.get("lifted", {}).get("lam_series", 0.0) < 0.0:
+        raise ConfigError("[lifted] lam_series must be >= 0 (0: four times the kick block norm)")
 
     echo_rows = tuple(
         (f"{section}.{key}", value)

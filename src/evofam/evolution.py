@@ -857,6 +857,11 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
 # series summation
 # ---------------------------------------------------------------------------
 
+# The tail tolerance, relative to ||u0||, wherever a caller gives none:
+# ``series_sum``, both residuals and the CLI's ``[engine] series_tol``.
+_SERIES_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SeriesResult:
     """Summed series at (t_end, s) with convergence metadata."""
@@ -896,7 +901,7 @@ def _row_values(model: PerturbedModel, tg: TimeGrid,
     return map(itemgetter(0), _combined_rows(model, tg, coeffs))
 
 
-def series_sum(model: PerturbedModel, tg: TimeGrid, u0, *, tol: float = 1e-10,
+def series_sum(model: PerturbedModel, tg: TimeGrid, u0, *, tol: float = _SERIES_TOL,
                n_max: int = 40) -> SeriesResult:
     """Sum iterate rows at t_end until the newest row norm falls below
     ``tol * ||u0||`` (that row is still included), else flag non-convergence
@@ -922,6 +927,7 @@ def _duhamel_gap(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
                  v_values) -> float:
     """How far family values at the lattice nodes miss the
     variation-of-constants identity at t_end, under the lattice rule."""
+    _require_validated(model, tg.s, tg.t_end, "lattice")
     m = tg.n_steps
     v_values = np.asarray(v_values, dtype=float)
     if v_values.shape != (m + 1, model.grid.size):
@@ -938,7 +944,7 @@ def _duhamel_gap(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
 
 def _flat_residuals(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
                     table: DysonPhillipsTable | None = None, *, cocycle: bool = False,
-                    tol: float = 1e-12) -> tuple[float, float | None]:
+                    tol: float = _SERIES_TOL) -> tuple[float, float | None]:
     """Duhamel residual and, with ``cocycle``, the cocycle residual.
 
     One run on the ``_REFINE``-times finer lattice gives the Duhamel
@@ -964,7 +970,7 @@ def _flat_residuals(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
 
 
 def duhamel_residual(model: PerturbedModel, tg: TimeGrid, u0, v_values=None, *,
-                     tol: float = 1e-12) -> float:
+                     tol: float = _SERIES_TOL) -> float:
     """Variation-of-constants residual of supplied family values at t_end.
 
     ``v_values`` holds the perturbed family applied to u0 at every lattice
@@ -989,7 +995,7 @@ def duhamel_residual(model: PerturbedModel, tg: TimeGrid, u0, v_values=None, *,
 
 
 def cocycle_residual(model: PerturbedModel, tg: TimeGrid, u0, r: float, *,
-                     tol: float = 1e-12) -> float:
+                     tol: float = _SERIES_TOL) -> float:
     """Two-interval composition residual || V(t,s)u0 - V(t,r) V(r,s) u0 ||.
 
     Computed as the t_end series sum on the lattice against the one on the

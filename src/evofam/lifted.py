@@ -16,6 +16,11 @@ and three identities tie the machinery together:
 All three are continuum identities; discretely they hold to O(h) (the
 upwind difference is first order), which is exactly what the check suite
 measures and reports, together with any horizon-truncation bound.
+
+Each check makes one ``_Resolvent`` for its (model, lam, axis): it checks
+its arguments once and makes the diagonal lam + 1/h + loss_rate, the kick
+blocks and their batched inverse at most once each.  The discounted kick
+is a trapezoid quadrature, so it refuses an axis rule that does not nest.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -79,28 +85,9 @@ def lifted_norm(f: LiftedVector) -> float:
     return f.norm()
 
 
-def _check_lifted(model: PerturbedModel, f: LiftedVector) -> None:
-    if f.grid != model.grid:
-        raise StructureError("lifted vector grid does not match the model grid")
-
-
-def _loss_rates(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
-    """Per-node loss rates at every axis node, shape (K, d), in one call."""
-    _require_validated(model, nodes[0], nodes[-1], "axis")
-    if model.loss_rate is None:
-        raise PreconditionError(
-            "model must provide loss_rate for the lifted generator"
-        )
-    rates = np.asarray(model.loss_rate(nodes), dtype=float)
-    if rates.shape != (nodes.size, model.grid.size):
-        raise PreconditionError("loss_rate must return one value per grid node")
-    return rates
-
-
 def _gain_blocks(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
     """B(tau_k) as dense matrices for every axis node, shape (K, d, d),
     checked finite as the engine checks its B rows."""
-    _require_validated(model, nodes[0], nodes[-1], "axis")
     _check_table_bytes("kick block table", nodes.size * model.grid.size ** 2 * 8)
     blocks = model.perturbation.as_matrix(nodes)
     if blocks.size and not (np.isfinite(blocks.min()) and np.isfinite(blocks.max())):
@@ -112,9 +99,95 @@ def _gain_blocks(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
     return blocks
 
 
+def _block_norm(w: np.ndarray, blocks: np.ndarray) -> float:
+    return float(np.max((w @ np.abs(blocks)) / w))
+
+
 # ---------------------------------------------------------------------------
-# discounted kick operator and resolvents
+# the lifted operators at lam: discounted kick and resolvents
 # ---------------------------------------------------------------------------
+
+class _Resolvent:
+    """The lifted operators of one model at one lam on f's axis: f's grid,
+    lam > 0 and the validated span are checked on construction, the
+    diagonal and the kick blocks B(tau_k) are made when first read, and
+    ``perturbed`` turns the blocks into A_k in place, so that with the
+    inverse at most two (K, d, d) tables are alive."""
+
+    def __init__(self, model: PerturbedModel, lam: float, f: LiftedVector):
+        if f.grid != model.grid:
+            raise StructureError("lifted vector grid does not match the model grid")
+        if lam <= 0.0:
+            raise PreconditionError("lam must be positive")
+        _require_validated(model, f.axis.nodes[0], f.axis.nodes[-1], "axis")
+        self.model, self.lam, self.axis = model, lam, f.axis
+
+    def require_nested(self, what: str) -> None:
+        if not self.axis._quadrature.nested:
+            raise PreconditionError(f"{what} needs an axis rule whose weights nest, as the "
+                                    f"trapezoid's do; got rule {self.axis.rule!r}")
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        """lam + 1/h + loss_rate at every axis node, shape (K, d), checked positive."""
+        model, nodes = self.model, self.axis.nodes
+        if model.loss_rate is None:
+            raise PreconditionError("model must provide loss_rate for the lifted generator")
+        rates = np.asarray(model.loss_rate(nodes), dtype=float)
+        if rates.shape != (nodes.size, model.grid.size):
+            raise PreconditionError("loss_rate must return one value per grid node")
+        diag = self.lam + 1.0 / self.axis.dt + rates
+        if np.any(diag <= 0.0):
+            raise PreconditionError("generator diagonal must be positive for lam > 0")
+        return diag
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        return _gain_blocks(self.model, self.axis.nodes)
+
+    def kick(self, values: np.ndarray) -> np.ndarray:
+        """The discounted kick of a history (see ``laplace_kick``)."""
+        self.require_nested("the discounted kick")
+        nodes, h = self.axis.nodes, self.axis.dt
+        flow = _Flow(_step_factors(self.model, nodes) * math.exp(-self.lam * h))
+        acc = flow.kicks(values.copy(), h)
+        flow.carry(acc, framed=True)
+        out = np.zeros_like(values)
+        out[1:] = _b_rows(self.model, "the discounted history", 0, nodes[1:], acc[1:])
+        return out
+
+    def perturbed(self, *rhs: np.ndarray) -> list[np.ndarray]:
+        """The perturbed resolvent of each right-hand side from one batched
+        block inverse, which this call uses up.  Each comes out bitwise as
+        if solved alone: it takes its own products and its own sweep."""
+        diag = self.diag
+        blocks = np.negative(self.blocks, out=self.blocks)
+        del self.blocks
+        idx = np.arange(self.model.grid.size)
+        blocks[:, idx, idx] += diag
+        inv = np.linalg.inv(blocks)
+        del blocks
+        outs = [np.matmul(inv, values[:, :, None])[:, :, 0] for values in rhs]
+        inv /= self.axis.dt
+        for out in outs:
+            for step, prev, cur in zip(inv[1:], out, out[1:]):
+                cur += step @ prev
+        return outs
+
+    def series(self, values: np.ndarray) -> Iterator[np.ndarray]:
+        """Terms n = 0, 1, ... of the resolvent series of a history: the free
+        resolvent after n rounds of (kick, free resolvent), term 0 the free
+        resolvent itself.  Each is made when requested; consumers must not
+        write to a term, since the next one is made from it."""
+        diag = self.diag
+        flow = _Flow(1.0 / (self.axis.dt * diag[1:]))
+        term = values / diag
+        for n in itertools.count():
+            flow.carry(term)
+            yield term
+            term = _b_rows(self.model, f"resolvent series term {n}", n, self.axis.nodes,
+                           term) / diag
+
 
 def laplace_kick(model: PerturbedModel, lam: float, f: LiftedVector) -> LiftedVector:
     """Exponentially discounted kick of the trajectory history.
@@ -124,20 +197,10 @@ def laplace_kick(model: PerturbedModel, lam: float, f: LiftedVector) -> LiftedVe
     the history into s, discounted at rate lam, then kicked once.  The
     quadrature takes the engine's one-step form (exact for composing U):
     the history's trapezoid kicks, formed by ``_Flow.kicks`` in the frame
-    of the discounted flow, carried along the axis, then one B call.
+    of the discounted flow, carried along the axis, then one B call.  An
+    axis rule whose weights do not nest (midpoint) is refused.
     """
-    _check_lifted(model, f)
-    if lam <= 0.0:
-        raise PreconditionError("lam must be positive")
-    nodes = f.axis.nodes
-    _require_validated(model, nodes[0], nodes[-1], "axis")
-    h = f.axis.dt
-    flow = _Flow(_step_factors(model, nodes) * math.exp(-lam * h))
-    acc = flow.kicks(f.values.copy(), h)
-    flow.carry(acc, framed=True)
-    out = np.zeros_like(f.values)
-    out[1:] = _b_rows(model, "the discounted history", 0, nodes[1:], acc[1:])
-    return LiftedVector(grid=f.grid, axis=f.axis, values=out)
+    return LiftedVector(grid=f.grid, axis=f.axis, values=_Resolvent(model, lam, f).kick(f.values))
 
 
 def lifted_resolvent(model: PerturbedModel, lam: float, f: LiftedVector, *,
@@ -155,70 +218,16 @@ def lifted_resolvent(model: PerturbedModel, lam: float, f: LiftedVector, *,
     The perturbed sweep inverts every block in one batched call, then
     makes one d x d matvec per node.
     """
-    values = (_perturbed_resolvents(model, lam, f, f.values)[0] if perturbed
-              else next(_series_terms(model, lam, f)))
+    op = _Resolvent(model, lam, f)
+    values = op.perturbed(f.values)[0] if perturbed else next(op.series(f.values))
     return LiftedVector(grid=f.grid, axis=f.axis, values=values)
 
 
-def _perturbed_resolvents(model: PerturbedModel, lam: float, f: LiftedVector,
-                          *rhs: np.ndarray) -> list[np.ndarray]:
-    """The perturbed resolvent of each right-hand side on f's axis, all from
-    one batched block inverse.
-
-    Each right-hand side takes its own product with the inverses and its
-    own sweep, so it comes out bitwise as if solved alone.
-    """
-    diag = _resolvent_diagonal(model, lam, f)
-    blocks = -_gain_blocks(model, f.axis.nodes)
-    idx = np.arange(f.grid.size)
-    blocks[:, idx, idx] += diag
-    inv = np.linalg.inv(blocks)
-    del blocks
-    outs = [np.matmul(inv, values[:, :, None])[:, :, 0] for values in rhs]
-    inv /= f.axis.dt
-    for out in outs:
-        for step, prev, cur in zip(inv[1:], out, out[1:]):
-            cur += step @ prev
-    return outs
-
-
-def _resolvent_diagonal(model: PerturbedModel, lam: float, f: LiftedVector) -> np.ndarray:
-    """lam + 1/h + loss_rate at every axis node, shape (K, d), checked positive."""
-    _check_lifted(model, f)
-    if lam <= 0.0:
-        raise PreconditionError("lam must be positive")
-    diag = lam + 1.0 / f.axis.dt + _loss_rates(model, f.axis.nodes)
-    if np.any(diag <= 0.0):
-        raise PreconditionError("generator diagonal must be positive for lam > 0")
-    return diag
-
-
-def _series_terms(model: PerturbedModel, lam: float, f: LiftedVector) -> Iterator[np.ndarray]:
-    """Terms n = 0, 1, ... of the resolvent series of f: the free resolvent
-    applied after n rounds of (kick, free resolvent).
-
-    Term 0 is the free resolvent itself.  The chain makes its diagonal
-    once and each term when it is requested, so a consumer that stops
-    after term n pays n kicks and n + 1 free sweeps.  Consumers must not
-    write to a term: the next one is made from it.
-    """
-    diag = _resolvent_diagonal(model, lam, f)
-    flow = _Flow(1.0 / (f.axis.dt * diag[1:]))
-    term = f.values / diag
-    for n in itertools.count():
-        flow.carry(term)
-        yield term
-        term = _b_rows(model, f"resolvent series term {n}", n, f.axis.nodes, term) / diag
-
-
 def kick_block_norm(model: PerturbedModel, axis: TimeGrid) -> float:
-    """Weighted-norm bound of the kick blocks over the axis nodes.
-
-    max over nodes t of the induced norm of B(t) on the weighted space:
-    max_j sum_i w_i |B_ij| / w_j.
-    """
-    w = model.grid.weights
-    return float(np.max((w @ np.abs(_gain_blocks(model, axis.nodes))) / w))
+    """Weighted-norm bound of the kick blocks over the axis nodes: the max
+    over nodes t of the induced norm of B(t), max_j sum_i w_i |B_ij| / w_j."""
+    _require_validated(model, axis.nodes[0], axis.nodes[-1], "axis")
+    return _block_norm(model.grid.weights, _gain_blocks(model, axis.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +256,9 @@ def resolvent_factorization_check(model: PerturbedModel, lam: float,
     axis it is O(h) from the upwind difference.  No horizon truncation
     enters: resolvents and kick only look backward in time.
     """
-    kicked = laplace_kick(model, lam, f)
-    left, mid = _perturbed_resolvents(model, lam, f, kicked.values, f.values)
-    right = next(_series_terms(model, lam, f))
+    op = _Resolvent(model, lam, f)
+    left, mid = op.perturbed(op.kick(f.values), f.values)
+    right = next(op.series(f.values))
     residual = LiftedVector(grid=f.grid, axis=f.axis, values=left - mid + right).norm()
     return CheckRow(check_name="resolvent_factorization", h=f.axis.dt,
                     lam=lam, n=0, residual=residual, truncation_bound=0.0)
@@ -264,22 +273,22 @@ def resolvent_series_check(model: PerturbedModel, lam: float, f: LiftedVector,
     The discrete expansion is an exact matrix identity, so the residuals
     decay geometrically with ratio about (kick norm)/lam; a ratio
     estimate >= 1 triggers a warning because no convergence is then
-    claimed.
+    claimed.  The ratio is read off the blocks the perturbed solve inverts.
     """
     if n_terms < 0:
         raise PreconditionError("n_terms must be >= 0")
-    ratio = kick_block_norm(model, f.axis) / lam
+    op = _Resolvent(model, lam, f)
+    ratio = _block_norm(model.grid.weights, op.blocks) / lam
     if ratio >= 1.0:
         warnings.warn(
             f"kick-norm/lam ratio {ratio:.3f} >= 1: the resolvent expansion "
             "carries no convergence claim", stacklevel=2)
-    target = lifted_resolvent(model, lam, f, perturbed=True)
+    target = op.perturbed(f.values)[0]
     residuals = np.zeros(n_terms + 1)
     partial = np.zeros_like(f.values)
-    for n, term in zip(range(n_terms + 1), _series_terms(model, lam, f)):
+    for n, term in zip(range(n_terms + 1), op.series(f.values)):
         partial = partial + term
-        residuals[n] = LiftedVector(grid=f.grid, axis=f.axis,
-                                    values=target.values - partial).norm()
+        residuals[n] = LiftedVector(grid=f.grid, axis=f.axis, values=target - partial).norm()
     return residuals
 
 
@@ -309,31 +318,22 @@ def laplace_transform_check(model: PerturbedModel, lam: float, n: int,
 
 def _laplace_rows(model: PerturbedModel, lam: float, f: LiftedVector,
                   n_max: int) -> list[CheckRow]:
-    """The Laplace check rows for n = 0..n_max, in one pass.
-
-    Row n and term n are prefixes of row n_max and term n_max, so the
-    suite costs what its last row does: one engine pass of n_max + 1 rows
-    over the axis, one row-less ``iterate_right`` to n_max from f(0) when
-    f(0) != 0, and n_max + 1 free resolvent sweeps for the right side.
-    Each row comes out bitwise the same as a suite cut at its own n.
-    """
-    _check_lifted(model, f)
-    if lam <= 0.0:
-        raise PreconditionError("lam must be positive")
+    """The Laplace check rows for n = 0..n_max, in one pass at the cost of
+    its last row (see ``laplace_transform_check``).  Row n and term n are
+    prefixes of row n_max and term n_max, so each row comes out bitwise
+    the same as a suite cut at its own n."""
+    op = _Resolvent(model, lam, f)
     if n_max < 0:
         raise PreconditionError("iterate index must be >= 0")
+    op.require_nested("laplace_transform_check")
     axis = f.axis
-    if not axis._quadrature.nested:
-        raise PreconditionError("laplace_transform_check needs an axis rule whose weights "
-                                f"nest, as the trapezoid's do; got rule {axis.rule!r}")
     t_max = axis.t_end
     if math.exp(-lam * t_max) >= HORIZON_TAIL_LIMIT:
         raise PreconditionError(
             f"time horizon {t_max} too short for lam = {lam}; "
             f"need T_max >= {required_horizon(lam):.3f}"
         )
-    h = axis.dt
-    m = axis.n_steps
+    h, m = axis.dt, axis.n_steps
     bound = math.exp(-lam * t_max) / lam * f.norm()
 
     # The left side at axis node k sums, over start nodes i <= k,
@@ -347,7 +347,7 @@ def _laplace_rows(model: PerturbedModel, lam: float, f: LiftedVector,
     corners = (iterate_right(model, axis, f.values[0], n_max, keep_rows=False).end_rows
                if np.any(f.values[0]) else None)
     out = []
-    for n, (row, _b), rhs in zip(range(n_max + 1), rows, _series_terms(model, lam, f)):
+    for n, (row, _b), rhs in zip(range(n_max + 1), rows, op.series(f.values)):
         # a fresh array: the pass still reads ``row`` for row n + 1
         lhs = row - 0.5 * h * f.values if n == 0 else row.copy()
         if corners is not None:

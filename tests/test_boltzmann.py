@@ -16,6 +16,7 @@ from evofam import (
     TimeProfile,
     collision_model,
     collision_perturbed_model,
+    duhamel_residual,
     frequency_matching_kernel,
     gaussian_kernel_matrix,
     iterate_left,
@@ -195,6 +196,13 @@ def test_engine_refuses_a_lattice_past_the_validated_span():
     with pytest.raises(PreconditionError,
                        match=r"lattice \[0.0, 2.0\] leaves the span \[0.0, 1.0\]"):
         iterate_right(perturbed, TimeGrid(0.0, 2.0, 0.125), u0, 2)
+    # supplied family values are refused too, before U or B is evaluated
+    # (run anyway, constant values read residuals 2.31 and 3.80)
+    for t_end in (2.0, 3.0):
+        past = TimeGrid(0.0, t_end, 0.125)
+        with pytest.raises(PreconditionError,
+                           match=rf"lattice \[0.0, {t_end}\] leaves the span \[0.0, 1.0\]"):
+            duhamel_residual(perturbed, past, u0, np.ones((past.n_steps + 1, grid.size)))
     assert model.validated_span == perturbed.validated_span == (0.0, 1.0)
     # samples over the lattice find the violation the engine refused to run
     with pytest.raises(ModelContractError, match="refusing to rescale"):

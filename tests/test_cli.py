@@ -1,17 +1,21 @@
 """Command-line driver: exit codes, written files, stdout/stderr contract."""
 from __future__ import annotations
 
+import dataclasses
 import filecmp
 import os
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from evofam import (LiftedVector, TimeGrid, cli, evolution, iterate_right, mass_ledger,
+from evofam import (LiftedVector, TimeGrid, cli, cocycle_residual, duhamel_residual, evolution,
+                    iterate_right, lifted, mass_ledger, parse_config,
                     resolvent_factorization_check, table_verdict)
 from evofam import two_state_exchange
 from evofam.cli import main
+from evofam.config import EngineSection
 
 ORACLE_INI = """\
 [experiment]
@@ -278,6 +282,67 @@ def test_lifted_checks_run_complete(tmp_path, capsys):
     last = checks[-1].split(",")
     assert (last[0], float(last[2]), int(last[3])) == ("laplace_transform", 8.0, 1)
     assert float(last[5]) > 0.0  # the horizon-truncation bound
+
+
+@pytest.mark.parametrize("case", ["t_max_zero", "zero_csv", "negative_lam_series"])
+def test_lifted_run_refuses_inputs_without_a_meaning(case, tmp_path, capsys):
+    # a zero-norm history leaves every check without a bound, and a negative
+    # lam_series is neither a lam nor the automatic 0
+    (tmp_path / "u0.csv").write_text("0.0\n0.0\n")
+    text, match = {
+        "t_max_zero": (LIFTED_INI.replace("t_max = 1.0", "t_max = 0.0"),
+                       r"history .* on \[0, 0\.0\] has zero norm"),
+        "zero_csv": (LIFTED_INI.replace("kind = point\nnode = 0\n",
+                                        f"kind = csv\npath = {tmp_path / 'u0.csv'}\n"),
+                     r"history .* on \[0, 1\.0\] has zero norm"),
+        "negative_lam_series": (LIFTED_INI.replace("lam_series = 0", "lam_series = -5"),
+                                r"\[lifted\] lam_series must be >= 0"),
+    }[case]
+    out_dir = tmp_path / "out"
+    code = main(["run", write_ini(tmp_path, text), "--output-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert re.search(match, err), err
+    assert not out_dir.exists()
+
+
+def test_lifted_run_builds_each_check_once(tmp_path, monkeypatch):
+    # each of the three checks reads the loss rates once; the factorization
+    # and series checks build their kick blocks once and invert them once,
+    # and the automatic lam_series builds one more set for its norm
+    counts = {"blocks": 0, "loss_rate": 0, "inv": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+        return call
+
+    build = cli.build_oracle_model
+    monkeypatch.setattr(lifted, "_gain_blocks", counted("blocks", lifted._gain_blocks))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    monkeypatch.setattr(cli, "build_oracle_model", lambda cfg: dataclasses.replace(
+        build(cfg), loss_rate=counted("loss_rate", build(cfg).loss_rate)))
+    code = main(["run", os.path.join(SCRIPTS_DIR, "lifted_checks.ini"),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert counts == {"blocks": 3, "loss_rate": 3, "inv": 2}
+
+
+def test_library_residual_defaults_give_the_report_rows(tmp_path):
+    # one series tolerance: the library's defaults are the config's
+    cfg_path = os.path.join(SCRIPTS_DIR, "oracle.ini")
+    cfg = parse_config(cfg_path)
+    assert main(["run", cfg_path, "--output-dir", str(tmp_path / "out")]) == 0
+    report = dict(line.split(",")[1:] for line in
+                  (tmp_path / "out" / "report.csv").read_text().splitlines()
+                  if line.startswith("result,"))
+    model, tg = cli.build_model(cfg, None), cli._engine_grid(cfg)
+    u0 = cli.initial_coefficients(cfg, model.grid)
+    assert repr(duhamel_residual(model, tg, u0)) == report["duhamel_residual"]
+    assert repr(cocycle_residual(model, tg, u0, 0.5)) == report["cocycle_residual"]
+    assert cfg.engine.series_tol == EngineSection(dt=1.0).series_tol
 
 
 def test_shattering_run_writes_trend_rows(tmp_path, capsys):

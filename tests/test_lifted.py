@@ -38,7 +38,7 @@ from evofam import (
 from evofam import evolution, lifted
 from evofam.coefficients import SeparableCoefficient, TimeProfile
 from evofam.evolution import _trapezoid_weights, loss_gain_model
-from evofam.lifted import HORIZON_TAIL_LIMIT, _laplace_rows, _series_terms
+from evofam.lifted import HORIZON_TAIL_LIMIT, _laplace_rows, _Resolvent
 
 U0 = np.array([1.0, 0.5])
 
@@ -261,7 +261,8 @@ def test_lifted_layer_names_where_b_turns_non_finite(oracle_model):
     # kicked; the Laplace check's engine pass fails before its series terms
     for call, kicked in (
             (lambda: laplace_kick(model, 8.0, f), r"the discounted history"),
-            (lambda: next(itertools.islice(_series_terms(model, 8.0, f), 1, None)),
+            (lambda: next(itertools.islice(_Resolvent(model, 8.0, f).series(f.values), 1,
+                                           None)),
              r"resolvent series term 0"),
             (lambda: resolvent_factorization_check(model, 8.0, f), r"the discounted history"),
             (lambda: laplace_transform_check(model, 8.0, 2, f), r"iterate 0"),
@@ -430,6 +431,16 @@ def test_laplace_check_needs_trapezoid_axis(oracle_model):
     f = make_history(TimeGrid(0.0, 4.0, 0.25, rule="midpoint"))
     with pytest.raises(PreconditionError, match="trapezoid.*'midpoint'"):
         laplace_transform_check(oracle_model, 8.0, 1, f)
+    # so is the discounted kick, a trapezoid quadrature: run on a midpoint
+    # axis it silently gave the residual of the trapezoid axis
+    for call in (lambda: laplace_kick(oracle_model, 2.0, f),
+                 lambda: resolvent_factorization_check(oracle_model, 2.0, f)):
+        with pytest.raises(PreconditionError,
+                           match="discounted kick needs an axis rule whose weights nest"):
+            call()
+    # the resolvents take no quadrature and run on either rule
+    lifted_resolvent(oracle_model, 2.0, f, perturbed=True)
+    resolvent_series_check(oracle_model, 8.0, f, 2)
 
 
 def test_laplace_transform_check_horizon_gate(oracle_model):
