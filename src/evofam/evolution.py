@@ -261,8 +261,9 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
 
         B(t) u = q(t) f[i] sum_{j > i} g[j] v[j] u[j],
 
-    the tail sums taken by one reversed cumulative sum (never as a total
-    minus a prefix sum, which cancels where the tail is small).  The last
+    the tail sums taken by one reversed cumulative sum, formed in place in
+    the output (never as a total minus a prefix sum, which cancels where
+    the tail is small), so a call allocates only its output.  The last
     node's gain is exactly 0.  Both operators batch over a leading time
     axis as the family contracts allow.  U raises ``PreconditionError``
     naming the first pair with s > t, where its factor would exceed 1.
@@ -292,12 +293,16 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
         return np.multiply(out, u, out=out)
 
     if isinstance(gain, tuple):
-        head, tail_weights = f[:-1], (g * v)[:0:-1]
+        head, tail_weights = f[:-1], (g * v)[1:]
 
         def b_apply(t, u):
             out = np.empty(np.shape(u))
-            # out[..., i] = sum over j > i, summed from j = d-1 down
-            np.cumsum(u[..., :0:-1] * tail_weights, axis=-1, out=out[..., -2::-1])
+            # out[..., i] = sum over j > i of g_j v_j u_j, summed from
+            # j = d-1 down: the products go into out[..., i] for j = i+1,
+            # then one cumsum along the reversed view, in place
+            np.multiply(u[..., 1:], tail_weights, out=out[..., :-1])
+            tails = out[..., -2::-1]
+            np.cumsum(tails, axis=-1, out=tails)
             out[..., :-1] *= head
             out[..., -1] = 0.0
             out *= np.asarray(q(t))[..., None]
@@ -379,19 +384,34 @@ def _as_coeffs(grid: Grid, u0) -> np.ndarray:
 # pass may hold at once.
 _TABLE_MEMORY_CAP_BYTES = 256 * 1024 * 1024
 
-# Arrays of (M+1) d floats a row pass holds at once, measured by a
-# per-phase tracemalloc.  From a start state: the flow's running products,
-# row n and the two arrays of a B call on it (its output and, for a
-# factor-pair gain, the reversed product the tail sum reads); the next
+# Arrays of (M+1) d floats a row pass holds at once.  From a start state:
+# the flow's running products, row n and the output of a B call on it
+# (a factor pair's tail sum is formed in place in that output); the next
 # row's kicks then take one array beside the products and the B row,
-# which is divided by them in place.  The direct path holds four too:
-# row n+1, the B row, and per node the gathered B rows and their
-# propagation.  A per-node source's row 1 peaks as it forms its end-point
-# B rows: beside the products and row 0 (which the Laplace check still
-# reads), the step factors, their product with row 0 and the two arrays
-# of a B call on it; the kicks then divide those B rows in place.
-_PASS_ROWS = 4
-_PER_NODE_PASS_ROWS = 6
+# which is divided by them in place.  The direct path holds three too:
+# row n+1, the B row, and per node the propagation of its weighted B
+# rows (a view of them where those nodes are contiguous, as under the
+# trapezoid; under the midpoint rule a gathered copy of the odd nodes).
+# A per-node source's row 1 peaks twice at five: as it forms its
+# end-point B rows (the products, row 0, which the Laplace check still
+# reads, the step factors, their product with row 0 and the B call's
+# output), and at its kicks (the products, row 0, the B row, the
+# end-point rows and the kicks), so dropping the step factors would not
+# lower the count.  Traced peaks of rows 0..3 by ``scripts/pass_peak.py``
+# (tracemalloc, numpy 2.4), in these arrays; what lies above the count is
+# lattice vectors and numpy's fixed iterator buffers (up to about 197 KB):
+#
+#   path      gain    d = 128, M = 512   d = 512, M = 128
+#   one-step  dense   3.16               3.18
+#   one-step  pair    3.40               3.42
+#   midpoint  dense   3.30               3.31
+#   midpoint  pair    3.30               3.31
+#   direct    dense   3.29               3.30
+#   direct    pair    3.29               3.30
+#   per-node  dense   5.13               5.11
+#   per-node  pair    5.37               5.36
+_PASS_ROWS = 3
+_PER_NODE_PASS_ROWS = 5
 
 
 def _check_table_bytes(what: str, bytes_needed: int) -> None:
@@ -719,8 +739,8 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     prefix-stable: on a lattice cut at node c, rows 0..c come out bitwise
     the same as on the whole lattice.
 
-    Memory: the pass holds ``_PASS_ROWS`` arrays of (M+1) d floats at
-    once (``_PER_NODE_PASS_ROWS`` from a per-node source), and raises
+    Memory: the pass holds ``_PASS_ROWS`` = 3 arrays of (M+1) d floats at
+    once (``_PER_NODE_PASS_ROWS`` = 5 from a per-node source), and raises
     ``SizeCapError`` before any operator call when they would exceed the
     table cap (signed data runs two passes side by side).  A lattice
     outside the model's ``validated_span`` (to 1e-12 relative) raises
@@ -780,6 +800,9 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
             for j in range(1, m + 1):
                 w = tg._quadrature.weights(j, dt)
                 used = np.flatnonzero(w)
+                if used[-1] - used[0] + 1 == used.size:
+                    # contiguous nodes (the trapezoid's): a view, not a copy
+                    used = slice(used[0], used[-1] + 1)
                 row[j] = w[used] @ model.unperturbed.apply(nodes[j], nodes[used], b_row[used])
             del b_row
         else:
@@ -819,8 +842,11 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     positive/negative parts and recombined linearly.
     Cost: O(n_max * M) operator applications under the trapezoid rule
     (one-step path), O(n_max * M^2) under the midpoint rule (direct path).
-    Memory: the pass's O(M d) working set, plus O(n_max d) kept, plus
-    2 (n_max+1)(M+1) d floats with ``keep_rows``; what it keeps is checked against the table cap first.
+    Memory: the pass's working set, three arrays of (M+1) d floats on
+    nonnegative data (the defect reads a B row without negative entries
+    as it is, not an ``np.abs`` copy), plus O(n_max d) kept, plus
+    2 (n_max+1)(M+1) d floats with ``keep_rows``; what it keeps is
+    checked against the table cap first.
     """
     coeffs = _as_coeffs(model.grid, u0)
     if n_max < 0:
@@ -840,7 +866,9 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
         row, lazy_b = next(gen)
         b_row = lazy_b()
         end_rows[n] = row[m]
-        defects[n] = w @ (np.abs(b_row) @ grid.weights)
+        # |B| equals B on a row without negative entries (nonnegative data)
+        defects[n] = w @ ((b_row if b_row.min(initial=0.0) >= 0.0 else np.abs(b_row))
+                          @ grid.weights)
         if keep_rows:
             iterates[n] = row
             b_applied[n] = b_row

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -838,7 +840,7 @@ def test_right_recursion_memory_cap():
 
 
 def test_row_pass_working_set_cap():
-    # a (2**15 + 1) x 512 row is 134 MB, so no row pass may hold six of them;
+    # a (2**15 + 1) x 512 row is 134 MB, so no row pass may hold the three it needs;
     # each call is refused before any operator call, whatever it keeps
     grid = abstract_grid(np.ones(512))
 
@@ -890,11 +892,11 @@ def pass_bytes(rows, m, d):
 
 @pytest.mark.parametrize("d, m", [(2, 64), (128, 64), (512, 8)])
 def test_row_pass_cap_counts_the_arrays_a_pass_holds(d, m, monkeypatch):
-    # a start-state pass holds _PASS_ROWS = 4 arrays of (M+1) d floats on
+    # a start-state pass holds _PASS_ROWS = 3 arrays of (M+1) d floats on
     # the one-step and the direct path alike: a cap one byte under that is
     # refused before any operator call, and a cap equal to it runs
-    assert evolution._PASS_ROWS == 4
-    need = pass_bytes(4, m, d)
+    assert evolution._PASS_ROWS == 3
+    need = pass_bytes(3, m, d)
     for rule in ("trapezoid", "midpoint"):
         tg = TimeGrid(0.0, 1.0, 1.0 / m, rule)
         monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need - 1)
@@ -908,13 +910,13 @@ def test_row_pass_cap_counts_the_arrays_a_pass_holds(d, m, monkeypatch):
 
 
 def test_row_pass_cap_counts_the_per_node_source_rows(monkeypatch):
-    # a per-node source also holds the step factors, row 1's end-point
-    # kicks and row 0 beside the start-state pass's four arrays
-    assert evolution._PER_NODE_PASS_ROWS == 6
+    # a per-node source also holds row 1's end-point B rows and row 0
+    # beside the start-state pass's three arrays
+    assert evolution._PER_NODE_PASS_ROWS == 5
     d, m = 2, 64
     tg = TimeGrid(0.0, 1.0, 1.0 / m)
     source = np.ones((m + 1, d))
-    need = pass_bytes(6, m, d)
+    need = pass_bytes(5, m, d)
     monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need - 1)
     with pytest.raises(SizeCapError, match="row pass working set"):
         next(evolution._right_rows(never_applied_model(d), tg, source))
@@ -925,27 +927,142 @@ def test_row_pass_cap_counts_the_per_node_source_rows(monkeypatch):
     assert np.isfinite(row).all()
 
 
-@pytest.mark.parametrize("d, m", [(2, 8192), (33, 512), (128, 256)])
-def test_row_pass_peak_stays_within_its_count(d, m):
-    # the count is what a pass holds: the traced peak of a row-less
-    # iterate_right stays within _PASS_ROWS arrays plus lattice vectors
-    # (the defect's quadrature weights and integrand) and numpy's fixed
-    # buffers
-    model = loss_gain_model("decay", abstract_grid(np.ones(d)),
-                            SeparableCoefficient(TimeProfile(kind="constant", c0=1.0),
-                                                 np.linspace(0.5, 1.5, d)),
-                            TimeProfile(kind="constant", c0=1.0),
-                            np.full((d, d), 0.3 / d), np.ones(d))
-    tg = TimeGrid(0.0, 1.0, 1.0 / m)
-    iterate_right(model, tg, np.ones(d), 3, keep_rows=False)
+def decay_model(d, gain):
+    """A decaying flow on d unit nodes with a weak gain, ``gain`` being
+    "dense" (a matrix) or "pair" (a factor pair)."""
+    k = np.full((d, d), 0.3 / d) if gain == "dense" else (np.full(d, 0.3 / d), np.ones(d))
+    return loss_gain_model(gain, abstract_grid(np.ones(d)),
+                           SeparableCoefficient(TimeProfile(kind="constant", c0=1.0),
+                                                np.linspace(0.5, 1.5, d)),
+                           TimeProfile(kind="constant", c0=1.0), k, np.ones(d))
+
+
+def traced_peak(run):
+    """Traced bytes a second call of ``run`` holds at its peak, above what
+    was held before it (the first folds a dense gain's weights)."""
+    run()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        iterate_right(model, tg, np.ones(d), 3, keep_rows=False)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= pass_bytes(evolution._PASS_ROWS, m, d) + 2 * (m + 1) * 8 + 2 ** 18
+
+
+def within_count(peak, rows, m, d):
+    # beside the arrays: lattice vectors (the defect's quadrature weights
+    # and integrand) and numpy's fixed iterator buffers (about 64-197 KB)
+    return peak <= pass_bytes(rows, m, d) + 2 * (m + 1) * 8 + 2 ** 18
+
+
+@pytest.mark.parametrize("d, m", [(2, 8192), (33, 512), (128, 256), (512, 128)])
+def test_row_pass_peak_stays_within_its_count(d, m):
+    # the count is what a pass holds: the traced peak of a row-less
+    # iterate_right and of series_sum stays within _PASS_ROWS arrays, for
+    # either gain form (d = 512 is where the carry loops over nodes)
+    tg = TimeGrid(0.0, 1.0, 1.0 / m)
+    for gain in ("dense", "pair"):
+        model = decay_model(d, gain)
+        runs = {"iterate_right": lambda: iterate_right(model, tg, np.ones(d), 3, keep_rows=False),
+                "series_sum": lambda: series_sum(model, tg, np.ones(d), tol=0.0, n_max=3)}
+        for name, run in runs.items():
+            assert within_count(traced_peak(run), evolution._PASS_ROWS, m, d), (gain, name)
+
+
+@pytest.mark.parametrize("gain", ["dense", "pair"])
+@pytest.mark.parametrize("rule, direct", [("midpoint", False), ("trapezoid", True)])
+def test_direct_pass_peak_stays_within_its_count(rule, direct, gain, monkeypatch):
+    # the direct path holds _PASS_ROWS arrays too, under the midpoint rule
+    # and as the trapezoid's forced reference, which reads its contiguous
+    # nodes' B rows as a view
+    d, m = 512, 128
+    if direct:
+        monkeypatch.setattr(evolution, "_combined_rows",
+                            functools.partial(evolution._combined_rows, direct=True))
+    model = decay_model(d, gain)
+    tg = TimeGrid(0.0, 1.0, 1.0 / m, rule)
+    peak = traced_peak(lambda: iterate_right(model, tg, np.ones(d), 3, keep_rows=False))
+    assert within_count(peak, evolution._PASS_ROWS, m, d)
+
+
+@pytest.mark.parametrize("gain", ["dense", "pair"])
+def test_per_node_pass_peak_stays_within_its_count(gain):
+    # a per-node source's pass, its caller holding each row while the pass
+    # makes the next (as the Laplace check does), stays within
+    # _PER_NODE_PASS_ROWS arrays; the source is the caller's
+    d, m = 512, 128
+    model = decay_model(d, gain)
+    tg = TimeGrid(0.0, 1.0, 1.0 / m)
+    source = np.ones((m + 1, d))
+
+    def run():
+        for _n, (row, _b) in zip(range(4), evolution._right_rows(model, tg, source)):
+            assert np.isfinite(row).all()
+
+    assert within_count(traced_peak(run), evolution._PER_NODE_PASS_ROWS, m, d)
+
+
+@pytest.mark.parametrize("gain", ["dense", "pair"])
+def test_defect_integrates_the_absolute_b_row(gain):
+    # signed data's B rows (the difference of its two passes') have
+    # negative entries, where the defect must still integrate |B|; on
+    # nonnegative data the B row is read as it is, to the same bits
+    d = 6
+    model = decay_model(d, gain)
+    tg = TimeGrid(0.0, 1.0, 1.0 / 16.0)
+    w = evolution._trapezoid_weights(tg.n_steps, tg.dt)
+    for u0, signed in ((np.linspace(1.0, -2.0, d), True), (np.linspace(1.0, 0.5, d), False)):
+        table = iterate_right(model, tg, u0, 4)
+        assert (table.b_applied.min() < 0.0) == signed
+        expected = [w @ (np.abs(b_row) @ model.grid.weights) for b_row in table.b_applied]
+        assert np.array_equal(table.defects, expected)
+
+
+def factor_pair_reference(f, g, v, q, u):
+    """B(t) u of a factor pair by a Python loop: out[i] is the sum of
+    g_j v_j u_j from j = d-1 down to i+1, times f_i, times q(t)."""
+    d = len(u)
+    out = [0.0] * d
+    tail = 0.0
+    for i in range(d - 2, -1, -1):
+        tail += float(g[i + 1] * v[i + 1]) * float(u[i + 1])
+        out[i] = tail * float(f[i]) * q
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 512])
+def test_factor_pair_tail_sum_order_is_pinned(d):
+    rng = np.random.default_rng(d)
+    f, g, v = (rng.uniform(0.5, 2.0, d) for _ in range(3))
+    profile = TimeProfile(kind="affine", c0=1.0, c1=2.0)
+    gain = loss_gain_model("pair", abstract_grid(np.ones(d)),
+                           SeparableCoefficient(profile, np.ones(d)), profile,
+                           (f, g), v).perturbation
+    # magnitudes spread over 12 decades under a large head, so that a sum
+    # taken forwards, or as a total minus a prefix, changes the bits
+    times = np.linspace(0.0, 1.0, 4)
+    u = 10.0 ** rng.uniform(-6.0, 6.0, (4, d))
+    u[:, 0] = 1e12
+    qs = profile.value(times)
+    batch = np.array([factor_pair_reference(f, g, v, q, row) for q, row in zip(qs, u)])
+    assert np.array_equal(gain.apply(times, u), batch)
+    assert np.array_equal(gain.apply(0.25, u[1]),
+                          factor_pair_reference(f, g, v, float(profile.value(0.25)), u[1]))
+    q = float(profile.value(0.75))
+    columns = [factor_pair_reference(f, g, v, q, e) for e in np.eye(d)]
+    assert np.array_equal(gain.as_matrix(0.75), np.array(columns).T)
+    terms = g * v * u
+    if d >= 2:
+        prefix = np.cumsum(terms, axis=-1)
+        minus_prefix = (prefix[:, -1:] - prefix) * f * qs[:, None]
+        assert not np.array_equal(minus_prefix[:, :-1], batch[:, :-1])
+    if d >= 4:
+        forward = np.zeros_like(batch)
+        for k, row in enumerate(terms):
+            for i in range(d - 1):
+                forward[k, i] = functools.reduce(operator.add, row[i + 1:].tolist()) * f[i] * qs[k]
+        assert not np.array_equal(forward, batch)
 
 
 def test_row_less_table_refuses_row_readers(oracle_model, binary_frag, binary_frag_perturbed):
