@@ -5,7 +5,9 @@ Usage: python3 scripts/pass_peak.py [--widths 128,512] [--lengths 512,128] [--ro
 
 Before it runs, the engine's row pass (``evolution._right_rows``) charges
 its working set against the table cap: ``_PASS_ROWS`` arrays of (M+1) d
-floats from a start state, ``_PER_NODE_PASS_ROWS`` from a per-node source.
+floats from a start state, ``_PER_NODE_PASS_ROWS`` from a per-node source;
+signed data (``evolution._combined_rows``) charges two passes and
+``_COMBINED_ROWS`` more.
 This prints, per path, gain form and (d, M), the traced peak of each phase
 above what was held before the pass began, in units of (M+1) d floats
 (stdlib ``tracemalloc``):
@@ -16,15 +18,18 @@ above what was held before the pass began, in units of (M+1) d floats
     B       each B call (``_b_rows``), however it is reached
     kicks   the next row's kicks (``_Flow.kicks``)
     carry   the next row's carry
-    defect  the caller between two rows (``iterate_right``'s defect)
+    caller  the caller between two rows (``iterate_right``'s defect)
     other   the rest of the pass: row checks, the direct path's sums
 
 and ``peak``, the largest of them.  The paths are ``one-step`` (trapezoid,
 ``iterate_right``), ``midpoint`` (the direct path, ``iterate_right``),
 ``direct`` (the trapezoid's direct reference, ``iterate_right`` forced
 onto it) and ``per-node`` (a source at every node, whose caller holds
-each row while the pass makes the next, as the Laplace check does).  The
-gains are a dense matrix and a factor pair, each with a decaying flow.
+each row while the pass makes the next, as the Laplace check does), each
+on nonnegative data, and ``signed`` and ``signed-per-node``, the one-step
+and the per-node pass on data of both signs.  Every source is made inside
+the count, as the Laplace check's is, since a pass owns a per-node source.
+The gains are a dense matrix and a factor pair, each with a decaying flow.
 Besides the arrays, a peak holds lattice vectors and numpy's fixed
 iterator buffers (up to about 197 KB), which weigh on small shapes only.
 """
@@ -47,8 +52,8 @@ from evofam.coefficients import SeparableCoefficient, TimeProfile  # noqa: E402
 from evofam.evolution import TimeGrid, iterate_right, loss_gain_model  # noqa: E402
 from evofam.state_space import abstract_grid  # noqa: E402
 
-PHASES = ("steps", "flow", "row0", "B", "kicks", "carry", "defect", "other")
-PATHS = ("one-step", "midpoint", "direct", "per-node")
+PHASES = ("steps", "flow", "row0", "B", "kicks", "carry", "caller", "other")
+PATHS = ("one-step", "midpoint", "direct", "per-node", "signed", "signed-per-node")
 GAINS = ("dense", "pair")
 
 
@@ -104,8 +109,10 @@ def traced_phases(peaks: PhasePeaks, direct: bool):
 
     def rows(original):
         def gen(*args, **kwargs):
-            for item in original(*args, **kwargs, direct=direct):
-                with peaks.phase("defect"):
+            items = original(*args, **kwargs, direct=direct)
+            del args, kwargs  # a per-node source is the pass's own
+            for item in items:
+                with peaks.phase("caller"):
                     yield item
                 # so that the pass can drop the row, as its caller does
                 del item
@@ -134,32 +141,41 @@ def build_model(gain: str, d: int):
     return loss_gain_model(gain, grid, loss, TimeProfile(kind="constant", c0=1.0), k, np.ones(d))
 
 
-def run_pass(model, tg: TimeGrid, source: np.ndarray, rows: int) -> None:
+def make_source(path: str, d: int, m: int) -> np.ndarray:
+    """Ones at every node (per-node paths) or at t = 0, every other node
+    negated on the signed paths."""
+    source = np.ones((m + 1, d) if path.endswith("per-node") else d)
+    if path.startswith("signed"):
+        source[..., 1::2] = -1.0
+    return source
+
+
+def run_pass(model, tg: TimeGrid, path: str, rows: int) -> None:
     """Rows 0..rows of one pass: row-less ``iterate_right`` from a start
     state; from a per-node source, a caller that holds each row while the
     pass makes the next, as the Laplace check does, and reads no B row."""
-    if source.ndim == 1:
-        iterate_right(model, tg, source, rows, keep_rows=False)
+    d, m = model.grid.size, tg.n_steps
+    if not path.endswith("per-node"):
+        iterate_right(model, tg, make_source(path, d, m), rows, keep_rows=False)
         return
     row = None
-    for _n, (row, _b) in zip(range(rows + 1), evolution._right_rows(model, tg, source)):
+    for _n, (row, _b) in zip(range(rows + 1),
+                             evolution._combined_rows(model, tg, make_source(path, d, m))):
         pass
     del row
 
 
 def measure(path: str, gain: str, d: int, m: int, rows: int) -> dict[str, float]:
-    """Phase peaks of one pass, in arrays of (M+1) d floats.  The source is
-    the caller's, allocated before the count starts."""
+    """Phase peaks of one pass, in arrays of (M+1) d floats."""
     model = build_model(gain, d)
     tg = TimeGrid(0.0, 1.0, 1.0 / m, "midpoint" if path == "midpoint" else "trapezoid")
-    source = np.ones((m + 1, d)) if path == "per-node" else np.ones(d)
-    run_pass(model, tg, source, rows)  # warm: the dense gain folds its weights once
+    run_pass(model, tg, path, rows)  # warm: the dense gain folds its weights once
     peaks = PhasePeaks()
     tracemalloc.start()
     try:
         with traced_phases(peaks, direct=path == "direct"):
             peaks.start()
-            run_pass(model, tg, source, rows)
+            run_pass(model, tg, path, rows)
             peaks.close_span()
     finally:
         tracemalloc.stop()
@@ -174,19 +190,18 @@ def main(argv=None) -> int:
     parser.add_argument("--rows", type=int, default=3)
     args = parser.parse_args(argv)
     print(f"numpy {np.__version__}; _PASS_ROWS = {evolution._PASS_ROWS}, "
-          f"_PER_NODE_PASS_ROWS = {evolution._PER_NODE_PASS_ROWS}; "
+          f"_PER_NODE_PASS_ROWS = {evolution._PER_NODE_PASS_ROWS}, "
+          f"_COMBINED_ROWS = {evolution._COMBINED_ROWS}; "
           f"rows 0..{args.rows}; units of (M+1) d floats")
-    print(f"{'path':>8} {'gain':>5} {'d':>5} {'M':>5} "
+    print(f"{'path':>15} {'gain':>5} {'d':>5} {'M':>5} "
           + " ".join(f"{name:>6}" for name in PHASES) + f" {'peak':>6}")
     for d in args.widths:
         for m in args.lengths:
             for path in PATHS:
                 for gain in GAINS:
                     p = measure(path, gain, d, m, args.rows)
-                    # the per-node caller takes no defect
-                    cells = [f"{'-':>6}" if path == "per-node" and name == "defect"
-                             else f"{p[name]:>6.2f}" for name in PHASES]
-                    print(f"{path:>8} {gain:>5} {d:>5} {m:>5} " + " ".join(cells)
+                    cells = [f"{p[name]:>6.2f}" for name in PHASES]
+                    print(f"{path:>15} {gain:>5} {d:>5} {m:>5} " + " ".join(cells)
                           + f" {max(p.values()):>6.2f}")
     return 0
 

@@ -392,26 +392,38 @@ _TABLE_MEMORY_CAP_BYTES = 256 * 1024 * 1024
 # row n+1, the B row, and per node the propagation of its weighted B
 # rows (a view of them where those nodes are contiguous, as under the
 # trapezoid; under the midpoint rule a gathered copy of the odd nodes).
-# A per-node source's row 1 peaks twice at five: as it forms its
-# end-point B rows (the products, row 0, which the Laplace check still
-# reads, the step factors, their product with row 0 and the B call's
-# output), and at its kicks (the products, row 0, the B row, the
-# end-point rows and the kicks), so dropping the step factors would not
-# lower the count.  Traced peaks of rows 0..3 by ``scripts/pass_peak.py``
-# (tracemalloc, numpy 2.4), in these arrays; what lies above the count is
-# lattice vectors and numpy's fixed iterator buffers (up to about 197 KB):
+# A per-node source is the pass's own and is carried in place as row 0.
+# Its row 1 peaks twice at five: as it forms its end-point B rows (the
+# products, row 0, which the Laplace check still reads, the step factors,
+# their product with row 0 and the B call's output), and at its kicks
+# (the products, row 0, the B row, the end-point rows and the kicks), so
+# dropping the step factors would not lower the count.  Signed data runs
+# a pass on each part and holds both, plus ``_COMBINED_ROWS``: the
+# difference of the two rows and, once read, of their B rows.  Traced
+# peaks of rows 0..3 by ``scripts/pass_peak.py`` (tracemalloc, numpy 2.4),
+# each source made inside the count, in these arrays; what lies above
+# the count is lattice vectors and numpy's fixed iterator buffers (up to
+# about 197 KB):
 #
-#   path      gain    d = 128, M = 512   d = 512, M = 128
-#   one-step  dense   3.16               3.18
-#   one-step  pair    3.40               3.42
-#   midpoint  dense   3.30               3.31
-#   midpoint  pair    3.30               3.31
-#   direct    dense   3.29               3.30
-#   direct    pair    3.29               3.30
-#   per-node  dense   5.13               5.11
-#   per-node  pair    5.37               5.36
+#   path             gain    d = 128, M = 512   d = 512, M = 128   count
+#   one-step         dense    3.16               3.18               3
+#   one-step         pair     3.40               3.43               3
+#   midpoint         dense    3.30               3.32               3
+#   midpoint         pair     3.30               3.32               3
+#   direct           dense    3.29               3.31               3
+#   direct           pair     3.29               3.31               3
+#   per-node         dense    5.13               5.11               5
+#   per-node         pair     5.37               5.36               5
+#   signed           dense    8.04               8.08               2 * 3 + 2
+#   signed           pair     8.04               8.08               2 * 3 + 2
+#   signed-per-node  dense   10.14              10.12               2 * 5 + 2
+#   signed-per-node  pair    10.38              10.36               2 * 5 + 2
+#
+# The signed per-node pass stays under its charge because its caller
+# reads no B row and its two passes peak at different times.
 _PASS_ROWS = 3
 _PER_NODE_PASS_ROWS = 5
+_COMBINED_ROWS = 2
 
 
 def _check_table_bytes(what: str, bytes_needed: int) -> None:
@@ -419,6 +431,17 @@ def _check_table_bytes(what: str, bytes_needed: int) -> None:
         raise SizeCapError(
             f"{what} would need {bytes_needed} bytes; cap is {_TABLE_MEMORY_CAP_BYTES}"
         )
+
+
+def _check_pass_rows(model: PerturbedModel, tg: TimeGrid, rows: int) -> None:
+    """Raise ``SizeCapError`` when ``rows`` arrays of (M+1) d floats
+    would exceed the table cap."""
+    _check_table_bytes("row pass working set", rows * (tg.n_steps + 1) * model.grid.size * 8)
+
+
+def _source_rows(source: np.ndarray) -> int:
+    """The arrays one pass from ``source`` holds (see ``_PASS_ROWS``)."""
+    return _PER_NODE_PASS_ROWS if source.ndim == 2 else _PASS_ROWS
 
 
 def _require_validated(model: PerturbedModel, first: float, last: float, what: str) -> None:
@@ -740,9 +763,11 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     the same as on the whole lattice.
 
     Memory: the pass holds ``_PASS_ROWS`` = 3 arrays of (M+1) d floats at
-    once (``_PER_NODE_PASS_ROWS`` = 5 from a per-node source), and raises
+    once (``_PER_NODE_PASS_ROWS`` = 5 from a per-node source, which the
+    pass owns: row 0 is carried in it in place), and raises
     ``SizeCapError`` before any operator call when they would exceed the
-    table cap (signed data runs two passes side by side).  A lattice
+    table cap (signed data runs two passes side by side, charged in
+    ``_combined_rows``).  A lattice
     outside the model's ``validated_span`` (to 1e-12 relative) raises
     ``PreconditionError``.
     """
@@ -755,8 +780,7 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     direct = direct or not tg._quadrature.nested
     if per_node and direct:
         raise PreconditionError("a per-node source needs the one-step recursion")
-    _check_table_bytes("row pass working set",
-                       (_PER_NODE_PASS_ROWS if per_node else _PASS_ROWS) * (m + 1) * d * 8)
+    _check_pass_rows(model, tg, _source_rows(source))
     scale = max(float(np.max(np.abs(source))) if source.size else 0.0, 1e-300)
     steps = _step_factors(model, nodes)
     if lam:
@@ -770,10 +794,12 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
 
     # row 0: the unperturbed evolution of the source
     if per_node:
-        row = np.array(source, dtype=float)
+        # the pass owns a per-node source: row 0 is carried in it in place
+        row = np.asarray(source, dtype=float)
     else:
         row = np.zeros((m + 1, d))
         row[0] = source
+    del source  # so that row 0 dies once the pass and its caller are past it
     flow.carry(row)
     _check_row(row, nodes, 0, scale)
     if direct:
@@ -817,16 +843,29 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
 
 def _combined_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
                    direct: bool = False, lam: float = 0.0) -> _Rows:
-    """Row generator; signed data runs its positive and negative parts."""
+    """Row generator; signed data runs its positive and negative parts.
+
+    A per-node source is the generator's own, as in ``_right_rows``.
+    Signed data holds its two passes side by side, each at its count, and
+    the combined row and B row: it raises ``SizeCapError`` before either
+    pass starts when those would exceed the table cap.
+    """
     if np.all(source >= 0.0):
-        yield from _right_rows(model, tg, source, direct, lam)
+        rows = _right_rows(model, tg, source, direct, lam)
+        del source  # the pass drops it as its row 0
+        yield from rows
         return
-    pos = np.maximum(source, 0.0)
-    neg = np.maximum(-source, 0.0)
-    gen_p = _right_rows(model, tg, pos, direct, lam)
-    gen_n = _right_rows(model, tg, neg, direct, lam)
-    for (row_p, b_p), (row_n, b_n) in zip(gen_p, gen_n):
+    _check_pass_rows(model, tg, 2 * _source_rows(source) + _COMBINED_ROWS)
+    neg = np.negative(source)
+    gen_p = _right_rows(model, tg, np.maximum(source, 0.0), direct, lam)
+    gen_n = _right_rows(model, tg, np.maximum(neg, 0.0, out=neg), direct, lam)
+    del source, neg
+    while True:
+        row_p, b_p = next(gen_p)
+        row_n, b_n = next(gen_n)
         yield row_p - row_n, _once(lambda b_p, b_n: b_p() - b_n(), b_p, b_n)
+        # so that each pass drops its row and B row as it makes the next
+        del row_p, b_p, row_n, b_n
 
 
 def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
@@ -843,10 +882,10 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     Cost: O(n_max * M) operator applications under the trapezoid rule
     (one-step path), O(n_max * M^2) under the midpoint rule (direct path).
     Memory: the pass's working set, three arrays of (M+1) d floats on
-    nonnegative data (the defect reads a B row without negative entries
-    as it is, not an ``np.abs`` copy), plus O(n_max d) kept, plus
-    2 (n_max+1)(M+1) d floats with ``keep_rows``; what it keeps is
-    checked against the table cap first.
+    nonnegative data (B is positive, so the defect reads each B row as it
+    is, not an ``np.abs`` copy) and eight on signed data, plus O(n_max d)
+    kept, plus 2 (n_max+1)(M+1) d floats with ``keep_rows``; what it
+    keeps is checked against the table cap first.
     """
     coeffs = _as_coeffs(model.grid, u0)
     if n_max < 0:
@@ -861,17 +900,21 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     b_applied = np.empty_like(iterates) if keep_rows else None
     # the defect is a trapezoid integral whatever the lattice rule
     w = _trapezoid_weights(m, tg.dt)
+    # B is positive, so on nonnegative data its rows are their own
+    # absolute values; signed data's B rows are differences
+    signed = not np.all(coeffs >= 0.0)
     gen = _combined_rows(model, tg, coeffs)
     for n in range(n_max + 1):
         row, lazy_b = next(gen)
         b_row = lazy_b()
         end_rows[n] = row[m]
-        # |B| equals B on a row without negative entries (nonnegative data)
-        defects[n] = w @ ((b_row if b_row.min(initial=0.0) >= 0.0 else np.abs(b_row))
-                          @ grid.weights)
         if keep_rows:
             iterates[n] = row
             b_applied[n] = b_row
+        if signed:
+            # the combined B row is this loop's alone, made absolute in place
+            np.abs(b_row, out=b_row)
+        defects[n] = w @ (b_row @ grid.weights)
         del row, lazy_b, b_row  # so they die once the pass is past them
     norms = np.array([weighted_norm_array(grid, end) for end in end_rows])
     return DysonPhillipsTable(

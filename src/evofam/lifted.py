@@ -343,6 +343,7 @@ def _laplace_rows(model: PerturbedModel, lam: float, f: LiftedVector,
     # that sum with every weight h; the pairs whose weight is h/2 are
     # corrected below: i = k (only row 0 is nonzero there) and
     # (k, i) = (M, 0).
+    # the pass owns its source: row 0 is carried in place in h f
     rows = _combined_rows(model, axis, h * f.values, lam=lam)
     corners = (iterate_right(model, axis, f.values[0], n_max, keep_rows=False).end_rows
                if np.any(f.values[0]) else None)

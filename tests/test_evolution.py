@@ -703,7 +703,9 @@ def test_per_node_source_rows_sum_the_runs_from_each_node(rate, m, flow_shape):
             "restarted by decay": len(chunks) > 1 and not any(plain),
             "every step plain": len(chunks) == m and all(plain)}[flow_shape]
     source = np.random.default_rng(2).uniform(0.0, 1.0, (m + 1, 5))
-    rows = evolution._right_rows(model, tg, source)
+    # the pass owns a per-node source (it carries row 0 in it in place),
+    # so it gets a copy: the loop below reads the source again
+    rows = evolution._right_rows(model, tg, source.copy())
     got = np.stack([next(rows)[0].copy() for _ in range(4)])
     ref = np.zeros_like(got)
     for k in range(m + 1):
@@ -927,6 +929,28 @@ def test_row_pass_cap_counts_the_per_node_source_rows(monkeypatch):
     assert np.isfinite(row).all()
 
 
+@pytest.mark.parametrize("per_node", [False, True])
+def test_signed_row_pass_cap_counts_both_passes(per_node, monkeypatch):
+    # signed data runs a pass on each part side by side and holds their
+    # combined row and B row: a cap one byte under that is refused before
+    # either pass starts, and a cap equal to it runs
+    assert evolution._COMBINED_ROWS == 2
+    d, m = 2, 64
+    tg = TimeGrid(0.0, 1.0, 1.0 / m)
+    source = np.array([1.0, -1.0]) * np.ones((m + 1, d) if per_node else d)
+    rows = evolution._PER_NODE_PASS_ROWS if per_node else evolution._PASS_ROWS
+    need = pass_bytes(2 * rows + 2, m, d)
+    monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need - 1)
+    with pytest.raises(SizeCapError, match="row pass working set"):
+        next(evolution._combined_rows(never_applied_model(d), tg, source.copy()))
+    monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need)
+    gen = evolution._combined_rows(narrow_model(d), tg, source.copy())
+    for _ in range(3):
+        row, b_row = next(gen)
+        assert np.isfinite(b_row()).all()
+    assert np.isfinite(row).all()
+
+
 def decay_model(d, gain):
     """A decaying flow on d unit nodes with a weak gain, ``gain`` being
     "dense" (a matrix) or "pair" (a factor pair)."""
@@ -956,18 +980,30 @@ def within_count(peak, rows, m, d):
     return peak <= pass_bytes(rows, m, d) + 2 * (m + 1) * 8 + 2 ** 18
 
 
+def signed_ones(shape):
+    """Ones with every other node negated."""
+    source = np.ones(shape)
+    source[..., 1::2] = -1.0
+    return source
+
+
 @pytest.mark.parametrize("d, m", [(2, 8192), (33, 512), (128, 256), (512, 128)])
 def test_row_pass_peak_stays_within_its_count(d, m):
     # the count is what a pass holds: the traced peak of a row-less
     # iterate_right and of series_sum stays within _PASS_ROWS arrays, for
-    # either gain form (d = 512 is where the carry loops over nodes)
+    # either gain form (d = 512 is where the carry loops over nodes); on
+    # signed data, within a pass on each part and _COMBINED_ROWS (the
+    # defect's |B| taken in place)
     tg = TimeGrid(0.0, 1.0, 1.0 / m)
+    rows = evolution._PASS_ROWS
     for gain in ("dense", "pair"):
         model = decay_model(d, gain)
-        runs = {"iterate_right": lambda: iterate_right(model, tg, np.ones(d), 3, keep_rows=False),
-                "series_sum": lambda: series_sum(model, tg, np.ones(d), tol=0.0, n_max=3)}
-        for name, run in runs.items():
-            assert within_count(traced_peak(run), evolution._PASS_ROWS, m, d), (gain, name)
+        for u0, count in ((np.ones(d), rows),
+                          (signed_ones(d), 2 * rows + evolution._COMBINED_ROWS)):
+            runs = {"iterate_right": lambda: iterate_right(model, tg, u0, 3, keep_rows=False),
+                    "series_sum": lambda: series_sum(model, tg, u0, tol=0.0, n_max=3)}
+            for name, run in runs.items():
+                assert within_count(traced_peak(run), count, m, d), (gain, name, count)
 
 
 @pytest.mark.parametrize("gain", ["dense", "pair"])
@@ -987,20 +1023,26 @@ def test_direct_pass_peak_stays_within_its_count(rule, direct, gain, monkeypatch
 
 
 @pytest.mark.parametrize("gain", ["dense", "pair"])
-def test_per_node_pass_peak_stays_within_its_count(gain):
+@pytest.mark.parametrize("signed", [False, True])
+def test_per_node_pass_peak_stays_within_its_count(signed, gain):
     # a per-node source's pass, its caller holding each row while the pass
     # makes the next (as the Laplace check does), stays within
-    # _PER_NODE_PASS_ROWS arrays; the source is the caller's
+    # _PER_NODE_PASS_ROWS arrays; signed data within two such passes and
+    # _COMBINED_ROWS.  The pass owns its source, so the source is made
+    # inside the count, as the Laplace check's h f is
     d, m = 512, 128
     model = decay_model(d, gain)
     tg = TimeGrid(0.0, 1.0, 1.0 / m)
-    source = np.ones((m + 1, d))
+    make = signed_ones if signed else np.ones
 
     def run():
-        for _n, (row, _b) in zip(range(4), evolution._right_rows(model, tg, source)):
+        rows = evolution._combined_rows(model, tg, make((m + 1, d)))
+        for _n, (row, _b) in zip(range(4), rows):
             assert np.isfinite(row).all()
 
-    assert within_count(traced_peak(run), evolution._PER_NODE_PASS_ROWS, m, d)
+    one_pass = evolution._PER_NODE_PASS_ROWS
+    count = 2 * one_pass + evolution._COMBINED_ROWS if signed else one_pass
+    assert within_count(traced_peak(run), count, m, d)
 
 
 @pytest.mark.parametrize("gain", ["dense", "pair"])

@@ -16,17 +16,17 @@ def test_pass_peak_runs_on_one_tiny_shape():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("numpy ") and "_PASS_ROWS = 3" in lines[0]
-    assert "_PER_NODE_PASS_ROWS = 5" in lines[0]
+    assert "_PER_NODE_PASS_ROWS = 5" in lines[0] and "_COMBINED_ROWS = 2" in lines[0]
     assert lines[1].split() == ["path", "gain", "d", "M", "steps", "flow", "row0", "B",
-                                "kicks", "carry", "defect", "other", "peak"]
+                                "kicks", "carry", "caller", "other", "peak"]
     rows = [line.split() for line in lines[2:]]
     assert [(r[0], r[1]) for r in rows] == [(path, gain) for path in
-                                            ("one-step", "midpoint", "direct", "per-node")
+                                            ("one-step", "midpoint", "direct", "per-node",
+                                             "signed", "signed-per-node")
                                             for gain in ("dense", "pair")]
     for path, _gain, d, m, *cells in rows:
         assert (d, m) == ("4", "8")
-        values = [float(c) for c in cells if c != "-"]
+        values = [float(c) for c in cells]
         assert all(math.isfinite(v) and v >= 0.0 for v in values)
         # every pass makes B rows, and its peak is its largest phase
-        assert float(cells[3]) > 0.0 and float(cells[-1]) == max(values)
-        assert (cells[6] == "-") == (path == "per-node")
+        assert values[3] > 0.0 and values[-1] == max(values)
