@@ -74,18 +74,14 @@ from .fragmentation import (
     grid_leakage,
     kernel_mass_check,
     mol_reference,
-    vn_identity_residual,
 )
 from .config import ExperimentConfig, parse_config
 from .lifted import (
     CheckRow,
     LiftedVector,
     kick_block_norm,
-    laplace_kick,
     laplace_transform_check,
     lifted_norm,
-    lifted_resolvent,
-    required_horizon,
     resolvent_factorization_check,
     resolvent_series_check,
 )

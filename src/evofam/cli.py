@@ -213,8 +213,11 @@ def initial_coefficients(cfg: ExperimentConfig, grid, csv_values=None) -> np.nda
     if coeffs.shape != (grid.size,):
         raise ConfigError(
             f"[initial] csv holds {coeffs.shape} values, grid needs {grid.size}")
-    if not np.all(np.isfinite(coeffs)) or np.any(coeffs < 0.0):
-        raise ConfigError("[initial] csv data must be finite and nonnegative")
+    bad = ~np.isfinite(coeffs) | (coeffs < 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConfigError(f"[initial] csv data must be finite and nonnegative; "
+                          f"grid node {i} holds {float(coeffs[i])!r}")
     return coeffs
 
 

@@ -17,14 +17,17 @@ class ModelContractError(EvofamError, ValueError):
 class EvaluationError(EvofamError, RuntimeError):
     """An operator evaluation failed inside the iteration engine.
 
-    Carries the iterate index and the time node at which the failure
-    occurred so runs on large tables remain diagnosable.
+    Carries the iterate index, the time node and, where one is known, the
+    grid node at which the failure occurred so runs on large tables remain
+    diagnosable.
     """
 
-    def __init__(self, message: str, n: int | None = None, tau: float | None = None):
+    def __init__(self, message: str, n: int | None = None, tau: float | None = None,
+                 node: int | None = None):
         super().__init__(message)
         self.n = n
         self.tau = tau
+        self.node = node
 
 
 class SizeCapError(EvofamError, ValueError):

@@ -397,33 +397,23 @@ _TABLE_MEMORY_CAP_BYTES = 256 * 1024 * 1024
 # products, row 0, which the Laplace check still reads, the step factors,
 # their product with row 0 and the B call's output), and at its kicks
 # (the products, row 0, the B row, the end-point rows and the kicks), so
-# dropping the step factors would not lower the count.  Signed data runs
-# a pass on each part and holds both, plus ``_COMBINED_ROWS``: the
-# difference of the two rows and, once read, of their B rows.  Traced
-# peaks of rows 0..3 by ``scripts/pass_peak.py`` (tracemalloc, numpy 2.4),
-# each source made inside the count, in these arrays; what lies above
-# the count is lattice vectors and numpy's fixed iterator buffers (up to
+# dropping the step factors would not lower the count.  Traced peaks of
+# rows 0..3 by ``scripts/pass_peak.py`` (tracemalloc, numpy 2.4), each
+# source made inside the count, in these arrays; what lies above the
+# count is lattice vectors and numpy's fixed iterator buffers (up to
 # about 197 KB):
 #
-#   path             gain    d = 128, M = 512   d = 512, M = 128   count
-#   one-step         dense    3.16               3.18               3
-#   one-step         pair     3.40               3.43               3
-#   midpoint         dense    3.30               3.32               3
-#   midpoint         pair     3.30               3.32               3
-#   direct           dense    3.29               3.31               3
-#   direct           pair     3.29               3.31               3
-#   per-node         dense    5.13               5.11               5
-#   per-node         pair     5.37               5.36               5
-#   signed           dense    8.04               8.08               2 * 3 + 2
-#   signed           pair     8.04               8.08               2 * 3 + 2
-#   signed-per-node  dense   10.14              10.12               2 * 5 + 2
-#   signed-per-node  pair    10.38              10.36               2 * 5 + 2
-#
-# The signed per-node pass stays under its charge because its caller
-# reads no B row and its two passes peak at different times.
+#   path       gain    d = 128, M = 512   d = 512, M = 128   count
+#   one-step   dense    3.16               3.18               3
+#   one-step   pair     3.40               3.43               3
+#   midpoint   dense    3.30               3.32               3
+#   midpoint   pair     3.30               3.32               3
+#   direct     dense    3.29               3.31               3
+#   direct     pair     3.29               3.31               3
+#   per-node   dense    5.13               5.11               5
+#   per-node   pair     5.37               5.36               5
 _PASS_ROWS = 3
 _PER_NODE_PASS_ROWS = 5
-_COMBINED_ROWS = 2
 
 
 def _check_table_bytes(what: str, bytes_needed: int) -> None:
@@ -456,20 +446,23 @@ def _require_validated(model: PerturbedModel, first: float, last: float, what: s
 
 
 def _check_row(row: np.ndarray, nodes: np.ndarray, n: int, scale: float) -> None:
-    """Raise at the first lattice node where row n is non-finite or negative."""
+    """Raise at the first lattice node, and its first grid node, where row
+    n is non-finite or negative."""
     floor = -_POSITIVITY_SLACK * scale
     low = row.min(initial=0.0)
     if low >= floor and np.isfinite(row.max(initial=0.0)):
         return
-    finite = np.isfinite(row).all(axis=1)
-    j = int(np.argmax(~finite | (row < floor).any(axis=1)))
+    j = int(np.argmax((~np.isfinite(row) | (row < floor)).any(axis=1)))
     tau = float(nodes[j])
-    if not finite[j]:
-        raise EvaluationError(
-            f"iterate row {n} contains non-finite values at tau = {tau!r}", n=n, tau=tau)
+    finite = np.isfinite(row[j])
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise EvaluationError(f"iterate row {n} contains non-finite values at tau = {tau!r}, "
+                              f"grid node {i}", n=n, tau=tau, node=i)
+    i = int(np.argmax(row[j] < floor))
     raise EvaluationError(
-        f"iterate row {n} lost positivity at tau = {tau!r} "
-        f"(min coefficient {float(row[j].min())!r})", n=n, tau=tau)
+        f"iterate row {n} lost positivity at tau = {tau!r}, grid node {i} "
+        f"(min coefficient {float(row[j].min())!r})", n=n, tau=tau, node=i)
 
 
 def _step_factors(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
@@ -687,7 +680,8 @@ def _b_rows(model: PerturbedModel, kicked: str, n: int, taus: np.ndarray,
     """B(tau_j) states[j] for every node j in one call, checked finite once.
 
     A failure names ``kicked``, what the states are (say "iterate 3"), and
-    carries ``n`` and the first failing tau.
+    carries ``n``, the first failing tau and, for a non-finite output, its
+    first non-finite grid node.
     """
     apply = model.perturbation.apply
     try:
@@ -707,10 +701,11 @@ def _b_rows(model: PerturbedModel, kicked: str, n: int, taus: np.ndarray,
             f"{len(taus)} times, though every single time succeeds: {exc}", n=n,
         ) from exc
     if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
-        tau = float(taus[int(np.argmin(np.isfinite(out).all(axis=1)))])
+        j, i = divmod(int(np.argmin(np.isfinite(out))), out.shape[-1])
+        tau = float(taus[j])
         raise EvaluationError(
-            f"perturbation produced non-finite values at {kicked}, tau = {tau!r}",
-            n=n, tau=tau,
+            f"perturbation produced non-finite values at {kicked}, tau = {tau!r}, grid node {i}",
+            n=n, tau=tau, node=i,
         )
     if np.may_share_memory(out, states):
         # a B that returns (a view of) its input: the one-step pass turns
@@ -735,12 +730,24 @@ def _once(fn: Callable, *args) -> Callable[[], np.ndarray]:
 _Rows = Iterator[tuple[np.ndarray, Callable[[], np.ndarray]]]
 
 
+def _refuse_negative(source: np.ndarray, nodes: np.ndarray) -> None:
+    """Raise PreconditionError at the first negative entry of ``source``,
+    naming its grid node and, for a per-node source, its lattice time."""
+    if not source.min(initial=0.0) < 0.0:
+        return
+    k, i = divmod(int(np.argmax(source < 0.0)), source.shape[-1])
+    where = f"tau = {float(nodes[k])!r}, grid node {i}" if source.ndim == 2 else f"grid node {i}"
+    raise PreconditionError(f"row passes run on nonnegative data only; the source is "
+                            f"negative at {where}")
+
+
 def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
                 direct: bool = False, lam: float = 0.0) -> _Rows:
-    """Yield (row values, B of the row) for n = 0, 1, ... on nonnegative data.
+    """One row pass: its (row values, B of the row) for n = 0, 1, ...
 
     ``source`` is either the start state u0 (shape (d,)), or one state per
-    lattice node (shape (M+1, d), one-step recursion only).  A
+    lattice node (shape (M+1, d), one-step recursion only), and must be
+    nonnegative: honesty is a statement about the positive cone.  A
     per-node source starts one run at every node: row n at tau_k is then
     the sum over i <= k of (row n started at tau_i on source[i]) at tau_k,
     all in one pass.  ``lam`` discounts every step by exp(-lam dt), so each
@@ -764,24 +771,32 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
 
     Memory: the pass holds ``_PASS_ROWS`` = 3 arrays of (M+1) d floats at
     once (``_PER_NODE_PASS_ROWS`` = 5 from a per-node source, which the
-    pass owns: row 0 is carried in it in place), and raises
-    ``SizeCapError`` before any operator call when they would exceed the
-    table cap (signed data runs two passes side by side, charged in
-    ``_combined_rows``).  A lattice
-    outside the model's ``validated_span`` (to 1e-12 relative) raises
-    ``PreconditionError``.
+    pass owns: row 0 is carried in it in place).
+
+    The arguments are checked when this is called, before any operator
+    call: a lattice outside the model's ``validated_span`` (to 1e-12
+    relative) and a negative source entry raise ``PreconditionError``, and
+    a working set over the table cap raises ``SizeCapError``.
     """
     _require_validated(model, tg.s, tg.t_end, "lattice")
+    direct = direct or not tg._quadrature.nested
+    if source.ndim == 2 and direct:
+        raise PreconditionError("a per-node source needs the one-step recursion")
+    _refuse_negative(source, tg.nodes)
+    _check_pass_rows(model, tg, _source_rows(source))
+    return _row_pass(model, tg, source, direct, lam)
+
+
+def _row_pass(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
+              direct: bool, lam: float) -> _Rows:
+    """The rows of ``_right_rows``, on the arguments it has checked."""
     nodes = tg.nodes
     m = tg.n_steps
     dt = tg.dt
     d = model.grid.size
     per_node = source.ndim == 2
-    direct = direct or not tg._quadrature.nested
-    if per_node and direct:
-        raise PreconditionError("a per-node source needs the one-step recursion")
-    _check_pass_rows(model, tg, _source_rows(source))
-    scale = max(float(np.max(np.abs(source))) if source.size else 0.0, 1e-300)
+    # the source is nonnegative, so its largest entry is its largest magnitude
+    scale = max(float(source.max(initial=0.0)), 1e-300)
     steps = _step_factors(model, nodes)
     if lam:
         steps = steps * np.exp(-lam * dt)
@@ -841,33 +856,6 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
         _check_row(row, nodes, n, scale)
 
 
-def _combined_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
-                   direct: bool = False, lam: float = 0.0) -> _Rows:
-    """Row generator; signed data runs its positive and negative parts.
-
-    A per-node source is the generator's own, as in ``_right_rows``.
-    Signed data holds its two passes side by side, each at its count, and
-    the combined row and B row: it raises ``SizeCapError`` before either
-    pass starts when those would exceed the table cap.
-    """
-    if np.all(source >= 0.0):
-        rows = _right_rows(model, tg, source, direct, lam)
-        del source  # the pass drops it as its row 0
-        yield from rows
-        return
-    _check_pass_rows(model, tg, 2 * _source_rows(source) + _COMBINED_ROWS)
-    neg = np.negative(source)
-    gen_p = _right_rows(model, tg, np.maximum(source, 0.0), direct, lam)
-    gen_n = _right_rows(model, tg, np.maximum(neg, 0.0, out=neg), direct, lam)
-    del source, neg
-    while True:
-        row_p, b_p = next(gen_p)
-        row_n, b_n = next(gen_n)
-        yield row_p - row_n, _once(lambda b_p, b_n: b_p() - b_n(), b_p, b_n)
-        # so that each pass drops its row and B row as it makes the next
-        del row_p, b_p, row_n, b_n
-
-
 def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
                   *, keep_rows: bool = True) -> DysonPhillipsTable:
     """Build iterate rows 0..n_max on the lattice (production recursion).
@@ -877,15 +865,14 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     norm, and its defect (a trapezoid integral under either rule).  With
     ``keep_rows`` (the default) every row and the perturbation applied to
     it are also kept for diagnostics; without, the table is row-less (see
-    ``DysonPhillipsTable``).  Signed initial data is split into
-    positive/negative parts and recombined linearly.
+    ``DysonPhillipsTable``).  ``u0`` must be nonnegative (see
+    ``_right_rows``).
     Cost: O(n_max * M) operator applications under the trapezoid rule
     (one-step path), O(n_max * M^2) under the midpoint rule (direct path).
-    Memory: the pass's working set, three arrays of (M+1) d floats on
-    nonnegative data (B is positive, so the defect reads each B row as it
-    is, not an ``np.abs`` copy) and eight on signed data, plus O(n_max d)
-    kept, plus 2 (n_max+1)(M+1) d floats with ``keep_rows``; what it
-    keeps is checked against the table cap first.
+    Memory: the pass's working set, three arrays of (M+1) d floats (B is
+    positive, so the defect reads each B row as it is, not an ``np.abs``
+    copy), plus O(n_max d) kept, plus 2 (n_max+1)(M+1) d floats with
+    ``keep_rows``; what it keeps is checked against the table cap first.
     """
     coeffs = _as_coeffs(model.grid, u0)
     if n_max < 0:
@@ -900,10 +887,7 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     b_applied = np.empty_like(iterates) if keep_rows else None
     # the defect is a trapezoid integral whatever the lattice rule
     w = _trapezoid_weights(m, tg.dt)
-    # B is positive, so on nonnegative data its rows are their own
-    # absolute values; signed data's B rows are differences
-    signed = not np.all(coeffs >= 0.0)
-    gen = _combined_rows(model, tg, coeffs)
+    gen = _right_rows(model, tg, coeffs)
     for n in range(n_max + 1):
         row, lazy_b = next(gen)
         b_row = lazy_b()
@@ -911,9 +895,6 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
         if keep_rows:
             iterates[n] = row
             b_applied[n] = b_row
-        if signed:
-            # the combined B row is this loop's alone, made absolute in place
-            np.abs(b_row, out=b_row)
         defects[n] = w @ (b_row @ grid.weights)
         del row, lazy_b, b_row  # so they die once the pass is past them
     norms = np.array([weighted_norm_array(grid, end) for end in end_rows])
@@ -968,8 +949,9 @@ def _tail_sum(rows: Iterator[np.ndarray], take, grid: Grid, coeffs: np.ndarray,
 
 def _row_values(model: PerturbedModel, tg: TimeGrid,
                 coeffs: np.ndarray) -> Iterator[np.ndarray]:
-    """The rows of a pass on any data, without their B rows."""
-    return map(itemgetter(0), _combined_rows(model, tg, coeffs))
+    """The rows of a pass, without their B rows; the pass is asked for,
+    and checks its arguments, when its first row is."""
+    yield from map(itemgetter(0), _right_rows(model, tg, coeffs))
 
 
 def series_sum(model: PerturbedModel, tg: TimeGrid, u0, *, tol: float = _SERIES_TOL,

@@ -37,7 +37,6 @@ from .evolution import (
     PerturbedModel,
     TimeGrid,
     _as_coeffs,
-    _require_rows,
     loss_gain_model,
 )
 from .honesty import mass_ledger
@@ -335,37 +334,8 @@ def fragmentation_perturbed_model(model: FragmentationModel,
 
 
 # ---------------------------------------------------------------------------
-# identities and references
+# references
 # ---------------------------------------------------------------------------
-
-def vn_identity_residual(model: FragmentationModel, table: DysonPhillipsTable,
-                         n: int) -> float:
-    """Pointwise integral-equation residual of the n-th partial sum.
-
-    With v_n the sum of iterate rows 0..n, the continuum partial sums obey
-
-        v_n(t, x) = u0(x) - integral_s^t a(r, x) v_n(r, x) dr
-                          + integral_s^t (gain of v_{n-1})(r, x) dr
-
-    pointwise in x.  The residual is the max-abs deviation at t_end with
-    both time integrals taken by the lattice rule.  Unlike the engine's
-    own recursion (which propagates with the decay flow and satisfies its
-    discrete fixed point exactly), this arrangement integrates the bare
-    rate against the unknown, so the residual shows the genuine O(dt^2)
-    quadrature error.
-    """
-    _require_rows(table, "vn_identity_residual")
-    if not 0 <= n <= table.n_max:
-        raise PreconditionError(f"need 0 <= n <= {table.n_max}, got {n}")
-    tg = table.time_grid
-    m = tg.n_steps
-    vn = np.sum(table.iterates[:n + 1], axis=0)
-    w = tg._quadrature.weights(m, tg.dt)
-    used = np.flatnonzero(w)
-    loss = w[used] @ (model.rate_values(tg.nodes[used]) * vn[used])
-    gain = w[used] @ np.sum(table.b_applied[:n, used], axis=0)
-    return float(np.max(np.abs(vn[m] - table.u0 + loss - gain)))
-
 
 def mol_reference(model: FragmentationModel, tg: TimeGrid, u0, *,
                   substeps: int = 8) -> np.ndarray:

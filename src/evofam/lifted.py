@@ -41,8 +41,8 @@ from .evolution import (
     _Flow,
     _b_rows,
     _check_table_bytes,
-    _combined_rows,
     _require_validated,
+    _right_rows,
     _step_factors,
     iterate_right,
 )
@@ -146,7 +146,17 @@ class _Resolvent:
         return _gain_blocks(self.model, self.axis.nodes)
 
     def kick(self, values: np.ndarray) -> np.ndarray:
-        """The discounted kick of a history (see ``laplace_kick``)."""
+        """The exponentially discounted kick of a history.
+
+        At axis node s the output is the trapezoid quadrature over tau in
+        [0, s] of exp(-lam (s - tau)) B(s) U(s, tau) f(tau): free transport
+        of the history into s, discounted at rate lam, then kicked once.
+        The quadrature takes the engine's one-step form (exact for
+        composing U): the history's trapezoid kicks, formed by
+        ``_Flow.kicks`` in the frame of the discounted flow, carried along
+        the axis, then one B call.  An axis rule whose weights do not nest
+        (midpoint) is refused.
+        """
         self.require_nested("the discounted kick")
         nodes, h = self.axis.nodes, self.axis.dt
         flow = _Flow(_step_factors(self.model, nodes) * math.exp(-self.lam * h))
@@ -158,8 +168,16 @@ class _Resolvent:
 
     def perturbed(self, *rhs: np.ndarray) -> list[np.ndarray]:
         """The perturbed resolvent of each right-hand side from one batched
-        block inverse, which this call uses up.  Each comes out bitwise as
-        if solved alone: it takes its own products and its own sweep."""
+        block inverse, which this call uses up.
+
+        It solves (lam - generator - B) g = f, the generator being
+        -d/dt - loss_rate(t) by the upwind backward difference with zero
+        inflow at time 0, by forward substitution: each diagonal block
+        A_k = diag(lam + 1/h + loss_rate(t_k)) - B(t_k) is an M-matrix for
+        lam > 0, so nonnegative data produce nonnegative solutions.  Every
+        block is inverted in one batched call, then each node takes one
+        d x d matvec.  Each right-hand side comes out bitwise as if solved
+        alone: it takes its own products and its own sweep."""
         diag = self.diag
         blocks = np.negative(self.blocks, out=self.blocks)
         del self.blocks
@@ -177,7 +195,9 @@ class _Resolvent:
     def series(self, values: np.ndarray) -> Iterator[np.ndarray]:
         """Terms n = 0, 1, ... of the resolvent series of a history: the free
         resolvent after n rounds of (kick, free resolvent), term 0 the free
-        resolvent itself.  Each is made when requested; consumers must not
+        resolvent itself, whose sweep g_k = (f_k + g_{k-1} / h) / A_k
+        (A_k = lam + 1/h + loss_rate(t_k), diagonal) is one node-wise carry
+        over the axis.  Each is made when requested; consumers must not
         write to a term, since the next one is made from it."""
         diag = self.diag
         flow = _Flow(1.0 / (self.axis.dt * diag[1:]))
@@ -187,40 +207,6 @@ class _Resolvent:
             yield term
             term = _b_rows(self.model, f"resolvent series term {n}", n, self.axis.nodes,
                            term) / diag
-
-
-def laplace_kick(model: PerturbedModel, lam: float, f: LiftedVector) -> LiftedVector:
-    """Exponentially discounted kick of the trajectory history.
-
-    At axis node s the output is the trapezoid quadrature over tau in
-    [0, s] of exp(-lam (s - tau)) B(s) U(s, tau) f(tau): free transport of
-    the history into s, discounted at rate lam, then kicked once.  The
-    quadrature takes the engine's one-step form (exact for composing U):
-    the history's trapezoid kicks, formed by ``_Flow.kicks`` in the frame
-    of the discounted flow, carried along the axis, then one B call.  An
-    axis rule whose weights do not nest (midpoint) is refused.
-    """
-    return LiftedVector(grid=f.grid, axis=f.axis, values=_Resolvent(model, lam, f).kick(f.values))
-
-
-def lifted_resolvent(model: PerturbedModel, lam: float, f: LiftedVector, *,
-                     perturbed: bool = False) -> LiftedVector:
-    """Solve (lam - generator) g = f by forward substitution.
-
-    The generator is -d/dt - loss_rate(t) (upwind backward difference,
-    zero inflow at time 0), optionally plus the kick block B(t).  The
-    upwind structure makes the system block-lower-bidiagonal, so one
-    sweep along the axis solves it; each diagonal block
-    A_k = diag(lam + 1/h + loss_rate(t_k)) - B(t_k) is an M-matrix for
-    lam > 0, so nonnegative data produce nonnegative solutions.  Without
-    the kick the blocks are diagonal, and the sweep
-    g_k = (f_k + g_{k-1} / h) / A_k is one node-wise carry over the axis.
-    The perturbed sweep inverts every block in one batched call, then
-    makes one d x d matvec per node.
-    """
-    op = _Resolvent(model, lam, f)
-    values = op.perturbed(f.values)[0] if perturbed else next(op.series(f.values))
-    return LiftedVector(grid=f.grid, axis=f.axis, values=values)
 
 
 def kick_block_norm(model: PerturbedModel, axis: TimeGrid) -> float:
@@ -292,11 +278,6 @@ def resolvent_series_check(model: PerturbedModel, lam: float, f: LiftedVector,
     return residuals
 
 
-def required_horizon(lam: float, tail: float = HORIZON_TAIL_LIMIT) -> float:
-    """Shortest axis end time whose Laplace tail weight drops below ``tail``."""
-    return math.log(1.0 / tail) / lam
-
-
 def laplace_transform_check(model: PerturbedModel, lam: float, n: int,
                             f: LiftedVector) -> CheckRow:
     """Laplace transform of the n-th lifted iterate against the series term.
@@ -307,7 +288,8 @@ def laplace_transform_check(model: PerturbedModel, lam: float, n: int,
     continuum; O(h) on the axis, plus the reported horizon-truncation
     bound exp(-lam T_max)/lam * norm(f).  The axis must use the trapezoid
     rule and satisfy exp(-lam T_max) < 1e-10 (raises with the required
-    horizon).  Cost: row n is the last row of the suite cut at n (see
+    horizon), and f must be nonnegative (a negative entry raises, naming
+    its time and grid node).  Cost: row n is the last row of the suite cut at n (see
     ``_laplace_rows``): one engine pass of n + 1 rows over the axis, one
     row-less ``iterate_right`` to n when f(0) != 0, and n + 1 free
     resolvent sweeps.  A caller that wants rows 0..N takes them from one
@@ -331,7 +313,7 @@ def _laplace_rows(model: PerturbedModel, lam: float, f: LiftedVector,
     if math.exp(-lam * t_max) >= HORIZON_TAIL_LIMIT:
         raise PreconditionError(
             f"time horizon {t_max} too short for lam = {lam}; "
-            f"need T_max >= {required_horizon(lam):.3f}"
+            f"need T_max >= {math.log(1.0 / HORIZON_TAIL_LIMIT) / lam:.3f}"
         )
     h, m = axis.dt, axis.n_steps
     bound = math.exp(-lam * t_max) / lam * f.norm()
@@ -344,7 +326,7 @@ def _laplace_rows(model: PerturbedModel, lam: float, f: LiftedVector,
     # corrected below: i = k (only row 0 is nonzero there) and
     # (k, i) = (M, 0).
     # the pass owns its source: row 0 is carried in place in h f
-    rows = _combined_rows(model, axis, h * f.values, lam=lam)
+    rows = _right_rows(model, axis, h * f.values, lam=lam)
     corners = (iterate_right(model, axis, f.values[0], n_max, keep_rows=False).end_rows
                if np.any(f.values[0]) else None)
     out = []

@@ -22,8 +22,6 @@ from evofam import (
     iterate_left,
     iterate_right,
     kick_block_norm,
-    laplace_kick,
-    lifted_resolvent,
     mass_ledger,
     outflow_kernel_matrix,
     resolvent_factorization_check,
@@ -33,6 +31,7 @@ from evofam import (
 )
 from evofam.boltzmann import SUBCRITICAL_RESCALE_LIMIT
 from evofam.coefficients import SeparableCoefficient
+from evofam.lifted import _Resolvent
 
 CONSTANT_ONE = TimeProfile(kind="constant", c0=1.0)
 
@@ -236,9 +235,9 @@ def test_lifted_checks_refuse_an_axis_past_the_validated_span():
     resolvent_factorization_check(perturbed, 1.0, inside)
     calls = [
         lambda f: resolvent_factorization_check(perturbed, 1.0, f),
-        lambda f: laplace_kick(perturbed, 1.0, f),
-        lambda f: lifted_resolvent(perturbed, 1.0, f),
-        lambda f: lifted_resolvent(perturbed, 1.0, f, perturbed=True),
+        lambda f: _Resolvent(perturbed, 1.0, f).kick(f.values),
+        lambda f: next(_Resolvent(perturbed, 1.0, f).series(f.values)),
+        lambda f: _Resolvent(perturbed, 1.0, f).perturbed(f.values),
         lambda f: kick_block_norm(perturbed, f.axis),
     ]
     for call in calls:

@@ -405,6 +405,19 @@ def test_sweep_reads_initial_csv_once(tmp_path, monkeypatch):
     assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 4
 
 
+@pytest.mark.parametrize("values, bad", [("1.0\n-0.5\n", "grid node 1 holds -0.5"),
+                                         ("nan\n0.5\n", "grid node 0 holds nan"),
+                                         ("1.0\ninf\n", "grid node 1 holds inf")],
+                         ids=["negative", "nan", "inf"])
+def test_initial_csv_error_names_the_first_bad_entry(values, bad, tmp_path, capsys):
+    (tmp_path / "u0.csv").write_text(values)
+    cfg = write_ini(tmp_path, ORACLE_INI.replace("kind = point\nnode = 0\n",
+                                                 f"kind = csv\npath = {tmp_path / 'u0.csv'}\n"))
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"[initial] csv data must be finite and nonnegative; {bad}" in err, err
+
+
 def test_x_min_sweep_restricted_to_fragmentation(tmp_path, capsys):
     bad = write_ini(tmp_path, ORACLE_INI + "\n[sweep]\nkind = x_min\nvalues = 0.1, 0.05\n")
     assert main(["sweep", bad, "--output-dir", str(tmp_path / "a")]) == 1
@@ -567,7 +580,9 @@ def count_engine_runs(monkeypatch):
         runs.append(args[1].n_steps)
         return right_rows(*args, **kwargs)
 
+    # at each site that looks it up: the engine's own and the Laplace check's
     monkeypatch.setattr(evolution, "_right_rows", counted)
+    monkeypatch.setattr(lifted, "_right_rows", counted)
     return runs
 
 

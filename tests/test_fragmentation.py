@@ -20,6 +20,7 @@ from evofam import (
     TimeProfile,
     daughter_factors,
     daughter_matrix,
+    duhamel_residual,
     fragmentation_model,
     fragmentation_perturbed_model,
     fragmentation_rate,
@@ -30,7 +31,6 @@ from evofam import (
     mol_reference,
     uniform_mass_grid,
     uniform_velocity_grid,
-    vn_identity_residual,
 )
 from evofam.cli import main
 from evofam.coefficients import SeparableCoefficient
@@ -348,25 +348,24 @@ def test_perturbed_adapter_consistency(binary_frag, binary_frag_perturbed):
 # identities, references, leakage
 # ---------------------------------------------------------------------------
 
-def test_vn_identity_second_order(binary_frag, binary_frag_perturbed):
+def test_vn_identity_second_order(binary_frag_perturbed):
+    # the variation-of-constants (Duhamel) residual of the series is second
+    # order in dt on a fragmentation model: halving dt quarters it
     u0 = np.ones(binary_frag_perturbed.grid.size)
-    residuals = []
-    for dt in (1.0 / 16.0, 1.0 / 32.0):
-        table = iterate_right(binary_frag_perturbed, TimeGrid(0.0, 1.0, dt), u0, 6)
-        residuals.append(vn_identity_residual(binary_frag, table, 3))
+    residuals = [duhamel_residual(binary_frag_perturbed, TimeGrid(0.0, 1.0, dt), u0)
+                 for dt in (1.0 / 16.0, 1.0 / 32.0)]
     assert residuals[0] < 1e-2
     assert residuals[1] / residuals[0] == pytest.approx(0.25, abs=0.1)
-    with pytest.raises(PreconditionError):
-        vn_identity_residual(binary_frag, table, 7)
 
 
 def test_vn_identity_exact_for_zero_rate():
+    # with zero breakup rate nothing moves: U is the identity and B is 0,
+    # so the variation-of-constants identity holds exactly
     grid = uniform_mass_grid(0.1, 1.0, 8)
     rate = fragmentation_rate(grid, "constant", {"value": 0.0})
     model = fragmentation_model(grid, rate, daughter_matrix(grid, "binary_uniform"))
     series_model = fragmentation_perturbed_model(model)
-    table = iterate_right(series_model, TimeGrid(0.0, 1.0, 0.25), np.ones(8), 3)
-    assert vn_identity_residual(model, table, 2) == 0.0
+    assert duhamel_residual(series_model, TimeGrid(0.0, 1.0, 0.25), np.ones(8)) == 0.0
 
 
 def test_mol_reference_agrees_with_series(binary_frag, binary_frag_perturbed):

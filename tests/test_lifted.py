@@ -26,11 +26,8 @@ from evofam import (
     gaussian_kernel_matrix,
     iterate_right,
     kick_block_norm,
-    laplace_kick,
     laplace_transform_check,
     lifted_norm,
-    lifted_resolvent,
-    required_horizon,
     resolvent_factorization_check,
     resolvent_series_check,
     uniform_velocity_grid,
@@ -47,6 +44,13 @@ def make_history(axis: TimeGrid) -> LiftedVector:
     grid = abstract_grid([1.0, 1.0])
     values = np.outer(np.exp(-axis.nodes), U0)
     return LiftedVector(grid=grid, axis=axis, values=values)
+
+
+def resolvent(model, lam, f, perturbed=False) -> np.ndarray:
+    """The free or perturbed resolvent of f's history, from a fresh
+    ``_Resolvent``: the free one is term 0 of its series."""
+    op = _Resolvent(model, lam, f)
+    return op.perturbed(f.values)[0] if perturbed else next(op.series(f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +112,8 @@ def test_laplace_kick_matches_explicit_quadrature(oracle_model):
         steps = evolution._step_factors(model, axis.nodes) * math.exp(-lam * axis.dt)
         chunks.append([(s, e, factor is not None)
                        for s, e, factor in evolution._Flow(steps).chunks])
-        out = laplace_kick(model, lam, f)
-        ref = np.zeros_like(out.values)
+        out = _Resolvent(model, lam, f).kick(f.values)
+        ref = np.zeros_like(out)
         for k in range(axis.n_steps + 1):
             w = _trapezoid_weights(k, axis.dt)
             acc = np.zeros(2)
@@ -118,12 +122,12 @@ def test_laplace_kick_matches_explicit_quadrature(oracle_model):
                 acc += w[i] * math.exp(-lam * gap) * model.unperturbed.apply(
                     axis.nodes[k], axis.nodes[i], f.values[i])
             ref[k] = model.perturbation.apply(axis.nodes[k], acc)
-        np.testing.assert_allclose(out.values, ref, rtol=0.0,
+        np.testing.assert_allclose(out, ref, rtol=0.0,
                                    atol=1e-15 * max(1.0, float(np.abs(ref).max())))
     assert chunks == [[(0, 4, False)], [(j, j + 1, True) for j in range(4)],
                       [(0, 3, False), (3, 4, False)]]
-    with pytest.raises(PreconditionError):
-        laplace_kick(oracle_model, 0.0, f)
+    with pytest.raises(PreconditionError, match="lam must be positive"):
+        _Resolvent(oracle_model, 0.0, f)
 
 
 def test_resolvent_free_geometric_decay(oracle_model):
@@ -133,12 +137,12 @@ def test_resolvent_free_geometric_decay(oracle_model):
     pulse[0] = U0
     f = LiftedVector(grid=grid, axis=axis, values=pulse)
     lam = 1.5
-    out = lifted_resolvent(oracle_model, lam, f)
+    out = resolvent(oracle_model, lam, f)
     h = axis.dt
     base = U0 / (lam + 1.0 / h + 1.0)
     ratio = 1.0 / (1.0 + h * (lam + 1.0))
     for k in range(axis.n_steps + 1):
-        np.testing.assert_allclose(out.values[k], base * ratio ** k, rtol=1e-13)
+        np.testing.assert_allclose(out[k], base * ratio ** k, rtol=1e-13)
 
 
 def lifted_generator_matrix(model, axis, perturbed):
@@ -170,12 +174,12 @@ def test_resolvents_match_dense_generator(oracle_model):
     for perturbed in (False, True):
         gen = lifted_generator_matrix(oracle_model, axis, perturbed)
         dense = np.linalg.solve(lam * np.eye(size) - gen, f.values.ravel())
-        sweep = lifted_resolvent(oracle_model, lam, f, perturbed=perturbed)
-        np.testing.assert_allclose(sweep.values.ravel(), dense, rtol=1e-12)
+        sweep = resolvent(oracle_model, lam, f, perturbed=perturbed)
+        np.testing.assert_allclose(sweep.ravel(), dense, rtol=1e-12)
         # nonnegative data in, nonnegative solution out (M-matrix blocks)
-        assert np.all(sweep.values >= 0.0)
-    with pytest.raises(PreconditionError):
-        lifted_resolvent(oracle_model, -1.0, f)
+        assert np.all(sweep >= 0.0)
+    with pytest.raises(PreconditionError, match="lam must be positive"):
+        _Resolvent(oracle_model, -1.0, f)
 
 
 def per_node_solve_sweep(model, lam, f, perturbed):
@@ -201,8 +205,8 @@ def test_resolvent_sweeps_match_per_node_solves(fixture, perturbed, request):
     rng = np.random.default_rng(23)
     f = LiftedVector(grid=model.grid, axis=axis,
                      values=rng.uniform(0.0, 1.0, (axis.n_steps + 1, model.grid.size)))
-    sweep = lifted_resolvent(model, 1.2, f, perturbed=perturbed)
-    np.testing.assert_allclose(sweep.values, per_node_solve_sweep(model, 1.2, f, perturbed),
+    sweep = resolvent(model, 1.2, f, perturbed=perturbed)
+    np.testing.assert_allclose(sweep, per_node_solve_sweep(model, 1.2, f, perturbed),
                                rtol=1e-13, atol=0.0)
 
 
@@ -216,19 +220,19 @@ def test_resolvent_needs_loss_rates():
     axis = TimeGrid(0.0, 1.0, 0.5)
     f = LiftedVector(grid=grid, axis=axis, values=np.zeros((3, 2)))
     with pytest.raises(PreconditionError, match="loss_rate"):
-        lifted_resolvent(bare, 1.0, f)
+        resolvent(bare, 1.0, f)
     # rates are read for all axis nodes in one call: one row per node
     one_time = PerturbedModel(name="one-time", grid=grid, unperturbed=bare.unperturbed,
                               perturbation=bare.perturbation,
                               loss_rate=lambda t: np.ones(2))
     with pytest.raises(PreconditionError, match="one value per grid node"):
-        lifted_resolvent(one_time, 1.0, f)
+        resolvent(one_time, 1.0, f)
     gaining = PerturbedModel(name="gaining", grid=grid, unperturbed=bare.unperturbed,
                              perturbation=bare.perturbation,
                              loss_rate=lambda t: np.multiply.outer(np.asarray(t) - 9.0,
                                                                    np.ones(2)))
     with pytest.raises(PreconditionError, match="diagonal must be positive"):
-        lifted_resolvent(gaining, 1.0, f)
+        resolvent(gaining, 1.0, f)
 
 
 def test_kick_block_norm_on_exchange(oracle_model):
@@ -243,7 +247,7 @@ def test_kick_blocks_memory_cap(oracle_model, monkeypatch):
     with pytest.raises(SizeCapError, match="kick block"):
         kick_block_norm(oracle_model, axis)
     with pytest.raises(SizeCapError, match="kick block"):
-        lifted_resolvent(oracle_model, 1.0, make_history(axis), perturbed=True)
+        resolvent(oracle_model, 1.0, make_history(axis), perturbed=True)
 
 
 def test_lifted_layer_names_where_b_turns_non_finite(oracle_model):
@@ -260,7 +264,7 @@ def test_lifted_layer_names_where_b_turns_non_finite(oracle_model):
     # B rows, and the first bad node (axis node 9) is named with what was
     # kicked; the Laplace check's engine pass fails before its series terms
     for call, kicked in (
-            (lambda: laplace_kick(model, 8.0, f), r"the discounted history"),
+            (lambda: _Resolvent(model, 8.0, f).kick(f.values), r"the discounted history"),
             (lambda: next(itertools.islice(_Resolvent(model, 8.0, f).series(f.values), 1,
                                            None)),
              r"resolvent series term 0"),
@@ -270,7 +274,7 @@ def test_lifted_layer_names_where_b_turns_non_finite(oracle_model):
         with pytest.raises(EvaluationError, match=rf"at {kicked}, tau = 0\.5625"):
             call()
     for call in (lambda: kick_block_norm(model, axis),
-                 lambda: lifted_resolvent(model, 8.0, f, perturbed=True),
+                 lambda: resolvent(model, 8.0, f, perturbed=True),
                  lambda: resolvent_series_check(model, 8.0, f, 2)):
         with pytest.raises(EvaluationError, match=r"axis node 9, tau = 0\.5625"):
             call()
@@ -296,11 +300,12 @@ def test_factorization_check_inverts_the_kick_blocks_once(oracle_model, monkeypa
     # both perturbed solves share one block inverse, and the residual is
     # bitwise the one the three separate resolvents give
     f = make_history(TimeGrid(0.0, 1.0, 1.0 / 32.0))
-    kicked = laplace_kick(oracle_model, 2.0, f)
+    kicked = LiftedVector(grid=f.grid, axis=f.axis,
+                          values=_Resolvent(oracle_model, 2.0, f).kick(f.values))
     separate = LiftedVector(grid=f.grid, axis=f.axis, values=(
-        lifted_resolvent(oracle_model, 2.0, kicked, perturbed=True).values
-        - lifted_resolvent(oracle_model, 2.0, f, perturbed=True).values
-        + lifted_resolvent(oracle_model, 2.0, f).values)).norm()
+        resolvent(oracle_model, 2.0, kicked, perturbed=True)
+        - resolvent(oracle_model, 2.0, f, perturbed=True)
+        + resolvent(oracle_model, 2.0, f))).norm()
     calls = []
     gain_blocks = lifted._gain_blocks
     monkeypatch.setattr(lifted, "_gain_blocks",
@@ -359,12 +364,12 @@ def _laplace_residual_per_start(model, lam, n, f):
         sub = TimeGrid(nodes[i], nodes[-1], axis.dt)
         row = iterate_right(model, sub, f.values[i], n).iterates[n]
         lhs[i:] += discount[:m - i + 1, None] * row
-    rhs = lifted_resolvent(model, lam, f)
+    rhs = resolvent(model, lam, f)
     for _ in range(n):
         kicked = LiftedVector(grid=f.grid, axis=axis,
-                              values=model.perturbation.apply(nodes, rhs.values))
-        rhs = lifted_resolvent(model, lam, kicked)
-    return LiftedVector(grid=f.grid, axis=axis, values=lhs - rhs.values).norm()
+                              values=model.perturbation.apply(nodes, rhs))
+        rhs = resolvent(model, lam, kicked)
+    return LiftedVector(grid=f.grid, axis=axis, values=lhs - rhs).norm()
 
 
 def _time_scaled_collision():
@@ -378,14 +383,13 @@ def _time_scaled_collision():
 
 
 def _histories(grid, axis):
-    """Lifted histories: zero at t = 0, nonzero there, and signed."""
+    """Nonnegative lifted histories: zero at t = 0, and nonzero there."""
     d = grid.size
     shape = 0.5 + np.arange(d) / d
     t = axis.nodes[:, None]
     return {
         "zero_start": t * np.exp(-t) * shape,
         "nonzero_start": np.exp(-t) * shape[::-1],
-        "signed": np.cos(3.0 * t + np.arange(d)) * shape,
     }
 
 
@@ -414,7 +418,9 @@ def test_laplace_check_engine_runs_do_not_grow_with_axis(oracle_model, monkeypat
         runs.append(args[1].n_steps)
         return right_rows(*args, **kwargs)
 
+    # iterate_right reads the engine's name, the Laplace check its own import
     monkeypatch.setattr(evolution, "_right_rows", counted)
+    monkeypatch.setattr(lifted, "_right_rows", counted)
     for t_max in (3.0, 6.0):
         axis = TimeGrid(0.0, t_max, 1.0 / 32.0)
         zero_start = LiftedVector(grid=oracle_model.grid, axis=axis,
@@ -433,13 +439,13 @@ def test_laplace_check_needs_trapezoid_axis(oracle_model):
         laplace_transform_check(oracle_model, 8.0, 1, f)
     # so is the discounted kick, a trapezoid quadrature: run on a midpoint
     # axis it silently gave the residual of the trapezoid axis
-    for call in (lambda: laplace_kick(oracle_model, 2.0, f),
+    for call in (lambda: _Resolvent(oracle_model, 2.0, f).kick(f.values),
                  lambda: resolvent_factorization_check(oracle_model, 2.0, f)):
         with pytest.raises(PreconditionError,
                            match="discounted kick needs an axis rule whose weights nest"):
             call()
     # the resolvents take no quadrature and run on either rule
-    lifted_resolvent(oracle_model, 2.0, f, perturbed=True)
+    resolvent(oracle_model, 2.0, f, perturbed=True)
     resolvent_series_check(oracle_model, 8.0, f, 2)
 
 
@@ -454,9 +460,25 @@ def test_laplace_transform_check_horizon_gate(oracle_model):
         laplace_transform_check(oracle_model, 8.0, -1, long_axis)
 
 
-def test_required_horizon_inverts_tail():
-    lam = 8.0
-    horizon = required_horizon(lam)
-    assert math.exp(-lam * horizon) == pytest.approx(HORIZON_TAIL_LIMIT, rel=1e-12)
-    assert required_horizon(2.0, 1e-4) == pytest.approx(math.log(1e4) / 2.0)
+def test_required_horizon_inverts_tail(oracle_model):
+    # the horizon a too-short axis is told to reach is where the Laplace
+    # tail weight exp(-lam T_max) drops to the tail limit
+    short = make_history(TimeGrid(0.0, 1.0, 0.25))
+    for lam in (8.0, 2.0):
+        with pytest.raises(PreconditionError, match=r"need T_max >= [0-9.]+$") as err:
+            laplace_transform_check(oracle_model, lam, 0, short)
+        horizon = float(str(err.value).rsplit(" ", 1)[1])
+        assert horizon == pytest.approx(math.log(1.0 / HORIZON_TAIL_LIMIT) / lam, abs=5e-4)
+
+
+def test_laplace_check_refuses_a_signed_history(oracle_model):
+    # the check's engine pass runs on h f at every axis node: a negative
+    # entry is refused at its tau and grid node before any row is made
+    axis = TimeGrid(0.0, 3.0, 1.0 / 32.0)
+    values = np.outer(np.exp(-axis.nodes), U0)
+    values[5, 1] = -1e-3
+    f = LiftedVector(grid=oracle_model.grid, axis=axis, values=values)
+    with pytest.raises(PreconditionError,
+                       match=r"negative at tau = 0\.15625, grid node 1$"):
+        laplace_transform_check(oracle_model, 8.0, 1, f)
 

@@ -16,13 +16,12 @@ def test_pass_peak_runs_on_one_tiny_shape():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("numpy ") and "_PASS_ROWS = 3" in lines[0]
-    assert "_PER_NODE_PASS_ROWS = 5" in lines[0] and "_COMBINED_ROWS = 2" in lines[0]
+    assert "_PER_NODE_PASS_ROWS = 5" in lines[0]
     assert lines[1].split() == ["path", "gain", "d", "M", "steps", "flow", "row0", "B",
                                 "kicks", "carry", "caller", "other", "peak"]
     rows = [line.split() for line in lines[2:]]
     assert [(r[0], r[1]) for r in rows] == [(path, gain) for path in
-                                            ("one-step", "midpoint", "direct", "per-node",
-                                             "signed", "signed-per-node")
+                                            ("one-step", "midpoint", "direct", "per-node")
                                             for gain in ("dense", "pair")]
     for path, _gain, d, m, *cells in rows:
         assert (d, m) == ("4", "8")
