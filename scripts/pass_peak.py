@@ -16,8 +16,8 @@ above what was held before the pass began, in units of (M+1) d floats
     B       each B call (``_b_rows``), however it is reached
     kicks   the next row's kicks (``_Flow.kicks``)
     carry   the next row's carry
-    caller  the caller between two rows (``iterate_right``'s defect)
-    other   the rest of the pass: row checks, the direct path's sums
+    caller  the caller between two rows (``iterate_right``'s end-row copy)
+    other   the rest of the pass: row checks, defects, the direct path's sums
 
 and ``peak``, the largest of them.  The paths are ``one-step`` (trapezoid,
 ``iterate_right``), ``midpoint`` (the direct path, ``iterate_right``),
@@ -108,11 +108,11 @@ def traced_phases(peaks: PhasePeaks, direct: bool):
         def gen(*args, **kwargs):
             items = original(*args, **kwargs, direct=direct)
             del args, kwargs  # a per-node source is the pass's own
-            for item in items:
+            for row in items:
                 with peaks.phase("caller"):
-                    yield item
+                    yield row
                 # so that the pass can drop the row, as its caller does
-                del item
+                del row
         return gen
 
     flow = evolution._Flow
@@ -141,14 +141,15 @@ def build_model(gain: str, d: int):
 def run_pass(model, tg: TimeGrid, path: str, rows: int) -> None:
     """Rows 0..rows of one pass: row-less ``iterate_right`` from a start
     state; from a per-node source, a caller that holds each row while the
-    pass makes the next, as the Laplace check does, and reads no B row."""
+    pass makes the next, as the Laplace check does, and stops before the
+    last row's B row."""
     d, m = model.grid.size, tg.n_steps
     if path != "per-node":
         iterate_right(model, tg, np.ones(d), rows, keep_rows=False)
         return
     row = None
-    for _n, (row, _b) in zip(range(rows + 1),
-                             evolution._right_rows(model, tg, np.ones((m + 1, d)))):
+    for _n, row in zip(range(rows + 1),
+                       evolution._right_rows(model, tg, np.ones((m + 1, d)), rows, [])):
         pass
     del row
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -340,11 +339,10 @@ class DysonPhillipsTable:
     applied to u0; ``iterate_norms[n]``, its weighted norm;
     ``partial_norms[n]``, the sum of norms 0..n; and ``defects[n]``, the
     defect D_n, the trapezoid time integral of the weighted norm of B
-    applied along row n.  A full table also keeps ``iterates[n, j]``, row
-    n at (tau_j, s) applied to u0, and ``b_applied[n, j]``, B(tau_j)
-    applied to that state (row n+1's integrand, and the defect
-    integrand), 2 (n+1)(M+1) d floats.  A row-less table holds None in
-    both and keeps only O(n d) floats.
+    applied along row n, as the pass reduced it.  A full table also keeps
+    ``iterates[n, j]``, row n at (tau_j, s) applied to u0, (n+1)(M+1) d
+    floats.  A row-less table holds None there and keeps only O(n d)
+    floats.
     """
 
     grid: Grid
@@ -355,7 +353,6 @@ class DysonPhillipsTable:
     partial_norms: np.ndarray
     defects: np.ndarray
     iterates: np.ndarray | None = None
-    b_applied: np.ndarray | None = None
 
     @property
     def n_max(self) -> int:
@@ -400,8 +397,8 @@ _TABLE_MEMORY_CAP_BYTES = 256 * 1024 * 1024
 # dropping the step factors would not lower the count.  Traced peaks of
 # rows 0..3 by ``scripts/pass_peak.py`` (tracemalloc, numpy 2.4), each
 # source made inside the count, in these arrays; what lies above the
-# count is lattice vectors and numpy's fixed iterator buffers (up to
-# about 197 KB):
+# count is lattice vectors (the defect's weights and integrand among them)
+# and numpy's fixed iterator buffers (up to about 197 KB):
 #
 #   path       gain    d = 128, M = 512   d = 512, M = 128   count
 #   one-step   dense    3.16               3.18               3
@@ -410,8 +407,8 @@ _TABLE_MEMORY_CAP_BYTES = 256 * 1024 * 1024
 #   midpoint   pair     3.30               3.32               3
 #   direct     dense    3.29               3.31               3
 #   direct     pair     3.29               3.31               3
-#   per-node   dense    5.13               5.11               5
-#   per-node   pair     5.37               5.36               5
+#   per-node   dense    5.14               5.11               5
+#   per-node   pair     5.38               5.36               5
 _PASS_ROWS = 3
 _PER_NODE_PASS_ROWS = 5
 
@@ -714,22 +711,6 @@ def _b_rows(model: PerturbedModel, kicked: str, n: int, taus: np.ndarray,
     return out
 
 
-def _once(fn: Callable, *args) -> Callable[[], np.ndarray]:
-    """A zero-argument callable that returns fn(*args), computed on its first call."""
-    value = None
-
-    def get():
-        nonlocal value
-        if value is None:
-            value = fn(*args)
-        return value
-    return get
-
-
-# each row of a pass with its lazily applied B row
-_Rows = Iterator[tuple[np.ndarray, Callable[[], np.ndarray]]]
-
-
 def _refuse_negative(source: np.ndarray, nodes: np.ndarray) -> None:
     """Raise PreconditionError at the first negative entry of ``source``,
     naming its grid node and, for a per-node source, its lattice time."""
@@ -737,13 +718,13 @@ def _refuse_negative(source: np.ndarray, nodes: np.ndarray) -> None:
         return
     k, i = divmod(int(np.argmax(source < 0.0)), source.shape[-1])
     where = f"tau = {float(nodes[k])!r}, grid node {i}" if source.ndim == 2 else f"grid node {i}"
-    raise PreconditionError(f"row passes run on nonnegative data only; the source is "
+    raise PreconditionError(f"the engine runs on nonnegative data only; the source is "
                             f"negative at {where}")
 
 
-def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
-                direct: bool = False, lam: float = 0.0) -> _Rows:
-    """One row pass: its (row values, B of the row) for n = 0, 1, ...
+def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray, n_max: int,
+                defects: list, direct: bool = False, lam: float = 0.0) -> Iterator[np.ndarray]:
+    """One row pass: the values of rows n = 0..n_max, and their defects.
 
     ``source`` is either the start state u0 (shape (d,)), or one state per
     lattice node (shape (M+1, d), one-step recursion only), and must be
@@ -755,12 +736,15 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     not nest runs the direct path; ``direct`` forces it under the trapezoid
     rule too, as the reference the one-step path is tested against.
 
-    B is applied lazily: the second item is a zero-argument callable that
-    returns B(tau_j) row[j] at every node, computed once, on the first call
-    or when row n+1 is requested.  A consumer that stops after row n and
-    never calls it pays no B application on that row.  The B row is valid
-    until row n+1 is requested: the one-step path then divides it in place
-    to form the next row's kicks.
+    The pass makes row n's B row, B(tau_j) row[j] at every node, in one
+    call when the consumer asks past row n: for row n+1, or after row
+    n_max, where the pass ends.  It reduces it at once to the defect D_n,
+    the trapezoid integral over the lattice of its weighted norm (B is
+    positive, so the B row of nonnegative data is its own absolute value),
+    and appends D_n to ``defects``, a list the caller owns.  A consumer
+    that stops after row n makes no B call on it.  Rows are read only; a
+    start-state pass's count below assumes its consumer drops row n before
+    it asks for row n+1.
 
     Cost per one-step row: one batched B call, its kicks divided by the
     flow's running products P in one call (see ``_Flow.kicks``), and one
@@ -784,11 +768,11 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
         raise PreconditionError("a per-node source needs the one-step recursion")
     _refuse_negative(source, tg.nodes)
     _check_pass_rows(model, tg, _source_rows(source))
-    return _row_pass(model, tg, source, direct, lam)
+    return _row_pass(model, tg, source, n_max, defects, direct, lam)
 
 
-def _row_pass(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
-              direct: bool, lam: float) -> _Rows:
+def _row_pass(model: PerturbedModel, tg: TimeGrid, source: np.ndarray, n_max: int,
+              defects: list, direct: bool, lam: float) -> Iterator[np.ndarray]:
     """The rows of ``_right_rows``, on the arguments it has checked."""
     nodes = tg.nodes
     m = tg.n_steps
@@ -797,6 +781,8 @@ def _row_pass(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
     per_node = source.ndim == 2
     # the source is nonnegative, so its largest entry is its largest magnitude
     scale = max(float(source.max(initial=0.0)), 1e-300)
+    # the defect is a trapezoid integral whatever the lattice rule
+    trapezoid = _trapezoid_weights(m, dt)
     steps = _step_factors(model, nodes)
     if lam:
         steps = steps * np.exp(-lam * dt)
@@ -822,18 +808,19 @@ def _row_pass(model: PerturbedModel, tg: TimeGrid, source: np.ndarray,
 
     n = 0
     while True:
-        lazy_b = _once(_b_rows, model, f"iterate {n}", n, nodes, row)
-        yield row, lazy_b
-        if per_node and n == 0:
+        yield row
+        if per_node and n == 0 and n_max:
             # Row 1's end-point kick at tau_j acts on what row 0 carries
             # into tau_j, without node j's own source: the run started at
             # tau_j has no row-1 integral there yet.  Rows n >= 2 need no
             # such split, since every row n >= 1 is zero at its start node.
             ends = _b_rows(model, "iterate 0", 0, nodes[1:], steps * row[:-1])
             del steps
-        b_row = lazy_b()
-        # the pass reads row n no further
-        del lazy_b, row
+        b_row = _b_rows(model, f"iterate {n}", n, nodes, row)
+        del row  # the pass reads row n no further
+        defects.append(trapezoid @ (b_row @ model.grid.weights))
+        if n == n_max:
+            return
 
         n += 1
         if direct:
@@ -861,18 +848,17 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     """Build iterate rows 0..n_max on the lattice (production recursion).
 
     One row pass: each new row feeds the quadrature of the next, and each
-    row is reduced as it is made to its t_end value, that value's weighted
-    norm, and its defect (a trapezoid integral under either rule).  With
-    ``keep_rows`` (the default) every row and the perturbation applied to
-    it are also kept for diagnostics; without, the table is row-less (see
-    ``DysonPhillipsTable``).  ``u0`` must be nonnegative (see
-    ``_right_rows``).
+    row is reduced as it is made to its t_end value and that value's
+    weighted norm; its defect is the one the pass reduces from its B row
+    (see ``_right_rows``).  With ``keep_rows`` (the default) every row is
+    also kept for diagnostics; without, the table is row-less (see
+    ``DysonPhillipsTable``).  ``u0`` must be nonnegative.
     Cost: O(n_max * M) operator applications under the trapezoid rule
-    (one-step path), O(n_max * M^2) under the midpoint rule (direct path).
-    Memory: the pass's working set, three arrays of (M+1) d floats (B is
-    positive, so the defect reads each B row as it is, not an ``np.abs``
-    copy), plus O(n_max d) kept, plus 2 (n_max+1)(M+1) d floats with
-    ``keep_rows``; what it keeps is checked against the table cap first.
+    (one-step path), O(n_max * M^2) under the midpoint rule (direct path),
+    with n_max + 1 batched B calls.
+    Memory: the pass's working set, three arrays of (M+1) d floats, plus
+    O(n_max d) kept, plus (n_max+1)(M+1) d floats with ``keep_rows``; what
+    it keeps is checked against the table cap first.
     """
     coeffs = _as_coeffs(model.grid, u0)
     if n_max < 0:
@@ -880,28 +866,22 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     grid = model.grid
     m = tg.n_steps
     d = grid.size
-    _check_table_bytes("iterate table", (n_max + 1) * (2 * (m + 1) * keep_rows + 1) * d * 8)
+    _check_table_bytes("iterate table", (n_max + 1) * ((m + 1) * keep_rows + 1) * d * 8)
     end_rows = np.empty((n_max + 1, d))
-    defects = np.empty(n_max + 1)
     iterates = np.empty((n_max + 1, m + 1, d)) if keep_rows else None
-    b_applied = np.empty_like(iterates) if keep_rows else None
-    # the defect is a trapezoid integral whatever the lattice rule
-    w = _trapezoid_weights(m, tg.dt)
-    gen = _right_rows(model, tg, coeffs)
-    for n in range(n_max + 1):
-        row, lazy_b = next(gen)
-        b_row = lazy_b()
+    defects: list[float] = []
+    n = 0
+    for row in _right_rows(model, tg, coeffs, n_max, defects):
         end_rows[n] = row[m]
         if keep_rows:
             iterates[n] = row
-            b_applied[n] = b_row
-        defects[n] = w @ (b_row @ grid.weights)
-        del row, lazy_b, b_row  # so they die once the pass is past them
+        n += 1
+        del row  # so that the pass can drop it while it makes the next row
     norms = np.array([weighted_norm_array(grid, end) for end in end_rows])
     return DysonPhillipsTable(
         grid=grid, time_grid=tg, u0=coeffs, end_rows=end_rows,
-        iterate_norms=norms, partial_norms=np.cumsum(norms), defects=defects,
-        iterates=iterates, b_applied=b_applied,
+        iterate_norms=norms, partial_norms=np.cumsum(norms), defects=np.array(defects),
+        iterates=iterates,
     )
 
 
@@ -947,11 +927,11 @@ def _tail_sum(rows: Iterator[np.ndarray], take, grid: Grid, coeffs: np.ndarray,
     return SeriesResult(total, len(norms) - 1, converged, np.array(norms))
 
 
-def _row_values(model: PerturbedModel, tg: TimeGrid,
-                coeffs: np.ndarray) -> Iterator[np.ndarray]:
-    """The rows of a pass, without their B rows; the pass is asked for,
-    and checks its arguments, when its first row is."""
-    yield from map(itemgetter(0), _right_rows(model, tg, coeffs))
+def _row_values(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
+                n_max: int) -> Iterator[np.ndarray]:
+    """The rows 0..n_max of a pass whose defects no caller reads; the pass
+    is asked for, and checks its arguments, when its first row is."""
+    yield from _right_rows(model, tg, coeffs, n_max, [])
 
 
 def series_sum(model: PerturbedModel, tg: TimeGrid, u0, *, tol: float = _SERIES_TOL,
@@ -963,7 +943,7 @@ def series_sum(model: PerturbedModel, tg: TimeGrid, u0, *, tol: float = _SERIES_
     coeffs = _as_coeffs(model.grid, u0)
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
-    return _tail_sum(_row_values(model, tg, coeffs), -1, model.grid, coeffs, tol, n_max)
+    return _tail_sum(_row_values(model, tg, coeffs, n_max), -1, model.grid, coeffs, tol, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -981,6 +961,7 @@ def _duhamel_gap(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
     """How far family values at the lattice nodes miss the
     variation-of-constants identity at t_end, under the lattice rule."""
     _require_validated(model, tg.s, tg.t_end, "lattice")
+    _refuse_negative(coeffs, tg.nodes)
     m = tg.n_steps
     v_values = np.asarray(v_values, dtype=float)
     if v_values.shape != (m + 1, model.grid.size):
@@ -1009,7 +990,8 @@ def _flat_residuals(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
     """
     grid = model.grid
     fine = TimeGrid(tg.s, tg.t_end, tg.dt / _REFINE, tg.rule)
-    v_values = _tail_sum(_row_values(model, fine, coeffs), slice(None, None, _REFINE),
+    v_values = _tail_sum(_row_values(model, fine, coeffs, _RESIDUAL_ROWS),
+                         slice(None, None, _REFINE),
                          grid, coeffs, tol, _RESIDUAL_ROWS).value
     duhamel = _duhamel_gap(model, tg, coeffs, v_values)
     if not cocycle:
@@ -1017,7 +999,7 @@ def _flat_residuals(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
     # a fresh run's rows are bitwise the table's, so the sum is the same
     # wherever the table stops; the run starts only if the sum gets past it
     kept = () if table is None else table.end_rows[:, None]
-    rows = chain(kept, islice(_row_values(model, tg, coeffs), len(kept), None))
+    rows = chain(kept, islice(_row_values(model, tg, coeffs, _RESIDUAL_ROWS), len(kept), None))
     full = _tail_sum(rows, -1, grid, coeffs, tol, _RESIDUAL_ROWS).value
     return duhamel, weighted_norm_array(grid, full - v_values[-1])
 
@@ -1039,7 +1021,8 @@ def duhamel_residual(model: PerturbedModel, tg: TimeGrid, u0, v_values=None, *,
     values on smooth models.  (Feeding a table built at the same resolution
     back in returns series truncation noise instead — the recursion *is*
     this identity — which is why the reference values must come from a
-    finer lattice or a closed form.)
+    finer lattice or a closed form.)  ``u0`` must be nonnegative, with
+    supplied values or without.
     """
     coeffs = _as_coeffs(model.grid, u0)
     if v_values is None:
@@ -1102,10 +1085,11 @@ def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int) -> LeftIte
     product per (n, j), after one batched family-matrix build each for U
     and B; the lattice is capped at 64 steps, a memory guard refuses
     oversized tables, and a lattice outside the model's ``validated_span``
-    raises ``PreconditionError``.
+    or a negative entry of ``u0`` raises ``PreconditionError``.
     """
     coeffs = _as_coeffs(model.grid, u0)
     _require_validated(model, tg.s, tg.t_end, "lattice")
+    _refuse_negative(coeffs, tg.nodes)
     m = tg.n_steps
     d = model.grid.size
     if m > _LEFT_STEP_CAP:

@@ -87,15 +87,17 @@ def lifted_norm(f: LiftedVector) -> float:
 
 def _gain_blocks(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
     """B(tau_k) as dense matrices for every axis node, shape (K, d, d),
-    checked finite as the engine checks its B rows."""
+    checked finite as the engine checks its B rows: a failure names the
+    first non-finite block's axis node and its first non-finite entry
+    (row i, column j), and carries grid node i as ``node``."""
     _check_table_bytes("kick block table", nodes.size * model.grid.size ** 2 * 8)
     blocks = model.perturbation.as_matrix(nodes)
     if blocks.size and not (np.isfinite(blocks.min()) and np.isfinite(blocks.max())):
-        k = int(np.argmin(np.isfinite(blocks).all(axis=(1, 2))))
+        k, i, j = np.unravel_index(np.argmin(np.isfinite(blocks)), blocks.shape)
         tau = float(nodes[k])
         raise EvaluationError(
-            f"perturbation produced a non-finite block at axis node {k}, tau = {tau!r}",
-            tau=tau)
+            f"perturbation produced a non-finite block at axis node {k}, tau = {tau!r}, "
+            f"grid row {i}, column {j}", tau=tau, node=int(i))
     return blocks
 
 
@@ -326,11 +328,11 @@ def _laplace_rows(model: PerturbedModel, lam: float, f: LiftedVector,
     # corrected below: i = k (only row 0 is nonzero there) and
     # (k, i) = (M, 0).
     # the pass owns its source: row 0 is carried in place in h f
-    rows = _right_rows(model, axis, h * f.values, lam=lam)
+    rows = _right_rows(model, axis, h * f.values, n_max, [], lam=lam)
     corners = (iterate_right(model, axis, f.values[0], n_max, keep_rows=False).end_rows
                if np.any(f.values[0]) else None)
     out = []
-    for n, (row, _b), rhs in zip(range(n_max + 1), rows, op.series(f.values)):
+    for n, row, rhs in zip(range(n_max + 1), rows, op.series(f.values)):
         # a fresh array: the pass still reads ``row`` for row n + 1
         lhs = row - 0.5 * h * f.values if n == 0 else row.copy()
         if corners is not None:

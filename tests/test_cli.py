@@ -645,17 +645,17 @@ def test_cli_hands_row_less_tables_to_the_honesty_layer(command, text, n_tables,
     code = main([command, write_ini(tmp_path, text), "--output-dir", str(tmp_path / "out")])
     assert code == 0
     assert len(tables) == n_tables
-    assert all(t.iterates is None and t.b_applied is None for t in tables)
+    assert all(t.iterates is None for t in tables)
 
 
 def test_fragmentation_run_peak_stays_below_the_row_table(tmp_path, capsys):
-    # d = 64, M = 16, 61 rows: the full table would take 1.06 MB, while a
-    # streamed run peaks near 0.39 MB, and one that keeps the table near
-    # 1.43 MB (tracemalloc, numpy 2.4)
+    # d = 64, M = 16, 61 rows: the full table would take 0.53 MB, while a
+    # streamed run peaks near 0.47 MB, and one that keeps the table near
+    # 1.0 MB (tracemalloc, numpy 2.4)
     text = (FRAG_INI.replace("n_max = 14", "n_max = 60")
             .replace("xmin = 0.0625", "xmin = 0.015625").replace("n = 24", "n = 64"))
     cfg = write_ini(tmp_path, text)
-    table_bytes = 2 * 61 * 17 * 64 * 8
+    table_bytes = 61 * 17 * 64 * 8
     assert main(["run", cfg, "--output-dir", str(tmp_path / "warm")]) == 0
     tracemalloc.start()
     try:

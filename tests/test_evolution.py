@@ -183,12 +183,10 @@ def test_direct_trapezoid_matches_one_step(fixture, request):
     tg = TimeGrid(0.0, 0.5, 1.0 / 16.0)
     u0 = np.linspace(1.0, 2.0, model.grid.size)
     one_step = iterate_right(model, tg, u0, 4)
-    gen = evolution._right_rows(model, tg, u0, True)
-    direct = [next(gen) for _ in range(5)]
-    np.testing.assert_allclose(np.array([row for row, _ in direct]), one_step.iterates,
-                               rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(np.array([b_row() for _, b_row in direct]), one_step.b_applied,
-                               rtol=1e-13, atol=0.0)
+    defects = []
+    direct = list(evolution._right_rows(model, tg, u0, 4, defects, True))
+    np.testing.assert_allclose(np.array(direct), one_step.iterates, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(defects, one_step.defects, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("fast", [5000.0, 6000.0])
@@ -205,8 +203,7 @@ def test_direct_trapezoid_matches_one_step_where_the_flow_restarts(fast):
     assert len(flow.chunks) == 8 and all(plain) == (fast == 6000.0)
     u0 = np.array([1.0, 2.0, 0.5])
     one_step = iterate_right(model, tg, u0, 4)
-    gen = evolution._right_rows(model, tg, u0, True)
-    direct = np.array([next(gen)[0] for _ in range(5)])
+    direct = np.array(list(evolution._right_rows(model, tg, u0, 4, [], True)))
     np.testing.assert_allclose(direct, one_step.iterates, rtol=1e-13, atol=1e-300)
 
 
@@ -217,18 +214,18 @@ def test_a_b_that_returns_a_view_of_its_input_leaves_the_rows_intact(oracle_mode
         oracle_model, perturbation=PerturbationFamily(oracle_model.grid, lambda t, u: u[..., ::-1]))
     tg = TimeGrid(0.0, 1.0, 0.125)
     u0 = np.array([1.0, 0.5])
-    gen = evolution._right_rows(model, tg, u0)
-    held = [next(gen)[0] for _ in range(4)]
+    held = list(evolution._right_rows(model, tg, u0, 3, []))
     np.testing.assert_allclose(np.array(held), iterate_right(oracle_model, tg, u0, 3).iterates,
                                rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("entry", ["iterate_right", "series_sum", "duhamel_residual",
-                                   "cocycle_residual"])
+                                   "cocycle_residual", "iterate_left", "duhamel_values"])
 def test_signed_data_refused(entry):
-    # honesty is a statement about the positive cone: every entry to a row
-    # pass refuses a negative entry of u0, naming its grid node, before
-    # any operator call (the model's U and B fail if called); -0.0 is not
+    # honesty is a statement about the positive cone: every engine entry
+    # refuses a negative entry of u0, naming its grid node, before any
+    # operator call (the model's U and B fail if called), the left
+    # recursion and the residual of supplied values too; -0.0 is not
     # negative
     model = never_applied_model(3)
     tg = TimeGrid(0.0, 1.0, 0.25)
@@ -236,7 +233,9 @@ def test_signed_data_refused(entry):
     call = {"iterate_right": lambda: iterate_right(model, tg, u0, 3, keep_rows=False),
             "series_sum": lambda: series_sum(model, tg, u0),
             "duhamel_residual": lambda: duhamel_residual(model, tg, u0),
-            "cocycle_residual": lambda: cocycle_residual(model, tg, u0, 0.5)}[entry]
+            "cocycle_residual": lambda: cocycle_residual(model, tg, u0, 0.5),
+            "iterate_left": lambda: iterate_left(model, tg, u0, 2),
+            "duhamel_values": lambda: duhamel_residual(model, tg, u0, np.ones((5, 3)))}[entry]
     with pytest.raises(PreconditionError,
                        match=r"nonnegative data only; the source is negative at grid node 2$"):
         call()
@@ -250,7 +249,7 @@ def test_per_node_source_refusal_names_tau_and_grid_node():
     source = np.ones((5, 2))
     source[3, 1] = source[4, 0] = -1e-300
     with pytest.raises(PreconditionError, match=r"negative at tau = 0\.75, grid node 1$"):
-        evolution._right_rows(model, tg, source)
+        evolution._right_rows(model, tg, source, 3, [])
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +377,7 @@ def jump_after_split_model():
 
 def summed_values(model, tg, u0, tol):
     """The series summed at every lattice node, stopped on the tail at t_end."""
-    rows = evolution._row_values(model, tg, u0)
+    rows = evolution._row_values(model, tg, u0, 40)
     return evolution._tail_sum(rows, slice(None), model.grid, u0, tol, 40).value
 
 
@@ -463,23 +462,56 @@ def test_legs_on_one_fine_lattice_compose(case, rule, request):
     assert gap <= 1e-10 * weighted_norm_array(model.grid, u0)
 
 
-def counting_b(model):
+def recorded_b_calls(monkeypatch):
+    """What each of the engine's batched B calls kicks, and on how many
+    nodes, in call order (the lifted layer's own kicks are not recorded)."""
     calls = []
+    b_rows = evolution._b_rows
 
-    def apply(t, u):
-        calls.append(np.shape(t))
-        return model.perturbation.apply(t, u)
+    def record(model, kicked, n, taus, states):
+        calls.append((kicked, len(taus)))
+        return b_rows(model, kicked, n, taus, states)
 
-    return with_perturbation(model, apply), calls
+    monkeypatch.setattr(evolution, "_b_rows", record)
+    return calls
+
+
+def b_rows_of(rows, m):
+    """The B calls a pass makes on rows 0..rows - 1 of an M-step lattice."""
+    return [(f"iterate {n}", m + 1) for n in range(rows)]
 
 
 @pytest.mark.parametrize("tol", [1e-2, 1e-6, 1e-12])
-def test_series_sum_applies_b_only_to_rows_it_builds_on(oracle_model, tol):
-    model, calls = counting_b(oracle_model)
-    result = series_sum(model, TimeGrid(0.0, 1.0, 0.125), np.array([1.0, 0.0]), tol=tol)
-    # rows 0..n_used - 1 feed the next row; B of row n_used is never read
+def test_series_sum_applies_b_only_to_rows_it_builds_on(oracle_model, tol, monkeypatch):
+    # each pass makes a row's B row once, and only when its consumer asks
+    # past the row: a consumer that stops after row n makes no B call on it
+    calls = recorded_b_calls(monkeypatch)
+    tg = TimeGrid(0.0, 1.0, 0.125)
+    u0 = np.array([1.0, 0.0])
+    result = series_sum(oracle_model, tg, u0, tol=tol)
+    # rows 0..n_used - 1 feed the next row; B of row n_used is never made
     assert result.converged and result.n_used >= 2
-    assert len(calls) == result.n_used
+    n = result.n_used
+    assert calls == b_rows_of(n, 8)
+    fine = TimeGrid(0.0, 1.0, 0.125 / 8)
+    n_fine = series_sum(oracle_model, fine, u0, tol=tol).n_used
+    # iterate_right to n reads every row's defect: n + 1 B rows
+    calls.clear()
+    iterate_right(oracle_model, tg, u0, n, keep_rows=False)
+    assert calls == b_rows_of(n + 1, 8)
+    # the Duhamel fine pass stops as series_sum does on its lattice, then
+    # the gap kicks the family values once
+    calls.clear()
+    duhamel_residual(oracle_model, tg, u0, tol=tol)
+    assert calls == b_rows_of(n_fine, 64) + [("the family values", 9)]
+    # the Laplace pass to n (a history zero at t = 0, so no corner pass):
+    # row 1's end-point rows, then B rows 0..n-1, none on its last row
+    axis = TimeGrid(0.0, 3.0, 0.125)
+    f = LiftedVector(oracle_model.grid, axis,
+                     np.outer(axis.nodes * np.exp(-axis.nodes), [1.0, 0.5]))
+    calls.clear()
+    laplace_transform_check(oracle_model, 8.0, n, f)
+    assert calls == [("iterate 0", 24)] + b_rows_of(n, 24)
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +753,7 @@ def test_per_node_source_rows_sum_the_runs_from_each_node(rate, m, flow_shape):
     source = np.random.default_rng(2).uniform(0.0, 1.0, (m + 1, 5))
     # the pass owns a per-node source (it carries row 0 in it in place),
     # so it gets a copy: the loop below reads the source again
-    rows = evolution._right_rows(model, tg, source.copy())
-    got = np.stack([next(rows)[0].copy() for _ in range(4)])
+    got = np.stack(list(evolution._right_rows(model, tg, source.copy(), 3, [])))
     ref = np.zeros_like(got)
     for k in range(m + 1):
         for i in range(k + 1):
@@ -966,12 +997,10 @@ def test_row_pass_cap_counts_the_per_node_source_rows(monkeypatch):
     need = pass_bytes(5, m, d)
     monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need - 1)
     with pytest.raises(SizeCapError, match="row pass working set"):
-        next(evolution._right_rows(never_applied_model(d), tg, source))
+        evolution._right_rows(never_applied_model(d), tg, source, 2, [])
     monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need)
-    rows = evolution._right_rows(narrow_model(d), tg, source)
-    for _ in range(3):
-        row, _b = next(rows)
-    assert np.isfinite(row).all()
+    for row in evolution._right_rows(narrow_model(d), tg, source, 2, []):
+        assert np.isfinite(row).all()
 
 
 def decay_model(d, gain):
@@ -1045,8 +1074,8 @@ def test_per_node_pass_peak_stays_within_its_count(gain):
     tg = TimeGrid(0.0, 1.0, 1.0 / m)
 
     def run():
-        rows = evolution._right_rows(model, tg, np.ones((m + 1, d)))
-        for _n, (row, _b) in zip(range(4), rows):
+        rows = evolution._right_rows(model, tg, np.ones((m + 1, d)), 3, [])
+        for _n, row in zip(range(4), rows):
             assert np.isfinite(row).all()
 
     assert within_count(traced_peak(run), evolution._PER_NODE_PASS_ROWS, m, d)
@@ -1055,15 +1084,18 @@ def test_per_node_pass_peak_stays_within_its_count(gain):
 @pytest.mark.parametrize("gain", ["dense", "pair"])
 def test_defect_integrates_the_absolute_b_row(gain):
     # B is positive, so the B rows of nonnegative data are their own
-    # absolute values: the defect reads each as it is, and gives the bits
-    # of the trapezoid integral of the weighted norm of |B row|
+    # absolute values: the pass reduces each as it is, and gives the bits
+    # of the trapezoid integral of the weighted norm of |B row|, B row n
+    # being rebuilt here from the kept row n
     d = 6
     model = decay_model(d, gain)
     tg = TimeGrid(0.0, 1.0, 1.0 / 16.0)
     w = evolution._trapezoid_weights(tg.n_steps, tg.dt)
     table = iterate_right(model, tg, np.linspace(1.0, 0.5, d), 4)
-    assert table.b_applied.min() >= 0.0
-    expected = [w @ (np.abs(b_row) @ model.grid.weights) for b_row in table.b_applied]
+    b_rows = [evolution._b_rows(model, f"iterate {n}", n, tg.nodes, row)
+              for n, row in enumerate(table.iterates)]
+    assert min(b_row.min() for b_row in b_rows) >= 0.0
+    expected = [w @ (np.abs(b_row) @ model.grid.weights) for b_row in b_rows]
     assert np.array_equal(table.defects, expected)
 
 
@@ -1116,7 +1148,7 @@ def test_factor_pair_tail_sum_order_is_pinned(d):
 def test_row_less_table_refuses_row_readers(oracle_model):
     tg = TimeGrid(0.0, 1.0, 0.25)
     lean = iterate_right(oracle_model, tg, np.array([1.0, 0.0]), 3, keep_rows=False)
-    assert lean.iterates is None and lean.b_applied is None
+    assert lean.iterates is None
     left = iterate_left(oracle_model, tg, np.array([1.0, 0.0]), 3)
     with pytest.raises(PreconditionError,
                        match="left_right_discrepancy needs the full iterate rows"):

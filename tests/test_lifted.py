@@ -254,7 +254,9 @@ def test_lifted_layer_names_where_b_turns_non_finite(oracle_model):
     apply = oracle_model.perturbation.apply
 
     def nan_past_half(t, u):
-        return np.where((np.asarray(t) > 0.5)[..., None], np.nan, apply(t, u))
+        # at grid node 1 only, so that a kick block is non-finite in row 1
+        return np.where((np.asarray(t) > 0.5)[..., None] & (np.arange(2) == 1), np.nan,
+                        apply(t, u))
 
     model = dataclasses.replace(oracle_model, perturbation=dataclasses.replace(
         oracle_model.perturbation, apply=nan_past_half))
@@ -273,11 +275,15 @@ def test_lifted_layer_names_where_b_turns_non_finite(oracle_model):
             (lambda: duhamel_residual(model, axis, U0, f.values), r"the family values")):
         with pytest.raises(EvaluationError, match=rf"at {kicked}, tau = 0\.5625"):
             call()
+    # a kick block names its first non-finite entry: B(tau) e_0 at grid
+    # node 1, carried as the failure's node
     for call in (lambda: kick_block_norm(model, axis),
                  lambda: resolvent(model, 8.0, f, perturbed=True),
                  lambda: resolvent_series_check(model, 8.0, f, 2)):
-        with pytest.raises(EvaluationError, match=r"axis node 9, tau = 0\.5625"):
+        with pytest.raises(EvaluationError,
+                           match=r"axis node 9, tau = 0\.5625, grid row 1, column 0$") as err:
             call()
+        assert err.value.node == 1
 
 
 # ---------------------------------------------------------------------------
