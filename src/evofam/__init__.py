@@ -47,11 +47,7 @@ from .honesty import (
     mass_ledger,
     table_verdict,
 )
-from .coefficients import (
-    SeparableCoefficient,
-    TimeProfile,
-    time_profile_from_params,
-)
+from .coefficients import SeparableCoefficient, TimeProfile
 from .boltzmann import (
     CollisionKernel,
     CollisionModel,
@@ -85,6 +81,6 @@ from .lifted import (
     resolvent_factorization_check,
     resolvent_series_check,
 )
-from .presets import matrix_exchange_model, two_state_exchange
+from .presets import two_state_exchange
 
 __version__ = "0.1.0"

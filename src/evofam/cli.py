@@ -46,9 +46,9 @@ from .boltzmann import (
     uniform_kernel_matrix,
     validation_times,
 )
-from .coefficients import SeparableCoefficient, TimeProfile, time_profile_from_params
+from .coefficients import SeparableCoefficient, TimeProfile
 from .config import ExperimentConfig, LiftedSection, parse_config
-from .errors import ConfigError, EvofamError
+from .errors import ConfigError, EvofamError, StructureError
 from .evolution import TimeGrid, _flat_residuals, duhamel_residual, iterate_right
 from .fragmentation import (
     daughter_factors,
@@ -115,6 +115,23 @@ def build_oracle_model(cfg: ExperimentConfig):
     return two_state_exchange(**cfg.sections.get("oracle", {}))
 
 
+def _time_profile_from_params(kind: str, params: dict) -> TimeProfile:
+    """Build a TimeProfile from flat config parameters."""
+    if kind == "constant":
+        return TimeProfile(kind="constant", c0=float(params.get("value", 1.0)))
+    if kind == "affine":
+        return TimeProfile(kind="affine", c0=float(params.get("c0", 1.0)),
+                           c1=float(params.get("c1", 0.0)))
+    if kind == "power":
+        return TimeProfile(kind="power", c0=float(params.get("scale", 1.0)),
+                           p=float(params.get("exponent", 1.0)))
+    if kind == "pwlinear":
+        times = np.asarray(params["times"], dtype=float)
+        values = np.asarray(params["values"], dtype=float)
+        return TimeProfile(kind="pwlinear", times=times, values=values)
+    raise StructureError(f"unknown time profile kind {kind!r}")
+
+
 _KERNEL_MATRICES = {"uniform": uniform_kernel_matrix, "gaussian": gaussian_kernel_matrix}
 
 
@@ -136,7 +153,7 @@ def build_collision(cfg: ExperimentConfig, strict: bool | None):
         matrix = outflow_kernel_matrix(grid, target)
     else:
         matrix = _KERNEL_MATRICES[kernel_kind](grid, **kernel_args)
-    profile = (time_profile_from_params(time_args.pop("kind"), time_args)
+    profile = (_time_profile_from_params(time_args.pop("kind"), time_args)
                if time_args else TimeProfile())
     kernel = CollisionKernel(profile=profile, matrix=matrix)
 
@@ -145,11 +162,10 @@ def build_collision(cfg: ExperimentConfig, strict: bool | None):
         frequency = frequency_matching_kernel(grid, kernel)
     else:
         frequency = SeparableCoefficient(
-            profile=time_profile_from_params(freq_kind, freq_args),
+            profile=_time_profile_from_params(freq_kind, freq_args),
             space=np.ones(grid.size),
         )
 
-    # --strict/--lenient override [model] strict_subcritical
     if strict is None:
         strict = cfg.sections.get("model", {}).get("strict_subcritical")
     flags = {} if strict is None else {"strict": strict}
@@ -172,9 +188,10 @@ def build_fragmentation(cfg: ExperimentConfig):
     return fragmentation_perturbed_model(fmodel)
 
 
-def build_model(cfg: ExperimentConfig, strict: bool | None):
-    """The config's model; ``strict`` (--strict/--lenient) reaches boltzmann
-    models only."""
+def build_model(cfg: ExperimentConfig, strict: bool | None = None):
+    """The config's model; ``strict``, when not None, takes the place of a
+    boltzmann model's ``[model] strict_subcritical``.  No CLI path sets it:
+    the benchmark harness calls ``build_model(cfg, None)``."""
     if cfg.kind in ("oracle", "lifted_checks"):
         return build_oracle_model(cfg)
     if cfg.kind == "boltzmann":
@@ -244,8 +261,8 @@ def _table_diagnostics(cfg: ExperimentConfig, model, tg: TimeGrid, u0):
     return table, ledger, series
 
 
-def run_engine_experiment(cfg: ExperimentConfig, strict: bool | None) -> RunArtifacts:
-    model = build_model(cfg, strict)
+def run_engine_experiment(cfg: ExperimentConfig) -> RunArtifacts:
+    model = build_model(cfg)
     tg = _engine_grid(cfg)
     u0 = initial_coefficients(cfg, model.grid)
     table, ledger, series = _table_diagnostics(cfg, model, tg, u0)
@@ -328,7 +345,7 @@ def run_lifted_checks(cfg: ExperimentConfig) -> RunArtifacts:
                         ledger=ledger, series=series, check_rows=tuple(rows))
 
 
-def run_sweep(cfg: ExperimentConfig, strict: bool | None) -> RunArtifacts:
+def run_sweep(cfg: ExperimentConfig) -> RunArtifacts:
     sweep = _require_section(cfg, "sweep")
     kind, values = sweep["kind"], sweep["values"]
     if len(values) < 2:
@@ -354,7 +371,7 @@ def run_sweep(cfg: ExperimentConfig, strict: bool | None) -> RunArtifacts:
             override = dict(cfg.sections)
             override["grid"] = dict(override["grid"], xmin=value)
             sub = dataclasses.replace(cfg, sections=override)
-        model = build_model(sub, strict)
+        model = build_model(sub)
         tg = _engine_grid(sub)
         u0 = initial_coefficients(cfg, model.grid, csv_values)
         table, ledger, series = _table_diagnostics(cfg, model, tg, u0)
@@ -520,11 +537,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override [output] directory")
         cmd.add_argument("--emit-svg", action="store_true",
                          help="also write plots.svg")
-        mode = cmd.add_mutually_exclusive_group()
-        mode.add_argument("--strict", dest="strict", action="store_true", default=None,
-                          help="force strict subcriticality checks (boltzmann only)")
-        mode.add_argument("--lenient", dest="strict", action="store_false",
-                          help="force lenient subcriticality checks (boltzmann only)")
     return parser
 
 
@@ -537,18 +549,15 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         cfg = parse_config(args.config)
-        if args.strict is not None and cfg.kind != "boltzmann":
-            raise ConfigError("--strict and --lenient apply to boltzmann runs only, "
-                              f"not to {cfg.kind} runs")
         if args.command == "sweep":
-            art = run_sweep(cfg, args.strict)
+            art = run_sweep(cfg)
         elif "sweep" in cfg.sections:
             raise ConfigError("a config with a [sweep] section runs with the "
                               "sweep subcommand, not run")
         elif cfg.kind == "lifted_checks":
             art = run_lifted_checks(cfg)
         else:
-            art = run_engine_experiment(cfg, args.strict)
+            art = run_engine_experiment(cfg)
         out_dir = args.output_dir or cfg.output.directory
         emit_svg = args.emit_svg or cfg.output.emit_svg
         written = write_outputs(out_dir, cfg, art, emit_svg)

@@ -169,20 +169,3 @@ def entry_error(what: str, problem: str, index: tuple[int, ...]) -> ModelContrac
     """The error ``require_finite_nonnegative`` raises for ``values[index]``."""
     where = f"(i, j) = {index}" if len(index) == 2 else f"node index {index[0]}"
     return ModelContractError(f"{what} {problem} at {where}")
-
-
-def time_profile_from_params(kind: str, params: dict) -> TimeProfile:
-    """Build a TimeProfile from flat config parameters."""
-    if kind == "constant":
-        return TimeProfile(kind="constant", c0=float(params.get("value", 1.0)))
-    if kind == "affine":
-        return TimeProfile(kind="affine", c0=float(params.get("c0", 1.0)),
-                           c1=float(params.get("c1", 0.0)))
-    if kind == "power":
-        return TimeProfile(kind="power", c0=float(params.get("scale", 1.0)),
-                           p=float(params.get("exponent", 1.0)))
-    if kind == "pwlinear":
-        times = np.asarray(params["times"], dtype=float)
-        values = np.asarray(params["values"], dtype=float)
-        return TimeProfile(kind="pwlinear", times=times, values=values)
-    raise StructureError(f"unknown time profile kind {kind!r}")

@@ -23,9 +23,8 @@ required; see README for details):
                   [kernel]     kind = uniform | gaussian | outflow +
                                parameters; time_kind + time-profile
                                parameters prefixed time_
-                  [model]      strict_subcritical (the CLI's --strict and
-                               --lenient override it; no other kind
-                               takes them)
+                  [model]      strict_subcritical (the one switch of the
+                               strict subcriticality check)
     fragmentation [grid]       kind = mass; xmin, xmax, n (required)
                   [rate]       kind = constant | linear | power |
                                product_t + parameters

@@ -12,7 +12,7 @@ partial sums whose limit is the perturbed evolution.  Each pass makes the
 rows one at a time and holds O(M d) floats; ``iterate_right`` reduces
 every row to its t_end value, norm and defect as it is made, and keeps
 the full rows only on request.  The module also
-provides the mirrored ("left") recursion as an operator-matrix table for
+provides the mirrored ("left") recursion on operator matrices for
 cross-validation, series summation with a tail-norm stopping rule, and
 integral-identity residuals (variation-of-constants and two-interval
 composition) used as discretization-error probes.  ``loss_gain_model``
@@ -119,15 +119,16 @@ class TimeGrid:
     is allowed as the degenerate single-node lattice (every quadrature on
     it is empty).  ``rule`` selects the prefix quadrature used for the
     iterate integrals.  A lattice whose nodes alone would exceed the table
-    cap raises ``SizeCapError`` before it is allocated.
+    cap raises ``SizeCapError`` before it is allocated.  Two lattices are
+    equal, and hash alike, when their s, t_end, dt and rule are.
     """
 
     s: float
     t_end: float
     dt: float
     rule: str = "trapezoid"
-    n_steps: int = field(init=False)
-    nodes: np.ndarray = field(init=False, repr=False)
+    n_steps: int = field(init=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
     _quadrature: _Rule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -1055,37 +1056,41 @@ def cocycle_residual(model: PerturbedModel, tg: TimeGrid, u0, r: float, *,
 
 @dataclass
 class LeftIterates:
-    """Left-recursion iterates as dense operator matrices.
-
-    ``matrices[n, j, k]`` is iterate n as an operator from time tau_k to
-    tau_j (zero for k > j); ``iterates[n, j]`` is the start-column operator
-    applied to u0, directly comparable with the production table.
-    """
+    """Left-recursion iterates: ``iterates[n, j]`` is iterate n from s to
+    tau_j applied to u0, directly comparable with the production table."""
 
     grid: Grid
     time_grid: TimeGrid
-    u0: np.ndarray
-    matrices: np.ndarray
     iterates: np.ndarray
 
     @property
     def n_max(self) -> int:
-        return self.matrices.shape[0] - 1
+        return self.iterates.shape[0] - 1
 
 
 # Most lattice steps the left recursion takes.
 _LEFT_STEP_CAP = 64
 
 
+def _left_bytes(m: int, n_max: int, d: int) -> int:
+    """Bytes ``iterate_left`` holds at once on m steps, in arrays of
+    (m+1) d^2 floats: m+1 each for the U and kick tables and for one
+    node's weighted kicks (at most as large), n_max+1 each for that node's
+    row of every iterate and for the start columns of all nodes, and one
+    each for a row's copy and its product with the weighted kicks."""
+    return (3 * (m + 1) + 2 * (n_max + 1) + 2) * (m + 1) * d * d * 8
+
+
 def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int) -> LeftIterates:
-    """Cross-validation recursion; mirrored integrand, full operator table.
+    """Cross-validation recursion; mirrored integrand, on operator matrices.
 
     Iterate n+1 from tau_k to tau_j integrates (iterate n)(tau_j, r) B(r)
     U(r, tau_k) over r.  Cost O(n_max * M^3 * d^3) flops in one matrix
     product per (n, j), after one batched family-matrix build each for U
     and B; the lattice is capped at 64 steps, a memory guard refuses
-    oversized tables, and a lattice outside the model's ``validated_span``
-    or a negative entry of ``u0`` raises ``PreconditionError``.
+    oversized working sets, and a lattice outside the model's
+    ``validated_span`` or a negative entry of ``u0`` raises
+    ``PreconditionError``.
     """
     coeffs = _as_coeffs(model.grid, u0)
     _require_validated(model, tg.s, tg.t_end, "lattice")
@@ -1094,7 +1099,7 @@ def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int) -> LeftIte
     d = model.grid.size
     if m > _LEFT_STEP_CAP:
         raise SizeCapError(f"left recursion lattice has {m} steps; cap is {_LEFT_STEP_CAP}")
-    _check_table_bytes("left recursion table", (n_max + 1) * (m + 1) ** 2 * d * d * 8)
+    _check_table_bytes("left recursion working set", _left_bytes(m, n_max, d))
     nodes = tg.nodes
 
     u_mat = np.zeros((m + 1, m + 1, d, d))
@@ -1103,10 +1108,12 @@ def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int) -> LeftIte
     b_mat = model.perturbation.as_matrix(nodes)
     # kick[r, k] = B(tau_r) U(tau_r, tau_k): the shared right factor
     kick = np.einsum("rab,rkbc->rkac", b_mat, u_mat)
+    del b_mat, jj, kk
     offsets = [tg._quadrature.weights(o, tg.dt) for o in range(m + 1)]
 
-    mats = np.zeros((n_max + 1, m + 1, m + 1, d, d))
-    mats[0] = u_mat
+    # starts[n, j]: iterate n from tau_0 to tau_j, the column u0 meets
+    starts = np.zeros((n_max + 1, m + 1, d, d))
+    starts[0] = u_mat[:, 0]
     # row j of every iterate depends only on row j of the one before
     for j in range(1, m + 1):
         # block (r, k) of weighted: kick[r, k] times node r's weight on
@@ -1115,20 +1122,24 @@ def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int) -> LeftIte
         for k in range(j):
             weighted[k:, :, k] = offsets[j - k][:, None, None] * kick[k:j + 1, k]
         weighted = weighted.reshape((j + 1) * d, j * d)
+        rows = np.zeros((n_max + 1, j + 1, d, d))
+        rows[0] = u_mat[j, :j + 1]
         for n in range(n_max):
-            row = mats[n, j, :j + 1].transpose(1, 0, 2).reshape(d, (j + 1) * d)
-            mats[n + 1, j, :j] = (row @ weighted).reshape(d, j, d).transpose(1, 0, 2)
-    iterates = np.einsum("njab,b->nja", mats[:, :, 0], coeffs)
-    return LeftIterates(grid=model.grid, time_grid=tg, u0=coeffs,
-                        matrices=mats, iterates=iterates)
+            row = rows[n].transpose(1, 0, 2).reshape(d, (j + 1) * d)
+            rows[n + 1, :j] = (row @ weighted).reshape(d, j, d).transpose(1, 0, 2)
+        starts[:, j] = rows[:, 0]
+        # freed before the next node's are made: the peak holds one of each
+        del weighted, rows
+    iterates = np.einsum("njab,b->nja", starts, coeffs)
+    return LeftIterates(grid=model.grid, time_grid=tg, iterates=iterates)
 
 
 def left_right_discrepancy(left: LeftIterates, right: DysonPhillipsTable) -> float:
     """Max weighted-L1 gap between the two recursions over all (n, node)."""
     _require_rows(right, "left_right_discrepancy")
-    if left.time_grid.nodes.shape != right.time_grid.nodes.shape or \
-            not np.allclose(left.time_grid.nodes, right.time_grid.nodes):
-        raise PreconditionError("tables live on different time lattices")
+    if left.time_grid != right.time_grid:
+        raise PreconditionError(f"tables live on different time lattices: "
+                                f"{left.time_grid} and {right.time_grid}")
     n_common = min(left.n_max, right.n_max)
     diff = left.iterates[: n_common + 1] - right.iterates[: n_common + 1]
     gaps = np.abs(diff) @ left.grid.weights

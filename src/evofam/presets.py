@@ -1,42 +1,18 @@
-"""Small closed-form models used as engine oracles and CLI defaults.
+"""The closed-form oracle model, the CLI's oracle and lifted-check model.
 
-The workhorse is a constant-coefficient exchange system: every node decays
-at a fixed rate while a constant nonnegative matrix redistributes the lost
-mass.  The unperturbed evolution and all iterates have elementary closed
-forms, which the test suite pins against the engine.
+Two unit-weight nodes decay at one constant rate while a swap matrix of
+the same rate moves exactly the lost mass to the other node, built as one
+``loss_gain_model`` call.  The unperturbed evolution and all iterates have
+elementary closed forms, which the test suite pins against the engine.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .coefficients import SeparableCoefficient, TimeProfile, require_finite_nonnegative
+from .coefficients import SeparableCoefficient, TimeProfile
 from .errors import StructureError
 from .evolution import PerturbedModel, loss_gain_model
-from .state_space import Grid, abstract_grid
-
-
-def matrix_exchange_model(grid: Grid, loss_rates, exchange, name: str = "matrix-exchange") -> PerturbedModel:
-    """Constant-coefficient model: U(t,s) = diag(exp(-loss*(t-s))), B = exchange.
-
-    Loss rates and ``exchange`` must be finite and nonnegative, and the
-    weighted column sums of the exchange matrix must not exceed the
-    weighted loss rates (no mass created).
-    """
-    loss = np.asarray(loss_rates, dtype=float)
-    mat = np.asarray(exchange, dtype=float)
-    d = grid.size
-    if loss.shape != (d,) or mat.shape != (d, d):
-        raise StructureError("loss rates / exchange matrix shape mismatch with grid")
-    require_finite_nonnegative(loss, "loss rate")
-    require_finite_nonnegative(mat, "exchange matrix")
-    w = grid.weights
-    gained = w @ mat              # weighted mass produced per unit source coefficient
-    lost = loss * w
-    if np.any(gained > lost * (1.0 + 1e-12) + 1e-300):
-        raise StructureError("exchange matrix exceeds the loss rates (not dissipative)")
-    unit = TimeProfile(kind="constant", c0=1.0)
-    return loss_gain_model(name, grid, SeparableCoefficient(unit, loss), unit, mat,
-                           np.ones(d))
+from .state_space import abstract_grid
 
 
 def two_state_exchange(rate: float = 1.0) -> PerturbedModel:
@@ -47,9 +23,10 @@ def two_state_exchange(rate: float = 1.0) -> PerturbedModel:
     is exp(-rate*T) * exp(rate*T*S), and the total mass of a nonnegative
     state is preserved exactly (conservative case).
     """
-    if rate <= 0.0:
-        raise StructureError("exchange rate must be positive")
-    grid = abstract_grid([1.0, 1.0])
+    if not 0.0 < rate < np.inf:
+        raise StructureError(f"exchange rate must be positive and finite, got {rate!r}")
+    unit = TimeProfile(kind="constant", c0=1.0)
+    loss = SeparableCoefficient(unit, np.array([rate, rate], dtype=float))
     swap = np.array([[0.0, rate], [rate, 0.0]])
-    return matrix_exchange_model(grid, [rate, rate], swap,
-                                 name=f"two-state-exchange(rate={rate!r})")
+    return loss_gain_model(f"two-state-exchange(rate={rate!r})", abstract_grid([1.0, 1.0]),
+                           loss, unit, swap, np.ones(2))

@@ -111,11 +111,10 @@ def uniform_mass_grid(x_min: float, x_max: float, n: int) -> Grid:
     return Grid(nodes=nodes, weights=nodes * dx, kind="mass")
 
 
-def abstract_grid(weights, nodes=None) -> Grid:
-    """Abstract weighted coordinate space; nodes default to 0..d-1."""
+def abstract_grid(weights) -> Grid:
+    """Abstract weighted coordinate space with nodes 0..d-1."""
     w = np.asarray(weights, dtype=float)
-    x = np.arange(w.size, dtype=float) if nodes is None else np.asarray(nodes, dtype=float)
-    return Grid(nodes=x, weights=w, kind="abstract")
+    return Grid(nodes=np.arange(w.size, dtype=float), weights=w, kind="abstract")
 
 
 @dataclass(frozen=True)

@@ -210,7 +210,7 @@ def test_engine_refuses_a_lattice_past_the_validated_span():
 
 
 def test_left_recursion_refuses_a_lattice_past_the_validated_span():
-    # run anyway, the left table's t_end rows on [0, 2] sum to weighted
+    # run anyway, the left recursion's t_end iterates on [0, 2] sum to weighted
     # mass 2.19 from u0 of mass 2
     grid, _kernel, _frequency, model = rising_gain_collision()
     perturbed = collision_perturbed_model(model)

@@ -6,6 +6,7 @@ import filecmp
 import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,29 +213,37 @@ def test_run_strict_contract_violation_names_location(tmp_path, capsys):
 
 
 def test_lenient_flag_lets_supercritical_model_run(tmp_path, capsys):
-    cfg = write_ini(tmp_path, SUPERCRITICAL_INI)
+    # [model] strict_subcritical is the one switch, and the report says so
+    cfg = write_ini(tmp_path, SUPERCRITICAL_INI + "\n[model]\nstrict_subcritical = false\n")
     out_dir = tmp_path / "out"
-    code = main(["run", cfg, "--lenient", "--output-dir", str(out_dir)])
+    code = main(["run", cfg, "--output-dir", str(out_dir)])
     pairs = stdout_pairs(capsys)
     assert code == 0  # defect sequence still collapses; honesty is separate
-    assert (out_dir / "report.csv").exists()
+    assert "config,model.strict_subcritical,false\n" in (out_dir / "report.csv").read_text()
     # the ledger shows created mass: residual magnitudes well above rounding
     assert float(pairs["ledger_max_abs_residual"]) > 1e-6
 
 
-@pytest.mark.parametrize("text", [ORACLE_INI, LIFTED_INI, FRAG_INI],
-                         ids=["oracle", "lifted_checks", "fragmentation"])
-def test_strict_flags_refused_outside_boltzmann(text, tmp_path, capsys, monkeypatch):
-    def no_model(*args):
-        raise AssertionError("a model was built")
+@pytest.mark.parametrize("flag", ["--strict", "--lenient"])
+def test_strictness_flags_are_not_options(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", write_ini(tmp_path, SUPERCRITICAL_INI), flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    monkeypatch.setattr(cli, "build_model", no_model)
-    monkeypatch.setattr(cli, "build_oracle_model", no_model)
-    out_dir = tmp_path / "out"
-    code = main(["run", write_ini(tmp_path, text), "--lenient", "--output-dir", str(out_dir)])
-    assert code == 1
-    assert "apply to boltzmann runs only" in capsys.readouterr().err
-    assert not out_dir.exists()
+
+def test_readme_flag_table_lists_every_option():
+    # the rows of README's "Command line" flag table against the options
+    # the parser accepts, for each subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    documented = {flag for cell in re.findall(r"^\| (`--.*?) \|", section, re.M)
+                  for flag in re.findall(r"`(--[\w-]+)", cell)}
+    commands = cli._PARSER._subparsers._group_actions[0].choices
+    assert set(commands) == {"run", "sweep"}
+    for parser in commands.values():
+        options = {opt for action in parser._actions for opt in action.option_strings}
+        assert options - {"-h", "--help"} == documented
 
 
 def test_initial_point_bounds_checked(tmp_path, capsys):

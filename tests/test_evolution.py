@@ -31,7 +31,6 @@ from evofam import (
     iterate_right,
     laplace_transform_check,
     left_right_discrepancy,
-    matrix_exchange_model,
     mol_reference,
     series_sum,
     two_state_exchange,
@@ -58,6 +57,15 @@ def oracle_sum(elapsed: float, u0: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # time lattice
 # ---------------------------------------------------------------------------
+
+def test_time_grids_compare_and_hash_by_their_parameters():
+    tg = TimeGrid(0.0, 1.0, 0.25)
+    assert tg == TimeGrid(0.0, 1.0, 0.25)
+    assert hash(tg) == hash(TimeGrid(0.0, 1.0, 0.25))
+    assert tg != TimeGrid(0.0, 1.0, 0.25, "midpoint")
+    assert tg != TimeGrid(0.0, 1.0, 0.125)
+    assert len({tg, TimeGrid(0.0, 1.0, 0.25), TimeGrid(0.0, 1.0, 0.5)}) == 2
+
 
 def test_time_grid_nodes_and_index():
     tg = TimeGrid(0.5, 1.5, 0.25)
@@ -162,6 +170,12 @@ def test_degenerate_interval_rows(oracle_model):
     assert np.all(table.iterates[1:] == 0.0)
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+def test_two_state_exchange_refuses_a_rate_not_positive_and_finite(rate):
+    with pytest.raises(StructureError, match="exchange rate must be positive and finite"):
+        two_state_exchange(rate)
+
+
 @given(u0=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)))
 def test_iterates_stay_nonnegative(u0):
     model = two_state_exchange(1.0)
@@ -195,8 +209,10 @@ def test_direct_trapezoid_matches_one_step_where_the_flow_restarts(fast):
     # the running products' band, so every chunk is one step long; at 6000
     # every factor is below the floor itself, so every step is plain
     grid = abstract_grid(np.ones(3))
-    model = matrix_exchange_model(grid, [1.0, fast, 1.0],
-                                  [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    unit = TimeProfile(kind="constant", c0=1.0)
+    model = loss_gain_model("restarts", grid, SeparableCoefficient(unit, np.array([1.0, fast, 1.0])),
+                            unit, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+                            np.ones(3))
     tg = TimeGrid(0.0, 0.5, 1.0 / 16.0)
     flow = evolution._Flow(evolution._step_factors(model, tg.nodes))
     plain = [factor is not None for _s, _e, factor in flow.chunks]
@@ -274,6 +290,59 @@ def test_left_right_midpoint_gap_shrinks(oracle_model):
         gaps.append(left_right_discrepancy(left, right))
     assert gaps[0] > 1e-9  # the midpoint gap is genuine, not rounding
     assert gaps[0] / gaps[1] >= 3.0
+
+
+@pytest.mark.parametrize("left_grid", [TimeGrid(0.0, 1.0, 0.125, "midpoint"),
+                                       TimeGrid(0.0, 1.0, 0.0625)], ids=["rule", "dt"])
+def test_left_right_discrepancy_refuses_another_lattice(left_grid, oracle_model):
+    u0 = np.array([1.0, 0.5])
+    left = iterate_left(oracle_model, left_grid, u0, 3)
+    right = iterate_right(oracle_model, TimeGrid(0.0, 1.0, 0.125), u0, 3)
+    with pytest.raises(PreconditionError, match="different time lattices"):
+        left_right_discrepancy(left, right)
+
+
+def full_table_left_iterates(model, tg, u0, n_max):
+    """The left recursion on its whole (n, j, k) operator table, as it ran
+    before it kept only one lattice node's row at a time."""
+    m, d = tg.n_steps, model.grid.size
+    nodes = tg.nodes
+    u_mat = np.zeros((m + 1, m + 1, d, d))
+    jj, kk = np.tril_indices(m + 1)
+    u_mat[jj, kk] = model.unperturbed.as_matrix(nodes[jj], nodes[kk])
+    kick = np.einsum("rab,rkbc->rkac", model.perturbation.as_matrix(nodes), u_mat)
+    offsets = [tg._quadrature.weights(o, tg.dt) for o in range(m + 1)]
+    mats = np.zeros((n_max + 1, m + 1, m + 1, d, d))
+    mats[0] = u_mat
+    for j in range(1, m + 1):
+        weighted = np.zeros((j + 1, d, j, d))
+        for k in range(j):
+            weighted[k:, :, k] = offsets[j - k][:, None, None] * kick[k:j + 1, k]
+        weighted = weighted.reshape((j + 1) * d, j * d)
+        for n in range(n_max):
+            row = mats[n, j, :j + 1].transpose(1, 0, 2).reshape(d, (j + 1) * d)
+            mats[n + 1, j, :j] = (row @ weighted).reshape(d, j, d).transpose(1, 0, 2)
+    return np.einsum("njab,b->nja", mats[:, :, 0], u0)
+
+
+@pytest.mark.parametrize("rule", TIME_RULES)
+def test_left_recursion_peak_stays_within_its_charge(rule, timedep_collision_perturbed,
+                                                      monkeypatch):
+    # acceptance criterion 5's largest case: the recursion keeps one lattice
+    # node's row of every iterate, not the (n+1)(M+1)^2 d^2 table, and gives
+    # the table's iterates bitwise
+    model, m, n_max = timedep_collision_perturbed, 64, 8
+    d = model.grid.size
+    tg = TimeGrid(0.0, 1.0, 1.0 / m, rule)
+    u0 = np.ones(d)
+    need = evolution._left_bytes(m, n_max, d)
+    # beside the arrays: the rule's weights and numpy's fixed buffers
+    assert traced_peak(lambda: iterate_left(model, tg, u0, n_max)) <= need + 2 ** 18
+    left = iterate_left(model, tg, u0, n_max)
+    assert left.iterates.tobytes() == full_table_left_iterates(model, tg, u0, n_max).tobytes()
+    monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need - 1)
+    with pytest.raises(SizeCapError, match="left recursion working set"):
+        iterate_left(model, tg, u0, n_max)
 
 
 def test_left_recursion_size_cap(oracle_model):
@@ -843,18 +912,6 @@ def test_row_failures_name_their_grid_node(oracle_model):
         with pytest.raises(EvaluationError, match=message) as err, np.errstate(over="ignore"):
             iterate_right(model, tg, v0, 3)
         assert (err.value.n, err.value.tau, err.value.node) == where
-
-
-@pytest.mark.parametrize("loss, exchange, message", [
-    ([1.0, np.nan], [[0.0, 1.0], [1.0, 0.0]], r"loss rate not finite at node index 1"),
-    ([1.0, 1.0], [[0.0, np.nan], [1.0, 0.0]],
-     r"exchange matrix not finite at \(i, j\) = \(0, 1\)"),
-    ([1.0, 1.0], [[0.0, 1.0], [-1.0, 0.0]],
-     r"exchange matrix negative at \(i, j\) = \(1, 0\)"),
-], ids=["nan-loss", "nan-exchange", "negative-exchange"])
-def test_exchange_model_refuses_bad_entries_at_construction(loss, exchange, message):
-    with pytest.raises(ModelContractError, match=message):
-        matrix_exchange_model(abstract_grid([1.0, 1.0]), loss, exchange)
 
 
 def test_negative_flow_rejected_at_its_row(oracle_model):

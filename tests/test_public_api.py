@@ -19,9 +19,9 @@ PUBLIC_NAMES = [
     "frequency_matching_kernel", "gaussian_kernel_matrix", "grid_leakage", "honesty_verdict",
     "iterate_left", "iterate_right", "kernel_mass_check", "kick_block_norm",
     "laplace_transform_check", "left_right_discrepancy", "lifted_norm", "loss_gain_model",
-    "mass_ledger", "matrix_exchange_model", "mol_reference", "outflow_kernel_matrix",
+    "mass_ledger", "mol_reference", "outflow_kernel_matrix",
     "parse_config", "resolvent_factorization_check", "resolvent_series_check", "series_sum",
-    "table_verdict", "time_profile_from_params", "two_state_exchange",
+    "table_verdict", "two_state_exchange",
     "uniform_kernel_matrix", "uniform_mass_grid", "uniform_velocity_grid", "validation_times",
 ]
 
@@ -31,4 +31,4 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(evofam).items()
                    if not name.startswith("_") and not inspect.ismodule(value))
     assert names == PUBLIC_NAMES
-    assert len(names) == 66
+    assert len(names) == 64
