@@ -17,7 +17,6 @@ from .errors import (
 )
 from .state_space import (
     Grid,
-    StateVector,
     abstract_grid,
     uniform_mass_grid,
     uniform_velocity_grid,

@@ -3,8 +3,9 @@
 Subcommands
 -----------
 run <config>     one experiment; writes report.csv, ledger.csv, defects.csv
-                 (plus checks.csv for lifted runs, plots.svg when SVG
-                 output is on); refuses a config with a [sweep] section
+                 (plus checks.csv for lifted runs, plots.svg when
+                 [output] emit_svg = true); refuses a config with a [sweep]
+                 section
 sweep <config>   repeats the experiment across the [sweep] section's
                  sequence of step sizes (kind = dt) or small-mass cutoffs
                  (kind = x_min, fragmentation only) and adds sweep.csv with
@@ -482,8 +483,7 @@ def _write_svg(path, ledger, series) -> None:
     _rewrite(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
-def write_outputs(out_dir, cfg: ExperimentConfig, art: RunArtifacts,
-                  emit_svg: bool) -> list:
+def write_outputs(out_dir, cfg: ExperimentConfig, art: RunArtifacts) -> list:
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -504,7 +504,7 @@ def write_outputs(out_dir, cfg: ExperimentConfig, art: RunArtifacts,
                    itertools.chain(rows, [footer]))
         _write_csv(target("defects.csv"), ("n", "defect"),
                    enumerate(map(_fmt, series.values)))
-        if emit_svg:
+        if cfg.output.emit_svg:
             _write_svg(target("plots.svg"), ledger, series)
     if art.check_rows:
         _write_csv(target("checks.csv"),
@@ -535,8 +535,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("config", help="path to the INI experiment config")
         cmd.add_argument("--output-dir", default=None,
                          help="override [output] directory")
-        cmd.add_argument("--emit-svg", action="store_true",
-                         help="also write plots.svg")
     return parser
 
 
@@ -559,8 +557,7 @@ def main(argv=None) -> int:
         else:
             art = run_engine_experiment(cfg)
         out_dir = args.output_dir or cfg.output.directory
-        emit_svg = args.emit_svg or cfg.output.emit_svg
-        written = write_outputs(out_dir, cfg, art, emit_svg)
+        written = write_outputs(out_dir, cfg, art)
     except EvofamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

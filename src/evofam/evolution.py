@@ -60,7 +60,7 @@ from .errors import (
     SizeCapError,
     StructureError,
 )
-from .state_space import Grid, StateVector, weighted_norm_array
+from .state_space import Grid, weighted_norm_array
 
 _POSITIVITY_SLACK = 1e-15
 
@@ -369,13 +369,16 @@ def _require_rows(table: DysonPhillipsTable, what: str) -> None:
 
 
 def _as_coeffs(grid: Grid, u0) -> np.ndarray:
-    if isinstance(u0, StateVector):
-        if u0.grid != grid:
-            raise StructureError("initial state lives on a different grid")
-        return np.array(u0.coeffs, dtype=float)
-    arr = np.asarray(u0, dtype=float)
-    StateVector(grid, arr)  # validation only
-    return arr.copy()
+    """A fresh float copy of ``u0``: one finite coefficient per grid node."""
+    arr = np.array(u0, dtype=float)
+    if arr.ndim != 1:
+        raise StructureError("state coefficients must be one-dimensional")
+    if arr.size != grid.size:
+        raise StructureError(
+            f"state has {arr.size} coefficients on a grid of size {grid.size}")
+    if not np.all(np.isfinite(arr)):
+        raise StructureError("state coefficients must be finite")
+    return arr
 
 
 # Largest table either recursion may keep, and largest working set a row
@@ -1140,6 +1143,8 @@ def left_right_discrepancy(left: LeftIterates, right: DysonPhillipsTable) -> flo
     if left.time_grid != right.time_grid:
         raise PreconditionError(f"tables live on different time lattices: "
                                 f"{left.time_grid} and {right.time_grid}")
+    if left.grid != right.grid:
+        raise PreconditionError("tables live on different state grids")
     n_common = min(left.n_max, right.n_max)
     diff = left.iterates[: n_common + 1] - right.iterates[: n_common + 1]
     gaps = np.abs(diff) @ left.grid.weights

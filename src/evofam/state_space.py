@@ -117,26 +117,6 @@ def abstract_grid(weights) -> Grid:
     return Grid(nodes=np.arange(w.size, dtype=float), weights=w, kind="abstract")
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """A coefficient vector bound to its grid."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = _readonly(self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.ndim != 1:
-            raise StructureError("state coefficients must be one-dimensional")
-        if coeffs.size != self.grid.size:
-            raise StructureError(
-                f"state has {coeffs.size} coefficients on a grid of size {self.grid.size}"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise StructureError("state coefficients must be finite")
-
-
 def weighted_norm_array(grid: Grid, coeffs: np.ndarray) -> float:
     """Norm of a raw coefficient array (engine-internal fast path)."""
     return _ascending_sum(grid.weights * np.abs(coeffs))

@@ -232,6 +232,15 @@ def test_strictness_flags_are_not_options(flag, tmp_path, capsys):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_emit_svg_is_not_an_option(command, tmp_path, capsys):
+    # [output] emit_svg is the one switch, and report.csv echoes it
+    with pytest.raises(SystemExit) as exit_:
+        main([command, write_ini(tmp_path, ORACLE_INI), "--emit-svg"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --emit-svg" in capsys.readouterr().err
+
+
 def test_readme_flag_table_lists_every_option():
     # the rows of README's "Command line" flag table against the options
     # the parser accepts, for each subcommand
@@ -441,10 +450,17 @@ def test_x_min_sweep_restricted_to_fragmentation(tmp_path, capsys):
     assert all(float(line.split(",")[3]) > 0.0 for line in lines[1:])  # leakage
 
 
+def with_svg(text):
+    """``text`` with ``[output] emit_svg = true`` set."""
+    if "[output]\n" in text:
+        return text.replace("[output]\n", "[output]\nemit_svg = true\n")
+    return text + "\n[output]\nemit_svg = true\n"
+
+
 def test_emit_svg_writes_plot(tmp_path, capsys):
-    cfg = write_ini(tmp_path, ORACLE_INI)
+    cfg = write_ini(tmp_path, with_svg(ORACLE_INI))
     out_dir = tmp_path / "out"
-    code = main(["run", cfg, "--output-dir", str(out_dir), "--emit-svg"])
+    code = main(["run", cfg, "--output-dir", str(out_dir)])
     pairs = stdout_pairs(capsys)
     assert code == 0
     assert "plots.svg" in pairs["files"].split(",")
@@ -454,10 +470,10 @@ def test_emit_svg_writes_plot(tmp_path, capsys):
 
 
 def test_outputs_are_byte_deterministic(tmp_path, capsys):
-    cfg = write_ini(tmp_path, ORACLE_INI)
+    cfg = write_ini(tmp_path, with_svg(ORACLE_INI))
     dirs = [tmp_path / "first", tmp_path / "second"]
     for d in dirs:
-        assert main(["run", cfg, "--output-dir", str(d), "--emit-svg"]) == 0
+        assert main(["run", cfg, "--output-dir", str(d)]) == 0
     capsys.readouterr()
     for name in ("report.csv", "ledger.csv", "defects.csv", "plots.svg"):
         assert filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False), name
@@ -471,12 +487,12 @@ OUTPUT_NAMES = ("report.csv", "ledger.csv", "defects.csv", "checks.csv", "sweep.
 def test_rewritten_outputs_match_a_fresh_directory(name, tmp_path, capsys):
     # every output name already holds a longer file; the run writes over
     # each in place and must leave no old byte after its own
-    cfg = os.path.join(SCRIPTS_DIR, name)
+    cfg = write_ini(tmp_path, with_svg(Path(SCRIPTS_DIR, name).read_text()), name=name)
     fresh, reused = tmp_path / "fresh", tmp_path / "reused"
     reused.mkdir()
     for out_name in OUTPUT_NAMES:
         (reused / out_name).write_text("garbage,\n" * 20000)
-    codes = [main(["run", cfg, "--output-dir", str(d), "--emit-svg"]) for d in (fresh, reused)]
+    codes = [main(["run", cfg, "--output-dir", str(d)]) for d in (fresh, reused)]
     written = stdout_pairs(capsys)["files"].split(",")
     assert codes == [0, 0]
     assert "plots.svg" in written

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import pytest
 
 from evofam import ConfigError, ExperimentConfig, parse_config
-from evofam.config import LiftedSection
+from evofam.config import _READS, EXPERIMENT_KINDS, LiftedSection
 
 MINIMAL = """\
 [experiment]
@@ -279,3 +280,18 @@ def test_keys_a_kind_never_reads_are_refused(kind, text, refused, tmp_path):
         parse_config(write(tmp_path, text))
     for key in refused:
         assert re.search(key, str(err.value))
+
+
+def test_readme_section_table_lists_what_each_kind_reads():
+    # README's "kind | sections" table against the sections each kind's
+    # parse reads: a section the table omits, or one no run reads, fails
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n| kind | sections |\n| --- | --- |\n")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines():
+        kind_cell, sections_cell = line.strip("|").split("|")
+        rows[kind_cell.strip().strip("`")] = set(re.findall(r"`\[(\w+)\]", sections_cell))
+    every = rows.pop("every kind")
+    assert set(rows) == set(EXPERIMENT_KINDS)
+    for kind, sections in rows.items():
+        assert every | sections == set(_READS[kind]), kind

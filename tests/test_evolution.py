@@ -21,7 +21,6 @@ from evofam import (
     PerturbedModel,
     PreconditionError,
     SizeCapError,
-    StateVector,
     StructureError,
     TimeGrid,
     abstract_grid,
@@ -299,6 +298,23 @@ def test_left_right_discrepancy_refuses_another_lattice(left_grid, oracle_model)
     left = iterate_left(oracle_model, left_grid, u0, 3)
     right = iterate_right(oracle_model, TimeGrid(0.0, 1.0, 0.125), u0, 3)
     with pytest.raises(PreconditionError, match="different time lattices"):
+        left_right_discrepancy(left, right)
+
+
+def test_left_right_discrepancy_refuses_another_grid():
+    unit = TimeProfile(kind="constant", c0=1.0)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def swap_model(weights):
+        grid = abstract_grid(weights)
+        loss = SeparableCoefficient(unit, np.ones(2))
+        return loss_gain_model("swap", grid, loss, unit, swap, grid.weights)
+
+    tg = TimeGrid(0.0, 0.75, 0.25)
+    u0 = np.ones(2)
+    left = iterate_left(swap_model([1.0, 1.0]), tg, u0, 3)
+    right = iterate_right(swap_model([1.0, 3.0]), tg, u0, 3)
+    with pytest.raises(PreconditionError, match="different state grids"):
         left_right_discrepancy(left, right)
 
 
@@ -1259,10 +1275,7 @@ def test_state_inputs_must_match_the_grid(oracle_model, binary_frag):
         (binary_frag.grid, lambda u: mol_reference(binary_frag, tg, u)),
     ]
     for grid, run in entries:
-        run(StateVector(grid, np.ones(grid.size)))
-        elsewhere = StateVector(abstract_grid(2.0 * grid.weights), np.ones(grid.size))
-        with pytest.raises(StructureError, match="different grid"):
-            run(elsewhere)
+        run(np.ones(grid.size))
         with pytest.raises(StructureError, match="coefficients"):
             run(np.ones(grid.size + 1))
         with pytest.raises(StructureError, match="one-dimensional"):

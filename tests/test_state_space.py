@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from evofam import (
     Grid,
-    StateVector,
     StructureError,
     TimeGrid,
     abstract_grid,
@@ -21,11 +20,6 @@ from evofam.state_space import weighted_norm_array
 
 nonneg_coeffs = arrays(np.float64, 5,
                        elements=st.floats(0.0, 1e6, allow_nan=False))
-
-
-@pytest.fixture(scope="module")
-def grid5():
-    return abstract_grid([0.5, 1.0, 1.5, 2.0, 0.25])
 
 
 def test_velocity_grid_midpoints_and_weights():
@@ -59,13 +53,14 @@ def test_grid_construction_errors(bad):
         bad()
 
 
-def test_state_vector_validation(grid5):
-    with pytest.raises(StructureError):
-        StateVector(grid5, np.ones(3))
-    with pytest.raises(StructureError):
-        StateVector(grid5, np.full(5, np.inf))
-    with pytest.raises(StructureError):
-        StateVector(grid5, np.ones((5, 1)))
+def test_state_vector_validation(oracle_model):
+    tg = TimeGrid(0.0, 0.5, 0.25)
+    with pytest.raises(StructureError, match="3 coefficients on a grid of size 2"):
+        iterate_right(oracle_model, tg, np.ones(3), 2)
+    with pytest.raises(StructureError, match="finite"):
+        iterate_right(oracle_model, tg, np.array([1.0, np.inf]), 2)
+    with pytest.raises(StructureError, match="one-dimensional"):
+        iterate_right(oracle_model, tg, np.ones((2, 1)), 2)
 
 
 @given(a=nonneg_coeffs, b=nonneg_coeffs)
@@ -82,11 +77,6 @@ def test_caller_arrays_stay_writable(oracle_model):
     weights[0] = 9.0
     np.testing.assert_array_equal(grid.weights, [0.5, 1.0, 1.5])
     assert not grid.weights.flags.writeable
-
-    coeffs = np.ones(3)
-    state = StateVector(grid, coeffs)
-    coeffs[0] = 2.0
-    np.testing.assert_array_equal(state.coeffs, np.ones(3))
 
     u0 = np.array([1.0, 0.5])
     iterate_right(oracle_model, TimeGrid(0.0, 1.0, 0.25), u0, 3)
