@@ -23,8 +23,6 @@ from .state_space import (
 )
 from .evolution import (
     DysonPhillipsTable,
-    EvolutionFamily,
-    PerturbationFamily,
     PerturbedModel,
     SeriesResult,
     TimeGrid,

@@ -16,7 +16,8 @@ sweep <config>   repeats the experiment across the [sweep] section's
                  x_min sweep under a singular rate is the shattering probe
 
 Exit codes: 0 honest/complete, 2 dishonest, 3 inconclusive, 1 on
-configuration or model-contract errors.  Identical configs produce
+configuration or model-contract errors and on outputs that cannot be
+written, each reported as one ``error:`` line.  Identical configs produce
 byte-identical CSV files: every number is written with repr (shortest
 round-trip form), summation order is fixed, nothing is randomized, and
 wall time goes to stdout only.
@@ -208,7 +209,7 @@ def _read_initial_csv(cfg: ExperimentConfig) -> np.ndarray | None:
         return None
     try:
         return np.loadtxt(cfg.initial.path, dtype=float, ndmin=1)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"[initial] path {cfg.initial.path!r}: {exc}") from exc
 
 
@@ -353,7 +354,6 @@ def run_sweep(cfg: ExperimentConfig) -> RunArtifacts:
         raise ConfigError("[sweep] values needs at least 2 entries")
     if kind == "x_min" and cfg.kind != "fragmentation":
         raise ConfigError("[sweep] kind = x_min applies to fragmentation only")
-    # every value is checked before the first row runs
     if kind == "dt" and any(value <= 0.0 for value in values):
         raise ConfigError("[sweep] dt values must be positive")
     if kind == "x_min":
@@ -361,19 +361,23 @@ def run_sweep(cfg: ExperimentConfig) -> RunArtifacts:
         if not all(0.0 < value < xmax for value in values):
             raise ConfigError("[sweep] x_min values must lie inside the grid span")
 
-    rows = []
-    last = None
-    csv_values = _read_initial_csv(cfg)
+    subs = []
     for value in values:
-        # each row builds (and validates) its model on its own lattice
         if kind == "dt":
             sub = dataclasses.replace(cfg, engine=dataclasses.replace(cfg.engine, dt=value))
         else:
             override = dict(cfg.sections)
             override["grid"] = dict(override["grid"], xmin=value)
             sub = dataclasses.replace(cfg, sections=override)
+        # every row's lattice is made, and so checked, before the first row runs
+        subs.append((value, sub, _engine_grid(sub)))
+
+    rows = []
+    last = None
+    csv_values = _read_initial_csv(cfg)
+    for value, sub, tg in subs:
+        # each row builds (and validates) its model on its own lattice
         model = build_model(sub)
-        tg = _engine_grid(sub)
         u0 = initial_coefficients(cfg, model.grid, csv_values)
         table, ledger, series = _table_diagnostics(cfg, model, tg, u0)
         duhamel = duhamel_residual(model, tg, u0, tol=cfg.engine.series_tol)
@@ -557,7 +561,10 @@ def main(argv=None) -> int:
         else:
             art = run_engine_experiment(cfg)
         out_dir = args.output_dir or cfg.output.directory
-        written = write_outputs(out_dir, cfg, art)
+        try:
+            written = write_outputs(out_dir, cfg, art)
+        except OSError as exc:
+            raise ConfigError(f"cannot write outputs to {out_dir!r}: {exc}") from exc
     except EvofamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,9 +15,10 @@ the full rows only on request.  The module also
 provides the mirrored ("left") recursion on operator matrices for
 cross-validation, series summation with a tail-norm stopping rule, and
 integral-identity residuals (variation-of-constants and two-interval
-composition) used as discretization-error probes.  ``loss_gain_model``
-builds the one model form every built-in application takes: a node-wise
-exponential loss flow perturbed by a time-scaled gain matrix.  The gain
+composition) used as discretization-error probes.  ``loss_gain_model`` is
+the one constructor of a model, and every built-in application is one
+call of it: a node-wise exponential loss flow perturbed by a time-scaled
+gain matrix.  The gain
 is given either as a dense matrix, applied as a matrix product in O(d^2)
 per node, or for a strictly upper triangular product-form matrix
 K[i, j] = f[i] g[j] (i < j) as the factor pair (f, g), applied as a tail
@@ -26,8 +27,8 @@ sum in O(d) per node.
 Each time rule is one entry of ``_RULES``: its prefix weights and whether
 they nest.  The trapezoid rule, whose weights nest, runs a one-step
 propagation form of the prefix quadrature (kicks in ``_Flow.kicks``),
-algebraically identical to direct prefix evaluation whenever ``U``
-composes exactly across intermediate times (all built-in families do, to
+algebraically identical to direct prefix evaluation since ``U`` composes
+exactly across intermediate times (a loss flow is exact in time, so to
 rounding).  The midpoint rule, whose weights do not nest, runs the literal
 direct evaluation, which also stays the reference the one-step path is
 tested against.  A row's defect is a trapezoid integral under either rule.
@@ -163,51 +164,28 @@ class TimeGrid:
 
 
 # ---------------------------------------------------------------------------
-# families and models
+# models
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EvolutionFamily:
-    """Unperturbed two-parameter evolution on a grid space.
+class _Operator:
+    """One operator of a model, ``apply`` being U's or B's closure.
 
-    ``apply(t, s, u)`` returns U(t, s) u for s <= t.  ``t`` and ``s`` are
-    scalars or arrays of times of shape ``u.shape[:-1]``, one state per
-    time pair.  Contract: U acts node-wise (U(t, s) u = f(t, s) * u for a
-    per-node factor f; every built-in model does, and the engine propagates
-    rows with the factors f it gets by applying U to ones), positivity-
-    preserving, substochastic on nonnegative states, U(s, s) = identity,
-    and exact two-interval composition up to rounding.
+    It stays a dataclass with an ``apply`` field, and every U and B call in
+    the package goes through ``model.unperturbed.apply`` or
+    ``model.perturbation.apply``, because the benchmark's tracer
+    (``perfbench/tracing.py``) counts operator calls by swapping in
+    ``dataclasses.replace(model.unperturbed, apply=...)`` and its
+    ``perturbation`` twin.
     """
 
-    grid: Grid
-    apply: Callable[[float, float, np.ndarray], np.ndarray]
-
-    def as_matrix(self, t, s) -> np.ndarray:
-        """U(t, s) as a dense matrix, column j being U(t, s) e_j; for arrays
-        of K times, shape (K, d, d) from one batched apply."""
-        return _dense(self.apply, self.grid.size, t, s)
-
-
-@dataclass(frozen=True)
-class PerturbationFamily:
-    """Time-dependent positive bounded operator B(t) on the grid space.
-
-    ``apply(t, u)`` returns B(t) u; ``t`` is a scalar or an array of times
-    of shape ``u.shape[:-1]``, one state per time.
-    """
-
-    grid: Grid
-    apply: Callable[[float, np.ndarray], np.ndarray]
-
-    def as_matrix(self, t) -> np.ndarray:
-        """B(t) as a dense matrix, column j being B(t) e_j; for an array of K
-        times, shape (K, d, d) from one batched apply."""
-        return _dense(self.apply, self.grid.size, t)
+    apply: Callable[..., np.ndarray]
 
 
 def _dense(apply, d: int, *times) -> np.ndarray:
-    """Apply to every unit vector at once: each time is broadcast over the d
-    unit vectors, and rows are turned into columns."""
+    """An operator as dense matrices, column j being its apply to e_j: each
+    time is broadcast over the d unit vectors, and rows are turned into
+    columns; for arrays of K times, shape (K, d, d) from one batched apply."""
     shape = np.shape(times[0]) + (d,)
     times = [np.broadcast_to(np.asarray(t, dtype=float)[..., None], shape) for t in times]
     return np.swapaxes(apply(*times, np.broadcast_to(np.eye(d), shape + (d,))), -1, -2)
@@ -215,25 +193,25 @@ def _dense(apply, d: int, *times) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PerturbedModel:
-    """Bundle of an unperturbed family, its perturbation, and metadata.
+    """A loss–gain model, made by ``loss_gain_model`` only.
 
-    ``loss_rate(t)`` (optional) returns the per-node multiplicative decay
-    rates of the unperturbed family at time t, shape (d,), or at an array
-    of K times, shape (K, d); the lifted-space generator needs it.
+    ``unperturbed.apply(t, s, u)`` is U(t, s) u for s <= t and
+    ``perturbation.apply(t, u)`` is B(t) u, each time a scalar or an array
+    of times of shape ``u.shape[:-1]``, one state per time (pair).  U acts
+    node-wise by construction, U(t, s) u = exp(-(F(t) - F(s)) a) * u, so the
+    engine propagates rows with the factors it gets by applying U to ones.
+    ``loss_rate(t)`` is the per-node loss rate F'(t) a, shape (d,), or
+    (K, d) at an array of K times; the lifted-space generator reads it.
     ``validated_span`` (optional) is the (first, last) time the model's
     contract was checked at; the engine refuses a lattice outside it.
     """
 
     name: str
     grid: Grid
-    unperturbed: EvolutionFamily
-    perturbation: PerturbationFamily
-    loss_rate: Callable[[float], np.ndarray] | None = None
+    unperturbed: _Operator
+    perturbation: _Operator
+    loss_rate: Callable[[float], np.ndarray]
     validated_span: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.unperturbed.grid != self.grid or self.perturbation.grid != self.grid:
-            raise StructureError("model families must share the model grid")
 
 
 def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
@@ -265,7 +243,7 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
     the output (never as a total minus a prefix sum, which cancels where
     the tail is small), so a call allocates only its output.  The last
     node's gain is exactly 0.  Both operators batch over a leading time
-    axis as the family contracts allow.  U raises ``PreconditionError``
+    axis (see ``PerturbedModel``).  U raises ``PreconditionError``
     naming the first pair with s > t, where its factor would exceed 1.
     """
     d = grid.size
@@ -322,10 +300,9 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
             out *= np.asarray(q(t))[..., None]
             return out
 
-    return PerturbedModel(name=name, grid=grid,
-                          unperturbed=EvolutionFamily(grid, u_apply),
-                          perturbation=PerturbationFamily(grid, b_apply),
-                          loss_rate=loss.value, validated_span=validated_span)
+    return PerturbedModel(name=name, grid=grid, unperturbed=_Operator(u_apply),
+                          perturbation=_Operator(b_apply), loss_rate=loss.value,
+                          validated_span=validated_span)
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +444,14 @@ def _check_row(row: np.ndarray, nodes: np.ndarray, n: int, scale: float) -> None
 
 
 def _step_factors(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
-    """One-step survival factors U(tau_j, tau_{j-1}) on ones, shape (M, d).
+    """One-step survival factors U(tau_j, tau_{j-1}) on ones, shape (M, d),
+    each exp(-x) >= 0.
 
-    Raises if ``U`` does not take arrays of times, or if a factor is not
-    <= 1 (the flow must be substochastic, and a nan factor is not); the
-    sign is left to the row positivity check.
+    Raises if a factor is not <= 1: a negative loss rate expands, and a nan
+    one is not substochastic either.
     """
     m, d = nodes.size - 1, model.grid.size
-    try:
-        steps = model.unperturbed.apply(nodes[1:], nodes[:-1], np.broadcast_to(1.0, (m, d)))
-    except (TypeError, ValueError) as exc:
-        raise ModelContractError(
-            f"U(t, s) must accept arrays of times of shape u.shape[:-1], one state per "
-            f"time pair; the batched call on the {m} lattice steps failed: {exc}") from exc
+    steps = model.unperturbed.apply(nodes[1:], nodes[:-1], np.broadcast_to(1.0, (m, d)))
     # written so that a nan maximum fails too
     if m and not steps.max() <= 1.0 + _POSITIVITY_SLACK:
         j, i = np.unravel_index(np.argmax(~(steps <= 1.0 + _POSITIVITY_SLACK)), steps.shape)
@@ -515,19 +487,16 @@ _LOOP_ROW = 256
 
 
 def _in_band(a: np.ndarray) -> bool:
-    """Whether every entry of ``a`` lies in [floor, 1/floor] in magnitude
-    (False on a nan)."""
-    hi = 1.0 / _FLOW_FLOOR
-    if a.min() >= _FLOW_FLOOR and a.max() <= hi:
-        return True
-    mag = np.abs(a)
-    return bool(mag.min() >= _FLOW_FLOOR and mag.max() <= hi)
+    """Whether every entry of ``a`` lies in [floor, 1/floor] (False on a
+    nan).  Every factor a flow is made of is >= 0: U's exp(-x), times
+    exp(-lam dt), or the lifted series' 1/(h diag) with diag > 0."""
+    return bool(a.min() >= _FLOW_FLOOR and a.max() <= 1.0 / _FLOW_FLOOR)
 
 
 def _rows_in_band(a: np.ndarray) -> np.ndarray:
     """Per row of ``a``, whether every entry lies in the band."""
-    mag = np.abs(a).reshape(len(a), -1)
-    return ((mag >= _FLOW_FLOOR) & (mag <= 1.0 / _FLOW_FLOOR)).all(axis=1)
+    rows = a.reshape(len(a), -1)
+    return ((rows >= _FLOW_FLOOR) & (rows <= 1.0 / _FLOW_FLOOR)).all(axis=1)
 
 
 def _first_out_of_band(block: np.ndarray) -> int | None:
@@ -678,29 +647,19 @@ class _Flow:
 
 def _b_rows(model: PerturbedModel, kicked: str, n: int, taus: np.ndarray,
             states: np.ndarray) -> np.ndarray:
-    """B(tau_j) states[j] for every node j in one call, checked finite once.
+    """B(tau_j) states[j] for every node j in one call, checked finite
+    once, into a new array (the one-step pass divides it in place).
 
     A failure names ``kicked``, what the states are (say "iterate 3"), and
-    carries ``n``, the first failing tau and, for a non-finite output, its
-    first non-finite grid node.
+    carries ``n``.  B raises only from its gain profile's domain (a power
+    profile at t < 0, or with p < 0 at t = 0), whose message names the
+    time; a non-finite output carries its first tau and grid node.
     """
-    apply = model.perturbation.apply
     try:
-        out = apply(taus, states)
-    except Exception as exc:
-        # error path only: find the first node that fails on its own
-        for tau, state in zip(taus.tolist(), states):
-            try:
-                apply(tau, state)
-            except Exception as node_exc:
-                raise EvaluationError(
-                    f"perturbation evaluation failed at {kicked}, tau = {tau!r}: {node_exc}",
-                    n=n, tau=tau,
-                ) from node_exc
-        raise EvaluationError(
-            f"perturbation evaluation failed at {kicked} on a batch of "
-            f"{len(taus)} times, though every single time succeeds: {exc}", n=n,
-        ) from exc
+        out = model.perturbation.apply(taus, states)
+    except ModelContractError as exc:
+        raise EvaluationError(f"perturbation evaluation failed at {kicked}: {exc}",
+                              n=n) from exc
     if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
         j, i = divmod(int(np.argmin(np.isfinite(out))), out.shape[-1])
         tau = float(taus[j])
@@ -708,10 +667,6 @@ def _b_rows(model: PerturbedModel, kicked: str, n: int, taus: np.ndarray,
             f"perturbation produced non-finite values at {kicked}, tau = {tau!r}, grid node {i}",
             n=n, tau=tau, node=i,
         )
-    if np.may_share_memory(out, states):
-        # a B that returns (a view of) its input: the one-step pass turns
-        # the B row into kicks in place, which must not reach the row
-        out = out.copy()
     return out
 
 
@@ -1107,8 +1062,8 @@ def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int) -> LeftIte
 
     u_mat = np.zeros((m + 1, m + 1, d, d))
     jj, kk = np.tril_indices(m + 1)
-    u_mat[jj, kk] = model.unperturbed.as_matrix(nodes[jj], nodes[kk])
-    b_mat = model.perturbation.as_matrix(nodes)
+    u_mat[jj, kk] = _dense(model.unperturbed.apply, d, nodes[jj], nodes[kk])
+    b_mat = _dense(model.perturbation.apply, d, nodes)
     # kick[r, k] = B(tau_r) U(tau_r, tau_k): the shared right factor
     kick = np.einsum("rab,rkbc->rkac", b_mat, u_mat)
     del b_mat, jj, kk

@@ -19,8 +19,11 @@ measures and reports, together with any horizon-truncation bound.
 
 Each check makes one ``_Resolvent`` for its (model, lam, axis): it checks
 its arguments once and makes the diagonal lam + 1/h + loss_rate, the kick
-blocks and their batched inverse at most once each.  The discounted kick
-is a trapezoid quadrature, so it refuses an axis rule that does not nest.
+blocks and their batched inverse at most once each.  The model is a
+``loss_gain_model``: its ``loss_rate`` gives the diagonal in one call over
+the axis, and the kick blocks are its B applied to the unit vectors.  The
+discounted kick is a trapezoid quadrature, so it refuses an axis rule that
+does not nest.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .evolution import (
     _Flow,
     _b_rows,
     _check_table_bytes,
+    _dense,
     _require_validated,
     _right_rows,
     _step_factors,
@@ -91,7 +95,7 @@ def _gain_blocks(model: PerturbedModel, nodes: np.ndarray) -> np.ndarray:
     first non-finite block's axis node and its first non-finite entry
     (row i, column j), and carries grid node i as ``node``."""
     _check_table_bytes("kick block table", nodes.size * model.grid.size ** 2 * 8)
-    blocks = model.perturbation.as_matrix(nodes)
+    blocks = _dense(model.perturbation.apply, model.grid.size, nodes)
     if blocks.size and not (np.isfinite(blocks.min()) and np.isfinite(blocks.max())):
         k, i, j = np.unravel_index(np.argmin(np.isfinite(blocks)), blocks.shape)
         tau = float(nodes[k])
@@ -132,14 +136,9 @@ class _Resolvent:
     @cached_property
     def diag(self) -> np.ndarray:
         """lam + 1/h + loss_rate at every axis node, shape (K, d), checked positive."""
-        model, nodes = self.model, self.axis.nodes
-        if model.loss_rate is None:
-            raise PreconditionError("model must provide loss_rate for the lifted generator")
-        rates = np.asarray(model.loss_rate(nodes), dtype=float)
-        if rates.shape != (nodes.size, model.grid.size):
-            raise PreconditionError("loss_rate must return one value per grid node")
-        diag = self.lam + 1.0 / self.axis.dt + rates
-        if np.any(diag <= 0.0):
+        diag = self.lam + 1.0 / self.axis.dt + self.model.loss_rate(self.axis.nodes)
+        # written so that a nan loss rate fails too
+        if not np.all(diag > 0.0):
             raise PreconditionError("generator diagonal must be positive for lam > 0")
         return diag
 

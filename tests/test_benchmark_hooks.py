@@ -14,7 +14,10 @@ import sys
 import types
 from pathlib import Path
 
-from evofam import cli
+import numpy as np
+import pytest
+
+from evofam import cli, iterate_right
 from evofam.config import parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,3 +77,22 @@ def test_build_model_takes_the_harness_arguments():
                  "lifted_checks.ini"):
         model = cli.build_model(parse_config(os.fspath(SCRIPTS / name)), None)
         assert model.grid.size > 0
+
+
+@pytest.mark.parametrize("name", ["oracle.ini", "boltzmann_conservative.ini",
+                                  "fragmentation_binary.ini"])
+def test_counted_model_runs_the_engine_bitwise_as_the_model(name):
+    # the tracer counts operator calls by swapping in counting wrappers
+    # through dataclasses.replace on the model's operator holders: the engine
+    # must make every U and B call through them, and get the same bits back
+    cfg = parse_config(os.fspath(SCRIPTS / name))
+    model = cli.build_model(cfg)
+    tg, n_max = cli._engine_grid(cfg), cfg.engine.n_max
+    u0 = cli.initial_coefficients(cfg, model.grid)
+    tracer = _tracing().Tracer()
+    with tracer.invocation(1) as counters:
+        counted = tracer._counted_model(model)
+        defects = iterate_right(counted, tg, u0, n_max, keep_rows=False).defects
+    assert np.array_equal(defects, iterate_right(model, tg, u0, n_max, keep_rows=False).defects)
+    assert counters.u_apply > 0
+    assert counters.b_apply == n_max + 1

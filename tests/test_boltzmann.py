@@ -1,6 +1,8 @@
 """Collision model: contracts, exact loss flow, gain accounting."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -31,6 +33,7 @@ from evofam import (
 )
 from evofam.boltzmann import SUBCRITICAL_RESCALE_LIMIT
 from evofam.coefficients import SeparableCoefficient
+from evofam.evolution import _dense
 from evofam.lifted import _Resolvent
 
 CONSTANT_ONE = TimeProfile(kind="constant", c0=1.0)
@@ -263,13 +266,13 @@ def test_validation_times_interleaves_midpoints():
 def test_loss_flow_composes_exactly(timedep_collision_perturbed):
     flow = timedep_collision_perturbed.unperturbed
     rng = np.random.default_rng(7)
-    phi = rng.uniform(0.1, 1.0, flow.grid.size)
+    phi = rng.uniform(0.1, 1.0, timedep_collision_perturbed.grid.size)
     one_hop = flow.apply(0.9, 0.0, phi)
     two_hop = flow.apply(0.9, 0.4, flow.apply(0.4, 0.0, phi))
     np.testing.assert_allclose(two_hop, one_hop, rtol=1e-14)
     # identity at coincident times, strict contraction on positive states
     np.testing.assert_array_equal(flow.apply(0.3, 0.3, phi), phi)
-    w = flow.grid.weights
+    w = timedep_collision_perturbed.grid.weights
     assert w @ one_hop < w @ phi
 
 
@@ -352,17 +355,17 @@ def test_perturbed_model_wires_both_parts(timedep_collision,
                                timedep_collision.kernel_values(0.7) @ (grid.weights * phi),
                                rtol=1e-15)
     # matrix forms agree with the plain apply
-    np.testing.assert_allclose(model.unperturbed.as_matrix(0.7, 0.2) @ phi,
+    u_dense = functools.partial(_dense, model.unperturbed.apply, grid.size)
+    b_dense = functools.partial(_dense, model.perturbation.apply, grid.size)
+    np.testing.assert_allclose(u_dense(0.7, 0.2) @ phi,
                                model.unperturbed.apply(0.7, 0.2, phi), rtol=1e-14)
-    np.testing.assert_allclose(model.perturbation.as_matrix(0.7) @ phi,
-                               model.perturbation.apply(0.7, phi), rtol=1e-14)
+    np.testing.assert_allclose(b_dense(0.7) @ phi, model.perturbation.apply(0.7, phi),
+                               rtol=1e-14)
     # an array of times gives the per-time matrices in one batched apply
     t, s = np.array([0.3, 0.7, 1.0]), np.array([0.0, 0.2, 1.0])
-    np.testing.assert_array_equal(
-        model.unperturbed.as_matrix(t, s),
-        np.stack([model.unperturbed.as_matrix(tk, sk) for tk, sk in zip(t, s)]))
-    np.testing.assert_allclose(model.perturbation.as_matrix(t),
-                               np.stack([model.perturbation.as_matrix(tk) for tk in t]),
+    np.testing.assert_array_equal(u_dense(t, s),
+                                  np.stack([u_dense(tk, sk) for tk, sk in zip(t, s)]))
+    np.testing.assert_allclose(b_dense(t), np.stack([b_dense(tk) for tk in t]),
                                rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(model.loss_rate(0.5),
                                np.asarray(timedep_collision.frequency.value(0.5)))

@@ -436,6 +436,33 @@ def test_initial_csv_error_names_the_first_bad_entry(values, bad, tmp_path, caps
     assert f"[initial] csv data must be finite and nonnegative; {bad}" in err, err
 
 
+def test_malformed_initial_csv_exits_one_naming_the_path(tmp_path, capsys):
+    path = tmp_path / "u0.csv"
+    path.write_text("abc\n0.5\n")
+    cfg = write_ini(tmp_path, ORACLE_INI.replace("kind = point\nnode = 0\n",
+                                                 f"kind = csv\npath = {path}\n"))
+    out_dir = tmp_path / "out"
+    assert main(["run", cfg, "--output-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: [initial] path {str(path)!r}: ")
+    assert "'abc'" in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+def test_unwritable_output_directory_exits_one(tmp_path, capsys):
+    # the output directory would sit under a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "sub"
+    code = main(["run", os.path.join(SCRIPTS_DIR, "oracle.ini"), "--output-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: cannot write outputs to {str(out_dir)!r}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
 def test_x_min_sweep_restricted_to_fragmentation(tmp_path, capsys):
     bad = write_ini(tmp_path, ORACLE_INI + "\n[sweep]\nkind = x_min\nvalues = 0.1, 0.05\n")
     assert main(["sweep", bad, "--output-dir", str(tmp_path / "a")]) == 1
@@ -593,6 +620,21 @@ def test_sweep_value_guards(text, message, tmp_path, capsys, monkeypatch):
     assert message in capsys.readouterr().err
     # every value is checked before the first row, a bad last one too
     assert runs == []
+    assert not out_dir.exists()
+
+
+def test_dt_sweep_makes_every_lattice_before_the_first_row(tmp_path, capsys, monkeypatch):
+    # 0.003 does not divide [0, 1]: refused before any row builds its model
+    built = []
+    build_model = cli.build_model
+    monkeypatch.setattr(cli, "build_model",
+                        lambda cfg, strict=None: built.append(cfg) or build_model(cfg, strict))
+    text = shipped_ini("oracle_dt_sweep.ini", ("values = 0.01, 0.005, 0.0025",
+                                               "values = 0.01, 0.005, 0.003"))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", write_ini(tmp_path, text), "--output-dir", str(out_dir)]) == 1
+    assert "is not an integer multiple of dt = 0.003" in capsys.readouterr().err
+    assert built == []
     assert not out_dir.exists()
 
 

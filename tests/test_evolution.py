@@ -14,11 +14,8 @@ from hypothesis import strategies as st
 
 from evofam import (
     EvaluationError,
-    EvolutionFamily,
     LiftedVector,
     ModelContractError,
-    PerturbationFamily,
-    PerturbedModel,
     PreconditionError,
     SizeCapError,
     StructureError,
@@ -222,18 +219,6 @@ def test_direct_trapezoid_matches_one_step_where_the_flow_restarts(fast):
     np.testing.assert_allclose(direct, one_step.iterates, rtol=1e-13, atol=1e-300)
 
 
-def test_a_b_that_returns_a_view_of_its_input_leaves_the_rows_intact(oracle_model):
-    # the one-step pass divides its B row in place; a B row that is a view
-    # of the row it was made from must not take that row with it
-    model = dataclasses.replace(
-        oracle_model, perturbation=PerturbationFamily(oracle_model.grid, lambda t, u: u[..., ::-1]))
-    tg = TimeGrid(0.0, 1.0, 0.125)
-    u0 = np.array([1.0, 0.5])
-    held = list(evolution._right_rows(model, tg, u0, 3, []))
-    np.testing.assert_allclose(np.array(held), iterate_right(oracle_model, tg, u0, 3).iterates,
-                               rtol=1e-13, atol=0.0)
-
-
 @pytest.mark.parametrize("entry", ["iterate_right", "series_sum", "duhamel_residual",
                                    "cocycle_residual", "iterate_left", "duhamel_values"])
 def test_signed_data_refused(entry):
@@ -325,8 +310,9 @@ def full_table_left_iterates(model, tg, u0, n_max):
     nodes = tg.nodes
     u_mat = np.zeros((m + 1, m + 1, d, d))
     jj, kk = np.tril_indices(m + 1)
-    u_mat[jj, kk] = model.unperturbed.as_matrix(nodes[jj], nodes[kk])
-    kick = np.einsum("rab,rkbc->rkac", model.perturbation.as_matrix(nodes), u_mat)
+    u_mat[jj, kk] = evolution._dense(model.unperturbed.apply, d, nodes[jj], nodes[kk])
+    kick = np.einsum("rab,rkbc->rkac", evolution._dense(model.perturbation.apply, d, nodes),
+                     u_mat)
     offsets = [tg._quadrature.weights(o, tg.dt) for o in range(m + 1)]
     mats = np.zeros((n_max + 1, m + 1, m + 1, d, d))
     mats[0] = u_mat
@@ -434,7 +420,7 @@ def test_factored_gain_is_the_strictly_upper_product(d, seed, data):
     gain = model.perturbation
     scalar = gain.apply(0.3, u[0])
     batch = gain.apply(times, u)
-    dense = gain.as_matrix(times)
+    dense = evolution._dense(gain.apply, d, times)
     np.testing.assert_allclose(scalar, profile.value(0.3) * (mat @ (v * u[0])),
                                rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(batch, profile.value(times)[:, None] * ((u * v) @ mat.T),
@@ -851,38 +837,42 @@ def test_per_node_source_rows_sum_the_runs_from_each_node(rate, m, flow_shape):
 # engine error paths and guards
 # ---------------------------------------------------------------------------
 
-def with_perturbation(model, apply):
-    return dataclasses.replace(model, perturbation=PerturbationFamily(model.grid, apply))
+def exchange(loss=(1.0, 1.0), gain=((0.0, 1.0), (1.0, 0.0)), weights=(1.0, 1.0), *,
+             loss_profile=TimeProfile(kind="constant", c0=1.0),
+             gain_profile=TimeProfile(kind="constant", c0=1.0)):
+    """A two-node loss-gain model, by default the unit-rate oracle; each
+    failure below is reached by passing data ``loss_gain_model`` takes."""
+    return loss_gain_model("exchange", abstract_grid(np.ones(2)),
+                           SeparableCoefficient(loss_profile, np.array(loss)), gain_profile,
+                           np.array(gain), np.array(weights))
 
 
-def test_perturbation_failure_names_iterate_and_time(oracle_model):
-    def failing(t, u):
-        raise RuntimeError("kernel table missing")
-
-    model = with_perturbation(oracle_model, failing)
-    with pytest.raises(EvaluationError, match="kernel table missing") as err:
-        iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
-    assert (err.value.n, err.value.tau) == (0, 0.0)
+def test_perturbation_failure_names_iterate_and_time():
+    # B raises only from its gain profile's domain, whose message names t
+    for start, p, message in (
+            (0.0, -0.5, r"iterate 0: power profile with exponent -0\.5 is singular at t = 0\.0$"),
+            (-0.5, 0.5, r"iterate 0: power profile evaluated at t < 0 \(t = -0\.5\)$")):
+        model = exchange(gain_profile=TimeProfile(kind="power", c0=1.0, p=p))
+        with pytest.raises(EvaluationError, match=message) as err:
+            iterate_right(model, TimeGrid(start, 1.0, 0.25), np.array([1.0, 0.0]), 3)
+        assert err.value.n == 0
+        assert isinstance(err.value.__cause__, ModelContractError)
 
 
 @pytest.mark.parametrize("m, first_bad", [(64, 20), (4160, 4126)])
 def test_non_finite_flow_fails_at_the_node_the_plain_loop_names(m, first_bad, monkeypatch):
-    # a flow that turns nan at node first_bad fails the step-factor check
-    # there, naming the node the plain loop would fail at, before any
-    # running product is formed or any row carried
-    grid = abstract_grid(np.ones(2))
+    # a loss profile that turns nan after node first_bad - 1 fails the
+    # step-factor check at node first_bad, naming the node the plain loop
+    # would fail at, before any running product is formed or any row carried
     tg = TimeGrid(0.0, 1.0, 1.0 / m)
     cut = tg.nodes[first_bad - 1]
-
-    def flow(t, s, u):
-        t, s = np.asarray(t), np.asarray(s)
-        return np.where(t > cut, np.nan, np.exp(s - t))[..., None] * u
+    nan_late = TimeProfile(kind="pwlinear", times=np.array([0.0, cut, 2.0]),
+                           values=np.array([1.0, 1.0, np.nan]))
 
     def never(steps):
         raise AssertionError("running products formed before the step-factor check")
 
-    model = PerturbedModel(name="nan_late", grid=grid, unperturbed=EvolutionFamily(grid, flow),
-                           perturbation=PerturbationFamily(grid, lambda t, u: 0.5 * u[..., ::-1]))
+    model = exchange(loss_profile=nan_late)
     monkeypatch.setattr(evolution, "_Flow", never)
     with pytest.raises(ModelContractError, match="U is not substochastic") as err:
         iterate_right(model, tg, np.array([1.0, 0.5]), 2)
@@ -890,38 +880,35 @@ def test_non_finite_flow_fails_at_the_node_the_plain_loop_names(m, first_bad, mo
             f"tau = {float(tg.nodes[first_bad])!r}, node index 0") in str(err.value)
 
 
-def test_non_finite_perturbation_names_first_bad_node(oracle_model):
-    def nan_late(t, u):
-        out = oracle_model.perturbation.apply(t, u)
-        return np.where(np.asarray(t)[..., None] > 0.3, np.nan, 1.0) * out
-
-    model = with_perturbation(oracle_model, nan_late)
-    with pytest.raises(EvaluationError, match="non-finite") as err:
-        iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
-    assert (err.value.n, err.value.tau) == (0, 0.5)
+def overflowing_gain():
+    """The oracle with gain weight 1e308 on node 0 and gain profile
+    1 + 4.5 t: B's entry on node 1, (1 + 4.5 t) exp(-t) 1e308 from a unit
+    mass on node 0, is finite at t = 0.25 and overflows from t = 0.5."""
+    return exchange(weights=(1e308, 1.0), gain_profile=TimeProfile(kind="affine", c0=1.0, c1=4.5))
 
 
-def test_row_failures_name_their_grid_node(oracle_model):
+def test_non_finite_perturbation_names_first_bad_node():
+    with pytest.raises(EvaluationError, match="non-finite") as err, np.errstate(over="ignore"):
+        iterate_right(overflowing_gain(), TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
+    assert (err.value.n, err.value.tau, err.value.node) == (0, 0.5, 1)
+
+
+def test_row_failures_name_their_grid_node():
     # each engine failure names the grid node beside tau: where B turns
-    # non-finite, where a row loses positivity, where a row overflows
+    # non-finite, where a row loses positivity (a negative gain weight or
+    # gain entry), where a row overflows
     u0 = np.array([1.0, 0.5])
     tg = TimeGrid(0.0, 1.0, 0.25)
-
-    def nan_on_node_1(t, u):
-        out = oracle_model.perturbation.apply(t, u)
-        out[..., 1] = np.where(np.asarray(t) > 0.3, np.nan, out[..., 1])
-        return out
-
-    flips_node_1 = dataclasses.replace(oracle_model, unperturbed=EvolutionFamily(
-        oracle_model.grid, lambda t, s, u: u * np.array([1.0, -1.0])))
-    overflows = with_perturbation(dataclasses.replace(oracle_model, unperturbed=EvolutionFamily(
-        oracle_model.grid, lambda t, s, u: 1.0 * u)), lambda t, u: u * np.array([0.0, 1.0]))
+    # a unit flow and a gain that keeps node 1's mass on node 1
+    overflows = exchange(loss=(0.0, 0.0), gain=((0.0, 0.0), (0.0, 1.0)))
     for model, v0, message, where in (
-            (with_perturbation(oracle_model, nan_on_node_1), u0,
+            (overflowing_gain(), u0,
              r"perturbation produced non-finite values at iterate 0, tau = 0\.5, grid node 1$",
              (0, 0.5, 1)),
-            (flips_node_1, u0, r"iterate row 0 lost positivity at tau = 0\.25, grid node 1 ",
-             (0, 0.25, 1)),
+            (exchange(weights=(-1.0, 1.0)), u0,
+             r"iterate row 1 lost positivity at tau = 0\.25, grid node 1 ", (1, 0.25, 1)),
+            (exchange(gain=((0.0, -1.0), (-1.0, 0.0))), np.array([1.0, 0.0]),
+             r"iterate row 1 lost positivity at tau = 0\.25, grid node 1 ", (1, 0.25, 1)),
             (overflows, np.array([1.0, 1.5e308]),
              r"iterate row 1 contains non-finite values at tau = 0\.25, grid node 1$",
              (1, 0.25, 1))):
@@ -930,77 +917,27 @@ def test_row_failures_name_their_grid_node(oracle_model):
         assert (err.value.n, err.value.tau, err.value.node) == where
 
 
-def test_negative_flow_rejected_at_its_row(oracle_model):
-    flipping = EvolutionFamily(oracle_model.grid, lambda t, s, u: -u)
-    model = dataclasses.replace(oracle_model, unperturbed=flipping)
-    with pytest.raises(EvaluationError, match="lost positivity") as err:
-        iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
-    assert err.value.n == 0
-    assert err.value.tau == 0.25
-
-
-def test_perturbation_raising_late_names_first_raising_node(oracle_model):
-    def raises_late(t, u):
-        if np.any(np.asarray(t) >= 0.5):
-            raise RuntimeError("kernel undefined")
-        return oracle_model.perturbation.apply(t, u)
-
-    model = with_perturbation(oracle_model, raises_late)
-    with pytest.raises(EvaluationError, match="kernel undefined") as err:
-        iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
-    assert (err.value.n, err.value.tau) == (0, 0.5)
-
-
-def test_expanding_step_factor_rejected(oracle_model):
-    def expanding(t, s, u):
-        return np.exp(np.subtract(t, s))[..., None] * u
-
-    model = dataclasses.replace(oracle_model,
-                                unperturbed=EvolutionFamily(oracle_model.grid, expanding))
+def test_expanding_step_factor_rejected():
+    # a negative loss rate expands the flow
     with pytest.raises(ModelContractError, match="not substochastic") as err:
-        iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
+        iterate_right(exchange(loss=(-1.0, -1.0)), TimeGrid(0.0, 1.0, 0.25),
+                      np.array([1.0, 0.0]), 3)
+    assert "step factor 1.28" in str(err.value)
     assert "tau = 0.25, node index 0" in str(err.value)
-
-
-def test_scalar_time_flow_names_the_array_contract():
-    grid = abstract_grid([1.0, 1.0])
-    model = PerturbedModel(
-        name="scalar_times", grid=grid,
-        unperturbed=EvolutionFamily(grid, lambda t, s, u: math.exp(-(t - s)) * u),
-        perturbation=PerturbationFamily(grid, lambda t, u: 0.5 * u[..., ::-1]))
-    # the flow is a valid substochastic family on scalar times
-    np.testing.assert_allclose(model.unperturbed.apply(1.0, 0.5, np.ones(2)), math.exp(-0.5))
-    with pytest.raises(ModelContractError, match="arrays of times") as err:
-        iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
-    assert isinstance(err.value.__cause__, TypeError)
 
 
 def test_right_recursion_memory_cap():
     # 2 * 41 * 4097 * 512 * 8 bytes = 1.4 GB of table: refused before any
     # allocation or operator call
-    grid = abstract_grid(np.ones(512))
-
-    def never(t, u):
-        raise AssertionError("B applied before the size check")
-
-    model = PerturbedModel(name="wide", grid=grid,
-                           unperturbed=EvolutionFamily(grid, lambda t, s, u: u),
-                           perturbation=PerturbationFamily(grid, never))
     with pytest.raises(SizeCapError, match="bytes"):
-        iterate_right(model, TimeGrid(0.0, 1.0, 1.0 / 4096.0), np.ones(512), 40)
+        iterate_right(never_applied_model(512), TimeGrid(0.0, 1.0, 1.0 / 4096.0), np.ones(512),
+                      40)
 
 
 def test_row_pass_working_set_cap():
     # a (2**15 + 1) x 512 row is 134 MB, so no row pass may hold the three it needs;
     # each call is refused before any operator call, whatever it keeps
-    grid = abstract_grid(np.ones(512))
-
-    def never(t, u):
-        raise AssertionError("B applied before the size check")
-
-    model = PerturbedModel(name="wide", grid=grid,
-                           unperturbed=EvolutionFamily(grid, lambda t, s, u: u),
-                           perturbation=PerturbationFamily(grid, never))
+    model = never_applied_model(512)
     long = TimeGrid(0.0, 1.0, 2.0 ** -15)
     u0 = np.ones(512)
     runs = [
@@ -1014,27 +951,25 @@ def test_row_pass_working_set_cap():
             run()
 
 
-def never_applied_model(d):
-    """A model on d nodes whose U and B fail if they are ever called."""
-    grid = abstract_grid(np.ones(d))
+def narrow_model(d):
+    """A model on d unit nodes with a unit flow (zero loss) and a halving B."""
+    unit = TimeProfile(kind="constant", c0=1.0)
+    return loss_gain_model("narrow", abstract_grid(np.ones(d)),
+                           SeparableCoefficient(unit, np.zeros(d)), unit, 0.5 * np.eye(d),
+                           np.ones(d))
 
+
+def never_applied_model(d):
+    """``narrow_model(d)`` with a U and a B that fail if they are ever
+    called, swapped in through the operator holder."""
     def never_u(t, s, u):
         raise AssertionError("U applied before the size check")
 
     def never_b(t, u):
         raise AssertionError("B applied before the size check")
 
-    return PerturbedModel(name="never", grid=grid,
-                          unperturbed=EvolutionFamily(grid, never_u),
-                          perturbation=PerturbationFamily(grid, never_b))
-
-
-def narrow_model(d):
-    """A model on d nodes with a unit flow and a halving B."""
-    grid = abstract_grid(np.ones(d))
-    return PerturbedModel(name="narrow", grid=grid,
-                          unperturbed=EvolutionFamily(grid, lambda t, s, u: u),
-                          perturbation=PerturbationFamily(grid, lambda t, u: 0.5 * u))
+    return dataclasses.replace(narrow_model(d), unperturbed=evolution._Operator(never_u),
+                               perturbation=evolution._Operator(never_b))
 
 
 def pass_bytes(rows, m, d):
@@ -1204,7 +1139,7 @@ def test_factor_pair_tail_sum_order_is_pinned(d):
                           factor_pair_reference(f, g, v, float(profile.value(0.25)), u[1]))
     q = float(profile.value(0.75))
     columns = [factor_pair_reference(f, g, v, q, e) for e in np.eye(d)]
-    assert np.array_equal(gain.as_matrix(0.75), np.array(columns).T)
+    assert np.array_equal(evolution._dense(gain.apply, d, 0.75), np.array(columns).T)
     terms = g * v * u
     if d >= 2:
         prefix = np.cumsum(terms, axis=-1)
@@ -1244,19 +1179,10 @@ def test_batched_apply_matches_per_node(fixture, request):
     np.testing.assert_allclose(b_batch, b_nodes, rtol=1e-15, atol=0.0)
 
 
-def test_families_are_grid_and_apply(oracle_model):
-    for family in (EvolutionFamily, PerturbationFamily):
-        assert [f.name for f in dataclasses.fields(family)] == ["grid", "apply"]
-    np.testing.assert_array_equal(oracle_model.perturbation.as_matrix(0.3),
-                                  [[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(oracle_model.unperturbed.as_matrix(0.75, 0.25),
-                               math.exp(-0.5) * np.eye(2), rtol=1e-15)
-
-
 @pytest.mark.parametrize("fixture", ["timedep_collision_perturbed", "binary_frag_perturbed"])
 def test_loss_flow_rejects_s_after_t(fixture, request):
-    flow = request.getfixturevalue(fixture).unperturbed
-    d = flow.grid.size
+    model = request.getfixturevalue(fixture)
+    flow, d = model.unperturbed, model.grid.size
     with pytest.raises(PreconditionError, match=r"s = 0\.5, t = 0\.2"):
         flow.apply(0.2, 0.5, np.ones(d))
     # arrays of times name the first backward pair

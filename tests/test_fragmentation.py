@@ -34,6 +34,7 @@ from evofam import (
 )
 from evofam.cli import main
 from evofam.coefficients import SeparableCoefficient
+from evofam.evolution import _dense
 from test_cli import BOUNDED_SHATTERING, shipped_ini, write_ini
 
 
@@ -307,12 +308,12 @@ def test_force_normalize_fixes_columns_with_support():
 def test_breakup_decay_composes_exactly(binary_frag_perturbed):
     flow = binary_frag_perturbed.unperturbed
     rng = np.random.default_rng(5)
-    u = rng.uniform(0.0, 1.0, flow.grid.size)
+    u = rng.uniform(0.0, 1.0, binary_frag_perturbed.grid.size)
     one_hop = flow.apply(0.9, 0.1, u)
     two_hop = flow.apply(0.9, 0.5, flow.apply(0.5, 0.1, u))
     np.testing.assert_allclose(two_hop, one_hop, rtol=1e-14)
     # linear rate a(x) = x gives the closed-form factor exp(-x (t - s))
-    np.testing.assert_allclose(one_hop, np.exp(-flow.grid.nodes * 0.8) * u, rtol=1e-14)
+    np.testing.assert_allclose(one_hop, np.exp(-binary_frag_perturbed.grid.nodes * 0.8) * u, rtol=1e-14)
     np.testing.assert_array_equal(flow.apply(0.4, 0.4, u), u)
 
 
@@ -339,7 +340,7 @@ def test_perturbed_adapter_consistency(binary_frag, binary_frag_perturbed):
     survival = np.exp(-np.asarray(binary_frag.rate.integral(0.2, 0.8)))
     np.testing.assert_allclose(model.unperturbed.apply(0.8, 0.2, u), survival * u,
                                rtol=1e-15)
-    np.testing.assert_allclose(model.perturbation.as_matrix(0.6) @ u,
+    np.testing.assert_allclose(_dense(model.perturbation.apply, model.grid.size, 0.6) @ u,
                                model.perturbation.apply(0.6, u), rtol=1e-13)
     np.testing.assert_allclose(model.loss_rate(0.4), binary_frag.rate_values(0.4))
 

@@ -11,10 +11,7 @@ import pytest
 from evofam import (
     CollisionKernel,
     EvaluationError,
-    EvolutionFamily,
     LiftedVector,
-    PerturbationFamily,
-    PerturbedModel,
     PreconditionError,
     SizeCapError,
     StructureError,
@@ -156,7 +153,7 @@ def lifted_generator_matrix(model, axis, perturbed):
     for k, tau in enumerate(nodes):
         block = -np.diag(1.0 / h + rates[k])
         if perturbed:
-            block = block + model.perturbation.as_matrix(tau)
+            block = block + evolution._dense(model.perturbation.apply, d, tau)
         mat[k * d:(k + 1) * d, k * d:(k + 1) * d] = block
         if k > 0:
             mat[k * d:(k + 1) * d, (k - 1) * d:k * d] = np.eye(d) / h
@@ -191,7 +188,7 @@ def per_node_solve_sweep(model, lam, f, perturbed):
     for k, tau in enumerate(nodes):
         block = np.diag(lam + 1.0 / h + rates[k])
         if perturbed:
-            block = block - model.perturbation.as_matrix(tau)
+            block = block - evolution._dense(model.perturbation.apply, f.grid.size, tau)
         out[k] = prev = np.linalg.solve(block, f.values[k] + prev / h)
     return out
 
@@ -210,29 +207,20 @@ def test_resolvent_sweeps_match_per_node_solves(fixture, perturbed, request):
                                rtol=1e-13, atol=0.0)
 
 
-def test_resolvent_needs_loss_rates():
+def test_resolvent_refuses_a_nonpositive_diagonal():
+    # a negative loss rate, which a direct loss_gain_model caller can
+    # pass, leaves lam + 1/h + rate = 1 + 2 - 9 < 0; a nan rate after
+    # t = 0.5 is not positive either
+    unit = TimeProfile(kind="constant", c0=1.0)
+    nan_late = TimeProfile(kind="pwlinear", times=np.array([0.0, 0.5, 2.0]),
+                           values=np.array([1.0, 1.0, np.nan]))
     grid = abstract_grid([1.0, 1.0])
-    bare = PerturbedModel(
-        name="bare", grid=grid,
-        unperturbed=EvolutionFamily(grid=grid, apply=lambda t, s, u: u),
-        perturbation=PerturbationFamily(grid=grid, apply=lambda t, u: 0.0 * u),
-    )
-    axis = TimeGrid(0.0, 1.0, 0.5)
-    f = LiftedVector(grid=grid, axis=axis, values=np.zeros((3, 2)))
-    with pytest.raises(PreconditionError, match="loss_rate"):
-        resolvent(bare, 1.0, f)
-    # rates are read for all axis nodes in one call: one row per node
-    one_time = PerturbedModel(name="one-time", grid=grid, unperturbed=bare.unperturbed,
-                              perturbation=bare.perturbation,
-                              loss_rate=lambda t: np.ones(2))
-    with pytest.raises(PreconditionError, match="one value per grid node"):
-        resolvent(one_time, 1.0, f)
-    gaining = PerturbedModel(name="gaining", grid=grid, unperturbed=bare.unperturbed,
-                             perturbation=bare.perturbation,
-                             loss_rate=lambda t: np.multiply.outer(np.asarray(t) - 9.0,
-                                                                   np.ones(2)))
-    with pytest.raises(PreconditionError, match="diagonal must be positive"):
-        resolvent(gaining, 1.0, f)
+    f = LiftedVector(grid=grid, axis=TimeGrid(0.0, 1.0, 0.5), values=np.zeros((3, 2)))
+    for profile, a in ((unit, -9.0), (nan_late, 1.0)):
+        model = loss_gain_model("bad_loss", grid, SeparableCoefficient(profile, np.full(2, a)),
+                                unit, np.zeros((2, 2)), np.ones(2))
+        with pytest.raises(PreconditionError, match="diagonal must be positive"):
+            resolvent(model, 1.0, f)
 
 
 def test_kick_block_norm_on_exchange(oracle_model):

@@ -8,9 +8,9 @@ import evofam
 
 PUBLIC_NAMES = [
     "BalanceCertificate", "CheckRow", "CollisionKernel", "CollisionModel", "ConfigError",
-    "DefectSeries", "DysonPhillipsTable", "EvaluationError", "EvofamError", "EvolutionFamily",
+    "DefectSeries", "DysonPhillipsTable", "EvaluationError", "EvofamError",
     "ExperimentConfig", "FragmentationModel", "Grid", "LiftedVector", "MassLedger",
-    "ModelContractError", "PerturbationFamily", "PerturbedModel", "PreconditionError",
+    "ModelContractError", "PerturbedModel", "PreconditionError",
     "SeparableCoefficient", "SeriesResult", "SizeCapError", "StructureError",
     "TimeGrid", "TimeProfile", "abstract_grid", "binary_fragmentation_model",
     "cocycle_residual", "collision_model", "collision_perturbed_model", "daughter_factors",
@@ -31,4 +31,4 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(evofam).items()
                    if not name.startswith("_") and not inspect.ismodule(value))
     assert names == PUBLIC_NAMES
-    assert len(names) == 63
+    assert len(names) == 61
