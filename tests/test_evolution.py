@@ -917,6 +917,19 @@ def test_row_failures_name_their_grid_node():
         assert (err.value.n, err.value.tau, err.value.node) == where
 
 
+def test_negative_flow_rejected_at_its_row():
+    # no loss-gain U goes negative, but an operator swapped in through
+    # dataclasses.replace (as the benchmark's tracer does) can: row 0 is
+    # checked where the flipped flow first makes it negative
+    model = exchange()
+    flipping = dataclasses.replace(model.unperturbed, apply=lambda t, s, u: -u)
+    model = dataclasses.replace(model, unperturbed=flipping)
+    with pytest.raises(EvaluationError, match="lost positivity") as err:
+        iterate_right(model, TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
+    assert err.value.n == 0
+    assert err.value.tau == 0.25
+
+
 def test_expanding_step_factor_rejected():
     # a negative loss rate expands the flow
     with pytest.raises(ModelContractError, match="not substochastic") as err:
