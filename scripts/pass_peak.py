@@ -4,22 +4,27 @@
 Usage: python3 scripts/pass_peak.py [--widths 128,512] [--lengths 512,128] [--rows 3]
 
 Before it runs, the engine's row pass (``evolution._right_rows``) charges
-its working set against the table cap: ``_PASS_ROWS`` arrays of (M+1) d
-floats from a start state, ``_PER_NODE_PASS_ROWS`` from a per-node source.
-This prints, per path, gain form and (d, M), the traced peak of each phase
-above what was held before the pass began, in units of (M+1) d floats
-(stdlib ``tracemalloc``):
+its working set against the table cap (``evolution._pass_bytes``): on the
+one-step path ``_PASS_ROWS`` arrays of (M+1) d floats from a start state,
+``_PER_NODE_PASS_ROWS`` from a per-node source, each plus one B block of
+about ``_BLOCK_FLOATS`` floats; on the direct path ``_DIRECT_PASS_ROWS``
+arrays.  This prints, per path, gain form and (d, M), the traced peak of
+each phase above what was held before the pass began, in units of (M+1) d
+floats (stdlib ``tracemalloc``):
 
     steps   the one-step factors (``_step_factors``)
     flow    their running products (``_Flow``)
     row0    row 0's carry
-    B       each B call (``_b_rows``), however it is reached
-    kicks   the next row's kicks (``_Flow.kicks``)
+    B       a B call into a new array (``_b_rows`` on one block)
+    Bback   B on several blocks, each written back into the rows it read
+    kicks   the next row's kicks into another buffer (``_Flow.kicks``)
+    kinpl   the next row's kicks formed in place in the B row
     carry   the next row's carry
     caller  the caller between two rows (``iterate_right``'s end-row copy)
     other   the rest of the pass: row checks, defects, the direct path's sums
 
-and ``peak``, the largest of them.  The paths are ``one-step`` (trapezoid,
+then ``peak``, the largest of them, and ``charge``, what the guard charges
+the pass, in the same units.  The paths are ``one-step`` (trapezoid,
 ``iterate_right``), ``midpoint`` (the direct path, ``iterate_right``),
 ``direct`` (the trapezoid's direct reference, ``iterate_right`` forced
 onto it) and ``per-node`` (a source at every node, whose caller holds
@@ -49,7 +54,7 @@ from evofam.coefficients import SeparableCoefficient, TimeProfile  # noqa: E402
 from evofam.evolution import TimeGrid, iterate_right, loss_gain_model  # noqa: E402
 from evofam.state_space import abstract_grid  # noqa: E402
 
-PHASES = ("steps", "flow", "row0", "B", "kicks", "carry", "caller", "other")
+PHASES = ("steps", "flow", "row0", "B", "Bback", "kicks", "kinpl", "carry", "caller", "other")
 PATHS = ("one-step", "midpoint", "direct", "per-node")
 GAINS = ("dense", "pair")
 
@@ -120,8 +125,10 @@ def traced_phases(peaks: PhasePeaks, direct: bool):
         (evolution, "_step_factors", tag(lambda *a: "steps")),
         (flow, "__init__", tag(lambda *a: "flow")),
         (flow, "carry", tag(lambda self, out, framed=False: "carry" if framed else "row0")),
-        (flow, "kicks", tag(lambda *a: "kicks")),
-        (evolution, "_b_rows", tag(lambda *a: "B")),
+        (flow, "kicks", tag(lambda self, b_row, dt, ends=None, out=None, blocks=None:
+                            "kicks" if out is not None else "kinpl")),
+        (evolution, "_b_rows", tag(lambda model, kicked, n, taus, states, blocks=None:
+                                   "Bback" if blocks and len(blocks) > 1 else "B")),
         (evolution, "_right_rows", rows),
     ]
     with contextlib.ExitStack() as stack:
@@ -155,7 +162,8 @@ def run_pass(model, tg: TimeGrid, path: str, rows: int) -> None:
 
 
 def measure(path: str, gain: str, d: int, m: int, rows: int) -> dict[str, float]:
-    """Phase peaks of one pass, in arrays of (M+1) d floats."""
+    """Phase peaks of one pass, and the guard's charge, in arrays of
+    (M+1) d floats."""
     model = build_model(gain, d)
     tg = TimeGrid(0.0, 1.0, 1.0 / m, "midpoint" if path == "midpoint" else "trapezoid")
     run_pass(model, tg, path, rows)  # warm: the dense gain folds its weights once
@@ -169,7 +177,10 @@ def measure(path: str, gain: str, d: int, m: int, rows: int) -> dict[str, float]
     finally:
         tracemalloc.stop()
     unit = (m + 1) * d * 8
-    return {name: value / unit for name, value in peaks.peaks.items()}
+    out = {name: value / unit for name, value in peaks.peaks.items()}
+    out["peak"] = max(out.values())
+    out["charge"] = evolution._pass_bytes(m, d, path == "per-node", path in ("midpoint", "direct")) / unit
+    return out
 
 
 def main(argv=None) -> int:
@@ -179,18 +190,20 @@ def main(argv=None) -> int:
     parser.add_argument("--rows", type=int, default=3)
     args = parser.parse_args(argv)
     print(f"numpy {np.__version__}; _PASS_ROWS = {evolution._PASS_ROWS}, "
-          f"_PER_NODE_PASS_ROWS = {evolution._PER_NODE_PASS_ROWS}; "
+          f"_DIRECT_PASS_ROWS = {evolution._DIRECT_PASS_ROWS}, "
+          f"_PER_NODE_PASS_ROWS = {evolution._PER_NODE_PASS_ROWS}, "
+          f"_BLOCK_FLOATS = {evolution._BLOCK_FLOATS}; "
           f"rows 0..{args.rows}; units of (M+1) d floats")
+    columns = PHASES + ("peak", "charge")
     print(f"{'path':>8} {'gain':>5} {'d':>5} {'M':>5} "
-          + " ".join(f"{name:>6}" for name in PHASES) + f" {'peak':>6}")
+          + " ".join(f"{name:>6}" for name in columns))
     for d in args.widths:
         for m in args.lengths:
             for path in PATHS:
                 for gain in GAINS:
                     p = measure(path, gain, d, m, args.rows)
-                    cells = [f"{p[name]:>6.2f}" for name in PHASES]
-                    print(f"{path:>8} {gain:>5} {d:>5} {m:>5} " + " ".join(cells)
-                          + f" {max(p.values()):>6.2f}")
+                    print(f"{path:>8} {gain:>5} {d:>5} {m:>5} "
+                          + " ".join(f"{p[name]:>6.2f}" for name in columns))
     return 0
 
 

@@ -268,7 +268,8 @@ def _typed(section: str, table: _Table, pairs: dict) -> dict:
 def parse_config(path) -> ExperimentConfig:
     """Parse, check and type an experiment configuration file."""
     if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
+        what = "is not a regular file" if os.path.exists(path) else "not found"
+        raise ConfigError(f"config file {what}: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:

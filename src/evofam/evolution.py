@@ -35,7 +35,10 @@ tested against.  A row's defect is a trapezoid integral under either rule.
 
 Operators are applied in batches over a leading time axis: the one-step
 survival factors U(tau_j, tau_{j-1}) are computed once per lattice, and B
-acts on all M+1 nodes of a row in one call.  Each one-step row is then the
+acts on all M+1 nodes of a row in one call, or, on a row of more than
+about 16384 floats, in blocks of nodes written back into the row it reads,
+so that a one-step pass holds the running products, one row and one B
+block.  Each one-step row is then the
 first-order recurrence c_j = e_j c_{j-1} + g_j along the lattice, which is
 the cocycle law applied node by node: with the running products
 P_j = e_1 ... e_j it is c_j = P_j (c_0 + sum over i <= j of g_i / P_i),
@@ -239,9 +242,10 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
 
         B(t) u = q(t) f[i] sum_{j > i} g[j] v[j] u[j],
 
-    the tail sums taken by one reversed cumulative sum, formed in place in
-    the output (never as a total minus a prefix sum, which cancels where
-    the tail is small), so a call allocates only its output.  The last
+    the tail sums taken by one reversed cumulative sum over the whole row,
+    formed in place in the output (never as a total minus a prefix sum,
+    which cancels where the tail is small), so a call allocates only its
+    output.  The last
     node's gain is exactly 0.  Both operators batch over a leading time
     axis (see ``PerturbedModel``).  U raises ``PreconditionError``
     naming the first pair with s > t, where its factor would exceed 1.
@@ -271,18 +275,21 @@ def loss_gain_model(name: str, grid: Grid, loss: SeparableCoefficient,
         return np.multiply(out, u, out=out)
 
     if isinstance(gain, tuple):
-        head, tail_weights = f[:-1], (g * v)[1:]
+        # the head padded with -0.0, which times the cumsum's -0.0 start
+        # makes the last node's +0.0
+        head, tail_weights = np.append(f[:-1], -0.0), (g * v)[1:]
 
         def b_apply(t, u):
             out = np.empty(np.shape(u))
             # out[..., i] = sum over j > i of g_j v_j u_j, summed from
             # j = d-1 down: the products go into out[..., i] for j = i+1,
-            # then one cumsum along the reversed view, in place
+            # then one cumsum along the whole reversed row, in place, from
+            # a -0.0 start, the one addend that leaves every sum's bits
+            out[..., -1] = -0.0
             np.multiply(u[..., 1:], tail_weights, out=out[..., :-1])
-            tails = out[..., -2::-1]
+            tails = out[..., ::-1]
             np.cumsum(tails, axis=-1, out=tails)
-            out[..., :-1] *= head
-            out[..., -1] = 0.0
+            out *= head
             out *= np.asarray(q(t))[..., None]
             return out
     else:
@@ -362,36 +369,46 @@ def _as_coeffs(grid: Grid, u0) -> np.ndarray:
 # pass may hold at once.
 _TABLE_MEMORY_CAP_BYTES = 256 * 1024 * 1024
 
-# Arrays of (M+1) d floats a row pass holds at once.  From a start state:
-# the flow's running products, row n and the output of a B call on it
-# (a factor pair's tail sum is formed in place in that output); the next
-# row's kicks then take one array beside the products and the B row,
-# which is divided by them in place.  The direct path holds three too:
-# row n+1, the B row, and per node the propagation of its weighted B
-# rows (a view of them where those nodes are contiguous, as under the
+# B acts on a row of several blocks' worth of nodes block by block (see
+# ``_node_blocks``), and each block's output goes back into the rows it was
+# computed from, so that no B call allocates a whole row.  A row of fewer
+# nodes takes one B call into a new array.
+_BLOCK_FLOATS = 16384
+
+# Arrays of (M+1) d floats a row pass holds at once, each path charged
+# what it measures (``_pass_bytes``).  The one-step path from a start
+# state holds ``_PASS_ROWS``: the flow's running products and the row,
+# which B overwrites block by block with the B row, the kicks then divide
+# and form in place, and the next row is carried in; beside them one B
+# block (a factor pair's tail sum is formed in place in its output).
+# Where the row makes one block, that block is a new array the size of
+# the row, and the next row's kicks go into row n's buffer.  A per-node
+# source, which the pass owns and carries row 0 in, adds row 1's
+# end-point B rows, formed in place of the step factors
+# (``_PER_NODE_PASS_ROWS``).  The direct path holds ``_DIRECT_PASS_ROWS``:
+# row n+1, the B row, and per node the propagation of its weighted B rows
+# (a view of them where those nodes are contiguous, as under the
 # trapezoid; under the midpoint rule a gathered copy of the odd nodes).
-# A per-node source is the pass's own and is carried in place as row 0.
-# Its row 1 peaks twice at five: as it forms its end-point B rows (the
-# products, row 0, which the Laplace check still reads, the step factors,
-# their product with row 0 and the B call's output), and at its kicks
-# (the products, row 0, the B row, the end-point rows and the kicks), so
-# dropping the step factors would not lower the count.  Traced peaks of
-# rows 0..3 by ``scripts/pass_peak.py`` (tracemalloc, numpy 2.4), each
-# source made inside the count, in these arrays; what lies above the
-# count is lattice vectors (the defect's weights and integrand among them)
-# and numpy's fixed iterator buffers (up to about 197 KB):
+# Traced peaks of rows 0..3 and the guard's charge, by
+# ``scripts/pass_peak.py`` (tracemalloc, numpy 2.4), each source made
+# inside the count, in these arrays; what lies above the charge is lattice
+# vectors (the defect's weights and integrand among them) and numpy's
+# fixed iterator buffers (up to about 197 KB, which a block of 16384
+# floats does not outweigh):
 #
-#   path       gain    d = 128, M = 512   d = 512, M = 128   count
-#   one-step   dense    3.16               3.18               3
-#   one-step   pair     3.40               3.43               3
-#   midpoint   dense    3.30               3.32               3
-#   midpoint   pair     3.30               3.32               3
-#   direct     dense    3.29               3.31               3
-#   direct     pair     3.29               3.31               3
-#   per-node   dense    5.14               5.11               5
-#   per-node   pair     5.38               5.36               5
-_PASS_ROWS = 3
-_PER_NODE_PASS_ROWS = 5
+#                      d = 128, M = 512    d = 512, M = 128
+#   path       gain    peak     charge     peak     charge
+#   one-step   dense   2.41     2.25       2.44     2.26
+#   one-step   pair    2.65     2.25       2.69     2.26
+#   midpoint   dense   3.30     3.00       3.32     3.00
+#   midpoint   pair    3.30     3.00       3.32     3.00
+#   direct     dense   3.29     3.00       3.31     3.00
+#   direct     pair    3.29     3.00       3.31     3.00
+#   per-node   dense   3.39     3.25       3.38     3.26
+#   per-node   pair    3.64     3.25       3.63     3.26
+_PASS_ROWS = 2
+_DIRECT_PASS_ROWS = 3
+_PER_NODE_PASS_ROWS = 3
 
 
 def _check_table_bytes(what: str, bytes_needed: int) -> None:
@@ -401,15 +418,32 @@ def _check_table_bytes(what: str, bytes_needed: int) -> None:
         )
 
 
-def _check_pass_rows(model: PerturbedModel, tg: TimeGrid, rows: int) -> None:
-    """Raise ``SizeCapError`` when ``rows`` arrays of (M+1) d floats
-    would exceed the table cap."""
-    _check_table_bytes("row pass working set", rows * (tg.n_steps + 1) * model.grid.size * 8)
+def _block_nodes(d: int) -> int:
+    """Nodes of d floats in a B block: ``_BLOCK_FLOATS`` floats' worth, and
+    at least two, since BLAS takes a one-row product by another kernel,
+    whose sums differ in the last bits from the rows of a larger one."""
+    return max(2, _BLOCK_FLOATS // d)
 
 
-def _source_rows(source: np.ndarray) -> int:
-    """The arrays one pass from ``source`` holds (see ``_PASS_ROWS``)."""
-    return _PER_NODE_PASS_ROWS if source.ndim == 2 else _PASS_ROWS
+def _node_blocks(k: int, d: int) -> list[tuple[int, int]]:
+    """Bounds (lo, hi) of the consecutive blocks of ``_block_nodes(d)``
+    nodes that B takes k nodes in, a one-node remainder merged into the
+    block before it: one block up to ``_block_nodes(d)`` + 1 nodes."""
+    size = _block_nodes(d)
+    starts = range(0, k - 1, size) or range(1)
+    return list(zip(starts, [*starts[1:], k]))
+
+
+def _pass_bytes(m: int, d: int, per_node: bool, direct: bool) -> int:
+    """Bytes one pass on M = ``m`` steps holds at once (see ``_PASS_ROWS``):
+    its arrays of (M+1) d floats and, on the one-step path, one B block of
+    at most ``_block_nodes(d)`` + 1 nodes, the whole row when it is one
+    block."""
+    lattice = (m + 1) * d
+    if direct:
+        return _DIRECT_PASS_ROWS * lattice * 8
+    block = min(m + 1, _block_nodes(d) + 1) * d
+    return ((_PER_NODE_PASS_ROWS if per_node else _PASS_ROWS) * lattice + block) * 8
 
 
 def _require_validated(model: PerturbedModel, first: float, last: float, what: str) -> None:
@@ -615,7 +649,9 @@ class _Flow:
             _accumulate(np.add, seg)
             seg *= self.prod[s + 1:e + 1]
 
-    def kicks(self, b_row: np.ndarray, dt: float, ends: np.ndarray | None = None) -> np.ndarray:
+    def kicks(self, b_row: np.ndarray, dt: float, ends: np.ndarray | None = None,
+              out: np.ndarray | None = None,
+              blocks: list[tuple[int, int]] | None = None) -> np.ndarray:
         """The one-step trapezoid kicks of a B row, framed for ``carry``.
 
         The kick into node j is g_j = dt/2 (e_j b_{j-1} + b_j), and since
@@ -625,48 +661,78 @@ class _Flow:
         for b_1..b_M as the steps' end-point rows.  The first kick of a
         chunk that starts at s > 0 reads b_s itself (P_s = 1 in that chunk's
         frame), and a plain step takes its kick unframed.  Row 0 of the
-        result is 0.  ``b_row`` and ``ends`` are divided in place, and the
-        kicks take one new array.
+        result is 0.  ``b_row`` and ``ends`` are divided in place.  The
+        kicks go into ``out`` by that one add when it is given, else into
+        ``b_row`` itself by one descending pass over ``blocks`` (node
+        bounds, one block by default), each block adding beta_{j-1} into
+        beta_j.
         """
-        heads = [(s, e, factor, b_row[s].copy()) for s, e, factor in self.chunks
+        heads = [(s, factor, b_row[s].copy()) for s, _e, factor in self.chunks
                  if s or factor is not None]
         beta = np.divide(b_row, self.prod, out=b_row)
         end_beta = beta[1:] if ends is None else np.divide(ends, self.prod[1:], out=ends)
-        out = np.empty_like(beta)
-        out[0] = 0.0
-        np.add(beta[:-1], end_beta, out=out[1:])
-        for s, e, factor, b_s in heads:
+        # each chunk's first kick, into node s + 1, formed in its copy of
+        # b_s before the kicks overwrite what it reads
+        for s, factor, b_s in heads:
             if factor is not None:
-                # prod[e] = 1 after a plain step, so end_beta[e - 1] is unframed
-                out[e] = factor * b_s + end_beta[e - 1]
-            else:
-                out[s + 1] = b_s + end_beta[s]
+                # prod[s + 1] = 1 after a plain step, so end_beta[s] is unframed
+                b_s *= factor
+            b_s += end_beta[s]
+        if out is None:
+            out = beta
+            for lo, hi in reversed(blocks or [(0, len(beta))]):
+                lo = max(lo, 1)
+                np.add(beta[lo - 1:hi - 1], end_beta[lo - 1:hi - 1], out=out[lo:hi])
+        else:
+            np.add(beta[:-1], end_beta, out=out[1:])
+        out[0] = 0.0
+        for s, _factor, kick in heads:
+            out[s + 1] = kick
         out *= 0.5 * dt
         return out
 
 
 def _b_rows(model: PerturbedModel, kicked: str, n: int, taus: np.ndarray,
-            states: np.ndarray) -> np.ndarray:
-    """B(tau_j) states[j] for every node j in one call, checked finite
-    once, into a new array (the one-step pass divides it in place).
+            states: np.ndarray, blocks: list[tuple[int, int]] | None = None) -> np.ndarray:
+    """B(tau_j) states[j] for every node j, checked finite.
+
+    Without ``blocks`` (node bounds, see ``_node_blocks``), or with one,
+    in one call into a new array; with several, one call per block, each
+    block's output written back into the rows of ``states`` it was made
+    from, and ``states`` returned.  Each block's rows are bitwise those of
+    the one call wherever BLAS makes every row of a product of two or more
+    rows alike, as a one-step row's prefix stability also needs.
 
     A failure names ``kicked``, what the states are (say "iterate 3"), and
     carries ``n``.  B raises only from its gain profile's domain (a power
     profile at t < 0, or with p < 0 at t = 0), whose message names the
     time; a non-finite output carries its first tau and grid node.
     """
+    if blocks is None or len(blocks) == 1:
+        return _b_block(model, kicked, n, taus, states)
+    for lo, hi in blocks:
+        states[lo:hi] = _b_block(model, kicked, n, taus[lo:hi], states[lo:hi])
+    return states
+
+
+def _b_block(model: PerturbedModel, kicked: str, n: int, taus: np.ndarray,
+             states: np.ndarray) -> np.ndarray:
+    """One B call of ``_b_rows`` into a new array, checked finite by one
+    sum: a finite sum has no non-finite addend, and a sum that overflowed
+    on finite addends is let through."""
     try:
         out = model.perturbation.apply(taus, states)
     except ModelContractError as exc:
         raise EvaluationError(f"perturbation evaluation failed at {kicked}: {exc}",
                               n=n) from exc
-    if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
-        j, i = divmod(int(np.argmin(np.isfinite(out))), out.shape[-1])
-        tau = float(taus[j])
-        raise EvaluationError(
-            f"perturbation produced non-finite values at {kicked}, tau = {tau!r}, grid node {i}",
-            n=n, tau=tau, node=i,
-        )
+    if not np.isfinite(out.sum()):
+        finite = np.isfinite(out)
+        if not finite.all():
+            j, i = divmod(int(np.argmin(finite)), out.shape[-1])
+            tau = float(taus[j])
+            raise EvaluationError(
+                f"perturbation produced non-finite values at {kicked}, tau = {tau!r}, "
+                f"grid node {i}", n=n, tau=tau, node=i)
     return out
 
 
@@ -695,26 +761,32 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray, n_max: 
     not nest runs the direct path; ``direct`` forces it under the trapezoid
     rule too, as the reference the one-step path is tested against.
 
-    The pass makes row n's B row, B(tau_j) row[j] at every node, in one
-    call when the consumer asks past row n: for row n+1, or after row
-    n_max, where the pass ends.  It reduces it at once to the defect D_n,
-    the trapezoid integral over the lattice of its weighted norm (B is
+    The pass makes row n's B row, B(tau_j) row[j] at every node, when the
+    consumer asks past row n: for row n+1, or after row n_max, where the
+    pass ends.  A row of more than one block of ``_BLOCK_FLOATS`` floats
+    takes one B call per block of nodes, each written back over the
+    block of row n it read; a smaller row takes one call into a new
+    array.  The pass reduces the B row at once to the defect D_n, the
+    trapezoid integral over the lattice of its weighted norm (B is
     positive, so the B row of nonnegative data is its own absolute value),
     and appends D_n to ``defects``, a list the caller owns.  A consumer
-    that stops after row n makes no B call on it.  Rows are read only; a
-    start-state pass's count below assumes its consumer drops row n before
-    it asks for row n+1.
+    that stops after row n makes no B call on it.  A row is valid until
+    its consumer asks for the next one, which the pass may make in the
+    same buffer, and must not be written to.
 
-    Cost per one-step row: one batched B call, its kicks divided by the
-    flow's running products P in one call (see ``_Flow.kicks``), and one
-    prefix sum along the lattice per chunk of ``_Flow`` (one chunk unless
-    the flow decays past 1e-150 or has a factor below it).  Every row is
-    prefix-stable: on a lattice cut at node c, rows 0..c come out bitwise
-    the same as on the whole lattice.
+    Cost per one-step row: one B call per block, its kicks divided by the
+    flow's running products P in one call and formed in place (see
+    ``_Flow.kicks``), and one prefix sum along the lattice per chunk of
+    ``_Flow`` (one chunk unless the flow decays past 1e-150 or has a
+    factor below it).  Every row is prefix-stable: on a lattice cut at
+    node c, rows 0..c come out bitwise the same as on the whole lattice,
+    wherever B's rows do (see ``_b_rows``).
 
-    Memory: the pass holds ``_PASS_ROWS`` = 3 arrays of (M+1) d floats at
-    once (``_PER_NODE_PASS_ROWS`` = 5 from a per-node source, which the
-    pass owns: row 0 is carried in it in place).
+    Memory (see ``_PASS_ROWS``): on the one-step path, the running
+    products, the row (row n, then its B row, then row n+1's kicks) and
+    one B block; from a per-node source, which the pass owns and carries
+    row 0 in, also row 1's end-point B rows; on the direct path three
+    arrays of (M+1) d floats.
 
     The arguments are checked when this is called, before any operator
     call: a lattice outside the model's ``validated_span`` (to 1e-12
@@ -726,7 +798,8 @@ def _right_rows(model: PerturbedModel, tg: TimeGrid, source: np.ndarray, n_max: 
     if source.ndim == 2 and direct:
         raise PreconditionError("a per-node source needs the one-step recursion")
     _refuse_negative(source, tg.nodes)
-    _check_pass_rows(model, tg, _source_rows(source))
+    _check_table_bytes("row pass working set",
+                       _pass_bytes(tg.n_steps, model.grid.size, source.ndim == 2, direct))
     return _row_pass(model, tg, source, n_max, defects, direct, lam)
 
 
@@ -764,6 +837,7 @@ def _row_pass(model: PerturbedModel, tg: TimeGrid, source: np.ndarray, n_max: in
     _check_row(row, nodes, 0, scale)
     if direct:
         del flow
+    blocks = _node_blocks(m + 1, d)
 
     n = 0
     while True:
@@ -773,16 +847,18 @@ def _row_pass(model: PerturbedModel, tg: TimeGrid, source: np.ndarray, n_max: in
             # into tau_j, without node j's own source: the run started at
             # tau_j has no row-1 integral there yet.  Rows n >= 2 need no
             # such split, since every row n >= 1 is zero at its start node.
-            ends = _b_rows(model, "iterate 0", 0, nodes[1:], steps * row[:-1])
+            ends = _b_rows(model, "iterate 0", 0, nodes[1:],
+                           np.multiply(steps, row[:-1], out=steps), _node_blocks(m, d))
             del steps
-        b_row = _b_rows(model, f"iterate {n}", n, nodes, row)
-        del row  # the pass reads row n no further
+        # on several blocks, B row n is written over row n
+        b_row = _b_rows(model, f"iterate {n}", n, nodes, row, blocks)
         defects.append(trapezoid @ (b_row @ model.grid.weights))
         if n == n_max:
             return
 
         n += 1
         if direct:
+            del row  # the pass reads row n no further
             row = np.zeros((m + 1, d))
             for j in range(1, m + 1):
                 w = tg._quadrature.weights(j, dt)
@@ -795,8 +871,9 @@ def _row_pass(model: PerturbedModel, tg: TimeGrid, source: np.ndarray, n_max: in
         else:
             # one-step propagation of the prefix trapezoid sums: row n at
             # tau_j is e_j (row n at tau_{j-1}) plus the step's kicks, formed
-            # in the flow's frame from the B row of row n-1
-            row = flow.kicks(b_row, dt, ends)
+            # in the flow's frame from the B row of row n-1, in place, or,
+            # where B made a new array, into the buffer of row n-1
+            row = flow.kicks(b_row, dt, ends, None if b_row is row else row, blocks)
             b_row = ends = None  # the kicks divided them in place
             flow.carry(row, framed=True)
         _check_row(row, nodes, n, scale)
@@ -814,10 +891,13 @@ def iterate_right(model: PerturbedModel, tg: TimeGrid, u0, n_max: int,
     ``DysonPhillipsTable``).  ``u0`` must be nonnegative.
     Cost: O(n_max * M) operator applications under the trapezoid rule
     (one-step path), O(n_max * M^2) under the midpoint rule (direct path),
-    with n_max + 1 batched B calls.
-    Memory: the pass's working set, three arrays of (M+1) d floats, plus
-    O(n_max d) kept, plus (n_max+1)(M+1) d floats with ``keep_rows``; what
-    it keeps is checked against the table cap first.
+    with n_max + 1 batched B rows (one call each, or one per block of
+    nodes on a row of more than one block).
+    Memory: the pass's working set (two arrays of (M+1) d floats and one
+    B block from a start state under the trapezoid rule, three arrays
+    under the midpoint rule; see ``_PASS_ROWS``), plus O(n_max d) kept,
+    plus (n_max+1)(M+1) d floats with ``keep_rows``; what it keeps is
+    checked against the table cap first.
     """
     coeffs = _as_coeffs(model.grid, u0)
     if n_max < 0:

@@ -332,7 +332,7 @@ def _laplace_rows(model: PerturbedModel, lam: float, f: LiftedVector,
                if np.any(f.values[0]) else None)
     out = []
     for n, row, rhs in zip(range(n_max + 1), rows, op.series(f.values)):
-        # a fresh array: the pass still reads ``row`` for row n + 1
+        # a fresh array: the pass makes row n + 1 in ``row``'s buffer
         lhs = row - 0.5 * h * f.values if n == 0 else row.copy()
         if corners is not None:
             lhs[m] -= 0.5 * h * math.exp(-lam * axis.nodes[m]) * corners[n]

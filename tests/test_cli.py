@@ -173,6 +173,15 @@ def test_run_oracle_matches_library_values(tmp_path, capsys):
     assert footer[3] == series.verdict == "honest"
 
 
+def test_run_on_a_directory_names_it_as_not_a_regular_file(tmp_path, capsys):
+    out_dir = tmp_path / "never"
+    code = main(["run", str(tmp_path), "--output-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: config file is not a regular file: {tmp_path}\n"
+    assert not out_dir.exists()
+
+
 def test_run_missing_config_reports_error_without_outputs(tmp_path, capsys):
     out_dir = tmp_path / "never"
     code = main(["run", str(tmp_path / "absent.ini"), "--output-dir", str(out_dir)])

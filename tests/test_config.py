@@ -73,6 +73,13 @@ def test_missing_file_and_unparseable_file(tmp_path):
         parse_config(write(tmp_path, "dt = 0.01 with no section header\n"))
 
 
+def test_a_directory_is_named_as_not_a_regular_file(tmp_path):
+    # a path that exists is not reported as missing
+    (tmp_path / "configs.ini").mkdir()
+    with pytest.raises(ConfigError, match=r"^config file is not a regular file: .*configs\.ini$"):
+        parse_config(tmp_path / "configs.ini")
+
+
 def test_unknown_keys_are_all_listed(tmp_path):
     text = """\
 [experiment]

@@ -539,9 +539,9 @@ def recorded_b_calls(monkeypatch):
     calls = []
     b_rows = evolution._b_rows
 
-    def record(model, kicked, n, taus, states):
+    def record(model, kicked, n, taus, states, blocks=None):
         calls.append((kicked, len(taus)))
-        return b_rows(model, kicked, n, taus, states)
+        return b_rows(model, kicked, n, taus, states, blocks)
 
     monkeypatch.setattr(evolution, "_b_rows", record)
     return calls
@@ -823,8 +823,10 @@ def test_per_node_source_rows_sum_the_runs_from_each_node(rate, m, flow_shape):
             "every step plain": len(chunks) == m and all(plain)}[flow_shape]
     source = np.random.default_rng(2).uniform(0.0, 1.0, (m + 1, 5))
     # the pass owns a per-node source (it carries row 0 in it in place),
-    # so it gets a copy: the loop below reads the source again
-    got = np.stack(list(evolution._right_rows(model, tg, source.copy(), 3, [])))
+    # so it gets a copy: the loop below reads the source again; and a row
+    # is valid only until the next is asked for, so each is copied
+    got = np.stack([row.copy() for row in
+                    evolution._right_rows(model, tg, source.copy(), 3, [])])
     ref = np.zeros_like(got)
     for k in range(m + 1):
         for i in range(k + 1):
@@ -891,6 +893,35 @@ def test_non_finite_perturbation_names_first_bad_node():
     with pytest.raises(EvaluationError, match="non-finite") as err, np.errstate(over="ignore"):
         iterate_right(overflowing_gain(), TimeGrid(0.0, 1.0, 0.25), np.array([1.0, 0.0]), 3)
     assert (err.value.n, err.value.tau, err.value.node) == (0, 0.5, 1)
+
+
+def test_non_finite_b_in_a_later_block_names_its_tau_and_grid_node(monkeypatch):
+    # B over blocks of two nodes (9 nodes of 2 floats: nodes 0-1, 2-3, 4-5
+    # and 6-8) is checked block by block, each by one sum: a nan at
+    # tau = 0.875, grid node 1, in the last block is named as one call
+    # names it, and a block whose sum overflows on finite entries passes
+    monkeypatch.setattr(evolution, "_BLOCK_FLOATS", 4)
+    model = narrow_model(2)
+    b_apply = model.perturbation.apply
+    calls = []
+
+    def nan_late(t, u):
+        calls.append(len(t))
+        out = b_apply(t, u)
+        out[t == 0.875, 1] = np.nan
+        return out
+
+    late = dataclasses.replace(model, perturbation=evolution._Operator(nan_late))
+    tg = TimeGrid(0.0, 1.0, 0.125)
+    with pytest.raises(EvaluationError, match=r"perturbation produced non-finite values at "
+                                              r"iterate 0, tau = 0\.875, grid node 1$") as err:
+        iterate_right(late, tg, np.ones(2), 2)
+    assert (err.value.n, err.value.tau, err.value.node) == (0, 0.875, 1)
+    assert calls == [2, 2, 2, 3]
+    blocks = evolution._node_blocks(9, 2)
+    with np.errstate(over="ignore"):
+        out = evolution._b_rows(model, "iterate 0", 0, tg.nodes, np.full((9, 2), 1e308), blocks)
+        assert np.isfinite(out).all() and np.isinf(out[:2].sum())
 
 
 def test_row_failures_name_their_grid_node():
@@ -989,14 +1020,17 @@ def pass_bytes(rows, m, d):
     return rows * (m + 1) * d * 8
 
 
-@pytest.mark.parametrize("d, m", [(2, 64), (128, 64), (512, 8)])
-def test_row_pass_cap_counts_the_arrays_a_pass_holds(d, m, monkeypatch):
-    # a start-state pass holds _PASS_ROWS = 3 arrays of (M+1) d floats on
-    # the one-step and the direct path alike: a cap one byte under that is
+@pytest.mark.parametrize("d, m, block", [pytest.param(d, m, block, id=f"{d}-{m}") for d, m, block in
+                                         [(2, 64, 65), (128, 64, 65), (512, 8, 9), (512, 128, 33)]])
+def test_row_pass_cap_counts_the_arrays_a_pass_holds(d, m, block, monkeypatch):
+    # a start-state pass holds, on the one-step path, _PASS_ROWS = 2
+    # arrays of (M+1) d floats and one B block of up to 16384 // d + 1
+    # nodes (the whole row when it makes one block), and on the direct
+    # path _DIRECT_PASS_ROWS = 3 arrays: a cap one byte under that is
     # refused before any operator call, and a cap equal to it runs
-    assert evolution._PASS_ROWS == 3
-    need = pass_bytes(3, m, d)
-    for rule in ("trapezoid", "midpoint"):
+    assert (evolution._PASS_ROWS, evolution._DIRECT_PASS_ROWS) == (2, 3)
+    for rule, need in (("trapezoid", pass_bytes(2, m, d) + block * d * 8),
+                       ("midpoint", pass_bytes(3, m, d))):
         tg = TimeGrid(0.0, 1.0, 1.0 / m, rule)
         monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need - 1)
         with pytest.raises(SizeCapError, match="row pass working set"):
@@ -1009,19 +1043,19 @@ def test_row_pass_cap_counts_the_arrays_a_pass_holds(d, m, monkeypatch):
 
 
 def test_row_pass_cap_counts_the_per_node_source_rows(monkeypatch):
-    # a per-node source also holds row 1's end-point B rows and row 0
-    # beside the start-state pass's three arrays
-    assert evolution._PER_NODE_PASS_ROWS == 5
-    d, m = 2, 64
-    tg = TimeGrid(0.0, 1.0, 1.0 / m)
-    source = np.ones((m + 1, d))
-    need = pass_bytes(5, m, d)
-    monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need - 1)
-    with pytest.raises(SizeCapError, match="row pass working set"):
-        evolution._right_rows(never_applied_model(d), tg, source, 2, [])
-    monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need)
-    for row in evolution._right_rows(narrow_model(d), tg, source, 2, []):
-        assert np.isfinite(row).all()
+    # a per-node source also holds row 1's end-point B rows beside the
+    # running products, the row and the B block of a start-state pass
+    assert evolution._PER_NODE_PASS_ROWS == 3
+    for d, m, block in ((2, 64, 65), (512, 128, 33)):
+        tg = TimeGrid(0.0, 1.0, 1.0 / m)
+        source = np.ones((m + 1, d))
+        need = pass_bytes(3, m, d) + block * d * 8
+        monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need - 1)
+        with pytest.raises(SizeCapError, match="row pass working set"):
+            evolution._right_rows(never_applied_model(d), tg, source, 2, [])
+        monkeypatch.setattr(evolution, "_TABLE_MEMORY_CAP_BYTES", need)
+        for row in evolution._right_rows(narrow_model(d), tg, source, 2, []):
+            assert np.isfinite(row).all()
 
 
 def decay_model(d, gain):
@@ -1047,17 +1081,19 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
-def within_count(peak, rows, m, d):
-    # beside the arrays: lattice vectors (the defect's quadrature weights
-    # and integrand) and numpy's fixed iterator buffers (about 64-197 KB)
-    return peak <= pass_bytes(rows, m, d) + 2 * (m + 1) * 8 + 2 ** 18
+def within_charge(peak, m, d, per_node=False, direct=False):
+    # beside what the guard charges: lattice vectors (the defect's
+    # quadrature weights and integrand) and numpy's fixed iterator buffers
+    # (about 64-197 KB)
+    return peak <= evolution._pass_bytes(m, d, per_node, direct) + 2 * (m + 1) * 8 + 2 ** 18
 
 
 @pytest.mark.parametrize("d, m", [(2, 8192), (33, 512), (128, 256), (512, 128)])
 def test_row_pass_peak_stays_within_its_count(d, m):
-    # the count is what a pass holds: the traced peak of a row-less
-    # iterate_right and of series_sum stays within _PASS_ROWS arrays, for
-    # either gain form (d = 512 is where the carry loops over nodes)
+    # the charge is what a pass holds: the traced peak of a row-less
+    # iterate_right and of series_sum stays within _PASS_ROWS arrays and
+    # one B block, for either gain form (d = 512 is where the carry loops
+    # over nodes; from d = 33 here a row takes several blocks)
     tg = TimeGrid(0.0, 1.0, 1.0 / m)
     u0 = np.ones(d)
     for gain in ("dense", "pair"):
@@ -1065,15 +1101,15 @@ def test_row_pass_peak_stays_within_its_count(d, m):
         runs = {"iterate_right": lambda: iterate_right(model, tg, u0, 3, keep_rows=False),
                 "series_sum": lambda: series_sum(model, tg, u0, tol=0.0, n_max=3)}
         for name, run in runs.items():
-            assert within_count(traced_peak(run), evolution._PASS_ROWS, m, d), (gain, name)
+            assert within_charge(traced_peak(run), m, d), (gain, name)
 
 
 @pytest.mark.parametrize("gain", ["dense", "pair"])
 @pytest.mark.parametrize("rule, direct", [("midpoint", False), ("trapezoid", True)])
 def test_direct_pass_peak_stays_within_its_count(rule, direct, gain, monkeypatch):
-    # the direct path holds _PASS_ROWS arrays too, under the midpoint rule
-    # and as the trapezoid's forced reference, which reads its contiguous
-    # nodes' B rows as a view
+    # the direct path holds _DIRECT_PASS_ROWS arrays, under the midpoint
+    # rule and as the trapezoid's forced reference, which reads its
+    # contiguous nodes' B rows as a view
     d, m = 512, 128
     if direct:
         monkeypatch.setattr(evolution, "_right_rows",
@@ -1081,15 +1117,74 @@ def test_direct_pass_peak_stays_within_its_count(rule, direct, gain, monkeypatch
     model = decay_model(d, gain)
     tg = TimeGrid(0.0, 1.0, 1.0 / m, rule)
     peak = traced_peak(lambda: iterate_right(model, tg, np.ones(d), 3, keep_rows=False))
-    assert within_count(peak, evolution._PASS_ROWS, m, d)
+    assert within_charge(peak, m, d, direct=True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 100, 512, 20000])
+def test_b_blocks_tile_the_nodes_and_none_is_one_node_long(d):
+    # blocks of 16384 // d nodes (at least two), run back to back over
+    # the nodes, the last taking a one-node remainder: no block is one
+    # node long, since BLAS takes a one-row product by another kernel
+    size = max(2, evolution._BLOCK_FLOATS // d)
+    for k in range(2, 3 * size + 3):
+        blocks = evolution._node_blocks(k, d)
+        assert blocks[0][0] == 0 and blocks[-1][1] == k
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        lengths = [hi - lo for lo, hi in blocks]
+        assert all(n == size for n in lengths[:-1]) and 2 <= lengths[-1] <= size + 1
+    assert evolution._node_blocks(1, d) == [(0, 1)]
+
+
+@pytest.mark.parametrize("rate, flow_shape", [
+    (1.0, "one chunk"), (300.0, "restarted by decay"), (1e4, "every step plain")])
+@pytest.mark.parametrize("gain", ["dense", "pair"])
+def test_rows_over_several_b_blocks_are_bitwise_those_of_one_block(gain, rate, flow_shape,
+                                                                   monkeypatch):
+    # B on blocks of four nodes, each written back into the row it read,
+    # and the kicks formed in place over them give bitwise the rows and
+    # defects of one B call per row into a new array: from a start state,
+    # from a per-node source (whose end-point rows take blocks too) and on
+    # the direct path.  d = 16 is a multiple of 8, where this BLAS makes
+    # each row of a matrix product of two or more rows alike (see _b_rows)
+    d, m = 16, 32
+    k = np.full((d, d), 0.3 / d) if gain == "dense" else (np.full(d, 0.3 / d), np.ones(d))
+    unit = TimeProfile(kind="constant", c0=1.0)
+    model = loss_gain_model(gain, abstract_grid(np.ones(d)),
+                            SeparableCoefficient(unit, rate * np.linspace(0.5, 1.5, d)),
+                            unit, k, np.ones(d))
+    tg = TimeGrid(0.0, 2.0, 1.0 / 16.0)
+    chunks = evolution._Flow(evolution._step_factors(model, tg.nodes)).chunks
+    plain = [factor is not None for _s, _e, factor in chunks]
+    assert {"one chunk": len(chunks) == 1 and not any(plain),
+            "restarted by decay": len(chunks) > 1 and not any(plain),
+            "every step plain": len(chunks) == m and all(plain)}[flow_shape]
+    u0 = np.linspace(1.0, 0.5, d)
+    source = np.random.default_rng(3).uniform(0.0, 1.0, (m + 1, d))
+
+    def passes():
+        one_step = iterate_right(model, tg, u0, 4)
+        per_node_defects = []
+        per_node = [row.copy() for row in
+                    evolution._right_rows(model, tg, source.copy(), 4, per_node_defects)]
+        midpoint = iterate_right(model, TimeGrid(0.0, 2.0, 1.0 / 16.0, "midpoint"), u0, 4)
+        return (one_step.iterates, one_step.defects, per_node, per_node_defects,
+                midpoint.iterates, midpoint.defects)
+
+    assert evolution._node_blocks(m + 1, d) == [(0, m + 1)]
+    one_block = passes()
+    monkeypatch.setattr(evolution, "_BLOCK_FLOATS", 4 * d)
+    assert evolution._node_blocks(m + 1, d)[-2:] == [(24, 28), (28, 33)]
+    for got, expected in zip(passes(), one_block):
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("gain", ["dense", "pair"])
 def test_per_node_pass_peak_stays_within_its_count(gain):
     # a per-node source's pass, its caller holding each row while the pass
     # makes the next (as the Laplace check does), stays within
-    # _PER_NODE_PASS_ROWS arrays.  The pass owns its source, so the source
-    # is made inside the count, as the Laplace check's h f is
+    # _PER_NODE_PASS_ROWS arrays and one B block.  The pass owns its
+    # source, so the source is made inside the count, as the Laplace
+    # check's h f is
     d, m = 512, 128
     model = decay_model(d, gain)
     tg = TimeGrid(0.0, 1.0, 1.0 / m)
@@ -1099,7 +1194,7 @@ def test_per_node_pass_peak_stays_within_its_count(gain):
         for _n, row in zip(range(4), rows):
             assert np.isfinite(row).all()
 
-    assert within_count(traced_peak(run), evolution._PER_NODE_PASS_ROWS, m, d)
+    assert within_charge(traced_peak(run), m, d, per_node=True)
 
 
 @pytest.mark.parametrize("gain", ["dense", "pair"])
