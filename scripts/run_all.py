@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Run every bundled experiment config and summarize the outcomes.
 
-Usage: python3 scripts/run_all.py [output-root]
+Usage: python3 scripts/run_all.py [output_root]
 
 Every scripts/*.ini runs, in sorted order; each writes its CSV tables
-under <output-root>/<config-stem>/ (default: out/). A config with a [sweep]
+under <output_root>/<config-stem>/ (default: out/). A config with a [sweep]
 section runs with the sweep subcommand, every other one with run. The
 summary prints each config's exit code and wall time (wall_time_s,
 measured around the in-process CLI call) on stdout. The exit codes alone
-go to <output-root>/exit_codes.csv (columns config, command, exit_code;
+go to <output_root>/exit_codes.csv (columns config, command, exit_code;
 one row per config, sorted by config), so that scripts/compare_outputs.py
 checks them along with the tables; wall times never enter the output
 root. Exit code: the worst code any run produced, with
@@ -16,13 +16,16 @@ dishonest (2) outranking inconclusive (3) outranking honest (0).
 """
 from __future__ import annotations
 
+import argparse
 import csv
 import pathlib
 import sys
 import time
 
-from evofam.cli import main
-from evofam.config import parse_config
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from evofam.cli import main  # noqa: E402
+from evofam.config import parse_config  # noqa: E402
 
 SEVERITY = {0: 0, 3: 1, 2: 2, 1: 3}
 
@@ -52,4 +55,6 @@ def run_all(output_root: str) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(run_all(sys.argv[1] if len(sys.argv) > 1 else "out"))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("output_root", nargs="?", default="out")
+    raise SystemExit(run_all(parser.parse_args().output_root))

@@ -8,8 +8,8 @@ matrix product.  ``collision_perturbed_model`` states both parts, once,
 as the engine's loss–gain families.
 
 Conventions: ``frequency.value(t)[i]`` is the total collision rate at
-node i, ``kernel.values(t)[i, j]`` the transfer density from node j into
-node i.  The column mass ``sum_i w_i k(t, v_i, v_j)`` (the gain mass
+node i, ``kernel_values(t)[i, j]`` the transfer density from node j
+into node i.  The column mass ``sum_i w_i k(t, v_i, v_j)`` (the gain mass
 rate at node j) never exceeding the frequency at node j is the
 subcriticality contract; equality within rounding makes the model
 conservative (the gain returns exactly what the loss removes).
@@ -47,12 +47,6 @@ class CollisionKernel:
             raise StructureError("kernel matrix must be square")
         object.__setattr__(self, "matrix", mat)
 
-    def values(self, t: float) -> np.ndarray:
-        k = self.profile.value(t)
-        if not np.isfinite(k):
-            raise ModelContractError(f"kernel time profile not finite at t = {t}")
-        return k * self.matrix
-
 
 @dataclass(frozen=True)
 class CollisionModel:
@@ -74,7 +68,10 @@ class CollisionModel:
     column_rescale: np.ndarray | None = None
 
     def kernel_values(self, t: float) -> np.ndarray:
-        return self.kernel.values(t)
+        k = self.kernel.profile.value(t)
+        if not np.isfinite(k):
+            raise ModelContractError(f"kernel time profile not finite at t = {t}")
+        return k * self.kernel.matrix
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +188,9 @@ def outflow_kernel_matrix(grid: Grid, target_density) -> np.ndarray:
 # adapter to the series engine
 # ---------------------------------------------------------------------------
 
-def collision_perturbed_model(model: CollisionModel, name: str = "collision") -> PerturbedModel:
+def collision_perturbed_model(model: CollisionModel) -> PerturbedModel:
     """Adapt the collision model to the series engine: loss at the collision
-    frequency, gain B(t) u = kernel.values(t) @ (w * u)."""
-    return loss_gain_model(name, model.grid, model.frequency, model.kernel.profile,
+    frequency, gain B(t) u = kernel_values(t) @ (w * u)."""
+    return loss_gain_model("collision", model.grid, model.frequency, model.kernel.profile,
                            model.kernel.matrix, model.grid.weights,
                            validated_span=model.validated_span)

@@ -49,7 +49,7 @@ from .boltzmann import (
     validation_times,
 )
 from .coefficients import SeparableCoefficient, TimeProfile
-from .config import ExperimentConfig, LiftedSection, parse_config
+from .config import ExperimentConfig, parse_config
 from .errors import ConfigError, EvofamError, StructureError
 from .evolution import TimeGrid, _flat_residuals, duhamel_residual, iterate_right
 from .fragmentation import (
@@ -298,12 +298,12 @@ def _lifted_profile(axis: TimeGrid, u0: np.ndarray) -> np.ndarray:
 
 
 def run_lifted_checks(cfg: ExperimentConfig) -> RunArtifacts:
-    model = build_oracle_model(cfg)
+    model = build_model(cfg)
     tg = _engine_grid(cfg)
     u0 = initial_coefficients(cfg, model.grid)
     _table, ledger, series = _table_diagnostics(cfg, model, tg, u0)
 
-    lifted = LiftedSection(**cfg.sections.get("lifted", {}))
+    lifted = cfg.lifted
     h, lam_series = lifted.h, lifted.lam_series
     axis = TimeGrid(0.0, lifted.t_max, h)
     f = LiftedVector(grid=model.grid, axis=axis,

@@ -109,8 +109,8 @@ class ExperimentConfig:
 
     ``sections`` holds the typed values of every key present in the file,
     by section; the section dataclasses add the defaults of absent keys
-    (``LiftedSection(**sections.get("lifted", {}))`` for [lifted], which
-    only lifted_checks runs read).
+    (``lifted`` holds the defaults in runs of the kinds that never read
+    [lifted]).
     """
 
     kind: str
@@ -118,6 +118,7 @@ class ExperimentConfig:
     honesty: HonestySection
     initial: InitialSection
     output: OutputSection
+    lifted: LiftedSection
     sections: dict
     echo_rows: tuple
 
@@ -135,7 +136,7 @@ class _Need(NamedTuple):
 # ExperimentConfig fields, are typed even when absent, so that a missing
 # [engine] dt is reported.
 _RECORDS = {"engine": EngineSection, "honesty": HonestySection,
-            "initial": InitialSection, "output": OutputSection}
+            "initial": InitialSection, "output": OutputSection, "lifted": LiftedSection}
 
 
 def _record_keys(cls) -> dict:
@@ -304,7 +305,8 @@ def parse_config(path) -> ExperimentConfig:
     typed = {section: _typed(section, tables.get(section, keys), raw.get(section, {}))
              for section, keys in reads.items() if section in raw or section in _RECORDS}
     records = {name: cls(**typed.get(name, {})) for name, cls in _RECORDS.items()}
-    engine, honesty, initial = records["engine"], records["honesty"], records["initial"]
+    engine, honesty, initial, lifted = (records[name] for name in
+                                        ("engine", "honesty", "initial", "lifted"))
     if engine.dt <= 0.0:
         raise ConfigError("[engine] dt must be positive")
     if engine.t_end <= engine.s:
@@ -327,8 +329,14 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("[initial] kind = csv requires path")
     if initial.kind == "maxwellian" and initial.temperature <= 0.0:
         raise ConfigError("[initial] temperature must be positive")
-    if typed.get("lifted", {}).get("lam_series", 0.0) < 0.0:
+    for key in ("h", "lam_factorization", "lam_laplace"):
+        if getattr(lifted, key) <= 0.0:
+            raise ConfigError(f"[lifted] {key} must be positive")
+    if lifted.lam_series < 0.0:
         raise ConfigError("[lifted] lam_series must be >= 0 (0: four times the kick block norm)")
+    for key in ("n_terms", "n_laplace_max"):
+        if getattr(lifted, key) < 0:
+            raise ConfigError(f"[lifted] {key} must be >= 0")
 
     echo_rows = tuple(
         (f"{section}.{key}", value)

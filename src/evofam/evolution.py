@@ -145,12 +145,14 @@ class TimeGrid:
         if self.t_end < self.s:
             raise StructureError("t_end must be >= s")
         span = self.t_end - self.s
-        m = int(round(span / self.dt))
+        steps = span / self.dt
+        # checked before rounding: a quotient past any float has no integer
+        _check_table_bytes("time lattice", (steps + 1) * 8)
+        m = int(round(steps))
         if abs(span - m * self.dt) > 1e-12 * self.dt:
             raise StructureError(
                 f"(t_end - s) = {span!r} is not an integer multiple of dt = {self.dt!r}"
             )
-        _check_table_bytes("time lattice", (m + 1) * 8)
         nodes = self.s + self.dt * np.arange(m + 1)
         nodes.setflags(write=False)
         object.__setattr__(self, "n_steps", m)
@@ -342,14 +344,6 @@ class DysonPhillipsTable:
     @property
     def n_max(self) -> int:
         return self.end_rows.shape[0] - 1
-
-
-def _require_rows(table: DysonPhillipsTable, what: str) -> None:
-    """Raise PreconditionError, naming ``what``, on a row-less table."""
-    if table.iterates is None:
-        raise PreconditionError(
-            f"{what} needs the full iterate rows; this table was built with "
-            "keep_rows=False and holds only the t_end rows and per-row scalars")
 
 
 def _as_coeffs(grid: Grid, u0) -> np.ndarray:
@@ -996,17 +990,11 @@ _RESIDUAL_ROWS = 40
 
 
 def _duhamel_gap(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
-                 v_values) -> float:
-    """How far family values at the lattice nodes miss the
-    variation-of-constants identity at t_end, under the lattice rule."""
-    _require_validated(model, tg.s, tg.t_end, "lattice")
-    _refuse_negative(coeffs, tg.nodes)
+                 v_values: np.ndarray) -> float:
+    """How far family values at the lattice nodes (shape (M+1, d)) miss the
+    variation-of-constants identity at t_end, under the lattice rule; the
+    caller has checked the lattice and ``coeffs`` through a pass over them."""
     m = tg.n_steps
-    v_values = np.asarray(v_values, dtype=float)
-    if v_values.shape != (m + 1, model.grid.size):
-        raise PreconditionError(
-            f"family values must have shape {(m + 1, model.grid.size)}, got {v_values.shape}"
-        )
     u_end = model.unperturbed.apply(tg.t_end, tg.s, coeffs)
     w = tg._quadrature.weights(m, tg.dt)
     used = np.flatnonzero(w)
@@ -1043,30 +1031,26 @@ def _flat_residuals(model: PerturbedModel, tg: TimeGrid, coeffs: np.ndarray,
     return duhamel, weighted_norm_array(grid, full - v_values[-1])
 
 
-def duhamel_residual(model: PerturbedModel, tg: TimeGrid, u0, v_values=None, *,
+def duhamel_residual(model: PerturbedModel, tg: TimeGrid, u0, *,
                      tol: float = _SERIES_TOL) -> float:
-    """Variation-of-constants residual of supplied family values at t_end.
+    """Variation-of-constants residual of the perturbed family at t_end.
 
-    ``v_values`` holds the perturbed family applied to u0 at every lattice
-    node (shape (M+1, d)); by default it is the series summed on the
+    The family values at the lattice nodes are the series summed on the
     8-times finer lattice (stopped on the tail at t_end by ``tol``, or at
-    row 40), read at the lattice nodes, so it is accurate well below the
-    lattice quadrature error.  The residual inserts those values into
+    row 40), so they are accurate well below the lattice quadrature error.
+    The residual inserts them into
 
         V u0  =  U u0  +  quadrature over r of  U(t_end, r) B(r) V(r, s) u0
 
     evaluated with the lattice rule, measuring how far the values are from
-    satisfying the identity: O(dt^2) under the trapezoid rule for accurate
-    values on smooth models.  (Feeding a table built at the same resolution
-    back in returns series truncation noise instead — the recursion *is*
-    this identity — which is why the reference values must come from a
-    finer lattice or a closed form.)  ``u0`` must be nonnegative, with
-    supplied values or without.
+    satisfying the identity: O(dt^2) under the trapezoid rule on smooth
+    models.  (Values from a table at the same resolution would return
+    series truncation noise instead — the recursion *is* this identity —
+    which is why they come from a finer lattice.)  ``u0`` must be
+    nonnegative.
     """
     coeffs = _as_coeffs(model.grid, u0)
-    if v_values is None:
-        return _flat_residuals(model, tg, coeffs, tol=tol)[0]
-    return _duhamel_gap(model, tg, coeffs, v_values)
+    return _flat_residuals(model, tg, coeffs, tol=tol)[0]
 
 
 def cocycle_residual(model: PerturbedModel, tg: TimeGrid, u0, r: float, *,
@@ -1174,7 +1158,10 @@ def iterate_left(model: PerturbedModel, tg: TimeGrid, u0, n_max: int) -> LeftIte
 
 def left_right_discrepancy(left: LeftIterates, right: DysonPhillipsTable) -> float:
     """Max weighted-L1 gap between the two recursions over all (n, node)."""
-    _require_rows(right, "left_right_discrepancy")
+    if right.iterates is None:
+        raise PreconditionError(
+            "left_right_discrepancy needs the full iterate rows; this table was built with "
+            "keep_rows=False and holds only the t_end rows and per-row scalars")
     if left.time_grid != right.time_grid:
         raise PreconditionError(f"tables live on different time lattices: "
                                 f"{left.time_grid} and {right.time_grid}")

@@ -75,9 +75,6 @@ class FragmentationModel:
             return _strict_upper(*self.kernel)
         return self.kernel
 
-    def rate_values(self, t: float) -> np.ndarray:
-        return np.asarray(self.rate.value(t), dtype=float)
-
 
 # ---------------------------------------------------------------------------
 # daughter kernels
@@ -318,8 +315,7 @@ def kernel_mass_check(model: FragmentationModel, t: float) -> np.ndarray:
                                   _column_quadrature(model.grid, model.dx, model.kernel))
 
 
-def fragmentation_perturbed_model(model: FragmentationModel,
-                                  name: str = "fragmentation") -> PerturbedModel:
+def fragmentation_perturbed_model(model: FragmentationModel) -> PerturbedModel:
     """Adapt the fragmentation model to the series engine: loss at the
     breakup rate a = q(t) a(x), gain B(t) u = q(t) daughter @ (dx a(x) u),
     applied as the factored tail sum when the model keeps its factors.
@@ -329,7 +325,7 @@ def fragmentation_perturbed_model(model: FragmentationModel,
     x_min.
     """
     rate = model.rate
-    return loss_gain_model(name, model.grid, rate, rate.profile, model.kernel,
+    return loss_gain_model("fragmentation", model.grid, rate, rate.profile, model.kernel,
                            model.dx * rate.space, validated_span=model.validated_span)
 
 
@@ -353,7 +349,7 @@ def mol_reference(model: FragmentationModel, tg: TimeGrid, u0, *,
     dx = model.dx
 
     def rhs(t, y):
-        a = model.rate_values(t)
+        a = model.rate.value(t)
         return -a * y + dx * (mat @ (a * y))
 
     h = tg.dt / substeps

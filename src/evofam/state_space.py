@@ -20,13 +20,6 @@ from .errors import StructureError
 GRID_KINDS = ("velocity", "mass", "abstract")
 
 
-def _ascending_sum(values: np.ndarray) -> float:
-    """Plain sequential sum of ``values`` in ascending index order."""
-    if values.size == 0:
-        return 0.0
-    return float(np.cumsum(values)[-1])
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     """A frozen float copy of ``a``; the caller's own array stays writable."""
     out = np.array(a, dtype=float)
@@ -118,5 +111,7 @@ def abstract_grid(weights) -> Grid:
 
 
 def weighted_norm_array(grid: Grid, coeffs: np.ndarray) -> float:
-    """Norm of a raw coefficient array (engine-internal fast path)."""
-    return _ascending_sum(grid.weights * np.abs(coeffs))
+    """Norm of a raw coefficient array (engine-internal fast path), summed
+    in ascending node order."""
+    terms = grid.weights * np.abs(coeffs)
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0

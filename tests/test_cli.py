@@ -210,6 +210,21 @@ def test_run_oversized_lattice_exits_one(tmp_path, capsys):
     assert err.startswith("error: time lattice would need")
 
 
+@pytest.mark.parametrize("command, text", [
+    ("run", ORACLE_INI.replace("dt = 0.03125", "dt = 1e-320")),
+    ("sweep", ORACLE_INI + "\n[sweep]\nkind = dt\nvalues = 0.03125, 1e-320\n"),
+    ("run", LIFTED_INI.replace("h = 0.0625", "h = 1e-320")),
+], ids=["engine_dt", "sweep_dt", "lifted_h"])
+def test_a_lattice_too_fine_to_count_exits_one(command, text, tmp_path, capsys):
+    # a step count past any float is refused as oversized, in one line
+    out_dir = tmp_path / "out"
+    code = main([command, write_ini(tmp_path, text), "--output-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: time lattice would need inf bytes; cap is 268435456\n"
+    assert not out_dir.exists()
+
+
 def test_run_strict_contract_violation_names_location(tmp_path, capsys):
     cfg = write_ini(tmp_path, SUPERCRITICAL_INI)
     out_dir = tmp_path / "out"

@@ -236,11 +236,29 @@ def test_kind_section_parameters_are_typed(tmp_path):
 
 def test_lifted_section_defaults_and_types(tmp_path):
     text = MINIMAL.replace("oracle", "lifted_checks") + "\n[lifted]\nn_terms = 5\n"
-    lifted = LiftedSection(**parse_config(write(tmp_path, text)).sections["lifted"])
+    lifted = parse_config(write(tmp_path, text)).lifted
     assert lifted.n_terms == 5
     assert lifted.h == 1.0 / 64.0
     with pytest.raises(ConfigError, match=r"\[lifted\] h = 'abc' is not a valid float"):
         parse_config(write(tmp_path, text + "h = abc\n"))
+    # kinds that never read [lifted] hold its defaults
+    assert parse_config(write(tmp_path, MINIMAL)).lifted == LiftedSection()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("h = 0", "h must be positive"),
+    ("h = -0.015625", "h must be positive"),
+    ("lam_factorization = 0", "lam_factorization must be positive"),
+    ("lam_laplace = -8", "lam_laplace must be positive"),
+    ("n_terms = -1", "n_terms must be >= 0"),
+    ("n_laplace_max = -1", "n_laplace_max must be >= 0"),
+], ids=["h_zero", "h_negative", "lam_factorization_zero", "lam_laplace_negative",
+        "n_terms_negative", "n_laplace_max_negative"])
+def test_lifted_values_out_of_range_are_refused_by_key(line, message, tmp_path):
+    # refused when the config is parsed, naming the key, before any table runs
+    text = MINIMAL.replace("oracle", "lifted_checks") + f"\n[lifted]\n{line}\n"
+    with pytest.raises(ConfigError, match=rf"^\[lifted\] {message}$"):
+        parse_config(write(tmp_path, text))
 
 
 # Keys and sections the chosen kind never reads are refused, not ignored.

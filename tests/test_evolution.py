@@ -94,6 +94,10 @@ def test_time_grid_refuses_an_oversized_lattice():
     # 1e12 + 1 nodes would need 8 TB: refused before the nodes are allocated
     with pytest.raises(SizeCapError, match="time lattice"):
         TimeGrid(0.0, 1.0, 1e-12)
+    # so is a lattice whose step count overflows a float: no integer count
+    for s, t_end, dt in ((0.0, 1.0, 1e-320), (0.0, 1e308, 1e-10), (-1e308, 1e308, 1.0)):
+        with pytest.raises(SizeCapError, match="time lattice would need inf bytes"):
+            TimeGrid(s, t_end, dt)
 
 
 @pytest.mark.parametrize("rule", TIME_RULES)
@@ -220,13 +224,12 @@ def test_direct_trapezoid_matches_one_step_where_the_flow_restarts(fast):
 
 
 @pytest.mark.parametrize("entry", ["iterate_right", "series_sum", "duhamel_residual",
-                                   "cocycle_residual", "iterate_left", "duhamel_values"])
+                                   "cocycle_residual", "iterate_left"])
 def test_signed_data_refused(entry):
     # honesty is a statement about the positive cone: every engine entry
     # refuses a negative entry of u0, naming its grid node, before any
     # operator call (the model's U and B fail if called), the left
-    # recursion and the residual of supplied values too; -0.0 is not
-    # negative
+    # recursion too; -0.0 is not negative
     model = never_applied_model(3)
     tg = TimeGrid(0.0, 1.0, 0.25)
     u0 = np.array([1.0, -0.0, -0.25])
@@ -234,8 +237,7 @@ def test_signed_data_refused(entry):
             "series_sum": lambda: series_sum(model, tg, u0),
             "duhamel_residual": lambda: duhamel_residual(model, tg, u0),
             "cocycle_residual": lambda: cocycle_residual(model, tg, u0, 0.5),
-            "iterate_left": lambda: iterate_left(model, tg, u0, 2),
-            "duhamel_values": lambda: duhamel_residual(model, tg, u0, np.ones((5, 3)))}[entry]
+            "iterate_left": lambda: iterate_left(model, tg, u0, 2)}[entry]
     with pytest.raises(PreconditionError,
                        match=r"nonnegative data only; the source is negative at grid node 2$"):
         call()
@@ -369,11 +371,11 @@ def test_duhamel_accepts_supplied_values(oracle_model):
     tg = TimeGrid(0.0, 1.0, 1.0 / 32.0)
     u0 = np.array([1.0, 0.0])
     exact = np.stack([oracle_sum(tau, u0) for tau in tg.nodes])
-    res = duhamel_residual(oracle_model, tg, u0, v_values=exact)
+    res = evolution._duhamel_gap(oracle_model, tg, u0, exact)
     assert res < 1e-3
     # same-lattice engine values satisfy the discrete identity exactly
     own = summed_values(oracle_model, tg, u0, 1e-14)
-    assert duhamel_residual(oracle_model, tg, u0, v_values=own) < 1e-12
+    assert evolution._duhamel_gap(oracle_model, tg, u0, own) < 1e-12
 
 
 def test_cocycle_residual_second_order(oracle_model):
@@ -464,7 +466,7 @@ def reference_residuals(model, tg, u0, tol):
     whole-interval sum on the fine lattice, summed by series_sum."""
     fine = TimeGrid(tg.s, tg.t_end, tg.dt / 8)
     values = summed_values(model, fine, u0, tol)[::8]
-    duhamel = duhamel_residual(model, tg, u0, v_values=values)
+    duhamel = evolution._duhamel_gap(model, tg, u0, values)
     full = series_sum(model, tg, u0, tol=tol).value
     composed = series_sum(model, fine, u0, tol=tol).value
     return duhamel, weighted_norm_array(model.grid, full - composed)

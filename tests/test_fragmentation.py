@@ -322,7 +322,7 @@ def test_fragment_gain_formula_and_support(binary_frag, binary_frag_perturbed):
     gain = binary_frag_perturbed.perturbation
     rng = np.random.default_rng(9)
     u = rng.uniform(0.0, 1.0, grid.size)
-    a = binary_frag.rate_values(0.3)
+    a = binary_frag.rate.value(0.3)
     np.testing.assert_allclose(gain.apply(0.3, u),
                                binary_frag.dx * (binary_frag.daughter @ (a * u)),
                                rtol=1e-14)
@@ -342,7 +342,7 @@ def test_perturbed_adapter_consistency(binary_frag, binary_frag_perturbed):
                                rtol=1e-15)
     np.testing.assert_allclose(_dense(model.perturbation.apply, model.grid.size, 0.6) @ u,
                                model.perturbation.apply(0.6, u), rtol=1e-13)
-    np.testing.assert_allclose(model.loss_rate(0.4), binary_frag.rate_values(0.4))
+    np.testing.assert_allclose(model.loss_rate(0.4), binary_frag.rate.value(0.4))
 
 
 # ---------------------------------------------------------------------------
@@ -428,5 +428,5 @@ def test_binary_model_defaults(binary_frag):
     assert grid.kind == "mass"
     assert grid.size == 64
     assert grid.nodes[0] > 1.0 / 64.0 and grid.nodes[-1] < 1.0
-    np.testing.assert_allclose(binary_frag.rate_values(0.0), grid.nodes)
+    np.testing.assert_allclose(binary_frag.rate.value(0.0), grid.nodes)
     assert not binary_frag.normalized

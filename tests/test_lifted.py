@@ -19,7 +19,6 @@ from evofam import (
     abstract_grid,
     collision_model,
     collision_perturbed_model,
-    duhamel_residual,
     gaussian_kernel_matrix,
     iterate_right,
     kick_block_norm,
@@ -259,8 +258,7 @@ def test_lifted_layer_names_where_b_turns_non_finite(oracle_model):
                                            None)),
              r"resolvent series term 0"),
             (lambda: resolvent_factorization_check(model, 8.0, f), r"the discounted history"),
-            (lambda: laplace_transform_check(model, 8.0, 2, f), r"iterate 0"),
-            (lambda: duhamel_residual(model, axis, U0, f.values), r"the family values")):
+            (lambda: laplace_transform_check(model, 8.0, 2, f), r"iterate 0")):
         with pytest.raises(EvaluationError, match=rf"at {kicked}, tau = 0\.5625"):
             call()
     # a kick block names its first non-finite entry: B(tau) e_0 at grid

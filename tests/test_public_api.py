@@ -32,3 +32,16 @@ def test_public_names_are_pinned():
                    if not name.startswith("_") and not inspect.ismodule(value))
     assert names == PUBLIC_NAMES
     assert len(names) == 61
+
+
+def test_each_job_has_one_entry_point():
+    # the residual takes its family values from its own fine pass, the
+    # adapters name their models, the fragmentation rate is read through
+    # ``rate.value`` and the collision kernel through the model's
+    # ``kernel_values``: no second way in to any of them
+    assert "v_values" not in inspect.signature(evofam.duhamel_residual).parameters
+    for adapter in (evofam.collision_perturbed_model, evofam.fragmentation_perturbed_model):
+        assert list(inspect.signature(adapter).parameters) == ["model"]
+    assert not hasattr(evofam.FragmentationModel, "rate_values")
+    assert not hasattr(evofam.CollisionKernel, "values")
+    assert hasattr(evofam.CollisionModel, "kernel_values")

@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import csv
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 from evofam.config import parse_config
 
@@ -33,3 +36,24 @@ def test_exit_codes_land_in_the_output_root(tmp_path, capsys):
     assert str(code) in {row[2] for row in rows}
     # wall times stay on stdout
     assert "wall" not in (tmp_path / "exit_codes.csv").read_text()
+
+
+def run_script(tmp_path, *args):
+    """scripts/run_all.py as a subprocess in ``tmp_path``, with no PYTHONPATH."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    return subprocess.run([sys.executable, str(SCRIPTS / "run_all.py"), *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_help_prints_usage_and_runs_nothing(tmp_path):
+    done = run_script(tmp_path, "--help")
+    assert done.returncode == 0, done.stderr
+    assert "output_root" in done.stdout
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_extra_argument_is_refused(tmp_path):
+    done = run_script(tmp_path, "a", "b")
+    assert done.returncode == 2
+    assert "unrecognized arguments: b" in done.stderr
+    assert list(tmp_path.iterdir()) == []
